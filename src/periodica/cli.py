@@ -39,9 +39,20 @@ EXIT_TRUNCATION = 4
 EXIT_CHECK_FAILED = 5
 
 
-def _default_bound(fallback: int) -> int:
-    env = os.environ.get("PERIODICA_BOUND")
-    return int(env) if env else fallback
+def _default_bound(fallback: int, given: Optional[int] = None) -> int:
+    """The search bound: ``--bound`` if given, else $PERIODICA_BOUND, else
+    the fallback.  Anything but a positive integer is a parse error."""
+    if given is not None:
+        where, text = "--bound", str(given)
+    else:
+        where, text = "PERIODICA_BOUND", os.environ.get("PERIODICA_BOUND")
+        if not text:
+            return fallback
+    value = int(text) if text.strip().isdecimal() else 0
+    if value < 1:
+        raise ParseError(0, 0, f"{where} must be a positive integer, "
+                               f"got {text!r}")
+    return value
 
 
 def _load_algebra_arg(args):
@@ -182,7 +193,7 @@ def cmd_ext_sum(args) -> int:
 
 def cmd_hochschild(args) -> int:
     alg, inputs = _load_algebra_arg(args)
-    bound = args.bound or _default_bound(12)
+    bound = _default_bound(12, args.bound)
     if args.verb == "smooth-dim":
         body = smooth_dimension(alg, bound)
         return _finish(args, build_report("hochschild smooth-dim",
@@ -217,7 +228,7 @@ def cmd_hochschild(args) -> int:
 
 def cmd_period(args) -> int:
     alg, inputs = _load_algebra_arg(args)
-    bound = args.bound or _default_bound(16)
+    bound = _default_bound(16, args.bound)
     if args.verb == "module":
         ctx = StableContext(alg, args.seed)
         M = parse_module_expr(alg, args.module)

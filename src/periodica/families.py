@@ -20,7 +20,7 @@ from .common import PreconditionError
 from .fields import Field
 from .linalg import Mat
 from .quiver import (AlgebraPresentation, FinDimAlgebra, Quiver, build_algebra,
-                     tensor_op_presentation)
+                     enveloping_algebra, pair_vertex)
 from .rep import Rep, quotient_rep
 
 
@@ -157,16 +157,12 @@ def enveloping(alg: FinDimAlgebra) -> Tuple[FinDimAlgebra, Rep]:
     the left leg acts by left multiplication, the right leg by right
     multiplication.
     """
-    E = build_algebra(tensor_op_presentation(alg.presentation))
+    E = enveloping_algebra(alg)
     n = alg.quiver.n
     f = alg.field
-
-    def pv(u: int, v: int) -> int:
-        return (u - 1) * n + v
-
     local: Dict[int, List[int]] = {w: [] for w in range(1, n * n + 1)}
     for i in range(alg.dim):
-        local[pv(alg.target[i], alg.source[i])].append(i)
+        local[pair_vertex(n, alg.target[i], alg.source[i])].append(i)
     pos = {}
     for w, lst in local.items():
         for r, bi in enumerate(lst):

@@ -9,16 +9,34 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below this
+# bound (Sorenson and Webster 2017, "Strong pseudoprimes to twelve prime
+# bases"); larger characteristics are refused rather than guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality for p < PRIME_LIMIT."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -28,6 +46,9 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, p: int = 0):
+        if p >= PRIME_LIMIT:
+            raise ValueError(f"characteristic must be below {PRIME_LIMIT}, "
+                             f"got {p}")
         if p and not _is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         self.p = p

@@ -33,6 +33,13 @@ from .quiver import AlgebraPresentation, FinDimAlgebra, Quiver, build_algebra
 from .rep import Morphism, Rep, direct_sum
 
 
+def _prime_field(p: int, line: int, col: int) -> Field:
+    try:
+        return Field.gf(p)
+    except ValueError as exc:
+        raise ParseError(line, col, str(exc)) from None
+
+
 def _field_from_words(words: List[str], line: int, col: int) -> Field:
     head = words[0].lower()
     if head in ("rationals", "q", "qq"):
@@ -40,10 +47,10 @@ def _field_from_words(words: List[str], line: int, col: int) -> Field:
     if head in ("fp", "gf", "f"):
         if len(words) < 2 or not words[1].isdigit():
             raise ParseError(line, col, "prime field needs a prime, e.g. 'fp 5'")
-        return Field.gf(int(words[1]))
+        return _prime_field(int(words[1]), line, col)
     m = re.fullmatch(r"[fF](\d+)", words[0])
     if m:
-        return Field.gf(int(m.group(1)))
+        return _prime_field(int(m.group(1)), line, col)
     raise ParseError(line, col, f"unknown field {' '.join(words)!r}")
 
 
@@ -89,7 +96,7 @@ def parse_algebra_text(text: str, default_field: Optional[Field] = None,
     field: Optional[Field] = default_field
     n_vertices: Optional[int] = None
     arrows: List[Tuple[str, int, int]] = []
-    raw_relations: List[Tuple[int, str]] = []
+    raw_relations: List[Tuple[int, int, str]] = []
     nilpotency: Optional[int] = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -116,7 +123,7 @@ def parse_algebra_text(text: str, default_field: Optional[Field] = None,
                                  "arrow syntax is 'arrow name: u -> v'")
             arrows.append((m.group(1), int(m.group(2)), int(m.group(3))))
         elif key == "relation":
-            raw_relations.append((lineno, stripped[len("relation"):]))
+            raw_relations.append((lineno, col, stripped[len("relation"):]))
         elif key == "nilpotency":
             if len(words) != 2 or not words[1].isdigit():
                 raise ParseError(lineno, col, "nilpotency needs an integer")
@@ -137,8 +144,8 @@ def parse_algebra_text(text: str, default_field: Optional[Field] = None,
     quiver = Quiver(n_vertices, arrows)
 
     relations = []
-    for lineno, body in raw_relations:
-        base_col = 9
+    for lineno, rel_col, body in raw_relations:
+        base_col = rel_col + len("relation") - 1
         rel = []
         for sign, piece, col in _split_terms(body, lineno, base_col):
             coeff = Fraction(sign)
@@ -155,6 +162,12 @@ def parse_algebra_text(text: str, default_field: Optional[Field] = None,
             for w in names:
                 if w not in quiver.by_name:
                     raise ParseError(lineno, col, f"unknown arrow {w!r}")
+            try:
+                coeff = field.coerce(coeff)
+            except ZeroDivisionError:
+                raise ParseError(lineno, col,
+                                 f"coefficient {coeff} has a denominator "
+                                 f"divisible by {field.p}") from None
             rel.append((coeff, names))
         relations.append(rel)
     try:

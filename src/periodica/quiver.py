@@ -19,8 +19,7 @@ finitely many surviving walks; no Groebner machinery is needed.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .common import PreconditionError
 from .fields import Field
@@ -158,22 +157,27 @@ class AlgebraPresentation:
 
 
 class FinDimAlgebra:
-    """kQ/I given by a basis of surviving walks and a multiplication table.
+    """kQ/I given by a basis of walks and a multiplication table.
 
-    Built by :func:`build_algebra`; carries the vertex idempotents, the
-    radical filtration, and the presentation it came from.
+    ``basis`` lists walks whose classes form a basis of the algebra, and
+    ``product(i, j)`` returns the structure constants of basis[i] * basis[j]
+    as ``((basis index, coeff), ...)`` for composable i, j.  The product is
+    the only source of structure: :func:`build_algebra` takes it from walk
+    reduction, :func:`enveloping_algebra` from the tables of the two legs.
+    Carries the vertex idempotents, the radical filtration, and the
+    presentation the algebra satisfies.  The table is validated on
+    construction.
     """
 
     def __init__(self, presentation: AlgebraPresentation, basis: List[Walk],
-                 reduce_map: Dict[Walk, tuple], walks_by_len: List[List[Walk]]):
+                 product: Callable[[int, int], tuple]):
         self.presentation = presentation
         self.quiver = presentation.quiver
         self.field = presentation.field
         self.nilpotency = presentation.nilpotency
         self.basis = basis
         self.index: Dict[Walk, int] = {w: i for i, w in enumerate(basis)}
-        self._reduce = reduce_map
-        self._walks_by_len = walks_by_len
+        self._product = product
         q = self.quiver
         self.source = [q.walk_source(w) for w in basis]
         self.target = [q.walk_target(w) for w in basis]
@@ -186,6 +190,7 @@ class FinDimAlgebra:
                             for i, a in enumerate(q.arrows)]
         self._table: Dict[Tuple[int, int], tuple] = {}
         self._rad = None
+        self.validate()
 
     @property
     def dim(self) -> int:
@@ -205,9 +210,7 @@ class FinDimAlgebra:
         key = (i, j)
         got = self._table.get(key)
         if got is None:
-            w = self.quiver.compose(self.basis[i], self.basis[j])
-            assert w is not None
-            got = self.reduce_walk(w)
+            got = self._product(i, j)
             self._table[key] = got
         return got
 
@@ -215,7 +218,11 @@ class FinDimAlgebra:
         """Coefficients of a walk's class on the basis; () when it dies."""
         if self.quiver.walk_len(w) >= self.nilpotency:
             return ()
-        return self._reduce[w]
+        one = self.field.one()
+        vec = {self.e_index[w[0]]: one}
+        for ai in w[1:]:
+            vec = self.mult_vectors({self.arrow_index[ai]: one}, vec)
+        return tuple(sorted(vec.items()))
 
     def mult_vectors(self, x: Dict[int, object], y: Dict[int, object]) -> Dict[int, object]:
         """Product of two elements given as {basis index: coeff} dicts."""
@@ -240,22 +247,28 @@ class FinDimAlgebra:
         """Basis matrices (algebra coordinates as columns) of rad^j, j=0..N."""
         if self._rad is None:
             field = self.field
-            filt = []
-            for j in range(self.nilpotency + 1):
+            one = field.one()
+            cur = Mat.identity(field, self.dim)
+            filt = [cur]
+            for _ in range(self.nilpotency):
+                # a walk of length >= j is an arrow after a walk of length
+                # >= j-1, so rad^j = arrows * rad^(j-1)
                 cols = []
-                for ln in range(j, self.nilpotency):
-                    for w in self._walks_by_len[ln]:
-                        red = self._reduce[w]
-                        if red:
+                for c in range(cur.cols):
+                    x = {k: cur.get(k, c) for k in range(self.dim)
+                         if not field.is_zero(cur.get(k, c))}
+                    for a in self.arrow_index:
+                        y = self.mult_vectors({a: one}, x)
+                        if y:
                             col = [field.zero()] * self.dim
-                            for k, c in red:
-                                col[k] = field.add(col[k], c)
+                            for k, ck in y.items():
+                                col[k] = ck
                             cols.append(col)
                 if cols:
-                    m = Mat.from_rows(field, cols).transpose()
-                    filt.append(m.image_basis())
+                    cur = Mat.from_rows(field, cols).transpose().image_basis()
                 else:
-                    filt.append(Mat.zeros(field, self.dim, 0))
+                    cur = Mat.zeros(field, self.dim, 0)
+                filt.append(cur)
             self._rad = filt
         return self._rad
 
@@ -264,12 +277,27 @@ class FinDimAlgebra:
 
     # validation ---------------------------------------------------------------
 
-    def validate(self, seed: int = 0, max_full_dim: int = 48) -> None:
-        """Check idempotent calculus and (sampled) associativity of the table."""
+    def validate(self) -> None:
+        """Check that the table is a unital associative algebra on walk classes.
+
+        Exhaustive, with O(#arrows * dim^2) products:
+
+        1. the vertex idempotents are orthogonal and act as units;
+        2. the product of composable x, y lies in block (source y, target x);
+        3. (a x) y == a (x y) for every arrow a and composable a, x, y;
+        4. every basis walk w = (w' then arrow a) has w' in the basis and
+           basis[w] == a * basis[w'].
+
+        These give (x y) z == x (y z) for all basis x, y, z by induction on
+        the length of x: for x = e_v it is 1 and 2; for x = a x' (by 4),
+        (x y) z = (a (x' y)) z = a ((x' y) z) = a (x' (y z)) = x (y z), using
+        3, 3, the induction hypothesis and 3 again, each extended linearly.
+        """
         field = self.field
         one = field.one()
-        for v in range(1, self.quiver.n + 1):
-            for w in range(1, self.quiver.n + 1):
+        n = self.quiver.n
+        for v in range(1, n + 1):
+            for w in range(1, n + 1):
                 prod = self.mult(self.e(v), self.e(w))
                 expect = ((self.e(v), one),) if v == w else ()
                 if prod != expect:
@@ -279,21 +307,50 @@ class FinDimAlgebra:
                 raise PreconditionError("left unit fails")
             if self.mult(i, self.e(self.source[i])) != ((i, one),):
                 raise PreconditionError("right unit fails")
-        n = self.dim
-        triples = None
-        if n > max_full_dim:
-            rng = random.Random(seed)
-            triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(4000)]
-        else:
-            triples = [(i, j, k) for i in range(n) for j in range(n)
-                       for k in range(n)]
-        for i, j, k in triples:
-            left = self.mult_vectors(dict(self.mult(i, j)), {k: one})
-            right = self.mult_vectors({i: one}, dict(self.mult(j, k)))
-            if left != right:
+        mult, mul, add, is_zero = self.mult, field.mul, field.add, field.is_zero
+
+        def combine(terms, factor) -> dict:
+            """The sum of c * factor(k) over the terms (k, c)."""
+            out: Dict[int, object] = {}
+            for k, c in terms:
+                for k2, c2 in factor(k):
+                    cc = mul(c, c2)
+                    out[k2] = add(out[k2], cc) if k2 in out else cc
+            return {k: c for k, c in out.items() if not is_zero(c)}
+
+        by_target: List[List[int]] = [[] for _ in range(n + 1)]
+        for j in range(self.dim):
+            by_target[self.target[j]].append(j)
+        arrows_from = [[self.arrow_index[ai] for ai in self.quiver.arrows_from[v]]
+                       for v in range(n + 1)]
+        for x in range(self.dim):
+            sx, tx = self.source[x], self.target[x]
+            for y in by_target[sx]:
+                xy = mult(x, y)
+                sy = self.source[y]
+                for k, _ in xy:
+                    if self.source[k] != sy or self.target[k] != tx:
+                        raise PreconditionError(
+                            f"product ({x},{y}) leaves its block")
+                for a in arrows_from[tx]:
+                    left = combine(mult(a, x), lambda k: mult(k, y))
+                    right = combine(xy, lambda k: mult(a, k))
+                    if left != right:
+                        raise PreconditionError(
+                            "multiplication table not associative at "
+                            f"({a},{x},{y})")
+        for i, w in enumerate(self.basis):
+            if len(w) == 1:
+                continue
+            prefix = self.index.get(w[:-1])
+            if prefix is None:
                 raise PreconditionError(
-                    f"multiplication table not associative at ({i},{j},{k})")
+                    f"basis walk {self.quiver.walk_name(w)} has a prefix "
+                    "outside the basis")
+            if self.mult(self.arrow_index[w[-1]], prefix) != ((i, one),):
+                raise PreconditionError(
+                    f"basis walk {self.quiver.walk_name(w)} is not its "
+                    "arrow times its prefix")
 
     def basis_names(self) -> List[str]:
         return [self.quiver.walk_name(w) for w in self.basis]
@@ -426,9 +483,12 @@ def build_algebra(pres: AlgebraPresentation, max_paths: int = 200000) -> FinDimA
             final[w] = ((index[w], one),)
         else:
             final[w] = tuple((index[wb], c) for wb, c in pending)
-    alg = FinDimAlgebra(pres, basis, final, walks_by_len)
-    alg.validate()
-    return alg
+
+    def product(i: int, j: int) -> tuple:
+        w = q.compose(basis[i], basis[j])
+        return () if q.walk_len(w) >= N else final[w]
+
+    return FinDimAlgebra(pres, basis, product)
 
 
 # -- derived presentations ------------------------------------------------------
@@ -443,6 +503,11 @@ def walks_of_length(q: Quiver, length: int) -> List[Walk]:
     return walks
 
 
+def pair_vertex(n: int, u: int, v: int) -> int:
+    """The vertex (u, v) of the enveloping quiver of an n-vertex quiver."""
+    return (u - 1) * n + v
+
+
 def tensor_op_presentation(pres: AlgebraPresentation) -> AlgebraPresentation:
     """Presentation of the enveloping algebra A^op (x) A.
 
@@ -454,7 +519,7 @@ def tensor_op_presentation(pres: AlgebraPresentation) -> AlgebraPresentation:
     n = q.n
 
     def pv(u: int, v: int) -> int:
-        return (u - 1) * n + v
+        return pair_vertex(n, u, v)
 
     arrows = []
     for a in q.arrows:
@@ -496,3 +561,46 @@ def tensor_op_presentation(pres: AlgebraPresentation) -> AlgebraPresentation:
     label = f"({pres.label})^e" if pres.label else "enveloping"
     return AlgebraPresentation(tq, pres.field, rels, 2 * pres.nilpotency - 1,
                                label=label)
+
+
+def enveloping_algebra(alg: FinDimAlgebra) -> FinDimAlgebra:
+    """A^op (x) A as the tensor product of the two legs' tables.
+
+    The basis is the pairs (x, y) of a basis element x of A^op and y of A;
+    its walk on the quiver of :func:`tensor_op_presentation` is y along row
+    source(x), then x along column target(y).  The product is
+    (x1, y1) * (x2, y2) = (x1 * x2) (x) (y1 * y2), since the two legs
+    commute.  No walk of the tensor quiver is enumerated.
+    """
+    pres = tensor_op_presentation(alg.presentation)
+    op = alg.opposite()
+    q, tq, field = alg.quiver, pres.quiver, alg.field
+    n = q.n
+    left = {(ai, v): tq.by_name[f"{a.name}^o@{v}"]
+            for ai, a in enumerate(q.arrows) for v in range(1, n + 1)}
+    right = {(u, bi): tq.by_name[f"{u}@{b.name}"]
+             for u in range(1, n + 1) for bi, b in enumerate(q.arrows)}
+    keyed = []
+    for x, xw in enumerate(op.basis):
+        u = op.source[x]
+        for y, yw in enumerate(alg.basis):
+            v = alg.target[y]
+            w = ((pair_vertex(n, u, alg.source[y]),)
+                 + tuple(right[u, bi] for bi in yw[1:])
+                 + tuple(left[ai, v] for ai in xw[1:]))
+            keyed.append(((len(w), w), x, y))
+    keyed.sort()
+    basis = [key[1] for key, _, _ in keyed]
+    pairs = [(x, y) for _, x, y in keyed]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    mul = field.mul
+
+    def product(i: int, j: int) -> tuple:
+        x1, y1 = pairs[i]
+        x2, y2 = pairs[j]
+        right_leg = alg.mult(y1, y2)
+        return tuple((index[kx, ky], mul(cx, cy))
+                     for kx, cx in op.mult(x1, x2)
+                     for ky, cy in right_leg)
+
+    return FinDimAlgebra(pres, basis, product)

@@ -155,13 +155,17 @@ class Rep:
                 acc = m if acc is None else acc + m
             if acc is not None and not acc.is_zero():
                 raise PreconditionError("a defining relation acts nonzero")
+        # every walk of length N acts as zero iff M rad^N = 0, where
+        # (M rad^(j+1))_u is spanned by the arrows from u applied to M rad^j
         q = alg.quiver
-        top_len = alg.nilpotency - 1
-        for w in alg._walks_by_len[top_len] if top_len < len(alg._walks_by_len) else []:
-            t = q.walk_target(w)
-            for ai in q.arrows_from[t]:
-                if not (self.rho(w) @ self.act[ai]).is_zero():
-                    raise PreconditionError("a walk of forbidden length acts nonzero")
+        layer = [Mat.identity(self.field, d) for d in self.dims]
+        for _ in range(alg.nilpotency):
+            layer = [_span(self.field, self.dims[u - 1],
+                           [self.act[ai] @ layer[q.arrows[ai].target - 1]
+                            for ai in q.arrows_from[u]])
+                     for u in range(1, q.n + 1)]
+        if any(m.cols for m in layer):
+            raise PreconditionError("a walk of forbidden length acts nonzero")
 
     def __eq__(self, other):
         return (isinstance(other, Rep) and self.algebra is other.algebra
@@ -483,21 +487,22 @@ def cokernel_of(f: Morphism) -> Tuple[Rep, Morphism]:
     return quotient_rep(f.target, bases)
 
 
+def _span(f: Field, dim: int, pieces: Sequence[Mat]) -> Mat:
+    """A basis of the sum of the column spaces of ``pieces`` inside k^dim."""
+    if not pieces:
+        return Mat.zeros(f, dim, 0)
+    m = pieces[0]
+    for p in pieces[1:]:
+        m = m.hstack(p)
+    return m.image_basis()
+
+
 def radical_subspaces(M: Rep) -> List[Mat]:
     """(M rad)_v = sum of images of arrows starting at v."""
     q = M.algebra.quiver
-    f = M.field
-    out = []
-    for v in range(1, q.n + 1):
-        pieces = [M.act[ai] for ai in q.arrows_from[v]]
-        if not pieces:
-            out.append(Mat.zeros(f, M.dims[v - 1], 0))
-            continue
-        m = pieces[0]
-        for p in pieces[1:]:
-            m = m.hstack(p)
-        out.append(m.image_basis())
-    return out
+    return [_span(M.field, M.dims[v - 1],
+                  [M.act[ai] for ai in q.arrows_from[v]])
+            for v in range(1, q.n + 1)]
 
 
 def top_of(M: Rep) -> Tuple[Rep, Morphism]:

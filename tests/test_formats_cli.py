@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from periodica.common import ParseError
-from periodica.fields import Field, QQ
+from periodica.fields import PRIME_LIMIT, Field, QQ, _is_prime
 from periodica.formats import (load_algebra, load_complex, load_complex_file,
                                parse_algebra_text, parse_module_expr,
                                complex_to_doc)
@@ -66,6 +67,33 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_algebra_text("field rationals\nvertices 2\nbogus line here\n")
     assert exc.value.line == 3
+
+
+def test_relation_denominator_vanishing_mod_p():
+    text = ("field fp 2\nvertices 1\narrow a: 1 -> 1\narrow b: 1 -> 1\n"
+            "relation 1/2*b*a\nnilpotency 3")
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_text(text)
+    assert (exc.value.line, exc.value.col) == (5, 10)
+
+
+def test_large_prime_fields():
+    start = time.perf_counter()
+    pres = parse_algebra_text("field fp 1000000000000000003\nvertices 1\n"
+                              "arrow x: 1 -> 1\nnilpotency 2")
+    assert time.perf_counter() - start < 1.0
+    assert pres.field == Field.gf(1000000000000000003)
+    assert Field.gf(4294967311).p == 4294967311
+    # a strong pseudoprime to every prime base below 29, and the bound
+    for p in (3825123056546413051, PRIME_LIMIT, PRIME_LIMIT + 2):
+        with pytest.raises(ParseError):
+            parse_algebra_text(f"field fp {p}\nvertices 1\nnilpotency 2")
+
+
+def test_is_prime_matches_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+    assert all(_is_prime(p) == trial(p) for p in range(5000))
 
 
 def test_default_field_env(monkeypatch):
@@ -276,3 +304,28 @@ def test_cli_bound_env(monkeypatch):
     monkeypatch.setenv("PERIODICA_BOUND", "2")
     code, _ = run_cli(["period", "algebra", "--name", "N(3,2)"])
     assert code == 4      # default bound from the environment: truncated
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["period", "algebra", "--name", "N(3,2)", "--bound", "0"], None),
+    (["period", "algebra", "--name", "N(3,2)", "--bound", "-5"], None),
+    (["hochschild", "smooth-dim", "--name", "kA2", "--bound", "0"], None),
+    (["period", "algebra", "--name", "N(3,2)"], "abc"),
+    (["period", "algebra", "--name", "N(3,2)"], "0"),
+])
+def test_cli_rejects_bad_bounds(monkeypatch, capsys, argv, env):
+    if env is not None:
+        monkeypatch.setenv("PERIODICA_BOUND", env)
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+def test_cli_relation_denominator_exit_code(tmp_path, capsys):
+    bad = tmp_path / "half.alg"
+    bad.write_text("field fp 2\nvertices 1\narrow a: 1 -> 1\n"
+                   "arrow b: 1 -> 1\nrelation 1/2*b*a\nnilpotency 3\n")
+    code, _ = run_cli(["algebra", "show", "--algebra", str(bad)])
+    assert code == 2
+    assert "line 5, column 10" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import glob
+import os
 import random
 
 import pytest
@@ -6,7 +8,10 @@ from periodica.common import PreconditionError
 from periodica.families import (dual_numbers, enveloping, linear_a, nakayama,
                                 semisimple_product, serial_module)
 from periodica.fields import Field, QQ
-from periodica.quiver import AlgebraPresentation, Quiver, build_algebra
+from periodica.formats import load_algebra
+from periodica.linalg import Mat
+from periodica.quiver import (AlgebraPresentation, Quiver, build_algebra,
+                              tensor_op_presentation)
 from periodica.rep import (Morphism, Rep, decompose, direct_sum,
                            global_dimension, hom_space, indecomposable_q,
                            injective_envelope, iso_q, projective_cover,
@@ -45,6 +50,19 @@ def test_reject_blowup():
 def test_table_is_associative_and_unital(n33, dual):
     n33.validate()
     dual.validate()
+
+
+def test_validate_rejects_one_corrupted_entry():
+    # kA10 has dim 55; a sampled associativity check misses most single
+    # wrong products, the exhaustive one must not
+    alg = linear_a(10, QQ)
+    assert alg.dim == 55
+    names = alg.basis_names()
+    x, y = names.index("a5*a4"), names.index("a3*a2")
+    assert alg.mult(x, y) == ((names.index("a5*a4*a3*a2"), QQ.one()),)
+    alg._table[(x, y)] = ()
+    with pytest.raises(PreconditionError):
+        alg.validate()
 
 
 def test_radical_filtration(n33):
@@ -146,6 +164,14 @@ def test_relations_hold_on_reps(n33, dual):
             Rep.simple(alg, v).check_relations()
 
 
+def test_check_relations_rejects_long_walks(dual):
+    # in k[x]/(x^2) no walk of length 2 may act: a 3x3 Jordan block has x^2 != 0
+    with pytest.raises(PreconditionError):
+        Rep(dual, [3], [Mat.from_rows(QQ, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])],
+            check=True)
+    Rep(dual, [2], [Mat.from_rows(QQ, [[0, 1], [0, 0]])], check=True)
+
+
 def test_injective_envelope_minimal(n33):
     M = serial_module(n33, 1, 1)
     I, incl = injective_envelope(M)
@@ -179,3 +205,51 @@ def test_non_homogeneous_relation():
     xx = alg.reduce_walk((1, 0, 0))
     assert xx == ()                   # x^2 collapses to zero
     assert alg.dim == 2
+
+
+SAMPLES = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
+ENVELOPE_ORACLE_CASES = sorted(
+    os.path.basename(p) for p in glob.glob(os.path.join(SAMPLES, "*.alg"))
+) + ["N(2,3)", "kA3"]
+
+
+def _oracle_algebra(case):
+    if case == "N(2,3)":
+        return nakayama(2, 3, QQ)
+    if case == "kA3":
+        return linear_a(3, QQ)
+    return load_algebra(os.path.join(SAMPLES, case))
+
+
+@pytest.mark.parametrize("case", ENVELOPE_ORACLE_CASES)
+def test_enveloping_matches_tensor_presentation(case):
+    """The tensor product of tables equals A^e built from its presentation."""
+    alg = _oracle_algebra(case)
+    E, B = enveloping(alg)
+    ref = build_algebra(tensor_op_presentation(alg.presentation))
+    assert E.basis == ref.basis
+    for i in range(E.dim):
+        for j in range(E.dim):
+            assert dict(E.mult(i, j)) == dict(ref.mult(i, j))
+    q = E.quiver
+    rng = random.Random(0)
+    for _ in range(30):
+        w = (rng.randrange(1, q.n + 1),)
+        for _ in range(rng.randrange(E.nilpotency + 1)):
+            out = q.arrows_from[q.walk_target(w)]
+            if not out:
+                break
+            w += (rng.choice(out),)
+        assert dict(E.reduce_walk(w)) == dict(ref.reduce_walk(w))
+    # every defining relation of A^e vanishes on the table
+    f = E.field
+    for terms, _, _ in E.presentation.relations:
+        acc = {}
+        for coeff, w in terms:
+            for k, c in E.reduce_walk(w):
+                acc[k] = f.add(acc.get(k, f.zero()), f.mul(coeff, c))
+        assert all(f.is_zero(c) for c in acc.values())
+    # the regular bimodule is the same module over the reference algebra
+    Rep(ref, B.dims, B.act, check=True)
+    for v in range(1, q.n + 1):
+        assert Rep.projective(E, v).act == Rep.projective(ref, v).act
