@@ -1,7 +1,7 @@
 """The ``periodica`` command line interface.
 
 Exit codes: 0 success; 2 parse error; 3 precondition violation;
-4 truncated/inconclusive; 5 a verification ran and failed.
+4 truncated/inconclusive; 5 a verification ran and failed; 6 internal error.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_TRUNCATION = 4
 EXIT_CHECK_FAILED = 5
+EXIT_INTERNAL = 6
 
 
 def _default_bound(fallback: int, given: Optional[int] = None) -> int:
@@ -48,11 +49,22 @@ def _default_bound(fallback: int, given: Optional[int] = None) -> int:
         where, text = "PERIODICA_BOUND", os.environ.get("PERIODICA_BOUND")
         if not text:
             return fallback
+    return _positive(where, text)
+
+
+def _positive(where: str, text: str) -> int:
+    """The positive integer spelled by ``text``; anything else is a parse
+    error naming ``where``."""
     value = int(text) if text.strip().isdecimal() else 0
     if value < 1:
         raise ParseError(0, 0, f"{where} must be a positive integer, "
                                f"got {text!r}")
     return value
+
+
+def _period_arg(args) -> int:
+    """``--m`` of a ``reproduce`` target: 2 when omitted, else positive."""
+    return 2 if args.m is None else _positive("--m", str(args.m))
 
 
 def _load_algebra_arg(args):
@@ -295,29 +307,31 @@ def cmd_reproduce(args) -> int:
     seed = getattr(args, "seed", None)
     if target == "ex5.6":
         field = field_from_string(args.field) if args.field else Field.rationals()
-        body = reproduce_ex5_6(args.n, args.m or 2, field)
-        params.update({"n": args.n, "m": args.m or 2, "field": repr(field)})
+        m = _period_arg(args)
+        body = reproduce_ex5_6(args.n, m, field)
+        params.update({"n": args.n, "m": m, "field": repr(field)})
     elif target == "ex5.8":
         body = reproduce_ex5_8(args.n, seed or 0)
         params.update({"n": args.n})
     elif target == "ex5.9":
         body = reproduce_ex5_9()
     elif target == "lemma4.1":
+        m = _period_arg(args)
         alg, inputs = _load_algebra_arg(args)
-        body = reproduce_lemma4_1(alg, args.m or 2,
-                                  bound=_default_bound(12))
-        params.update({"algebra": alg.label, "m": args.m or 2})
+        body = reproduce_lemma4_1(alg, m, bound=_default_bound(12))
+        params.update({"algebra": alg.label, "m": m})
     elif target == "prop3.10":
+        m = _period_arg(args)
+        pairs = _positive("--pairs", str(args.pairs))
         alg, inputs = _load_algebra_arg(args)
-        body = reproduce_prop3_10(alg, args.m or 2, seed or 0,
-                                  args.pairs)
-        params.update({"algebra": alg.label, "m": args.m or 2,
-                       "pairs": args.pairs})
+        body = reproduce_prop3_10(alg, m, seed or 0, pairs)
+        params.update({"algebra": alg.label, "m": m, "pairs": pairs})
     elif target == "prop3.25":
+        m = _period_arg(args)
+        count = _positive("--count", str(args.count))
         alg, inputs = _load_algebra_arg(args)
-        body = reproduce_prop3_25(alg, args.m or 2, seed or 0, args.count)
-        params.update({"algebra": alg.label, "m": args.m or 2,
-                       "count": args.count})
+        body = reproduce_prop3_25(alg, m, seed or 0, count)
+        params.update({"algebra": alg.label, "m": m, "count": count})
     else:  # pragma: no cover - argparse restricts choices
         raise PreconditionError(f"unknown target {target}")
     report = build_report(f"reproduce {target}", params, body,
@@ -511,6 +525,10 @@ def main(argv=None) -> int:
     except PeriodicaError as exc:  # pragma: no cover - catch-all
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        text = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {text}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

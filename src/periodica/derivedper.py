@@ -52,9 +52,18 @@ def resolution_to_bounded(res: Resolution) -> BoundedComplex:
 
 
 class DerivedContext:
-    """Replacement and Hom computations for one (algebra, period)."""
+    """Replacement and Hom computations for one (algebra, period).
+
+    Stalks, resolutions and replacements are cached by object identity: reusing
+    the same ``Rep`` object reuses its stalk complex, its minimal resolution
+    and the K-projective replacement of its stalk (and with it the Hom complex
+    between two replacements).  Equal but distinct objects are recomputed.
+    Cached values hold their keys, so no id is recycled while it is cached.
+    """
 
     def __init__(self, algebra: FinDimAlgebra, m: int, bound: int = 24):
+        if m < 1:
+            raise PreconditionError(f"period must be >= 1, got {m}")
         self.algebra = algebra
         self.m = m
         self.bound = bound
@@ -66,8 +75,18 @@ class DerivedContext:
         self.gd = gd.value
         self._repl: Dict[int, Tuple[PeriodicComplex, GradedMorphism]] = {}
         self._res: Dict[int, Resolution] = {}
+        self._stalks: Dict[Tuple[int, int], PeriodicComplex] = {}
 
-    # -- stalk resolutions -------------------------------------------------------
+    # -- stalks and their resolutions --------------------------------------------
+
+    def stalk(self, M: Rep, position: int = 0) -> PeriodicComplex:
+        """The stalk complex of M at a position, one object per (M, position)."""
+        key = (id(M), position % self.m)
+        S = self._stalks.get(key)
+        if S is None:
+            S = stalk_complex(M, self.m, position)
+            self._stalks[key] = S
+        return S
 
     def resolution(self, M: Rep) -> Resolution:
         res = self._res.get(id(M))
@@ -356,8 +375,7 @@ class DerivedContext:
         return homotopy_hom(PV, PW, p)
 
     def derived_hom_modules(self, M: Rep, N: Rep, p: int) -> int:
-        return self.derived_hom(stalk_complex(M, self.m),
-                                stalk_complex(N, self.m), p)[0]
+        return self.derived_hom(self.stalk(M), self.stalk(N), p)[0]
 
 
 # -- module-level Ext (the independent side of the sum formula) ---------------------
@@ -370,6 +388,13 @@ def ext_dims(M: Rep, N: Rep, up_to: int, bound: int = 24) -> List[int]:
     res = minimal_resolution(M, bound)
     if not res.complete:
         raise TruncationError("resolution exceeded bound in ext_dims")
+    return _ext_dims(res, N, up_to)
+
+
+def _ext_dims(res: Resolution, N: Rep, up_to: int) -> List[int]:
+    """dim Ext^j(M, N) for j = 0..up_to, from a complete resolution of M."""
+    if res.module.is_zero() or N.is_zero():
+        return [0] * (up_to + 1)
     terms = res.terms
     bases = [HomBasis(P, N) for P in terms]
     mats = []
@@ -390,8 +415,8 @@ def ext_dims(M: Rep, N: Rep, up_to: int, bound: int = 24) -> List[int]:
 def ext_sum_check(ctx: DerivedContext, M: Rep, N: Rep) -> dict:
     """Compare derived Hom of stalks against the lacunary Ext sum, degreewise."""
     m = ctx.m
-    pd = len(minimal_resolution(M, ctx.bound).terms) - 1
-    exts = ext_dims(M, N, max(pd, m))
+    res = ctx.resolution(M)
+    exts = _ext_dims(res, N, max(res.length, m))
     rows = []
     ok = True
     for p in range(m):

@@ -121,12 +121,6 @@ class StableContext:
     def strip(self, M: Rep) -> Rep:
         return strip_projective_summands(M, self.seed)[0]
 
-    def is_projective_module(self, M: Rep) -> bool:
-        if M.is_zero():
-            return True
-        P, _ = projective_cover(M)
-        return P.total_dim == M.total_dim
-
     # -- suspension -------------------------------------------------------------
 
     def syzygy_min(self, M: Rep) -> Rep:

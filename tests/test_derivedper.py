@@ -129,6 +129,31 @@ def test_ext_sum_regular(a2):
     assert rep["rows"][0]["derived_dim"] == Lam.total_dim
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_shared_context_replaces_each_stalk_once(a3, m, monkeypatch):
+    intervals = [M for _, M in all_intervals(a3)]
+    fresh = [ext_sum_check(DerivedContext(a3, m), M, N)
+             for M in intervals for N in intervals]
+    calls = []
+    original = DerivedContext._replacement
+
+    def counted(self, V):
+        calls.append(V)
+        return original(self, V)
+    monkeypatch.setattr(DerivedContext, "_replacement", counted)
+    ctx = DerivedContext(a3, m)
+    shared = [ext_sum_check(ctx, M, N) for M in intervals for N in intervals]
+    assert shared == fresh
+    assert len(calls) <= len(intervals)
+    assert ctx.stalk(intervals[0]) is ctx.stalk(intervals[0], m)
+
+
+def test_context_rejects_nonpositive_period(a2):
+    for m in (0, -1):
+        with pytest.raises(PreconditionError):
+            DerivedContext(a2, m)
+
+
 def test_ext_sum_gd_below_m(a3):
     # gd 1 < m = 2: derived Hom in degree 0 equals plain Hom
     ctx = DerivedContext(a3, 2)

@@ -312,6 +312,12 @@ def test_cli_bound_env(monkeypatch):
     (["hochschild", "smooth-dim", "--name", "kA2", "--bound", "0"], None),
     (["period", "algebra", "--name", "N(3,2)"], "abc"),
     (["period", "algebra", "--name", "N(3,2)"], "0"),
+    (["reproduce", "ex5.6", "--n", "1", "--m", "0"], None),
+    (["reproduce", "lemma4.1", "--name", "kA2", "--m", "0"], None),
+    (["reproduce", "prop3.10", "--name", "kA2", "--m", "0"], None),
+    (["reproduce", "prop3.25", "--name", "kA2", "--m", "-1"], None),
+    (["reproduce", "prop3.10", "--name", "kA2", "--pairs", "-1"], None),
+    (["reproduce", "prop3.25", "--name", "kA2", "--count", "0"], None),
 ])
 def test_cli_rejects_bad_bounds(monkeypatch, capsys, argv, env):
     if env is not None:
@@ -320,6 +326,36 @@ def test_cli_rejects_bad_bounds(monkeypatch, capsys, argv, env):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["derived-hom", "--algebra", sample("a2.alg"), "-M", "S(2)", "-N", "S(1)",
+     "--m", "0"],
+    ["derived-hom", "--algebra", sample("a2.alg"), "-M", "S(2)", "-N", "S(1)",
+     "--m", "-1"],
+    ["ext-sum-check", "--algebra", sample("a2.alg"), "-M", "S(2)",
+     "-N", "S(1)", "--m", "0"],
+    ["tilting", "stalk", "--name", "kA2", "--m", "0"],
+])
+def test_cli_derived_rejects_nonpositive_period(capsys, argv):
+    code, out = run_cli(argv)
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: period must be >= 1")
+    assert err.count("\n") == 1
+
+
+def test_cli_internal_error_is_one_line(monkeypatch, capsys):
+    import periodica.cli as cli
+
+    def boom(args):
+        raise RuntimeError("unexpected\nstate")
+    monkeypatch.setattr(cli, "cmd_algebra_show", boom)
+    code, out = run_cli(["algebra", "show", "--name", "kA2"])
+    assert code == cli.EXIT_INTERNAL == 6 and out == ""
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: unexpected state\n"
+    assert "Traceback" not in err
 
 
 def test_cli_relation_denominator_exit_code(tmp_path, capsys):
