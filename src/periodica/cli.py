@@ -267,10 +267,11 @@ def cmd_tilting(args) -> int:
         body = stalk_tilting_check(ctx)
         claim = "the regular stalk is a periodic tilting object"
     else:
+        budget = _positive("--budget", str(args.budget))
         sctx = StableContext(alg, args.seed)
         parts = [parse_module_expr(alg, t) for t in args.summand]
         body = check_periodic_tilting_stable(sctx, parts, args.m,
-                                             budget=args.budget)
+                                             budget=budget)
         if args.end_target:
             clean = [parse_module_expr(alg, t) for t in args.summand]
             body["stable_end"] = stable_end_algebra(
@@ -282,6 +283,8 @@ def cmd_tilting(args) -> int:
     gate = body.get("pass")
     code = _finish(args, report, gate)
     if code == EXIT_OK and gate is None:
+        print(f"inconclusive: the generation closure exceeded --budget "
+              f"{args.budget} iso classes", file=sys.stderr)
         return EXIT_TRUNCATION
     return code
 
@@ -366,8 +369,16 @@ def _add_common(p, algebra=True):
                                        "(rationals, fp 5)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that rejects bad argv with one ``parse error:``
+    line and exit code 2; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"parse error: {' '.join(message.split())}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="periodica",
         description="exact computations with m-periodic complexes over "
                     "finite-dimensional quiver algebras")

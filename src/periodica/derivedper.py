@@ -28,20 +28,13 @@ from .percomplex import (BoundedComplex, GradedMorphism, PeriodicComplex,
 from .quiver import FinDimAlgebra
 from .rep import (HomBasis, Morphism, Rep, Resolution, cokernel_of,
                   direct_sum, global_dimension, hom_space, image_of,
-                  kernel_of, minimal_resolution, projective_cover)
+                  is_projective, kernel_of, minimal_resolution)
 
 
 def _retarget(f: GradedMorphism, source: Optional[PeriodicComplex] = None,
               target: Optional[PeriodicComplex] = None) -> GradedMorphism:
     return GradedMorphism(source or f.source, target or f.target,
                           f.degree, f.comps)
-
-
-def _is_projective_module(M: Rep) -> bool:
-    if M.is_zero():
-        return True
-    P, _ = projective_cover(M)
-    return P.total_dim == M.total_dim
 
 
 def resolution_to_bounded(res: Resolution) -> BoundedComplex:
@@ -277,7 +270,7 @@ class DerivedContext:
         if V.is_zero_complex():
             Z = zero_complex(self.algebra, m)
             return Z, GradedMorphism.zero(Z, V)
-        if all(_is_projective_module(c) for c in V.comps):
+        if all(is_projective(c) for c in V.comps):
             return V, GradedMorphism.identity(V)
         if all(d.is_zero() for d in V.diffs):
             parts, maps = [], []

@@ -20,7 +20,7 @@ from .common import CheckFailed, PreconditionError
 from .linalg import Mat
 from .quiver import FinDimAlgebra
 from .rep import (HomBasis, Morphism, Rep, direct_sum, hom_space, image_of,
-                  kernel_of, projective_cover, quotient_rep, sub_rep)
+                  is_projective, kernel_of, quotient_rep, sub_rep)
 
 
 class PeriodicComplex:
@@ -777,13 +777,6 @@ def bounded_homotopy_hom_dim(X: BoundedComplex, Y: BoundedComplex, s: int) -> in
 # -- acyclic complexes of projectives -----------------------------------------------
 
 
-def _is_projective(M: Rep) -> bool:
-    if M.is_zero():
-        return True
-    P, _ = projective_cover(M)
-    return P.total_dim == M.total_dim
-
-
 def decompose_acyclic_projective(V: PeriodicComplex
                                  ) -> List[Tuple[Rep, int]]:
     """Split an acyclic complex of projectives into shifted K-blocks.
@@ -797,12 +790,12 @@ def decompose_acyclic_projective(V: PeriodicComplex
     if not is_acyclic(V):
         raise PreconditionError("complex is not acyclic")
     for i, c in enumerate(V.comps):
-        if not _is_projective(c):
+        if not is_projective(c):
             raise PreconditionError(f"component {i} is not projective")
     cocycles = []
     for i in range(m):
         Z, inclZ = kernel_of(V.diffs[i])
-        if not _is_projective(Z):
+        if not is_projective(Z):
             raise PreconditionError(
                 f"cocycle Z^{i} is not projective; decomposition impossible")
         cocycles.append((Z, inclZ))

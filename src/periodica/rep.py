@@ -578,6 +578,20 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
     return P, phi
 
 
+def is_projective(M: Rep) -> bool:
+    """Is M projective?  Exact and deterministic: M is projective iff its
+    projective cover P(M) ->> M is injective, i.e. dim P(M) = dim M, where
+    dim P(M) = sum_v dim top(M)_v * dim P(v)."""
+    alg = M.algebra
+    rad = radical_subspaces(M)
+    cover_dim = 0
+    for v in range(alg.quiver.n):
+        top = M.dims[v] - rad[v].cols
+        if top:
+            cover_dim += top * alg.target.count(v + 1)
+    return cover_dim == M.total_dim
+
+
 def syzygy(M: Rep) -> Rep:
     """Kernel of the projective cover (zero for projectives)."""
     P, phi = projective_cover(M)
@@ -977,10 +991,9 @@ def strip_projective_summands(M: Rep, seed: int = 0) -> Tuple[Rep, List[Rep]]:
     alg = M.algebra
     if M.is_zero():
         return M, []
-    projs = [Rep.projective(alg, v) for v in range(1, alg.quiver.n + 1)]
     kept, stripped = [], []
     for s in decompose(M, seed):
-        if any(iso_q(s, P, seed) for P in projs if P.dims == s.dims):
+        if is_projective(s):
             stripped.append(s)
         else:
             kept.append(s)

@@ -152,7 +152,10 @@ def run_cli(args):
     from contextlib import redirect_stdout
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(args)
+        try:
+            code = main(args)
+        except SystemExit as exc:       # argparse: --help and bad argv
+            code = exc.code
     return code, buf.getvalue()
 
 
@@ -318,6 +321,10 @@ def test_cli_bound_env(monkeypatch):
     (["reproduce", "prop3.25", "--name", "kA2", "--m", "-1"], None),
     (["reproduce", "prop3.10", "--name", "kA2", "--pairs", "-1"], None),
     (["reproduce", "prop3.25", "--name", "kA2", "--count", "0"], None),
+    (["tilting", "stable", "--name", "N(3,3)", "-T", "M(1,1)", "--m", "2",
+      "--budget", "0"], None),
+    (["tilting", "stable", "--name", "N(3,3)", "-T", "M(1,1)", "--m", "2",
+      "--budget", "-2"], None),
 ])
 def test_cli_rejects_bad_bounds(monkeypatch, capsys, argv, env):
     if env is not None:
@@ -336,6 +343,8 @@ def test_cli_rejects_bad_bounds(monkeypatch, capsys, argv, env):
     ["ext-sum-check", "--algebra", sample("a2.alg"), "-M", "S(2)",
      "-N", "S(1)", "--m", "0"],
     ["tilting", "stalk", "--name", "kA2", "--m", "0"],
+    ["tilting", "stable", "--name", "N(3,3)", "-T", "M(1,1)", "--m", "0"],
+    ["tilting", "stable", "--name", "N(3,3)", "-T", "M(1,1)", "--m", "-1"],
 ])
 def test_cli_derived_rejects_nonpositive_period(capsys, argv):
     code, out = run_cli(argv)
@@ -343,6 +352,38 @@ def test_cli_derived_rejects_nonpositive_period(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("precondition violated: period must be >= 1")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["derived-hom", "--name", "kA2", "-M", "S(1)", "-N", "S(2)", "--m", "abc"],
+    ["derived-hom", "--name", "kA2", "-M", "S(1)", "-N", "S(2)"],
+    ["tilting", "stable", "--name", "N(3,3)", "--m", "2"],
+    ["nonsense"],
+])
+def test_cli_argparse_rejection_is_one_line(capsys, argv):
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert "usage:" not in err and "Traceback" not in err
+
+
+def test_cli_help_still_prints_usage():
+    code, out = run_cli(["tilting", "stable", "--help"])
+    assert code == 0 and out.startswith("usage:")
+
+
+def test_cli_tilting_stable_budget_exhausted_is_inconclusive(capsys):
+    code, out = run_cli(["tilting", "stable", "--name", "N(3,3)",
+                         "-T", "M(1,1)", "-T", "M(1,2)", "--m", "2",
+                         "--budget", "1"])
+    assert code == 4
+    result = json.loads(out)["result"]
+    assert result["budget_exhausted"]
+    assert result["pass"] is None and result["generation_ok"] is None
+    err = capsys.readouterr().err
+    assert err.startswith("inconclusive:") and err.count("\n") == 1
+    assert "usage:" not in err and "Traceback" not in err
 
 
 def test_cli_internal_error_is_one_line(monkeypatch, capsys):

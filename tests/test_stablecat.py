@@ -229,3 +229,87 @@ def test_suspension_strips_projective_summands(n33):
     S = ctx.suspension_power(with_proj, 1)
     expect = ctx.suspension_power(M, 1)
     assert S.dims == expect.dims and iso_q(S, expect)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.gf(2), Field.gf(4294967311)],
+                         ids=["Q", "GF2", "GFbig"])
+def test_is_projective_matches_cover_dimension(field):
+    from periodica.rep import is_projective, projective_cover
+
+    def oracle(M):
+        return projective_cover(M)[0].total_dim == M.total_dim
+    for n in (3, 4, 5):
+        alg = nakayama(n, n, field)
+        mods = [(True, Rep.zero(alg))]
+        mods += [(True, Rep.projective(alg, v)) for v in range(1, n + 1)]
+        mods += [(l == n, serial_module(alg, a, l))
+                 for a in range(1, n + 1) for l in range(1, n + 1)]
+        mods += [
+            (True, direct_sum([Rep.projective(alg, 1),
+                               Rep.projective(alg, n)])[0]),
+            (False, direct_sum([serial_module(alg, 1, 1),
+                                Rep.projective(alg, 2)])[0]),
+            (False, direct_sum([serial_module(alg, 2, n - 1),
+                                serial_module(alg, 1, 2)])[0]),
+            (True, Rep.regular(alg)),
+        ]
+        for expect, M in mods:
+            assert is_projective(M) == oracle(M) == expect
+
+
+def test_closure_covers_each_target_once_and_cones_each_class_once(
+        monkeypatch):
+    import periodica.stablecat as sc
+    alg = nakayama(5, 5, Field.gf(4294967311))
+    ctx = StableContext(alg)
+    targets, covered, coned = [], [], []
+    real_cover, real_init = sc.projective_cover, sc.StableHom.__init__
+    real_cone = StableContext.stable_cone
+
+    def cover(N):
+        covered.append(N)
+        return real_cover(N)
+
+    def init(self, M, N, *rest):
+        targets.append(N)
+        real_init(self, M, N, *rest)
+
+    def cone(self, f):
+        coned.append(f)
+        return real_cone(self, f)
+    monkeypatch.setattr(sc, "projective_cover", cover)
+    monkeypatch.setattr(sc.StableHom, "__init__", init)
+    monkeypatch.setattr(StableContext, "stable_cone", cone)
+    rep = check_periodic_tilting_stable(
+        ctx, [serial_module(alg, 1, l) for l in range(1, 5)], 2)
+    assert rep["pass"] and rep["closure_size"] == 20
+    # the lists hold every argument, so no id is recycled while counting
+    assert targets and coned
+    for N in {id(N): N for N in targets}.values():
+        assert sum(X is N for X in covered) <= 1
+    assert len({id(f) for f in coned}) == len(coned)
+
+
+def test_closure_report_pinned_large_prime():
+    import json
+    import os
+    alg = nakayama(4, 4, Field.gf(4294967311))
+    rep = check_periodic_tilting_stable(
+        StableContext(alg), [serial_module(alg, 1, l) for l in (1, 2, 3)], 2)
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        "closure_n4_fp4294967311.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        assert json.dumps(rep, indent=2, sort_keys=True) + "\n" == fh.read()
+
+
+def test_nakayama_budget_exhaustion_is_inconclusive(n33):
+    ctx = StableContext(n33)
+    good = [serial_module(n33, 1, 1), serial_module(n33, 1, 2)]
+    rep = check_periodic_tilting_stable(ctx, good, 2, budget=1)
+    assert rep["budget_exhausted"] and rep["rigidity_ok"]
+    assert rep["generation_ok"] is None and rep["pass"] is None
+    # a rigidity failure is a negative verdict even when generation is open
+    bad = [serial_module(n33, 1, 1), serial_module(n33, 2, 1)]
+    rep = check_periodic_tilting_stable(ctx, bad, 2, budget=1)
+    assert rep["budget_exhausted"] and not rep["rigidity_ok"]
+    assert rep["generation_ok"] is None and rep["pass"] is False
