@@ -1,15 +1,13 @@
-"""Pure-Python elimination kernels.
+"""Elimination kernels: products and reduced row echelon forms.
 
-This is the fallback twin of the compiled module ``periodica._kernels``;
-both expose the same four functions with identical results.  Rational
-elimination clears denominators and runs a fraction-free cross-multiplication
-sweep with gcd cleanup, so all intermediate arithmetic is on integers.
+Matrices are flat row-major lists: Python ints in [0, p) over GF(p), or
+Fractions over Q.  Rational elimination clears denominators and runs a
+fraction-free cross-multiplication sweep with gcd cleanup, so all
+intermediate arithmetic is on integers.  Every kernel is exact for any p.
 """
 
 from fractions import Fraction
 from math import gcd
-
-BACKEND = "python"
 
 
 def fp_matmul(a, b, n, k, m, p):

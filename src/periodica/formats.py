@@ -154,7 +154,11 @@ def parse_algebra_text(text: str, default_field: Optional[Field] = None,
                 head, rest = piece.split("*", 1)
                 head = head.strip()
                 if re.fullmatch(r"-?\d+(/\d+)?", head):
-                    coeff = coeff * Fraction(head)
+                    try:
+                        coeff = coeff * Fraction(head)
+                    except ZeroDivisionError:
+                        raise ParseError(lineno, col, f"coefficient {head} "
+                                         "has a zero denominator") from None
                     word = rest
             names = [w.strip() for w in word.split("*")]
             if any(not w for w in names):
@@ -239,9 +243,13 @@ def parse_module_expr(alg: FinDimAlgebra, expr: str) -> Rep:
 # -- complexes -----------------------------------------------------------------------
 
 
-def _parse_entry(field: Field, x):
+def _parse_entry(field: Field, x, what: str):
     if isinstance(x, str):
-        return field.parse(x)
+        try:
+            return field.parse(x)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(0, 0, f"{what}: entry {x!r} is not a scalar "
+                             f"of {field}") from None
     if isinstance(x, bool) or not isinstance(x, int):
         raise ParseError(0, 0, f"matrix entries must be ints or strings, got {x!r}")
     return field.coerce(x)
@@ -251,9 +259,13 @@ def _parse_matrix(field: Field, rows, nrows, ncols, what: str) -> Mat:
     if not isinstance(rows, list) or len(rows) != nrows or \
             any(not isinstance(r, list) or len(r) != ncols for r in rows):
         raise ParseError(0, 0, f"{what}: need a {nrows}x{ncols} matrix")
-    return Mat.from_rows(field, [[_parse_entry(field, x) for x in r]
+    return Mat.from_rows(field, [[_parse_entry(field, x, what) for x in r]
                                  for r in rows]) if nrows else \
         Mat.zeros(field, 0, ncols)
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def _module_from_spec(alg: FinDimAlgebra, spec) -> Rep:
@@ -262,9 +274,12 @@ def _module_from_spec(alg: FinDimAlgebra, spec) -> Rep:
     if not isinstance(spec, dict):
         raise ParseError(0, 0, "module spec must be a name or an object")
     dims = spec.get("dims")
-    if not isinstance(dims, list) or len(dims) != alg.quiver.n:
+    if not isinstance(dims, list) or len(dims) != alg.quiver.n or \
+            any(not _is_count(d) for d in dims):
         raise ParseError(0, 0, "module dims must list one size per vertex")
     arrows = spec.get("arrows", {})
+    if not isinstance(arrows, dict):
+        raise ParseError(0, 0, "module arrows must map arrow names to matrices")
     act = []
     for i, a in enumerate(alg.quiver.arrows):
         nr, nc = dims[a.source - 1], dims[a.target - 1]
@@ -290,7 +305,7 @@ def load_complex(alg: FinDimAlgebra, doc: dict) -> PeriodicComplex:
     if not isinstance(doc, dict):
         raise ParseError(0, 0, "complex document must be an object")
     m = doc.get("period")
-    if not isinstance(m, int) or m < 1:
+    if not _is_count(m) or m < 1:
         raise ParseError(0, 0, "period must be a positive integer")
     specs = doc.get("modules")
     if not isinstance(specs, list) or len(specs) != m:
@@ -325,15 +340,22 @@ def load_complex(alg: FinDimAlgebra, doc: dict) -> PeriodicComplex:
         raise ParseError(0, 0, f"invalid complex: {exc}")
 
 
-def load_complex_file(alg: Optional[FinDimAlgebra], path: str
-                      ) -> PeriodicComplex:
-    """Load a complex; an ``"algebra"`` key (path, relative to the document)
-    supplies the algebra when none is passed in."""
+def _load_json_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.lineno, exc.colno, exc.msg)
+    if not isinstance(doc, dict):
+        raise ParseError(0, 0, "the document must be a JSON object")
+    return doc
+
+
+def load_complex_file(alg: Optional[FinDimAlgebra], path: str
+                      ) -> PeriodicComplex:
+    """Load a complex; an ``"algebra"`` key (path, relative to the document)
+    supplies the algebra when none is passed in."""
+    doc = _load_json_object(path)
     if alg is None:
         ref = doc.get("algebra")
         if not isinstance(ref, str):
@@ -347,11 +369,7 @@ def load_chain_map_file(alg: FinDimAlgebra, path: str
                         ) -> GradedMorphism:
     """Schema: {"source": <complex>, "target": <complex>,
     "components": [m blocks-lists]}; validated as a chain map."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, exc.colno, exc.msg)
+    doc = _load_json_object(path)
     V = load_complex(alg, doc.get("source"))
     W = load_complex(alg, doc.get("target"))
     raw = doc.get("components")
@@ -363,6 +381,8 @@ def load_chain_map_file(alg: FinDimAlgebra, path: str
         if blocks_raw is None:
             comps.append(Morphism.zero(src, tgt))
             continue
+        if not isinstance(blocks_raw, list):
+            raise ParseError(0, 0, f"component {i}: need a list of blocks")
         blocks = []
         for v in range(alg.quiver.n):
             nr, nc = tgt.dims[v], src.dims[v]

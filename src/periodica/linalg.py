@@ -1,29 +1,21 @@
 """Dense exact matrices over Q or GF(p) and the solvers everything reduces to.
 
-Row reduction is delegated to a backend: the compiled ``_kernels`` module when
-it was built, otherwise the pure-Python ``_kernels_py`` twin.  Set
-``PERIODICA_PURE=1`` to force the fallback.
+Row reduction and products run in the kernels of ``_kernels_py``, reached
+through the module alias ``_impl`` by attribute lookup, so a profiler can
+wrap them in place.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
+from . import _kernels_py as _impl
 from .fields import Field
-
-if os.environ.get("PERIODICA_PURE"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
 
 
 def backend() -> str:
-    """Name of the active elimination backend ("cython" or "python")."""
-    return _impl.BACKEND
+    """Name of the elimination backend; there is one, in pure Python."""
+    return "python"
 
 
 class Mat:
@@ -270,22 +262,6 @@ class Mat:
         if X is None:
             raise ValueError("matrix not invertible")
         return X
-
-
-def rank(a: Mat) -> int:
-    return a.rank()
-
-
-def kernel_basis(a: Mat) -> Mat:
-    return a.kernel_basis()
-
-
-def image_basis(a: Mat) -> Mat:
-    return a.image_basis()
-
-
-def solve(a: Mat, b: Sequence) -> Optional[list]:
-    return a.solve(b)
 
 
 def reduce_mod_rowspace(R: Mat, piv: Sequence[int], vec: list,

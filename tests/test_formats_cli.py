@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -70,11 +71,18 @@ def test_parse_errors_carry_position():
 
 
 def test_relation_denominator_vanishing_mod_p():
-    text = ("field fp 2\nvertices 1\narrow a: 1 -> 1\narrow b: 1 -> 1\n"
-            "relation 1/2*b*a\nnilpotency 3")
-    with pytest.raises(ParseError) as exc:
-        parse_algebra_text(text)
-    assert (exc.value.line, exc.value.col) == (5, 10)
+    cases = [
+        ("field fp 2\nvertices 1\narrow a: 1 -> 1\narrow b: 1 -> 1\n"
+         "relation 1/2*b*a\nnilpotency 3", (5, 10)),
+        ("field rationals\nvertices 1\narrow a1: 1 -> 1\n"
+         "relation 1/0*a1\nnilpotency 2", (4, 10)),
+        ("field fp 5\nvertices 1\narrow a: 1 -> 1\n"
+         "relation a*a - 3/0*a*a*a\nnilpotency 4", (4, 16)),
+    ]
+    for text, position in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_algebra_text(text)
+        assert (exc.value.line, exc.value.col) == position
 
 
 def test_large_prime_fields():
@@ -117,10 +125,26 @@ def test_module_expressions(a2):
 # -- complex files -------------------------------------------------------------
 
 
-def test_load_complex_file_and_validation():
+def test_load_complex_file_and_validation(tmp_path):
     alg = load_algebra(sample("a2.alg"))
     V = load_complex_file(alg, sample("acyclic.cpx"))
     assert is_acyclic(V)
+    # entries that are not scalars, and documents of the wrong shape
+    for entry in ("x", "1/0", "1/"):
+        with pytest.raises(ParseError, match="not a scalar"):
+            load_complex(alg, {"period": 2, "modules": ["P(2)", "P(2)"],
+                               "differentials": [None, [[[entry]], None]]})
+    for spec in ({"dims": [-1, 1]}, {"dims": ["a", 1]}, {"dims": [True, 1]},
+                 {"dims": [1, 1], "arrows": [1]},
+                 {"dims": [1, 1], "arrows": 5}):
+        with pytest.raises(ParseError):
+            load_complex(alg, {"period": 1, "modules": [spec]})
+    with pytest.raises(ParseError, match="period"):
+        load_complex(alg, {"period": True, "modules": ["P(2)"]})
+    listed = tmp_path / "list.cpx"
+    listed.write_text("[1, 2]")
+    with pytest.raises(ParseError, match="JSON object"):
+        load_complex_file(alg, str(listed))
     # breaking d^2 = 0 must be rejected
     doc = {"period": 2, "modules": ["P(2)", "P(2)"],
            "differentials": [[[["1"]], [["1"]]], [[["1"]], [["1"]]]]}
@@ -397,6 +421,38 @@ def test_cli_internal_error_is_one_line(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: unexpected state\n"
     assert "Traceback" not in err
+
+
+_A2_DOC = '"algebra": "a2.alg", "period": 2, "modules": ["P(2)", "P(2)"]'
+_MAP_ENDS = ('"source": {"period": 1, "modules": ["P(1)"]}, '
+             '"target": {"period": 1, "modules": ["P(1)"]}')
+
+
+MALFORMED_FILES = [
+    ("zero.alg", "field rationals\nvertices 1\narrow a1: 1 -> 1\n"
+     "relation 1/0*a1\nnilpotency 2\n", ["algebra", "show", "--algebra"]),
+    ("x.cpx", "{%s, \"differentials\": [null, [[[\"x\"]], [[\"1\"]]]]}"
+     % _A2_DOC, ["cohomology", "--complex"]),
+    ("zero.cpx", "{%s, \"differentials\": [null, [[[\"1/0\"]], [[\"1\"]]]]}"
+     % _A2_DOC, ["cohomology", "--complex"]),
+    ("list.cpx", "[1, 2]", ["cohomology", "--complex"]),
+    ("list.map", "[1, 2]", ["complex", "cone", "--name", "kA2", "--map"]),
+    ("component.map", "{%s, \"components\": [5]}" % _MAP_ENDS,
+     ["complex", "cone", "--name", "kA2", "--map"]),
+]
+
+
+@pytest.mark.parametrize("filename, text, argv", MALFORMED_FILES,
+                         ids=[case[0] for case in MALFORMED_FILES])
+def test_cli_malformed_file_is_one_parse_error(tmp_path, capsys, filename,
+                                               text, argv):
+    shutil.copy(sample("a2.alg"), tmp_path)
+    path = tmp_path / filename
+    path.write_text(text)
+    code, out = run_cli(argv + [str(path)])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
 
 
 def test_cli_relation_denominator_exit_code(tmp_path, capsys):

@@ -3,11 +3,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import periodica
+from periodica import _kernels_py, linalg
 from periodica.fields import Field, QQ
 from periodica.linalg import Mat, quotient
 
 
 F5 = Field.gf(5)
+# above 2^32, so products of two entries overflow 64-bit integers
+FBIG = Field.gf(4294967311)
+
+
+def test_one_pure_python_backend():
+    assert periodica.backend() == "python"
+    assert linalg._impl is _kernels_py
 
 
 def test_rank_identity_and_zero():
@@ -69,12 +78,27 @@ def q_matrices(draw, maxdim=5):
     return Mat(QQ, r, c, [Fraction(x) for x in data])
 
 
+def fp_entries(field):
+    """Any element of GF(p), with 0, 1 and -1 drawn often enough that
+    rank-deficient matrices come up over the large field too."""
+    p = field.p
+    return st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+
+
 @st.composite
-def fp_matrices(draw, maxdim=5):
-    r = draw(st.integers(1, maxdim))
-    c = draw(st.integers(1, maxdim))
-    data = draw(st.lists(st.integers(0, 4), min_size=r * c, max_size=r * c))
-    return Mat(F5, r, c, data)
+def fp_matrices(draw, maxdim=5, field=None, shape=None):
+    field = field or draw(st.sampled_from([F5, FBIG]))
+    r, c = shape or (draw(st.integers(1, maxdim)), draw(st.integers(1, maxdim)))
+    data = draw(st.lists(fp_entries(field), min_size=r * c, max_size=r * c))
+    return Mat(field, r, c, data)
+
+
+@st.composite
+def fp_products(draw, maxdim=5):
+    field = draw(st.sampled_from([F5, FBIG]))
+    n, k, m = (draw(st.integers(1, maxdim)) for _ in range(3))
+    return (draw(fp_matrices(field=field, shape=(n, k))),
+            draw(fp_matrices(field=field, shape=(k, m))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,6 +115,47 @@ def test_rank_transpose_and_nullity_fp(A):
     assert A.rank() == A.transpose().rank()
     assert A.rank() + A.kernel_basis().cols == A.cols
     assert (A @ A.kernel_basis()).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(fp_products())
+def test_fp_matmul_matches_naive_product(AB):
+    A, B = AB
+    p = A.field.p
+    C = A @ B
+    for i in range(A.rows):
+        for j in range(B.cols):
+            naive = sum(A.get(i, t) * B.get(t, j) for t in range(A.cols)) % p
+            assert C.get(i, j) == naive
+
+
+def _in_row_space(M, row):
+    """True iff ``row`` is a combination of the rows of M, with the
+    combination checked by multiplying it back."""
+    Mt = M.transpose()
+    x = Mt.solve(row)
+    if x is None:
+        return False
+    assert Mt @ Mat.column(M.field, x) == Mat.column(M.field, row)
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(q_matrices(), fp_matrices()))
+def test_rref_contract(A):
+    R, piv = A.rref()
+    F = A.field
+    assert R.cols == A.cols and R.rows == len(piv)
+    assert list(piv) == sorted(set(piv))
+    for k, pc in enumerate(piv):
+        row = R.row_list(k)
+        assert not all(F.is_zero(x) for x in row)
+        assert row[pc] == F.one()
+        assert all(F.is_zero(x) for x in row[:pc])
+        assert all(F.is_zero(R.get(i, pc)) for i in range(R.rows) if i != k)
+    # the same row space: each row of A solves against R, and the reverse
+    assert all(_in_row_space(R, A.row_list(i)) for i in range(A.rows))
+    assert all(_in_row_space(A, R.row_list(k)) for k in range(R.rows))
 
 
 @settings(max_examples=40, deadline=None)
