@@ -1,13 +1,22 @@
 """Elimination kernels: products and reduced row echelon forms.
 
 Matrices are flat row-major lists: Python ints in [0, p) over GF(p), or
-Fractions over Q.  Rational elimination clears denominators and runs a
-fraction-free cross-multiplication sweep with gcd cleanup, so all
-intermediate arithmetic is on integers.  Every kernel is exact for any p.
+Fractions over Q.  Every kernel is exact for any p.
+
+The rational kernels do all their arithmetic on Python ints and build each
+result ``Fraction`` once.  ``q_rref`` scales every row by the lcm of its
+denominators, runs a fraction-free cross-multiplication sweep with gcd
+cleanup and returns ``Fraction(x, pivot)``.  ``q_matmul`` scales each row
+of the left factor, and the rows of the right factor that it picks, by
+their denominator lcms, sums integer products and returns
+``Fraction(sum, common denominator)``.  A zero result entry is the shared
+``fields.Q_ZERO`` in both.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+from .fields import Q_ZERO
 
 
 def fp_matmul(a, b, n, k, m, p):
@@ -26,19 +35,36 @@ def fp_matmul(a, b, n, k, m, p):
 
 
 def q_matmul(a, b, n, k, m):
-    """Flat row-major product of exact rational matrices."""
-    zero = Fraction(0)
-    out = [zero] * (n * m)
+    """Flat row-major product of exact rational matrices.
+
+    Row i of the product is the sum of ``a[i,t] * (row t of b)`` over the
+    nonzero ``a[i,t]``.  It is accumulated in integers over one common
+    denominator: the lcm of the denominators of those ``a[i,t]`` times the
+    lcm of the denominators of the rows of b they pick.  Each nonzero sum
+    becomes one ``Fraction``.
+    """
+    out = [Q_ZERO] * (n * m)
     for i in range(n):
-        ai = i * k
+        # (numerator, denominator) of each nonzero a[i,t] and of row t of b
+        terms = [(x.as_integer_ratio(),
+                  [y.as_integer_ratio() for y in b[t * m:(t + 1) * m]])
+                 for t, x in enumerate(a[i * k:(i + 1) * k]) if x]
+        if not terms:
+            continue
+        da = db = 1
+        for (_, d), brow in terms:
+            da = lcm(da, d)
+            for _, e in brow:
+                db = lcm(db, e)
+        acc = [0] * m
+        for (u, d), brow in terms:
+            u *= da // d
+            acc = [s + u * (v * (db // e)) for s, (v, e) in zip(acc, brow)]
+        den = da * db
         oi = i * m
-        for t in range(k):
-            x = a[ai + t]
-            if x:
-                bt = t * m
-                for j in range(m):
-                    if b[bt + j]:
-                        out[oi + j] += x * b[bt + j]
+        for j, s in enumerate(acc):
+            if s:
+                out[oi + j] = Fraction(s, den)
     return out
 
 
@@ -92,9 +118,8 @@ def q_rref(flat, nrows, ncols):
         seg = flat[i * ncols:(i + 1) * ncols]
         den = 1
         for x in seg:
-            d = x.denominator
-            den = den // gcd(den, d) * d
-        rows.append([int(x * den) for x in seg])
+            den = lcm(den, x.denominator)
+        rows.append([x.numerator * (den // x.denominator) for x in seg])
     pivots = []
     r = 0
     for c in range(ncols):
@@ -133,5 +158,5 @@ def q_rref(flat, nrows, ncols):
     for i, c in enumerate(pivots):
         prow = rows[i]
         pv = prow[c]
-        out.extend(Fraction(x, pv) for x in prow)
+        out.extend(Fraction(x, pv) if x else Q_ZERO for x in prow)
     return out, pivots

@@ -2,11 +2,19 @@
 
 Scalars are ``fractions.Fraction`` values over Q and plain ints in
 ``0..p-1`` over GF(p).  No floating point is used anywhere.
+
+Over Q, ``Field.zero()`` and ``Field.one()`` return the module constants
+``Q_ZERO`` and ``Q_ONE`` instead of building a new ``Fraction`` per call;
+Fractions are immutable, so sharing one object is safe.  The rational
+kernels emit the same ``Q_ZERO`` for every zero entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+Q_ZERO = Fraction(0)
+Q_ONE = Fraction(1)
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
@@ -62,31 +70,30 @@ class Field:
         return cls(p)
 
     @property
-    def is_rational(self) -> bool:
-        return self.p == 0
-
-    @property
     def characteristic(self) -> int:
         return self.p
 
     # -- scalar construction -------------------------------------------------
 
     def zero(self):
-        return Fraction(0) if self.p == 0 else 0
+        return 0 if self.p else Q_ZERO
 
     def one(self):
-        return Fraction(1) if self.p == 0 else 1
+        return 1 if self.p else Q_ONE
 
     def coerce(self, x):
         """Turn an int / Fraction / scalar-of-this-field into a scalar."""
-        if self.p == 0:
-            return Fraction(x)
+        p = self.p
+        if p == 0:
+            return x if type(x) is Fraction else Fraction(x)
+        if type(x) is int:
+            return x % p
         if isinstance(x, Fraction):
-            den = x.denominator % self.p
+            den = x.denominator % p
             if den == 0:
                 raise ZeroDivisionError("denominator vanishes in GF(p)")
-            return x.numerator * pow(den, self.p - 2, self.p) % self.p
-        return int(x) % self.p
+            return x.numerator * pow(den, p - 2, p) % p
+        return int(x) % p
 
     def parse(self, text: str):
         """Parse a scalar literal: an integer or a fraction like ``-3/7``."""

@@ -181,10 +181,23 @@ def parse_algebra_text(text: str, default_field: Optional[Field] = None,
         raise ParseError(0, 0, str(exc))
 
 
+def _read_text(path: str) -> str:
+    """The file's text; a missing or unreadable file, or one that is not
+    UTF-8, is a ParseError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        reason = exc.strerror or type(exc).__name__
+        raise ParseError(0, 0, f"cannot read {path}: {reason}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(0, 0, f"cannot read {path}: not UTF-8 text "
+                         f"(byte {exc.start})") from None
+
+
 def parse_algebra_file(path: str,
                        default_field: Optional[Field] = None) -> AlgebraPresentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     label = os.path.splitext(os.path.basename(path))[0]
     return parse_algebra_text(text, default_field, label=label)
 
@@ -341,11 +354,10 @@ def load_complex(alg: FinDimAlgebra, doc: dict) -> PeriodicComplex:
 
 
 def _load_json_object(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, exc.colno, exc.msg)
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, exc.colno, exc.msg)
     if not isinstance(doc, dict):
         raise ParseError(0, 0, "the document must be a JSON object")
     return doc
@@ -383,10 +395,12 @@ def load_chain_map_file(alg: FinDimAlgebra, path: str
             continue
         if not isinstance(blocks_raw, list):
             raise ParseError(0, 0, f"component {i}: need a list of blocks")
+        if len(blocks_raw) != alg.quiver.n:
+            raise ParseError(0, 0, f"component {i}: need one block per vertex "
+                             f"({alg.quiver.n}), got {len(blocks_raw)}")
         blocks = []
-        for v in range(alg.quiver.n):
+        for v, entry in enumerate(blocks_raw):
             nr, nc = tgt.dims[v], src.dims[v]
-            entry = blocks_raw[v] if v < len(blocks_raw) else None
             blocks.append(Mat.zeros(alg.field, nr, nc) if entry is None else
                           _parse_matrix(alg.field, entry, nr, nc,
                                         f"component {i}, vertex {v+1}"))

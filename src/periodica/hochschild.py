@@ -151,11 +151,6 @@ class HochschildContext:
         b = self.cochain_matrix(p - 1).rank() if p >= 1 else 0
         return z - b
 
-    def hh_max_computable(self) -> int:
-        if self.res.complete:
-            return 10 ** 9
-        return len(self.res.terms) - 2
-
 
 class LaurentSetup:
     """The Laurent extension of the base algebra, graded with deg(t) = m."""

@@ -141,9 +141,6 @@ class GradedMorphism:
     def is_closed(self) -> bool:
         return self.dmap().is_zero()
 
-    def is_chain_map(self) -> bool:
-        return self.degree == 0 and self.is_closed()
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
 

@@ -82,10 +82,6 @@ class StableHom:
         """Canonical coordinates of the stable class of a module map."""
         return self.reduce_coords(self.full.coords_of(f))
 
-    def is_stably_zero(self, f: Morphism) -> bool:
-        field = self.M.field
-        return all(field.is_zero(x) for x in self.reduce(f))
-
     def class_coords(self, f: Morphism) -> list:
         """Coordinates of the class of f on the chosen class basis."""
         field = self.M.field

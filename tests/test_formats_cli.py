@@ -9,7 +9,8 @@ import pytest
 
 from periodica.common import ParseError
 from periodica.fields import PRIME_LIMIT, Field, QQ, _is_prime
-from periodica.formats import (load_algebra, load_complex, load_complex_file,
+from periodica.formats import (load_algebra, load_chain_map_file,
+                               load_complex, load_complex_file,
                                parse_algebra_text, parse_module_expr,
                                complex_to_doc)
 from periodica.percomplex import is_acyclic, stalk_complex
@@ -145,6 +146,16 @@ def test_load_complex_file_and_validation(tmp_path):
     listed.write_text("[1, 2]")
     with pytest.raises(ParseError, match="JSON object"):
         load_complex_file(alg, str(listed))
+    # a chain-map component lists exactly one block (matrix or null) per
+    # vertex: neither extra entries nor missing ones are read as zero
+    ends = {"period": 1, "modules": ["P(1)"]}
+    for blocks in ([[["1"]], None, [["7"]], "junk"], [[["1"]]]):
+        mp = tmp_path / "blocks.map"
+        mp.write_text(json.dumps({"source": ends, "target": ends,
+                                  "components": [blocks]}))
+        with pytest.raises(ParseError, match="component 0: need one block "
+                                             "per vertex"):
+            load_chain_map_file(alg, str(mp))
     # breaking d^2 = 0 must be rejected
     doc = {"period": 2, "modules": ["P(2)", "P(2)"],
            "differentials": [[[["1"]], [["1"]]], [[["1"]], [["1"]]]]}
@@ -313,10 +324,16 @@ def test_golden_reports(name):
 
 
 def test_console_entry_point():
+    # the child imports the same periodica as this process, however pytest
+    # put it on sys.path (PYTHONPATH or the pyproject `pythonpath`)
+    import periodica
+    src = os.path.dirname(os.path.dirname(periodica.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "periodica.cli", "reproduce", "ex5.6",
          "--n", "1", "--m", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["pass"]
 
@@ -453,6 +470,31 @@ def test_cli_malformed_file_is_one_parse_error(tmp_path, capsys, filename,
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+UNREADABLE_INPUTS = {
+    "algebra": ["algebra", "show", "--algebra", "{missing}"],
+    "complex": ["cohomology", "--complex", "{missing}"],
+    "map": ["complex", "cone", "--name", "kA2", "--map", "{missing}"],
+    "embedded": ["cohomology", "--complex", "{embeds}"],
+    "not-utf8": ["algebra", "show", "--algebra", "{binary}"],
+}
+
+
+@pytest.mark.parametrize("argv", UNREADABLE_INPUTS.values(),
+                         ids=UNREADABLE_INPUTS.keys())
+def test_cli_unreadable_input_is_one_parse_error(tmp_path, capsys, argv):
+    paths = {"missing": str(tmp_path / "nope.alg"),
+             "embeds": str(tmp_path / "embeds.cpx"),
+             "binary": str(tmp_path / "binary.alg")}
+    (tmp_path / "embeds.cpx").write_text(
+        '{"algebra": "nope.alg", "period": 1, "modules": ["P(1)"]}')
+    (tmp_path / "binary.alg").write_bytes(b"field rationals\n\xff\xfe\n")
+    code, out = run_cli([a.format(**paths) for a in argv])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert "cannot read" in err and ("nope.alg" in err or "binary.alg" in err)
 
 
 def test_cli_relation_denominator_exit_code(tmp_path, capsys):

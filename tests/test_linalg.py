@@ -68,14 +68,22 @@ def test_quotient_kills_subspace():
 
 
 small = st.integers(min_value=-6, max_value=6)
+# small numerators over a few denominators, so the rational kernels clear
+# denominators other than 1
+q_entries = st.builds(Fraction, small, st.sampled_from([1, 2, 3, 4, 7]))
 
 
 @st.composite
-def q_matrices(draw, maxdim=5):
-    r = draw(st.integers(1, maxdim))
-    c = draw(st.integers(1, maxdim))
-    data = draw(st.lists(small, min_size=r * c, max_size=r * c))
-    return Mat(QQ, r, c, [Fraction(x) for x in data])
+def q_matrices(draw, maxdim=5, shape=None):
+    r, c = shape or (draw(st.integers(1, maxdim)), draw(st.integers(1, maxdim)))
+    data = draw(st.lists(q_entries, min_size=r * c, max_size=r * c))
+    return Mat(QQ, r, c, data)
+
+
+@st.composite
+def q_products(draw, maxdim=5):
+    n, k, m = (draw(st.integers(1, maxdim)) for _ in range(3))
+    return draw(q_matrices(shape=(n, k))), draw(q_matrices(shape=(k, m)))
 
 
 def fp_entries(field):
@@ -129,6 +137,19 @@ def test_fp_matmul_matches_naive_product(AB):
             assert C.get(i, j) == naive
 
 
+@settings(max_examples=60, deadline=None)
+@given(q_products())
+def test_q_matmul_matches_naive_product(AB):
+    A, B = AB
+    C = A @ B
+    for i in range(A.rows):
+        for j in range(B.cols):
+            naive = Fraction(0)
+            for t in range(A.cols):
+                naive += A.get(i, t) * B.get(t, j)
+            assert type(C.get(i, j)) is Fraction and C.get(i, j) == naive
+
+
 def _in_row_space(M, row):
     """True iff ``row`` is a combination of the rows of M, with the
     combination checked by multiplying it back."""
@@ -159,14 +180,14 @@ def test_rref_contract(A):
 
 
 @settings(max_examples=40, deadline=None)
-@given(q_matrices(), st.lists(small, min_size=5, max_size=5))
+@given(st.one_of(q_matrices(), fp_matrices()),
+       st.lists(small, min_size=5, max_size=5))
 def test_solve_roundtrip(A, xs):
-    x = Mat.column(QQ, [Fraction(v) for v in xs[:A.cols]] +
-                   [Fraction(0)] * max(0, A.cols - len(xs)))
+    x = Mat.column(A.field, xs[:A.cols] + [0] * max(0, A.cols - len(xs)))
     b = A @ x
     sol = A.solve(b.col_list(0))
     assert sol is not None
-    again = A @ Mat.column(QQ, sol)
+    again = A @ Mat.column(A.field, sol)
     assert again == b
 
 
@@ -193,6 +214,9 @@ def test_no_floats_anywhere():
     A = Mat.from_rows(QQ, [[1, 2], [3, 4]])
     R, _ = A.rref()
     assert all(isinstance(x, Fraction) for x in R.data)
+    H = Mat.from_rows(QQ, [[Fraction(1, 2), 0], [0, Fraction(-2, 3)]])
+    for P in (A @ A, A @ H, H @ Mat.zeros(QQ, 2, 3)):
+        assert all(isinstance(x, Fraction) for x in P.data)
     B = Mat.from_rows(F5, [[1, 2], [3, 4]])
     R5, _ = B.rref()
     assert all(isinstance(x, int) for x in R5.data)
