@@ -3,14 +3,13 @@
 Matrices are flat row-major lists: Python ints in [0, p) over GF(p), or
 Fractions over Q.  Every kernel is exact for any p.
 
-The rational kernels do all their arithmetic on Python ints and build each
-result ``Fraction`` once.  ``q_rref`` scales every row by the lcm of its
-denominators, runs a fraction-free cross-multiplication sweep with gcd
-cleanup and returns ``Fraction(x, pivot)``.  ``q_matmul`` scales each row
-of the left factor, and the rows of the right factor that it picks, by
-their denominator lcms, sums integer products and returns
-``Fraction(sum, common denominator)``.  A zero result entry is the shared
-``fields.Q_ZERO`` in both.
+``q_rref`` does all its arithmetic on Python ints and builds each result
+``Fraction`` once: it scales every row by the lcm of its denominators, runs
+a fraction-free cross-multiplication sweep with gcd cleanup and returns
+``Fraction(x, pivot)``, or the shared ``fields.Q_ZERO`` for a zero entry.
+``q_matmul`` multiplies Fractions and skips zero factors: the products it
+sees are small and sparse, where scaling rows and columns to integers costs
+more than it saves.  An entry with no nonzero product is ``Q_ZERO``.
 """
 
 from fractions import Fraction
@@ -35,36 +34,18 @@ def fp_matmul(a, b, n, k, m, p):
 
 
 def q_matmul(a, b, n, k, m):
-    """Flat row-major product of exact rational matrices.
-
-    Row i of the product is the sum of ``a[i,t] * (row t of b)`` over the
-    nonzero ``a[i,t]``.  It is accumulated in integers over one common
-    denominator: the lcm of the denominators of those ``a[i,t]`` times the
-    lcm of the denominators of the rows of b they pick.  Each nonzero sum
-    becomes one ``Fraction``.
-    """
+    """Flat row-major product of exact rational matrices."""
     out = [Q_ZERO] * (n * m)
     for i in range(n):
-        # (numerator, denominator) of each nonzero a[i,t] and of row t of b
-        terms = [(x.as_integer_ratio(),
-                  [y.as_integer_ratio() for y in b[t * m:(t + 1) * m]])
-                 for t, x in enumerate(a[i * k:(i + 1) * k]) if x]
-        if not terms:
-            continue
-        da = db = 1
-        for (_, d), brow in terms:
-            da = lcm(da, d)
-            for _, e in brow:
-                db = lcm(db, e)
-        acc = [0] * m
-        for (u, d), brow in terms:
-            u *= da // d
-            acc = [s + u * (v * (db // e)) for s, (v, e) in zip(acc, brow)]
-        den = da * db
+        ai = i * k
         oi = i * m
-        for j, s in enumerate(acc):
-            if s:
-                out[oi + j] = Fraction(s, den)
+        for t in range(k):
+            x = a[ai + t]
+            if x:
+                bt = t * m
+                for j in range(m):
+                    if b[bt + j]:
+                        out[oi + j] += x * b[bt + j]
     return out
 
 

@@ -5,8 +5,9 @@ Scalars are ``fractions.Fraction`` values over Q and plain ints in
 
 Over Q, ``Field.zero()`` and ``Field.one()`` return the module constants
 ``Q_ZERO`` and ``Q_ONE`` instead of building a new ``Fraction`` per call;
-Fractions are immutable, so sharing one object is safe.  The rational
-kernels emit the same ``Q_ZERO`` for every zero entry.
+Fractions are immutable, so sharing one object is safe.  ``q_rref`` emits
+the same ``Q_ZERO`` for every zero entry, and ``q_matmul`` for every entry
+with no nonzero product.
 """
 
 from __future__ import annotations
