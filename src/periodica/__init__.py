@@ -33,7 +33,7 @@ from .derivedper import (DerivedContext, distinct_stalks_d2_dual_numbers,
 from .hochschild import (BimoduleResolution, HochschildContext, LaurentSetup,
                          bar_hh_oracle, bimodule_resolution,
                          formality_criterion, hh_table, smooth_dimension)
-from .stablecat import (StableContext, algebra_period,
+from .stablecat import (NotPeriodic, StableContext, algebra_period,
                         check_periodic_tilting_stable, is_self_injective,
                         stable_end_algebra)
 

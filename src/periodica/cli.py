@@ -1,7 +1,9 @@
 """The ``periodica`` command line interface.
 
 Exit codes: 0 success; 2 parse error; 3 precondition violation;
-4 truncated/inconclusive; 5 a verification ran and failed; 6 internal error.
+4 truncated/inconclusive; 5 a verification ran and failed (``period
+algebra``: the algebra is not periodic, a syzygy of it vanished);
+6 internal error.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .reproduce import (builtin_algebra, reproduce_ex5_6, reproduce_ex5_8,
                         reproduce_ex5_9, reproduce_ext_sum,
                         reproduce_lemma4_1, reproduce_prop3_10,
                         reproduce_prop3_25)
-from .stablecat import StableContext, algebra_period, \
+from .stablecat import NotPeriodic, StableContext, algebra_period, \
     check_periodic_tilting_stable, stable_end_algebra
 
 EXIT_OK = 0
@@ -252,6 +254,9 @@ def cmd_period(args) -> int:
         period = algebra_period(alg, bound, args.seed)
         body = {"period": period.to_json(), "exact": period.exact}
         gate = None
+        if isinstance(period, NotPeriodic):
+            body["projective_dimension"] = period.projdim
+            gate = False
     report = build_report(f"period {args.verb}", {"bound": bound}, body,
                           inputs=inputs, seed=args.seed)
     code = _finish(args, report, gate)

@@ -166,7 +166,9 @@ class FinDimAlgebra:
     reduction, :func:`enveloping_algebra` from the tables of the two legs.
     Carries the vertex idempotents, the radical filtration, and the
     presentation the algebra satisfies.  The table is validated on
-    construction.
+    construction: exhaustively for :func:`build_algebra`, and for
+    :func:`enveloping_algebra` by checks that make its associativity follow
+    from the two legs' own exhaustive validation (see :meth:`validate`).
     """
 
     def __init__(self, presentation: AlgebraPresentation, basis: List[Walk],
@@ -292,9 +294,19 @@ class FinDimAlgebra:
         the length of x: for x = e_v it is 1 and 2; for x = a x' (by 4),
         (x y) z = (a (x' y)) z = a ((x' y) z) = a (x' (y z)) = x (y z), using
         3, 3, the induction hypothesis and 3 again, each extended linearly.
+
+        Every table from :func:`build_algebra` gets this check.  The table of
+        :func:`enveloping_algebra` is the tensor product of two tables that
+        already passed it, so it replaces 2 and 3 by O(dim) bookkeeping that
+        makes them follow from the legs (see ``_EnvelopingAlgebra``).
         """
-        field = self.field
-        one = field.one()
+        self._check_units()
+        self._check_associative()
+        self._check_walks()
+
+    def _check_units(self) -> None:
+        """Step 1 of :meth:`validate`."""
+        one = self.field.one()
         n = self.quiver.n
         for v in range(1, n + 1):
             for w in range(1, n + 1):
@@ -307,6 +319,11 @@ class FinDimAlgebra:
                 raise PreconditionError("left unit fails")
             if self.mult(i, self.e(self.source[i])) != ((i, one),):
                 raise PreconditionError("right unit fails")
+
+    def _check_associative(self) -> None:
+        """Steps 2 and 3 of :meth:`validate`."""
+        field = self.field
+        n = self.quiver.n
         mult, mul, add, is_zero = self.mult, field.mul, field.add, field.is_zero
 
         def combine(terms, factor) -> dict:
@@ -339,6 +356,10 @@ class FinDimAlgebra:
                         raise PreconditionError(
                             "multiplication table not associative at "
                             f"({a},{x},{y})")
+
+    def _check_walks(self) -> None:
+        """Step 4 of :meth:`validate`."""
+        one = self.field.one()
         for i, w in enumerate(self.basis):
             if len(w) == 1:
                 continue
@@ -563,6 +584,71 @@ def tensor_op_presentation(pres: AlgebraPresentation) -> AlgebraPresentation:
                                label=label)
 
 
+class _EnvelopingAlgebra(FinDimAlgebra):
+    """A^op (x) A whose table is the tensor product of its legs' tables.
+
+    Built only by :func:`enveloping_algebra`; ``pairs[i]`` is the pair
+    (x, y) of leg basis indices behind ``basis[i]``.
+    """
+
+    def __init__(self, presentation: AlgebraPresentation, basis: List[Walk],
+                 op: FinDimAlgebra, alg: FinDimAlgebra,
+                 pairs: List[Tuple[int, int]]):
+        self._legs = (op, alg)
+        self._pairs = pairs
+        self._pair_index = {pair: i for i, pair in enumerate(pairs)}
+        super().__init__(presentation, basis, self._tensor_product)
+
+    def _tensor_product(self, i: int, j: int) -> tuple:
+        op, alg = self._legs
+        x1, y1 = self._pairs[i]
+        x2, y2 = self._pairs[j]
+        right_leg = alg.mult(y1, y2)
+        index, mul = self._pair_index, self.field.mul
+        return tuple((index[kx, ky], mul(cx, cy))
+                     for kx, cx in op.mult(x1, x2)
+                     for ky, cy in right_leg)
+
+    def validate(self) -> None:
+        """Exhaustive in O(n^2 + dim) products, associativity from the legs.
+
+        Both legs passed the full :meth:`FinDimAlgebra.validate`, so their
+        tables are associative and unital and keep products in their blocks.
+        This checks:
+
+        * the pairs are a bijection onto leg basis x leg basis, and the
+          basis walks are distinct;
+        * basis[(x, y)] runs from pair_vertex(source x, source y) to
+          pair_vertex(target x, target y);
+        * steps 1 and 4 of :meth:`FinDimAlgebra.validate`.
+
+        pair_vertex is injective, so by the second check (x1, y1), (x2, y2)
+        are composable exactly when both legs are, and ``mult`` is the
+        tensor product of the legs' tables (the product of a non-composable
+        leg is empty on both sides), carried over a bijective index map.  A
+        tensor product of associative tables is associative: ((x1 x2) x3,
+        (y1 y2) y3) = (x1 (x2 x3), y1 (y2 y3)) extended bilinearly.  Its
+        products stay in their blocks by the legs' step 2 and the second
+        check, which is step 2 here; step 1 is checked directly.
+        """
+        op, alg = self._legs
+        pairs = self._pairs
+        every_pair = [(x, y) for x in range(op.dim) for y in range(alg.dim)]
+        if (len(pairs) != self.dim or sorted(pairs) != every_pair
+                or len(self.index) != self.dim):
+            raise PreconditionError(
+                "basis is not a bijection onto pairs of leg basis elements")
+        n = alg.quiver.n
+        for i, (x, y) in enumerate(pairs):
+            if (self.source[i] != pair_vertex(n, op.source[x], alg.source[y])
+                    or self.target[i] != pair_vertex(n, op.target[x],
+                                                     alg.target[y])):
+                raise PreconditionError(
+                    f"basis element {i} lies outside the block of its pair")
+        self._check_units()
+        self._check_walks()
+
+
 def enveloping_algebra(alg: FinDimAlgebra) -> FinDimAlgebra:
     """A^op (x) A as the tensor product of the two legs' tables.
 
@@ -570,11 +656,14 @@ def enveloping_algebra(alg: FinDimAlgebra) -> FinDimAlgebra:
     its walk on the quiver of :func:`tensor_op_presentation` is y along row
     source(x), then x along column target(y).  The product is
     (x1, y1) * (x2, y2) = (x1 * x2) (x) (y1 * y2), since the two legs
-    commute.  No walk of the tensor quiver is enumerated.
+    commute.  No walk of the tensor quiver is enumerated, and the table
+    fills lazily with the products that are asked for.  Associativity is
+    inherited from the legs instead of being checked again on the table
+    (see ``_EnvelopingAlgebra.validate``).
     """
     pres = tensor_op_presentation(alg.presentation)
     op = alg.opposite()
-    q, tq, field = alg.quiver, pres.quiver, alg.field
+    q, tq = alg.quiver, pres.quiver
     n = q.n
     left = {(ai, v): tq.by_name[f"{a.name}^o@{v}"]
             for ai, a in enumerate(q.arrows) for v in range(1, n + 1)}
@@ -592,15 +681,4 @@ def enveloping_algebra(alg: FinDimAlgebra) -> FinDimAlgebra:
     keyed.sort()
     basis = [key[1] for key, _, _ in keyed]
     pairs = [(x, y) for _, x, y in keyed]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    mul = field.mul
-
-    def product(i: int, j: int) -> tuple:
-        x1, y1 = pairs[i]
-        x2, y2 = pairs[j]
-        right_leg = alg.mult(y1, y2)
-        return tuple((index[kx, ky], mul(cx, cy))
-                     for kx, cx in op.mult(x1, x2)
-                     for ky, cy in right_leg)
-
-    return FinDimAlgebra(pres, basis, product)
+    return _EnvelopingAlgebra(pres, basis, op, alg, pairs)

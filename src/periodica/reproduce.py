@@ -7,7 +7,7 @@ import math
 import random
 from typing import List, Optional
 
-from .common import CheckFailed, PreconditionError
+from .common import CheckFailed, ParseError, PreconditionError
 from .derivedper import (DerivedContext, distinct_stalks_d2_dual_numbers,
                          ext_sum_check, hereditary_decompose,
                          list_indecomposables_hereditary, stalk_tilting_check)
@@ -25,18 +25,33 @@ from .stablecat import (StableContext, algebra_period,
 
 
 def builtin_algebra(name: str, field: Optional[Field] = None) -> FinDimAlgebra:
-    """Families by name: kA<n>, N(<n>,<m>), dual, k^<n>."""
+    """Families by name: kA<n>, N(<n>,<m>), dual, k^<n>.
+
+    A family whose parameters are not the right number of integers is a
+    :class:`ParseError`; integers out of the family's range are a
+    :class:`PreconditionError` from the family itself.
+    """
     field = field or Field.rationals()
     name = name.strip()
+
+    def integers(text: str, count: int) -> List[int]:
+        parts = text.split(",")
+        if len(parts) == count:
+            try:
+                return [int(x) for x in parts]
+            except ValueError:
+                pass
+        raise ParseError(0, 0, f"malformed builtin algebra {name!r}: "
+                               f"expected {count} integer(s) in {text!r}")
+
     if name.lower().startswith("ka"):
-        return linear_a(int(name[2:]), field)
+        return linear_a(*integers(name[2:], 1), field)
     if name.upper().startswith("N(") and name.endswith(")"):
-        n, m = (int(x) for x in name[2:-1].split(","))
-        return nakayama(n, m, field)
+        return nakayama(*integers(name[2:-1], 2), field)
     if name.lower() in ("dual", "dualnumbers"):
         return dual_numbers(field)
     if name.startswith("k^"):
-        return semisimple_product(int(name[2:]), field)
+        return semisimple_product(*integers(name[2:], 1), field)
     raise PreconditionError(f"unknown builtin algebra {name!r}")
 
 

@@ -188,14 +188,44 @@ class StableContext:
         return out
 
 
+class NotPeriodic(Trunc):
+    """The exact verdict "no syzygy of A is A again" of :func:`algebra_period`.
+
+    Its value is ``None``; ``projdim`` is the projective dimension of A over
+    A^e, the last degree of its minimal bimodule resolution.
+    """
+
+    __slots__ = ("projdim",)
+
+    def __init__(self, projdim: int):
+        super().__init__(None)
+        self.projdim = projdim
+
+    def __eq__(self, other):
+        return isinstance(other, NotPeriodic) and self.projdim == other.projdim
+
+    def __hash__(self):
+        return hash(("NotPeriodic", self.projdim))
+
+    def __repr__(self):
+        return f"NotPeriodic({self.projdim})"
+
+
 def algebra_period(alg: FinDimAlgebra, bound: int, seed: int = 0) -> Trunc:
     """Smallest p with the p-th syzygy of the regular bimodule isomorphic to
-    it over the enveloping algebra."""
+    it over the enveloping algebra.
+
+    The syzygies are taken along minimal covers.  When the p-th one is zero,
+    every later one is zero too, so none is A: the answer is
+    ``NotPeriodic(p - 1)`` rather than a truncation at ``bound``.
+    """
     E, B = enveloping(alg)
     cur = B
     for p in range(1, bound + 1):
         P, phi = projective_cover(cur)
         cur = kernel_of(phi)[0]
+        if cur.is_zero():
+            return NotPeriodic(p - 1)
         if cur.dims == B.dims and iso_q(cur, B, seed):
             return Trunc(p)
     return Trunc(bound, exact=False)

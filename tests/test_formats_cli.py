@@ -350,6 +350,18 @@ def test_cli_bound_env(monkeypatch):
     assert code == 4      # default bound from the environment: truncated
 
 
+@pytest.mark.parametrize("argv, projdim", [
+    (["--name", "kA2"], 1), (["--name", "kA4"], 1), (["--name", "k^1"], 0),
+    (["--algebra", sample("commsquare.alg")], 2),
+])
+def test_cli_non_periodic_algebra_is_a_definite_verdict(argv, projdim):
+    code, out = run_cli(["period", "algebra", "--bound", "64"] + argv)
+    assert code == 5
+    result = json.loads(out)["result"]
+    assert result == {"period": None, "exact": True,
+                      "projective_dimension": projdim}
+
+
 @pytest.mark.parametrize("argv, env", [
     (["period", "algebra", "--name", "N(3,2)", "--bound", "0"], None),
     (["period", "algebra", "--name", "N(3,2)", "--bound", "-5"], None),
@@ -400,6 +412,11 @@ def test_cli_derived_rejects_nonpositive_period(capsys, argv):
     ["derived-hom", "--name", "kA2", "-M", "S(1)", "-N", "S(2)"],
     ["tilting", "stable", "--name", "N(3,3)", "--m", "2"],
     ["nonsense"],
+    ["algebra", "show", "--name", "kAx"],
+    ["algebra", "show", "--name", "N(2)"],
+    ["algebra", "show", "--name", "N(a,b)"],
+    ["algebra", "show", "--name", "N(2,3,4)"],
+    ["period", "algebra", "--name", "k^x"],
 ])
 def test_cli_argparse_rejection_is_one_line(capsys, argv):
     code, out = run_cli(argv)

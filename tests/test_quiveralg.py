@@ -10,7 +10,8 @@ from periodica.families import (dual_numbers, enveloping, linear_a, nakayama,
 from periodica.fields import Field, QQ
 from periodica.formats import load_algebra
 from periodica.linalg import Mat
-from periodica.quiver import (AlgebraPresentation, Quiver, build_algebra,
+from periodica.quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
+                              build_algebra, enveloping_algebra,
                               tensor_op_presentation)
 from periodica.rep import (Morphism, Rep, decompose, direct_sum,
                            global_dimension, hom_space, indecomposable_q,
@@ -210,7 +211,7 @@ def test_non_homogeneous_relation():
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
 ENVELOPE_ORACLE_CASES = sorted(
     os.path.basename(p) for p in glob.glob(os.path.join(SAMPLES, "*.alg"))
-) + ["N(2,3)", "kA3"]
+) + ["N(2,3)", "kA3", "N(3,3)", "N(2,2)/GF(2)"]
 
 
 def _oracle_algebra(case):
@@ -218,6 +219,10 @@ def _oracle_algebra(case):
         return nakayama(2, 3, QQ)
     if case == "kA3":
         return linear_a(3, QQ)
+    if case == "N(3,3)":
+        return nakayama(3, 3, QQ)
+    if case == "N(2,2)/GF(2)":
+        return nakayama(2, 2, Field.gf(2))
     return load_algebra(os.path.join(SAMPLES, case))
 
 
@@ -253,3 +258,48 @@ def test_enveloping_matches_tensor_presentation(case):
     Rep(ref, B.dims, B.act, check=True)
     for v in range(1, q.n + 1):
         assert Rep.projective(E, v).act == Rep.projective(ref, v).act
+
+
+def _rebuilt_envelope(E, pairs):
+    """A^e rebuilt by the class enveloping_algebra uses, on other pairs."""
+    op, alg = E._legs
+    return type(E)(E.presentation, list(E.basis), op, alg, pairs)
+
+
+def test_enveloping_check_rejects_a_broken_tensor_map():
+    E = enveloping_algebra(nakayama(2, 3, QQ))
+    assert _rebuilt_envelope(E, list(E._pairs)).dim == E.dim
+    block = [(E.source[i], E.target[i]) for i in range(E.dim)]
+    # two basis elements in different blocks trade pairs
+    i = 0
+    j = next(j for j in range(E.dim) if block[j] != block[i])
+    # two basis elements of one block, of different lengths, trade pairs
+    k, l = next((k, l) for k in range(E.dim) for l in range(E.dim)
+                if block[k] == block[l] and E.length[k] < E.length[l]
+                and E.length[k] > 0)
+    for a, b in ((i, j), (k, l)):
+        pairs = list(E._pairs)
+        pairs[a], pairs[b] = pairs[b], pairs[a]
+        with pytest.raises(PreconditionError):
+            _rebuilt_envelope(E, pairs)
+    # one pair twice, another missing: not a bijection
+    pairs = list(E._pairs)
+    pairs[1] = pairs[0]
+    with pytest.raises(PreconditionError, match="bijection"):
+        _rebuilt_envelope(E, pairs)
+
+
+def test_enveloping_validation_is_linear_in_dim(monkeypatch):
+    # the full check would take O(#arrows * dim^2) products on A^e (about
+    # 10^5 here); the legs' associativity makes O(n^2 + dim) enough
+    alg = nakayama(5, 5, QQ)
+    calls = [0]
+    mult = FinDimAlgebra.mult
+
+    def counted(self, i, j):
+        calls[0] += 1
+        return mult(self, i, j)
+    monkeypatch.setattr(FinDimAlgebra, "mult", counted)
+    E, _ = enveloping(alg)
+    assert E.dim == 625 and E.quiver.n == 25
+    assert calls[0] <= 8 * (E.dim + E.quiver.n ** 2)

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from periodica.common import PreconditionError
-from periodica.families import nakayama, serial_module
+from periodica.common import PreconditionError, Trunc
+from periodica.families import (linear_a, nakayama, semisimple_product,
+                                serial_module)
 from periodica.fields import Field, QQ
 from periodica.rep import Morphism, Rep, direct_sum, hom_space, iso_q
-from periodica.stablecat import (StableContext, algebra_period,
+from periodica.stablecat import (NotPeriodic, StableContext, algebra_period,
                                  check_periodic_tilting_stable,
                                  is_self_injective, stable_end_algebra)
 
@@ -135,6 +136,18 @@ def test_algebra_period_char2_exception():
     assert algebra_period(nakayama(1, 2, F2), 8) == 1
     assert algebra_period(nakayama(3, 2, F2), 8) == 3
     assert algebra_period(nakayama(3, 2, QQ), 10) == 6
+
+
+@pytest.mark.parametrize("alg, projdim", [
+    (linear_a(2, QQ), 1), (linear_a(4, QQ), 1), (semisimple_product(1, QQ), 0),
+], ids=["kA2", "kA4", "k^1"])
+def test_algebra_period_stops_at_a_zero_syzygy(alg, projdim):
+    # a hereditary algebra has projective dimension 1 over A^e, a separable
+    # one 0; the verdict is exact however large the bound
+    period = algebra_period(alg, 64)
+    assert period == NotPeriodic(projdim)
+    assert period.exact and period.value is None and period.to_json() is None
+    assert period != NotPeriodic(projdim + 1) and period != Trunc(64, False)
 
 
 def test_tilting_pass(n33):
