@@ -59,8 +59,8 @@ def _positive(where: str, text: str) -> int:
     error naming ``where``."""
     value = int(text) if text.strip().isdecimal() else 0
     if value < 1:
-        raise ParseError(0, 0, f"{where} must be a positive integer, "
-                               f"got {text!r}")
+        raise ParseError(f"{where} must be a positive integer, "
+                         f"got {text!r}")
     return value
 
 

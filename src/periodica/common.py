@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class PeriodicaError(Exception):
     """Base class for all library errors."""
 
 
 class ParseError(PeriodicaError):
-    """Malformed input file; carries 1-based line and column."""
+    """Malformed input: a file, or a command-line value.  Errors at a place
+    in a file carry its 1-based line and column; the others (a missing
+    directive, a bad option or builtin name) have ``line = col = None`` and
+    their message names no location."""
 
-    def __init__(self, line: int, col: int, msg: str):
-        super().__init__(f"line {line}, column {col}: {msg}")
+    def __init__(self, msg: str, line: Optional[int] = None,
+                 col: Optional[int] = None):
+        super().__init__(msg if line is None
+                         else f"line {line}, column {col}: {msg}")
         self.line = line
         self.col = col
         self.msg = msg

@@ -33,29 +33,30 @@ from .quiver import AlgebraPresentation, FinDimAlgebra, Quiver, build_algebra
 from .rep import Morphism, Rep, direct_sum
 
 
-def _prime_field(p: int, line: int, col: int) -> Field:
+def _prime_field(p: int, line: Optional[int], col: Optional[int]) -> Field:
     try:
         return Field.gf(p)
     except ValueError as exc:
-        raise ParseError(line, col, str(exc)) from None
+        raise ParseError(str(exc), line, col) from None
 
 
-def _field_from_words(words: List[str], line: int, col: int) -> Field:
+def _field_from_words(words: List[str], line: Optional[int],
+                      col: Optional[int]) -> Field:
     head = words[0].lower()
     if head in ("rationals", "q", "qq"):
         return Field.rationals()
     if head in ("fp", "gf", "f"):
         if len(words) < 2 or not words[1].isdigit():
-            raise ParseError(line, col, "prime field needs a prime, e.g. 'fp 5'")
+            raise ParseError("prime field needs a prime, e.g. 'fp 5'", line, col)
         return _prime_field(int(words[1]), line, col)
     m = re.fullmatch(r"[fF](\d+)", words[0])
     if m:
         return _prime_field(int(m.group(1)), line, col)
-    raise ParseError(line, col, f"unknown field {' '.join(words)!r}")
+    raise ParseError(f"unknown field {' '.join(words)!r}", line, col)
 
 
 def field_from_string(text: str) -> Field:
-    return _field_from_words(text.replace("_", " ").split(), 0, 0)
+    return _field_from_words(text.replace("_", " ").split(), None, None)
 
 
 def _split_terms(expr: str, line: int, base_col: int):
@@ -82,12 +83,12 @@ def _split_terms(expr: str, line: int, base_col: int):
             j += 1
         piece = expr[i:j].strip()
         if not piece:
-            raise ParseError(line, base_col + i + 1, "empty relation term")
+            raise ParseError("empty relation term", line, base_col + i + 1)
         terms.append((sign, piece, base_col + i + 1))
         sign = 1
         i = j
     if not terms:
-        raise ParseError(line, base_col + 1, "relation has no terms")
+        raise ParseError("relation has no terms", line, base_col + 1)
     return terms
 
 
@@ -109,38 +110,38 @@ def parse_algebra_text(text: str, default_field: Optional[Field] = None,
         key = words[0].lower()
         if key == "field":
             if len(words) < 2:
-                raise ParseError(lineno, col, "field needs an argument")
+                raise ParseError("field needs an argument", lineno, col)
             field = _field_from_words(words[1:], lineno, col)
         elif key == "vertices":
             if len(words) != 2 or not words[1].isdigit():
-                raise ParseError(lineno, col, "vertices needs a count")
+                raise ParseError("vertices needs a count", lineno, col)
             n_vertices = int(words[1])
         elif key == "arrow":
             body = stripped[len("arrow"):].strip()
             m = re.fullmatch(r"([A-Za-z_]\w*)\s*:\s*(\d+)\s*->\s*(\d+)", body)
             if not m:
-                raise ParseError(lineno, col,
-                                 "arrow syntax is 'arrow name: u -> v'")
+                raise ParseError("arrow syntax is 'arrow name: u -> v'",
+                                 lineno, col)
             arrows.append((m.group(1), int(m.group(2)), int(m.group(3))))
         elif key == "relation":
             raw_relations.append((lineno, col, stripped[len("relation"):]))
         elif key == "nilpotency":
             if len(words) != 2 or not words[1].isdigit():
-                raise ParseError(lineno, col, "nilpotency needs an integer")
+                raise ParseError("nilpotency needs an integer", lineno, col)
             nilpotency = int(words[1])
         else:
-            raise ParseError(lineno, col, f"unknown directive {words[0]!r}")
+            raise ParseError(f"unknown directive {words[0]!r}", lineno, col)
 
     if field is None:
         env = os.environ.get("PERIODICA_FIELD")
         if env:
             field = field_from_string(env)
     if field is None:
-        raise ParseError(0, 0, "no 'field' line (and PERIODICA_FIELD unset)")
+        raise ParseError("no 'field' line (and PERIODICA_FIELD unset)")
     if n_vertices is None:
-        raise ParseError(0, 0, "missing 'vertices' line")
+        raise ParseError("missing 'vertices' line")
     if nilpotency is None:
-        raise ParseError(0, 0, "missing 'nilpotency' line")
+        raise ParseError("missing 'nilpotency' line")
     quiver = Quiver(n_vertices, arrows)
 
     relations = []
@@ -157,28 +158,27 @@ def parse_algebra_text(text: str, default_field: Optional[Field] = None,
                     try:
                         coeff = coeff * Fraction(head)
                     except ZeroDivisionError:
-                        raise ParseError(lineno, col, f"coefficient {head} "
-                                         "has a zero denominator") from None
+                        raise ParseError(f"coefficient {head} has a zero "
+                                         "denominator", lineno, col) from None
                     word = rest
             names = [w.strip() for w in word.split("*")]
             if any(not w for w in names):
-                raise ParseError(lineno, col, f"malformed word {piece!r}")
+                raise ParseError(f"malformed word {piece!r}", lineno, col)
             for w in names:
                 if w not in quiver.by_name:
-                    raise ParseError(lineno, col, f"unknown arrow {w!r}")
+                    raise ParseError(f"unknown arrow {w!r}", lineno, col)
             try:
                 coeff = field.coerce(coeff)
             except ZeroDivisionError:
-                raise ParseError(lineno, col,
-                                 f"coefficient {coeff} has a denominator "
-                                 f"divisible by {field.p}") from None
+                raise ParseError(f"coefficient {coeff} has a denominator "
+                                 f"divisible by {field.p}", lineno, col) from None
             rel.append((coeff, names))
         relations.append(rel)
     try:
         return AlgebraPresentation(quiver, field, relations, nilpotency,
                                    label=label)
     except PreconditionError as exc:
-        raise ParseError(0, 0, str(exc))
+        raise ParseError(str(exc))
 
 
 def _read_text(path: str) -> str:
@@ -189,9 +189,9 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         reason = exc.strerror or type(exc).__name__
-        raise ParseError(0, 0, f"cannot read {path}: {reason}") from None
+        raise ParseError(f"cannot read {path}: {reason}") from None
     except UnicodeDecodeError as exc:
-        raise ParseError(0, 0, f"cannot read {path}: not UTF-8 text "
+        raise ParseError(f"cannot read {path}: not UTF-8 text "
                          f"(byte {exc.start})") from None
 
 
@@ -221,7 +221,7 @@ def parse_module_expr(alg: FinDimAlgebra, expr: str) -> Rep:
     for piece in expr.split("+"):
         m = _MODULE_TOKEN.fullmatch(piece)
         if not m:
-            raise ParseError(0, 0, f"bad module term {piece.strip()!r}")
+            raise ParseError(f"bad module term {piece.strip()!r}")
         kind = m.group("kind")
         mult = int(m.group("mult") or 1)
         args = [int(x) for x in (m.group("args") or "").replace(" ", "").split(",")
@@ -232,18 +232,17 @@ def parse_module_expr(alg: FinDimAlgebra, expr: str) -> Rep:
             M = Rep.regular(alg)
         elif kind in "PSI":
             if len(args) != 1:
-                raise ParseError(0, 0, f"{kind}(v) needs one vertex")
+                raise ParseError(f"{kind}(v) needs one vertex")
             v = args[0]
             if not (1 <= v <= alg.quiver.n):
-                raise ParseError(0, 0, f"vertex {v} out of range")
+                raise ParseError(f"vertex {v} out of range")
             M = {"P": Rep.projective, "S": Rep.simple,
                  "I": Rep.injective}[kind](alg, v)
         else:
             if len(args) != 2:
-                raise ParseError(0, 0, "M(a,l) needs two arguments")
+                raise ParseError("M(a,l) needs two arguments")
             if not is_cyclic_nakayama(alg):
-                raise ParseError(0, 0,
-                                 "M(a,l) needs a cyclic Nakayama algebra")
+                raise ParseError("M(a,l) needs a cyclic Nakayama algebra")
             M = serial_module(alg, args[0], args[1])
         parts.extend([M] * mult)
     if not parts:
@@ -261,17 +260,17 @@ def _parse_entry(field: Field, x, what: str):
         try:
             return field.parse(x)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(0, 0, f"{what}: entry {x!r} is not a scalar "
+            raise ParseError(f"{what}: entry {x!r} is not a scalar "
                              f"of {field}") from None
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ParseError(0, 0, f"matrix entries must be ints or strings, got {x!r}")
+        raise ParseError(f"matrix entries must be ints or strings, got {x!r}")
     return field.coerce(x)
 
 
 def _parse_matrix(field: Field, rows, nrows, ncols, what: str) -> Mat:
     if not isinstance(rows, list) or len(rows) != nrows or \
             any(not isinstance(r, list) or len(r) != ncols for r in rows):
-        raise ParseError(0, 0, f"{what}: need a {nrows}x{ncols} matrix")
+        raise ParseError(f"{what}: need a {nrows}x{ncols} matrix")
     return Mat.from_rows(field, [[_parse_entry(field, x, what) for x in r]
                                  for r in rows]) if nrows else \
         Mat.zeros(field, 0, ncols)
@@ -285,14 +284,14 @@ def _module_from_spec(alg: FinDimAlgebra, spec) -> Rep:
     if isinstance(spec, str):
         return parse_module_expr(alg, spec)
     if not isinstance(spec, dict):
-        raise ParseError(0, 0, "module spec must be a name or an object")
+        raise ParseError("module spec must be a name or an object")
     dims = spec.get("dims")
     if not isinstance(dims, list) or len(dims) != alg.quiver.n or \
             any(not _is_count(d) for d in dims):
-        raise ParseError(0, 0, "module dims must list one size per vertex")
+        raise ParseError("module dims must list one size per vertex")
     arrows = spec.get("arrows", {})
     if not isinstance(arrows, dict):
-        raise ParseError(0, 0, "module arrows must map arrow names to matrices")
+        raise ParseError("module arrows must map arrow names to matrices")
     act = []
     for i, a in enumerate(alg.quiver.arrows):
         nr, nc = dims[a.source - 1], dims[a.target - 1]
@@ -305,7 +304,7 @@ def _module_from_spec(alg: FinDimAlgebra, spec) -> Rep:
         M = Rep(alg, dims, act)
         M.check_relations()
     except PreconditionError as exc:
-        raise ParseError(0, 0, f"invalid module: {exc}")
+        raise ParseError(f"invalid module: {exc}")
     return M
 
 
@@ -316,19 +315,19 @@ def load_complex(alg: FinDimAlgebra, doc: dict) -> PeriodicComplex:
     to component i+1 (target rows, source columns); omitted or null means 0.
     """
     if not isinstance(doc, dict):
-        raise ParseError(0, 0, "complex document must be an object")
+        raise ParseError("complex document must be an object")
     m = doc.get("period")
     if not _is_count(m) or m < 1:
-        raise ParseError(0, 0, "period must be a positive integer")
+        raise ParseError("period must be a positive integer")
     specs = doc.get("modules")
     if not isinstance(specs, list) or len(specs) != m:
-        raise ParseError(0, 0, f"need exactly {m} modules")
+        raise ParseError(f"need exactly {m} modules")
     comps = [_module_from_spec(alg, s) for s in specs]
     raw_diffs = doc.get("differentials")
     if raw_diffs is None:
         raw_diffs = [None] * m
     if not isinstance(raw_diffs, list) or len(raw_diffs) != m:
-        raise ParseError(0, 0, f"need exactly {m} differentials")
+        raise ParseError(f"need exactly {m} differentials")
     diffs = []
     for i, d in enumerate(raw_diffs):
         src, tgt = comps[i], comps[(i + 1) % m]
@@ -336,8 +335,7 @@ def load_complex(alg: FinDimAlgebra, doc: dict) -> PeriodicComplex:
             diffs.append(Morphism.zero(src, tgt))
             continue
         if not isinstance(d, list) or len(d) != alg.quiver.n:
-            raise ParseError(0, 0,
-                             f"differential {i}: need one block per vertex")
+            raise ParseError(f"differential {i}: need one block per vertex")
         blocks = []
         for v in range(alg.quiver.n):
             nr, nc = tgt.dims[v], src.dims[v]
@@ -350,16 +348,16 @@ def load_complex(alg: FinDimAlgebra, doc: dict) -> PeriodicComplex:
     try:
         return PeriodicComplex(alg, m, comps, diffs)
     except PreconditionError as exc:
-        raise ParseError(0, 0, f"invalid complex: {exc}")
+        raise ParseError(f"invalid complex: {exc}")
 
 
 def _load_json_object(path: str) -> dict:
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
-        raise ParseError(exc.lineno, exc.colno, exc.msg)
+        raise ParseError(exc.msg, exc.lineno, exc.colno)
     if not isinstance(doc, dict):
-        raise ParseError(0, 0, "the document must be a JSON object")
+        raise ParseError("the document must be a JSON object")
     return doc
 
 
@@ -371,7 +369,7 @@ def load_complex_file(alg: Optional[FinDimAlgebra], path: str
     if alg is None:
         ref = doc.get("algebra")
         if not isinstance(ref, str):
-            raise ParseError(0, 0, "no algebra given and none embedded")
+            raise ParseError("no algebra given and none embedded")
         apath = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
         alg = load_algebra(apath)
     return load_complex(alg, doc)
@@ -386,7 +384,7 @@ def load_chain_map_file(alg: FinDimAlgebra, path: str
     W = load_complex(alg, doc.get("target"))
     raw = doc.get("components")
     if not isinstance(raw, list) or len(raw) != V.m:
-        raise ParseError(0, 0, f"need exactly {V.m} components")
+        raise ParseError(f"need exactly {V.m} components")
     comps = []
     for i, blocks_raw in enumerate(raw):
         src, tgt = V.comps[i], W.comps[i]
@@ -394,9 +392,9 @@ def load_chain_map_file(alg: FinDimAlgebra, path: str
             comps.append(Morphism.zero(src, tgt))
             continue
         if not isinstance(blocks_raw, list):
-            raise ParseError(0, 0, f"component {i}: need a list of blocks")
+            raise ParseError(f"component {i}: need a list of blocks")
         if len(blocks_raw) != alg.quiver.n:
-            raise ParseError(0, 0, f"component {i}: need one block per vertex "
+            raise ParseError(f"component {i}: need one block per vertex "
                              f"({alg.quiver.n}), got {len(blocks_raw)}")
         blocks = []
         for v, entry in enumerate(blocks_raw):
@@ -407,7 +405,7 @@ def load_chain_map_file(alg: FinDimAlgebra, path: str
         comps.append(Morphism(src, tgt, blocks))
     f = GradedMorphism(V, W, 0, comps)
     if not f.is_closed():
-        raise ParseError(0, 0, "components do not define a chain map")
+        raise ParseError("components do not define a chain map")
     return f
 
 

@@ -216,7 +216,8 @@ class Mat:
     def kernel_basis(self) -> "Mat":
         """Columns form a basis of the null space {x : A x = 0}."""
         R, piv = self.rref()
-        free = [j for j in range(self.cols) if j not in set(piv)]
+        pivots = set(piv)
+        free = [j for j in range(self.cols) if j not in pivots]
         out = Mat.zeros(self.field, self.cols, len(free))
         one = self.field.one()
         neg = self.field.neg
@@ -287,7 +288,8 @@ def quotient(ambient_dim: int, sub: Mat) -> Tuple[int, Mat]:
     if sub.rows != ambient_dim:
         raise ValueError("subspace columns must live in the ambient space")
     R, piv = sub.transpose().rref()
-    free = [j for j in range(ambient_dim) if j not in set(piv)]
+    pivots = set(piv)
+    free = [j for j in range(ambient_dim) if j not in pivots]
     dim = len(free)
     field = sub.field
     proj = Mat.zeros(field, dim, ambient_dim)

@@ -112,9 +112,8 @@ class Rep:
 
     @classmethod
     def regular(cls, algebra: FinDimAlgebra) -> "Rep":
-        parts = [cls.projective(algebra, v)
-                 for v in range(1, algebra.quiver.n + 1)]
-        return direct_sum(parts)[0]
+        return _block_sum([cls.projective(algebra, v)
+                           for v in range(1, algebra.quiver.n + 1)])
 
     # -- basics ----------------------------------------------------------------
 
@@ -268,19 +267,16 @@ def morphism_from_flat(M: Rep, N: Rep, flat: Sequence) -> Morphism:
     return Morphism(M, N, blocks)
 
 
-def direct_sum(parts: Sequence[Rep]) -> Tuple[Rep, List[Morphism], List[Morphism]]:
-    """Direct sum with its canonical injections and projections."""
+def _block_sum(parts: Sequence[Rep]) -> Rep:
+    """The direct sum of ``parts`` alone: each arrow acts block-diagonally,
+    one block per part in order.  For callers that need no injections or
+    projections."""
     if not parts:
         raise PreconditionError("direct_sum needs at least one part")
     alg = parts[0].algebra
     f = alg.field
     q = alg.quiver
     dims = [sum(p.dims[v] for p in parts) for v in range(q.n)]
-    offsets = []
-    run = [0] * q.n
-    for p in parts:
-        offsets.append(tuple(run))
-        run = [run[v] + p.dims[v] for v in range(q.n)]
     act = []
     for ai, a in enumerate(q.arrows):
         m = Mat.zeros(f, dims[a.source - 1], dims[a.target - 1])
@@ -293,44 +289,32 @@ def direct_sum(parts: Sequence[Rep]) -> Tuple[Rep, List[Morphism], List[Morphism
             ro += blk.rows
             co += blk.cols
         act.append(m)
-    S = Rep(alg, dims, act)
+    return Rep(alg, dims, act)
+
+
+def direct_sum(parts: Sequence[Rep]) -> Tuple[Rep, List[Morphism], List[Morphism]]:
+    """Direct sum (``_block_sum``) with its canonical injections and
+    projections."""
+    S = _block_sum(parts)
+    f, dims = S.field, S.dims
+    n = len(dims)
+    run = [0] * n
     injs, projs = [], []
-    for idx, p in enumerate(parts):
+    for p in parts:
         iblocks, pblocks = [], []
-        for v in range(q.n):
+        for v in range(n):
             inj = Mat.zeros(f, dims[v], p.dims[v])
             pro = Mat.zeros(f, p.dims[v], dims[v])
-            off = offsets[idx][v]
+            off = run[v]
             for i in range(p.dims[v]):
                 inj.data[(off + i) * p.dims[v] + i] = f.one()
                 pro.data[i * dims[v] + off + i] = f.one()
             iblocks.append(inj)
             pblocks.append(pro)
+        run = [run[v] + p.dims[v] for v in range(n)]
         injs.append(Morphism(p, S, iblocks))
         projs.append(Morphism(S, p, pblocks))
     return S, injs, projs
-
-
-def stack_into_sum(maps: Sequence[Morphism], target_sum: Rep,
-                   injections: Sequence[Morphism]) -> Morphism:
-    """Combine f_i: M -> T_i into (f_i): M -> sum T_i."""
-    total = None
-    for f, inj in zip(maps, injections):
-        g = inj @ f
-        total = g if total is None else total + g
-    assert total is not None
-    return Morphism(maps[0].source, target_sum, total.blocks)
-
-
-def combine_from_sum(maps: Sequence[Morphism], source_sum: Rep,
-                     projections: Sequence[Morphism]) -> Morphism:
-    """Combine f_i: S_i -> N into [f_i]: sum S_i -> N."""
-    total = None
-    for f, pro in zip(maps, projections):
-        g = f @ pro
-        total = g if total is None else total + g
-    assert total is not None
-    return Morphism(source_sum, maps[0].target, total.blocks)
 
 
 # -- hom spaces -------------------------------------------------------------
@@ -527,7 +511,18 @@ def socle_subspaces(M: Rep) -> List[Mat]:
 
 
 def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
-    """The projective cover P(M) ->> M (zero module gets the zero cover)."""
+    """The projective cover P(M) ->> M (zero module gets the zero cover).
+
+    P(M) has one summand P(v) = e_v A per top generator at v, ordered by
+    vertex and then generator; P(v) is built once per vertex and the sum
+    by ``_block_sum``.  The columns g_1..g_t of the lift L_v of top(M)_v
+    are the generators, and the basis walk w (ending at v) of the r-th
+    P(v) maps to rho(w) g_r.  No rho(w) is formed: the images
+    rho(s) L_v of the arrow suffixes s of the walks are memoised for the
+    call, image(()) = L_v and image((a,) + s) = act[a] @ image(s), one
+    d x t product per distinct suffix, and each block of the map is read
+    off column r of those images, basis elements in algebra order.
+    """
     alg = M.algebra
     q = alg.quiver
     f = alg.field
@@ -535,43 +530,40 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
         Z = Rep.zero(alg)
         return Z, Morphism.zero(Z, M)
     top, proj = top_of(M)
-    lifts: Dict[int, Mat] = {}
-    for v in range(q.n):
-        t = top.dims[v]
-        if t:
-            L = proj.blocks[v].solve_matrix(Mat.identity(f, t))
-            assert L is not None
-            lifts[v] = L
+    # nonempty suffixes end at their vertex v, so one memo serves every v
+    # once image(()) is reset to L_v
+    images: Dict[Walk, Mat] = {}
+
+    def image(s: Walk) -> Mat:
+        m = images.get(s)
+        if m is None:
+            m = images[s] = M.act[s[0]] @ image(s[1:])
+        return m
+
     parts: List[Rep] = []
-    gens: List[Tuple[int, Mat]] = []  # (vertex index, generator column in M)
+    # cols[w]: the columns of the block at vertex w, in the order of
+    # P(M)'s basis there
+    cols: List[list] = [[] for _ in range(q.n)]
     for v in range(q.n):
         t = top.dims[v]
-        for r in range(t):
-            parts.append(Rep.projective(alg, v + 1))
-            gens.append((v, lifts[v].take_cols([r])))
-    P, injs, projs = direct_sum(parts)
-    maps = []
-    for part, (v, gcol) in zip(parts, gens):
-        # basis of P(v+1) at vertex w: algebra basis elements b with target v+1
-        local: Dict[int, List[int]] = {u: [] for u in range(q.n)}
+        if not t:
+            continue
+        L = proj.blocks[v].solve_matrix(Mat.identity(f, t))
+        assert L is not None
+        images[()] = L
+        walks: List[list] = [[] for _ in range(q.n)]
         for i in range(alg.dim):
             if alg.target[i] == v + 1:
-                local[alg.source[i] - 1].append(i)
-        blocks = []
-        for w in range(q.n):
-            cols = []
-            for bi in local[w]:
-                col = M.rho(alg.basis[bi]) @ gcol
-                cols.append(col)
-            if cols:
-                m = cols[0]
-                for cmat in cols[1:]:
-                    m = m.hstack(cmat)
-            else:
-                m = Mat.zeros(f, M.dims[w], 0)
-            blocks.append(m)
-        maps.append(Morphism(part, M, blocks))
-    phi = combine_from_sum(maps, P, projs)
+                walks[alg.source[i] - 1].append(image(alg.basis[i][1:]))
+        parts.extend([Rep.projective(alg, v + 1)] * t)
+        for r in range(t):
+            for w in range(q.n):
+                cols[w].extend(m.col_list(r) for m in walks[w])
+    P = _block_sum(parts)
+    phi = Morphism(P, M, [
+        Mat(f, M.dims[w], len(cw),
+            [c[i] for i in range(M.dims[w]) for c in cw])
+        for w, cw in enumerate(cols)])
     for v in range(q.n):
         if phi.blocks[v].rank() != M.dims[v]:
             raise PreconditionError("projective cover failed to surject")
@@ -599,7 +591,19 @@ def syzygy(M: Rep) -> Rep:
 
 
 def injective_envelope(M: Rep) -> Tuple[Rep, Morphism]:
-    """The minimal embedding M >-> I(M), built from socle-dual functionals."""
+    """The minimal embedding M >-> I(M), built from socle-dual functionals.
+
+    I(M) has one summand I(v) = D(A e_v) per socle functional at v,
+    ordered by vertex and then functional; I(v) is built once per vertex
+    and the sum by ``_block_sum``.  The rows f_1..f_s of F_v (with
+    F_v @ soc(M)_v = identity) are the functionals, and the dual of the
+    basis walk w (starting at v) in the r-th I(v) takes x to f_r rho(w) x.
+    No rho(w) is formed: the images F_v rho(s) of the arrow prefixes s of
+    the walks are memoised for the call, image(()) = F_v and
+    image(s + (a,)) = image(s) @ act[a], one s x d product per distinct
+    prefix, and each block of the map is read off row r of those images,
+    basis elements in algebra order.
+    """
     alg = M.algebra
     q = alg.quiver
     f = alg.field
@@ -607,38 +611,42 @@ def injective_envelope(M: Rep) -> Tuple[Rep, Morphism]:
         Z = Rep.zero(alg)
         return Z, Morphism.zero(M, Z)
     soc = socle_subspaces(M)
+    # nonempty prefixes start at their vertex v, so one memo serves every v
+    # once image(()) is reset to F_v
+    images: Dict[Walk, Mat] = {}
+
+    def image(s: Walk) -> Mat:
+        m = images.get(s)
+        if m is None:
+            m = images[s] = image(s[:-1]) @ M.act[s[-1]]
+        return m
+
     parts: List[Rep] = []
-    functionals: List[Tuple[int, Mat]] = []  # (vertex v-1, row functional on M_v)
+    # rows[w]: the rows of the block at vertex w, in the order of I(M)'s
+    # basis there
+    rows: List[list] = [[] for _ in range(q.n)]
     for v in range(q.n):
-        s = soc[v].cols
-        if s == 0:
+        k = soc[v].cols
+        if k == 0:
             continue
         # rows F with F @ soc_basis = identity: dual functionals on the socle
-        Ft = soc[v].transpose().solve_matrix(Mat.identity(f, s))
+        Ft = soc[v].transpose().solve_matrix(Mat.identity(f, k))
         assert Ft is not None
-        F = Ft.transpose()
-        for r in range(s):
-            parts.append(Rep.injective(alg, v + 1))
-            functionals.append((v, Mat(f, 1, M.dims[v], F.row_list(r))))
-    if not parts:
-        raise PreconditionError("nonzero module with zero socle")
-    I, injs, projs = direct_sum(parts)
-    maps = []
-    for part, (v, frow) in zip(parts, functionals):
-        local: Dict[int, List[int]] = {u: [] for u in range(q.n)}
+        images[()] = Ft.transpose()
+        walks: List[list] = [[] for _ in range(q.n)]
         for i in range(alg.dim):
             if alg.source[i] == v + 1:
-                local[alg.target[i] - 1].append(i)
-        blocks = []
-        for w in range(q.n):
-            rows = []
-            for bi in local[w]:
-                # value of the functional after flowing along the walk
-                rows.append((frow @ M.rho(alg.basis[bi])).row_list(0))
-            blocks.append(Mat.from_rows(f, rows) if rows
-                          else Mat.zeros(f, 0, M.dims[w]))
-        maps.append(Morphism(M, part, blocks))
-    phi = stack_into_sum(maps, I, injs)
+                walks[alg.target[i] - 1].append(image(alg.basis[i][1:]))
+        parts.extend([Rep.injective(alg, v + 1)] * k)
+        for r in range(k):
+            for w in range(q.n):
+                rows[w].extend(m.row_list(r) for m in walks[w])
+    if not parts:
+        raise PreconditionError("nonzero module with zero socle")
+    I = _block_sum(parts)
+    phi = Morphism(M, I, [
+        Mat(f, len(rw), M.dims[w], [x for row in rw for x in row])
+        for w, rw in enumerate(rows)])
     for v in range(q.n):
         if phi.blocks[v].kernel_basis().cols != 0:
             raise PreconditionError("injective envelope failed to embed")
@@ -999,4 +1007,4 @@ def strip_projective_summands(M: Rep, seed: int = 0) -> Tuple[Rep, List[Rep]]:
             kept.append(s)
     if not kept:
         return Rep.zero(alg), stripped
-    return direct_sum(kept)[0], stripped
+    return _block_sum(kept), stripped

@@ -41,8 +41,8 @@ def builtin_algebra(name: str, field: Optional[Field] = None) -> FinDimAlgebra:
                 return [int(x) for x in parts]
             except ValueError:
                 pass
-        raise ParseError(0, 0, f"malformed builtin algebra {name!r}: "
-                               f"expected {count} integer(s) in {text!r}")
+        raise ParseError(f"malformed builtin algebra {name!r}: "
+                         f"expected {count} integer(s) in {text!r}")
 
     if name.lower().startswith("ka"):
         return linear_a(*integers(name[2:], 1), field)

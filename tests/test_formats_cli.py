@@ -47,6 +47,18 @@ def test_parse_prime_field():
     assert build_algebra(pres).dim == 2
 
 
+def test_python_dash_m_runs_the_cli():
+    import periodica
+    src = os.path.dirname(os.path.dirname(periodica.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "periodica", "algebra", "show", "--name",
+         "kA2"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"]["dimension"] == 3
+
+
 def test_parse_fraction_coefficients():
     pres = parse_algebra_text(
         "field rationals\nvertices 1\narrow x: 1 -> 1\n"
@@ -69,6 +81,28 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_algebra_text("field rationals\nvertices 2\nbogus line here\n")
     assert exc.value.line == 3
+
+
+def test_parse_errors_without_a_place_carry_none():
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_text("vertices 2\nnilpotency 2")
+    assert (exc.value.line, exc.value.col) == (None, None)
+    assert str(exc.value) == "no 'field' line (and PERIODICA_FIELD unset)"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["period", "algebra", "--name", "N(3,2)", "--bound", "0"],
+     "parse error: --bound must be a positive integer, got '0'\n"),
+    (["period", "algebra", "--name", "kAx"],
+     "parse error: malformed builtin algebra 'kAx': expected 1 integer(s) "
+     "in 'x'\n"),
+    (["algebra", "show", "--name", "kA2", "--field", "fp 4"],
+     "parse error: characteristic must be prime, got 4\n"),
+])
+def test_cli_value_errors_name_no_location(capsys, argv, err):
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == err
 
 
 def test_relation_denominator_vanishing_mod_p():

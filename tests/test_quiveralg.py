@@ -5,8 +5,9 @@ import random
 import pytest
 
 from periodica.common import PreconditionError
-from periodica.families import (dual_numbers, enveloping, linear_a, nakayama,
-                                semisimple_product, serial_module)
+from periodica.families import (all_intervals, dual_numbers, enveloping,
+                                linear_a, nakayama, semisimple_product,
+                                serial_module)
 from periodica.fields import Field, QQ
 from periodica.formats import load_algebra
 from periodica.linalg import Mat
@@ -16,7 +17,7 @@ from periodica.quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
 from periodica.rep import (Morphism, Rep, decompose, direct_sum,
                            global_dimension, hom_space, indecomposable_q,
                            injective_envelope, iso_q, projective_cover,
-                           syzygy)
+                           socle_subspaces, syzygy, top_of)
 
 
 def test_build_ka2_dimension(a2):
@@ -303,3 +304,119 @@ def test_enveloping_validation_is_linear_in_dim(monkeypatch):
     E, _ = enveloping(alg)
     assert E.dim == 625 and E.quiver.n == 25
     assert calls[0] <= 8 * (E.dim + E.quiver.n ** 2)
+
+
+# -- covers and envelopes against a rebuild from rho ---------------------------
+
+
+def _stack(start, pieces, join):
+    for m in pieces:
+        start = join(start, m)
+    return start
+
+
+def _oracle_cover(M):
+    """P(M) and phi from the full products rho(w) @ g, one summand per
+    generator, the blocks of phi stacked column by column."""
+    alg, f, n = M.algebra, M.field, M.algebra.quiver.n
+    top, proj = top_of(M)
+    parts, cols = [], [[] for _ in range(n)]
+    for v in range(n):
+        t = top.dims[v]
+        L = proj.blocks[v].solve_matrix(Mat.identity(f, t)) if t else None
+        for r in range(t):
+            parts.append(Rep.projective(alg, v + 1))
+            g = L.take_cols([r])
+            for i in range(alg.dim):
+                if alg.target[i] == v + 1:
+                    cols[alg.source[i] - 1].append(M.rho(alg.basis[i]) @ g)
+    return (direct_sum(parts)[0],
+            [_stack(Mat.zeros(f, M.dims[w], 0), cols[w], Mat.hstack)
+             for w in range(n)])
+
+
+def _oracle_envelope(M):
+    """I(M) and iota from the full products f_r @ rho(w), one summand per
+    socle functional, the blocks of iota stacked row by row."""
+    alg, f, n = M.algebra, M.field, M.algebra.quiver.n
+    soc = socle_subspaces(M)
+    parts, rows = [], [[] for _ in range(n)]
+    for v in range(n):
+        k = soc[v].cols
+        if not k:
+            continue
+        F = soc[v].transpose().solve_matrix(Mat.identity(f, k)).transpose()
+        for r in range(k):
+            parts.append(Rep.injective(alg, v + 1))
+            fr = Mat(f, 1, M.dims[v], F.row_list(r))
+            for i in range(alg.dim):
+                if alg.source[i] == v + 1:
+                    rows[alg.target[i] - 1].append(fr @ M.rho(alg.basis[i]))
+    return (direct_sum(parts)[0],
+            [_stack(Mat.zeros(f, 0, M.dims[w]), rows[w], Mat.vstack)
+             for w in range(n)])
+
+
+def _oracle_modules(field):
+    # the sums have several generators (functionals) at one vertex, which
+    # fixes their order in the cover (envelope)
+    n44 = nakayama(4, 4, field)
+    mods = [serial_module(n44, a, l) for a in range(1, 5) for l in (1, 2, 4)]
+    mods.append(direct_sum([serial_module(n44, a, l) for a, l in
+                            ((1, 2), (1, 3), (2, 2), (3, 1))])[0])
+    mods += [M for _, M in all_intervals(linear_a(3, field))]
+    for m, n in ((3, 2), (4, 4)):
+        om = syzygy(enveloping(nakayama(m, n, field))[1])
+        mods += [om, direct_sum([om, om])[0]]
+    return mods
+
+
+@pytest.mark.parametrize("p", [0, 2, 4294967311])
+def test_cover_and_envelope_match_rho_rebuild(p):
+    for M in _oracle_modules(Field(p)):
+        P, phi = projective_cover(M)
+        want_P, want_phi = _oracle_cover(M)
+        assert P == want_P and list(phi.blocks) == want_phi
+        assert phi.source is P and phi.target is M and phi.is_intertwiner()
+        I, iota = injective_envelope(M)
+        want_I, want_iota = _oracle_envelope(M)
+        assert I == want_I and list(iota.blocks) == want_iota
+        assert iota.source is M and iota.target is I
+        assert iota.is_intertwiner()
+
+
+def _count_products(monkeypatch, fn, *args):
+    calls = [0]
+    matmul = Mat.__matmul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return matmul(a, b)
+    with monkeypatch.context() as patched:
+        patched.setattr(Mat, "__matmul__", counted)
+        fn(*args)
+    return calls[0]
+
+
+def test_cover_takes_one_product_per_walk(monkeypatch):
+    # one d x t product per basis walk into a top vertex (every suffix of a
+    # walk of this monomial algebra is a basis walk) plus top_of's two per
+    # arrow; forming every rho(w) took 324 here
+    E, A = enveloping(nakayama(4, 4, QQ))
+    M = syzygy(A)
+    tops = {v + 1 for v, t in enumerate(top_of(M)[0].dims) if t}
+    walks = sum(1 for i, w in enumerate(E.basis)
+                if len(w) > 1 and E.target[i] in tops)
+    assert _count_products(monkeypatch, projective_cover, M) \
+        <= walks + 2 * len(E.quiver.arrows)
+
+
+def test_envelope_takes_one_product_per_walk(monkeypatch):
+    # one s x d product per basis walk out of a socle vertex: basis walks
+    # are closed under prefixes; forming every rho(w) took 260 here
+    E, A = enveloping(nakayama(4, 4, QQ))
+    M = syzygy(A)
+    socs = {v + 1 for v, b in enumerate(socle_subspaces(M)) if b.cols}
+    walks = sum(1 for i, w in enumerate(E.basis)
+                if len(w) > 1 and E.source[i] in socs)
+    assert _count_products(monkeypatch, injective_envelope, M) <= walks
