@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .common import PreconditionError, Trunc
@@ -112,8 +113,8 @@ class Rep:
 
     @classmethod
     def regular(cls, algebra: FinDimAlgebra) -> "Rep":
-        return _block_sum([cls.projective(algebra, v)
-                           for v in range(1, algebra.quiver.n + 1)])
+        return block_sum([cls.projective(algebra, v)
+                          for v in range(1, algebra.quiver.n + 1)])
 
     # -- basics ----------------------------------------------------------------
 
@@ -267,7 +268,7 @@ def morphism_from_flat(M: Rep, N: Rep, flat: Sequence) -> Morphism:
     return Morphism(M, N, blocks)
 
 
-def _block_sum(parts: Sequence[Rep]) -> Rep:
+def block_sum(parts: Sequence[Rep]) -> Rep:
     """The direct sum of ``parts`` alone: each arrow acts block-diagonally,
     one block per part in order.  For callers that need no injections or
     projections."""
@@ -293,9 +294,9 @@ def _block_sum(parts: Sequence[Rep]) -> Rep:
 
 
 def direct_sum(parts: Sequence[Rep]) -> Tuple[Rep, List[Morphism], List[Morphism]]:
-    """Direct sum (``_block_sum``) with its canonical injections and
+    """Direct sum (``block_sum``) with its canonical injections and
     projections."""
-    S = _block_sum(parts)
+    S = block_sum(parts)
     f, dims = S.field, S.dims
     n = len(dims)
     run = [0] * n
@@ -515,7 +516,7 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
 
     P(M) has one summand P(v) = e_v A per top generator at v, ordered by
     vertex and then generator; P(v) is built once per vertex and the sum
-    by ``_block_sum``.  The columns g_1..g_t of the lift L_v of top(M)_v
+    by ``block_sum``.  The columns g_1..g_t of the lift L_v of top(M)_v
     are the generators, and the basis walk w (ending at v) of the r-th
     P(v) maps to rho(w) g_r.  No rho(w) is formed: the images
     rho(s) L_v of the arrow suffixes s of the walks are memoised for the
@@ -559,7 +560,7 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
         for r in range(t):
             for w in range(q.n):
                 cols[w].extend(m.col_list(r) for m in walks[w])
-    P = _block_sum(parts)
+    P = block_sum(parts)
     phi = Morphism(P, M, [
         Mat(f, M.dims[w], len(cw),
             [c[i] for i in range(M.dims[w]) for c in cw])
@@ -595,7 +596,7 @@ def injective_envelope(M: Rep) -> Tuple[Rep, Morphism]:
 
     I(M) has one summand I(v) = D(A e_v) per socle functional at v,
     ordered by vertex and then functional; I(v) is built once per vertex
-    and the sum by ``_block_sum``.  The rows f_1..f_s of F_v (with
+    and the sum by ``block_sum``.  The rows f_1..f_s of F_v (with
     F_v @ soc(M)_v = identity) are the functionals, and the dual of the
     basis walk w (starting at v) in the r-th I(v) takes x to f_r rho(w) x.
     No rho(w) is formed: the images F_v rho(s) of the arrow prefixes s of
@@ -643,7 +644,7 @@ def injective_envelope(M: Rep) -> Tuple[Rep, Morphism]:
                 rows[w].extend(m.row_list(r) for m in walks[w])
     if not parts:
         raise PreconditionError("nonzero module with zero socle")
-    I = _block_sum(parts)
+    I = block_sum(parts)
     phi = Morphism(M, I, [
         Mat(f, len(rw), M.dims[w], [x for row in rw for x in row])
         for w, rw in enumerate(rows)])
@@ -856,7 +857,8 @@ def iso_q(M: Rep, N: Rep, seed: int = 0) -> bool:
 
 
 def _minimal_poly_roots(A: Mat, seed: int) -> List:
-    """Rational roots of the Krylov minimal polynomial of a square matrix."""
+    """Roots in the base field of the Krylov minimal polynomial of a square
+    matrix, in increasing order."""
     field = A.field
     n = A.rows
     if n == 0:
@@ -881,18 +883,10 @@ def _minimal_poly_roots(A: Mat, seed: int) -> List:
             break
     else:
         return []
-    roots = []
     if field.p:
-        for lam in range(field.p):
-            acc = field.zero()
-            powv = field.one()
-            for c in coeffs:
-                acc = field.add(acc, field.mul(c, powv))
-                powv = field.mul(powv, lam)
-            val = field.sub(pow_scalar(field, lam, deg), acc)
-            if field.is_zero(val):
-                roots.append(field.coerce(lam))
-        return roots
+        p = field.p
+        return _roots_mod_p([-c % p for c in coeffs] + [1], p, rng)
+    roots = []
     from fractions import Fraction
     den = 1
     for c in coeffs:
@@ -937,6 +931,95 @@ def _divisors(n: int) -> List[int]:
     return sorted(set(out))
 
 
+# Polynomials over GF(p) are int lists, constant term first, with no zero
+# leading coefficient (the zero polynomial is []).
+
+
+def _poly_divmod(a: List[int], m: List[int],
+                 p: int) -> Tuple[List[int], List[int]]:
+    r = list(a)
+    dm = len(m) - 1
+    inv = pow(m[-1], p - 2, p)
+    q = [0] * max(len(r) - dm, 0)
+    for i in range(len(r) - 1, dm - 1, -1):
+        c = r[i] * inv % p
+        if c:
+            q[i - dm] = c
+            for j in range(dm + 1):
+                r[i - dm + j] = (r[i - dm + j] - c * m[j]) % p
+    del r[dm:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _poly_mulmod(a: List[int], b: List[int], m: List[int],
+                 p: int) -> List[int]:
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    return _poly_divmod(prod, m, p)[1]
+
+
+def _poly_powmod(a: List[int], e: int, m: List[int], p: int) -> List[int]:
+    out = [1]
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, a, m, p)
+        a = _poly_mulmod(a, a, m, p)
+        e >>= 1
+    return out
+
+
+def _poly_gcd(a: List[int], b: List[int], p: int) -> List[int]:
+    """The monic gcd of a nonzero ``a`` and ``b``."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    inv = pow(a[-1], p - 2, p)
+    return [x * inv % p for x in a]
+
+
+def _poly_sub(a: List[int], b: List[int], p: int) -> List[int]:
+    out = [(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _roots_mod_p(f: List[int], p: int, rng: random.Random) -> List[int]:
+    """The distinct roots in GF(p) of a monic f of degree >= 1, in
+    increasing order.
+
+    For p = 2, f is evaluated at 0 and 1.  Otherwise the roots are those of
+    g = gcd(f, x^p - x), the product of the distinct linear factors of f,
+    and g is split by equal-degree factorisation (Cantor and Zassenhaus
+    1981): for a random r, gcd(g, (x + r)^((p-1)/2) - 1) keeps exactly the
+    roots t with t + r a nonzero square, so about half of them.
+    """
+    if p == 2:
+        return [t for t in (0, 1) if not (sum(f) if t else f[0]) % 2]
+    roots = []
+    x = [0, 1]
+    stack = [_poly_gcd(f, _poly_sub(_poly_powmod(x, p, f, p), x, p), p)]
+    while stack:
+        g = stack.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        if len(g) <= 2:
+            continue
+        while True:
+            r = rng.randrange(p)
+            w = _poly_powmod([r, 1], (p - 1) // 2, g, p)
+            u = _poly_gcd(g, _poly_sub(w, [1], p), p)
+            if 1 < len(u) < len(g):
+                break
+        stack += [u, _poly_divmod(g, u, p)[0]]
+    return sorted(roots)
+
+
 def _fitting_split(M: Rep, f: Morphism) -> Optional[Tuple[Rep, Rep]]:
     """Split M = ker(f^s) + im(f^s) at the stabilized power, if nontrivial."""
     total = M.total_dim
@@ -955,20 +1038,29 @@ def _fitting_split(M: Rep, f: Morphism) -> Optional[Tuple[Rep, Rep]]:
     return None
 
 
+def _split_candidates(endos: List[Morphism], seed: int):
+    """The basis endomorphisms, then 8 random combinations of them, drawn
+    only once the basis has failed to split."""
+    yield from endos
+    rng = random.Random(seed)
+    for _ in range(8):
+        coeffs = [rng.randint(-2, 2) for _ in endos]
+        if any(coeffs):
+            yield _combine(endos, coeffs)
+
+
 def decompose(M: Rep, seed: int = 0) -> List[Rep]:
-    """Indecomposable summands of M (Fitting splittings, exact arithmetic)."""
+    """Indecomposable summands of M (Fitting splittings, exact arithmetic).
+
+    A module no candidate endomorphism splits is returned whole: End(M) is
+    sampled, not certified local.
+    """
     if M.is_zero():
         return []
     endos = hom_space(M, M)
     if len(endos) == 1:
         return [M]
-    rng = random.Random(seed)
-    candidates = list(endos)
-    for _ in range(8):
-        coeffs = [rng.randint(-2, 2) for _ in endos]
-        if any(coeffs):
-            candidates.append(_combine(endos, coeffs))
-    for f in candidates:
+    for f in _split_candidates(endos, seed):
         split = _fitting_split(M, f)
         if split is None:
             for lam in _minimal_poly_roots(_total_matrix(f), seed):
@@ -981,10 +1073,6 @@ def decompose(M: Rep, seed: int = 0) -> List[Rep]:
         if split:
             K, I = split
             return decompose(K, seed + 1) + decompose(I, seed + 1)
-    # no splitting found: certify locality of End(M) on the sampled elements
-    for f in candidates:
-        if _fitting_split(M, f) is not None:  # pragma: no cover - defensive
-            raise PreconditionError("inconsistent Fitting state")
     return [M]
 
 
@@ -992,19 +1080,3 @@ def indecomposable_q(M: Rep, seed: int = 0) -> bool:
     if M.is_zero():
         return False
     return len(decompose(M, seed)) == 1
-
-
-def strip_projective_summands(M: Rep, seed: int = 0) -> Tuple[Rep, List[Rep]]:
-    """Split off all projective direct summands; returns (rest, stripped)."""
-    alg = M.algebra
-    if M.is_zero():
-        return M, []
-    kept, stripped = [], []
-    for s in decompose(M, seed):
-        if is_projective(s):
-            stripped.append(s)
-        else:
-            kept.append(s)
-    if not kept:
-        return Rep.zero(alg), stripped
-    return _block_sum(kept), stripped

@@ -9,16 +9,15 @@ mutually inverse on modules without projective summands.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .common import CheckFailed, PreconditionError, Trunc
 from .families import enveloping, is_cyclic_nakayama, serial_module
 from .linalg import Mat
 from .quiver import FinDimAlgebra
-from .rep import (HomBasis, Morphism, Rep, direct_sum, find_iso, hom_space,
-                  injective_envelope, iso_q, kernel_of, cokernel_of,
-                  decompose, projective_cover, strip_projective_summands)
+from .rep import (HomBasis, Morphism, Rep, block_sum, cokernel_of, decompose,
+                  hom_space, injective_envelope, is_projective, iso_q,
+                  kernel_of, projective_cover)
 
 
 def is_self_injective(alg: FinDimAlgebra, seed: int = 0) -> bool:
@@ -95,7 +94,16 @@ class StableHom:
 
 
 class StableContext:
-    """Cached stable-category data for one self-injective algebra."""
+    """Cached stable-category data for one self-injective algebra.
+
+    One projective cover is built per stable-Hom target or syzygy input, and
+    one injective envelope per cone source, each held by the identity of its
+    ``Rep`` (equal but distinct objects are recomputed).  ``strip`` keeps a
+    non-projective indecomposable as the object it was given, and remembers
+    the summands of the module it returned last, so the tilting closure
+    reads the pieces of a cone from there: each cone and suspension is
+    decomposed once.
+    """
 
     def __init__(self, alg: FinDimAlgebra, seed: int = 0):
         if not is_self_injective(alg, seed):
@@ -105,6 +113,10 @@ class StableContext:
         self._shoms: Dict[Tuple[int, int], StableHom] = {}
         # id(N) -> (N, projective_cover(N)); holding N keeps its id unique
         self._covers: Dict[int, Tuple[Rep, Tuple[Rep, Morphism]]] = {}
+        # id(M) -> (M, injective_envelope(M)), the same way
+        self._envelopes: Dict[int, Tuple[Rep, Tuple[Rep, Morphism]]] = {}
+        # the module strip returned last and its indecomposable summands
+        self._stripped: Tuple[Optional[Rep], List[Rep]] = (None, [])
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -123,31 +135,62 @@ class StableContext:
             self._covers[id(N)] = got
         return got[1]
 
+    def _envelope(self, M: Rep) -> Tuple[Rep, Morphism]:
+        got = self._envelopes.get(id(M))
+        if got is None:
+            got = (M, injective_envelope(M))
+            self._envelopes[id(M)] = got
+        return got[1]
+
     def strip(self, M: Rep) -> Rep:
-        return strip_projective_summands(M, self.seed)[0]
+        """M without its projective summands: M itself when it is zero or a
+        non-projective indecomposable, its one non-projective summand, or
+        the block sum of those summands."""
+        if M.is_zero():
+            kept: List[Rep] = []
+        else:
+            kept = [s for s in decompose(M, self.seed)
+                    if not is_projective(s)]
+            if len(kept) == 1:
+                M = kept[0]
+            else:
+                M = block_sum(kept) if kept else Rep.zero(self.algebra)
+        self._stripped = (M, kept)
+        return M
+
+    def summands(self, M: Rep) -> List[Rep]:
+        """Indecomposable summands of M; no work when ``strip`` returned M
+        last."""
+        last, kept = self._stripped
+        return kept if last is M else decompose(M, self.seed)
 
     # -- suspension -------------------------------------------------------------
 
     def syzygy_min(self, M: Rep) -> Rep:
-        M = self.strip(M)
-        if M.is_zero():
-            return M
-        P, phi = projective_cover(M)
-        return kernel_of(phi)[0]
+        return self._shift(self.strip(M), -1)
 
     def cosyzygy(self, M: Rep) -> Rep:
-        M = self.strip(M)
+        return self._shift(self.strip(M), 1)
+
+    def _shift(self, M: Rep, direction: int) -> Rep:
+        """Sigma M (direction 1) or Omega M (-1) of an M without projective
+        summands, along its minimal envelope or cover."""
         if M.is_zero():
             return M
-        I, incl = injective_envelope(M)
-        return cokernel_of(incl)[0]
+        if direction > 0:
+            I, incl = injective_envelope(M)
+            return cokernel_of(incl)[0]
+        P, phi = self._cover(M)
+        return kernel_of(phi)[0]
 
     def suspension_power(self, M: Rep, i: int) -> Rep:
-        out = self.strip(M)
+        """Sigma^i M; each step strips its input once, and i = 0 strips M."""
+        if i == 0:
+            return self.strip(M)
         step = self.cosyzygy if i > 0 else self.syzygy_min
         for _ in range(abs(i)):
-            out = step(out)
-        return out
+            M = step(M)
+        return M
 
     def module_period(self, M: Rep, bound: int) -> Trunc:
         """Smallest p >= 1 with the p-th syzygy isomorphic to M."""
@@ -168,9 +211,9 @@ class StableContext:
         M, N = f.source, f.target
         if M.is_zero():
             return self.strip(N)
-        I, incl = injective_envelope(M)
-        S, injs, _ = direct_sum([N, I])
-        g = (injs[0] @ f) + (injs[1] @ incl)
+        I, incl = self._envelope(M)
+        g = Morphism(M, block_sum([N, I]),
+                     [b.vstack(e) for b, e in zip(f.blocks, incl.blocks)])
         return self.strip(cokernel_of(g)[0])
 
     # -- families ----------------------------------------------------------------
@@ -275,11 +318,10 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
     warnings = []
     clean: List[Rep] = []
     for i, T in enumerate(parts):
-        rest, stripped = strip_projective_summands(T, ctx.seed)
-        if stripped:
+        rest = ctx.strip(T)
+        if rest.total_dim < T.total_dim:
             warnings.append(f"summand {i}: dropped projective summand(s)")
-        for piece in decompose(rest, ctx.seed) if not rest.is_zero() else []:
-            clean.append(piece)
+        clean.extend(ctx.summands(rest))
     if not clean:
         raise PreconditionError("candidate is stably zero")
 
@@ -315,7 +357,8 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
         for idx in range(suspended, count):
             X = reg.items[idx][0]
             for direction in (1, -1):
-                Y = ctx.suspension_power(X, direction)
+                # registry items are non-projective indecomposables already
+                Y = ctx._shift(X, direction)
                 if not Y.is_zero():
                     for piece in decompose(Y, ctx.seed):
                         _, new = reg.add(piece, {"op": "suspension",
@@ -328,10 +371,7 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
             for j in range(0 if i >= coned else coned, count):
                 sh = ctx.stable_hom(reg.items[i][0], reg.items[j][0])
                 for c, f in enumerate(sh.classes):
-                    C = ctx.stable_cone(f)
-                    if C.is_zero():
-                        continue
-                    for piece in decompose(C, ctx.seed):
+                    for piece in ctx.summands(ctx.stable_cone(f)):
                         _, new = reg.add(piece, {"op": "cone", "from": i,
                                                  "to": j, "class": c})
                         frontier = frontier or new

@@ -372,6 +372,21 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["result"]["pass"]
 
 
+def test_cli_tilting_over_a_large_prime_returns():
+    # decompose used to scan all of GF(4294967311) for eigenvalues here and
+    # never returned; over Q the same candidate fails at once
+    import periodica
+    src = os.path.dirname(os.path.dirname(periodica.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "periodica", "tilting", "stable", "--name",
+         "N(2,4)", "-T", "M(1,3)", "--m", "2", "--field", "fp 4294967311"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 5
+    assert json.loads(proc.stdout)["result"]["pass"] is False
+
+
 def test_cli_cohomology_alias_with_embedded_algebra():
     code, out = run_cli(["cohomology", "--complex", sample("v.cpx")])
     assert code == 0

@@ -3,6 +3,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodica.common import PreconditionError
 from periodica.families import (all_intervals, dual_numbers, enveloping,
@@ -14,7 +15,7 @@ from periodica.linalg import Mat
 from periodica.quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
                               build_algebra, enveloping_algebra,
                               tensor_op_presentation)
-from periodica.rep import (Morphism, Rep, decompose, direct_sum,
+from periodica.rep import (Morphism, Rep, _roots_mod_p, decompose, direct_sum,
                            global_dimension, hom_space, indecomposable_q,
                            injective_envelope, iso_q, projective_cover,
                            socle_subspaces, syzygy, top_of)
@@ -420,3 +421,47 @@ def test_envelope_takes_one_product_per_walk(monkeypatch):
     walks = sum(1 for i, w in enumerate(E.basis)
                 if len(w) > 1 and E.source[i] in socs)
     assert _count_products(monkeypatch, injective_envelope, M) <= walks
+
+
+@pytest.mark.parametrize("field, split", [
+    (Field.gf(7), True), (Field.gf(4294967311), True), (QQ, False),
+], ids=["GF7", "GFbig", "Q"])
+def test_kronecker_module_splits_where_two_is_a_square(field, split):
+    # End(M) = k[b] with b^2 = 2: split over GF(7) and GF(4294967311), where
+    # 2 is a square, and a field over Q; over the large prime the root
+    # search used to scan all of GF(p)
+    kron = build_algebra(AlgebraPresentation(
+        Quiver(2, [("a", 1, 2), ("b", 1, 2)]), field, [], 2))
+    M = Rep(kron, [2, 2], [Mat.identity(field, 2),
+                           Mat.from_rows(field, [[0, 2], [1, 0]])], check=True)
+    parts = decompose(M)
+    assert [P.dims for P in parts] == ([(1, 1), (1, 1)] if split else [(2, 2)])
+    assert iso_q(direct_sum(parts)[0], M)
+
+
+@st.composite
+def polys_mod_p(draw):
+    """(p, f): a monic f over GF(p), a product of linear factors (repeats
+    allowed) and a random monic factor, constant term first."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    f = [1]
+    factors = [[draw(st.integers(0, p - 1)), 1]
+               for _ in range(draw(st.integers(0, 5)))]
+    factors.append(draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                 max_size=4)) + [1])
+    for g in factors:
+        prod = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        f = prod
+    return p, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys_mod_p(), st.integers(0, 2 ** 16))
+def test_roots_mod_p_match_the_scan(pf, seed):
+    p, f = pf
+    scan = [t for t in range(p)
+            if sum(c * pow(t, i, p) for i, c in enumerate(f)) % p == 0]
+    assert _roots_mod_p(f, p, random.Random(seed)) == scan

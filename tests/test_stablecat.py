@@ -326,3 +326,86 @@ def test_nakayama_budget_exhaustion_is_inconclusive(n33):
     rep = check_periodic_tilting_stable(ctx, bad, 2, budget=1)
     assert rep["budget_exhausted"] and not rep["rigidity_ok"]
     assert rep["generation_ok"] is None and rep["pass"] is False
+
+
+def test_closure_report_pinned_gf2_seed5():
+    # GF(2) takes the exhaustive iso search, where a reordered closure loop
+    # would show up as a reordered registry
+    import json
+    import os
+    alg = nakayama(5, 5, Field.gf(2))
+    rep = check_periodic_tilting_stable(
+        StableContext(alg, 5), [serial_module(alg, 1, l) for l in range(1, 5)],
+        2)
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        "closure_n5_fp2_seed5.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        assert json.dumps(rep, indent=2, sort_keys=True) + "\n" == fh.read()
+
+
+@pytest.mark.parametrize("field", [Field.gf(2), Field.gf(4294967311)],
+                         ids=["GF2", "GFbig"])
+def test_strip_keeps_a_nonprojective_indecomposable(field):
+    alg = nakayama(4, 4, field)
+    ctx = StableContext(alg)
+    for a in range(1, 5):
+        for l in range(1, 4):
+            M = serial_module(alg, a, l)
+            assert ctx.strip(M) is M
+            assert ctx.summands(M) == [M]
+
+
+def _closure_n5(monkeypatch, name, wrap):
+    """Run the N(5,5) closure over GF(4294967311) with ``name`` in
+    periodica.stablecat replaced by ``wrap(original, log)``; ``log`` records
+    every stable_cone source and result."""
+    import periodica.stablecat as sc
+    alg = nakayama(5, 5, Field.gf(4294967311))
+    ctx = StableContext(alg)
+    log = {"in_cone": False, "sources": [], "cones": []}
+    real_cone = StableContext.stable_cone
+
+    def cone(self, f):
+        log["sources"].append(f.source)
+        log["in_cone"] = True
+        try:
+            C = real_cone(self, f)
+        finally:
+            log["in_cone"] = False
+        log["cones"].append(C)
+        return C
+    monkeypatch.setattr(StableContext, "stable_cone", cone)
+    monkeypatch.setattr(sc, name, wrap(getattr(sc, name), log))
+    rep = check_periodic_tilting_stable(
+        ctx, [serial_module(alg, 1, l) for l in range(1, 5)], 2)
+    assert rep["pass"] and rep["closure_size"] == 20
+    return log
+
+
+def test_closure_builds_one_envelope_per_cone_source(monkeypatch):
+    envelopes = []
+
+    def wrap(real, log):
+        def envelope(M):
+            if log["in_cone"]:
+                envelopes.append(M)
+            return real(M)
+        return envelope
+    log = _closure_n5(monkeypatch, "injective_envelope", wrap)
+    # the lists hold every argument, so no id is recycled while counting
+    assert envelopes
+    assert len(envelopes) <= len({id(M) for M in log["sources"]})
+
+
+def test_closure_decomposes_no_cone_again(monkeypatch):
+    # strip decomposes each cokernel once, inside stable_cone; the closure
+    # reads the pieces of the cone it returns from there
+    late = []
+
+    def wrap(real, log):
+        def decompose(M, seed=0):
+            late.extend(C for C in log["cones"] if C is M)
+            return real(M, seed)
+        return decompose
+    log = _closure_n5(monkeypatch, "decompose", wrap)
+    assert log["cones"] and not late
