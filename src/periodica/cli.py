@@ -23,7 +23,8 @@ from .formats import (complex_to_doc, field_from_string, load_algebra,
                       parse_algebra_file, parse_module_expr)
 from .hochschild import (HochschildContext, LaurentSetup, formality_criterion,
                          hh_table, vanishing_pattern_ok, smooth_dimension)
-from .percomplex import cohomology, cone, shift, stalk_complex
+from .percomplex import (cohomology, cohomology_dim_vectors, cone, shift,
+                         stalk_complex)
 from .quiver import build_algebra
 from .rep import hom_space
 from .reports import build_report, file_sha256, text_sha256, to_json, to_markdown
@@ -141,11 +142,8 @@ def cmd_complex(args) -> int:
         V = load_complex_file(alg, args.complex)
         inputs[os.path.basename(args.complex)] = file_sha256(args.complex)
         if args.verb == "cohomology":
-            body = {
-                "dims": [cohomology(V, i).total_dim for i in range(V.m)],
-                "dim_vectors": [list(cohomology(V, i).dims)
-                                for i in range(V.m)],
-            }
+            vectors = cohomology_dim_vectors(V)
+            body = {"dims": [sum(v) for v in vectors], "dim_vectors": vectors}
         elif args.verb == "shift":
             body = {"by": args.by, "shifted": complex_to_doc(shift(V, args.by))}
             params["by"] = args.by

@@ -14,7 +14,7 @@ cohomology-level certificates are offered (see
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .common import CheckFailed, PreconditionError, Trunc, TruncationError
 from .families import all_intervals, is_linear_a, dual_numbers
@@ -52,6 +52,7 @@ class DerivedContext:
     and the K-projective replacement of its stalk (and with it the Hom complex
     between two replacements).  Equal but distinct objects are recomputed.
     Cached values hold their keys, so no id is recycled while it is cached.
+    The intermediate pieces a replacement peels off are not cached.
     """
 
     def __init__(self, algebra: FinDimAlgebra, m: int, bound: int = 24):
@@ -84,20 +85,30 @@ class DerivedContext:
     def resolution(self, M: Rep) -> Resolution:
         res = self._res.get(id(M))
         if res is None:
-            res = minimal_resolution(M, self.bound)
-            if not res.complete:
-                raise TruncationError("projective resolution exceeded bound")
+            res = self._resolve(M)
             self._res[id(M)] = res
+        return res
+
+    def _resolve(self, M: Rep) -> Resolution:
+        """A complete minimal resolution of M, not cached."""
+        res = minimal_resolution(M, self.bound)
+        if not res.complete:
+            raise TruncationError("projective resolution exceeded bound")
         return res
 
     def fold_resolution(self, M: Rep, position: int = 0
                         ) -> Tuple[PeriodicComplex, GradedMorphism]:
         """Fold a minimal resolution of M onto the stalk of M at a position."""
+        return self._fold(M, position, self.resolution)
+
+    def _fold(self, M: Rep, position: int,
+              resolve: Callable[[Rep], Resolution]
+              ) -> Tuple[PeriodicComplex, GradedMorphism]:
         target = stalk_complex(M, self.m, position)
         if M.is_zero():
             Z = zero_complex(self.algebra, self.m)
             return Z, GradedMorphism.zero(Z, target)
-        res = self.resolution(M)
+        res = resolve(M)
         F, ginjs, gprojs = fold(resolution_to_bounded(res), self.m)
         stalk0 = stalk_complex(M, self.m, 0)
         comps = [Morphism.zero(F.comps[i], stalk0.comps[i])
@@ -266,6 +277,8 @@ class DerivedContext:
 
     def _replacement(self, V: PeriodicComplex
                      ) -> Tuple[PeriodicComplex, GradedMorphism]:
+        # The peeled remainder W, the cocycles Z and the quotient Tq are fresh
+        # objects never looked up again: replace and resolve them uncached.
         m = self.m
         if V.is_zero_complex():
             Z = zero_complex(self.algebra, m)
@@ -325,12 +338,12 @@ class DerivedContext:
                 w_diffs.append(u_diffs[i])
         W = PeriodicComplex(self.algebra, m, w_comps, w_diffs,
                             check=(m <= 2))
-        pW = self.replacement(W)
+        pW = self._replacement(W)
         if Z.is_zero():
             PU, pU = pW[0], _retarget(pW[1], target=U)
         else:
             S = stalk_complex(Z, m, i0)
-            PS, pS = self.fold_resolution(Z, i0)
+            PS, pS = self._fold(Z, i0, self._resolve)
             incl_su = GradedMorphism(
                 S, U, 0,
                 [Morphism.identity(Z) if i == i0
@@ -355,7 +368,7 @@ class DerivedContext:
             V, T, 0,
             [projq if i == i0 else Morphism.zero(V.comps[i], T.comps[i])
              for i in range(m)])
-        PT, pT = self.fold_resolution(Tq, i0)
+        PT, pT = self._fold(Tq, i0, self._resolve)
         pT = _retarget(pT, target=T)
         return self._glue(incl_uv, proj_vt, pU, pT)
 
@@ -399,7 +412,8 @@ def _ext_dims(res: Resolution, N: Rep, up_to: int) -> List[int]:
         if j >= len(terms):
             out.append(0)
             continue
-        zdim = mats[j].kernel_basis().cols if j < len(mats) else bases[j].dim
+        zdim = mats[j].cols - mats[j].rank() if j < len(mats) \
+            else bases[j].dim
         bdim = mats[j - 1].rank() if j >= 1 else 0
         out.append(zdim - bdim)
     return out

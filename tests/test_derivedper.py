@@ -179,6 +179,18 @@ def test_hereditary_decompose_examples(a2):
         == [(0, [0, 1])]
 
 
+def test_replacement_caches_only_top_level_complexes(a3):
+    # the pieces a replacement peels off are fresh objects: only the
+    # complexes handed in, and their components, may be cached
+    ctx = DerivedContext(a3, 3)
+    rng = random.Random(23)
+    Vs = [random_periodic_complex(a3, 3, rng) for _ in range(12)]
+    for V in Vs + Vs[:4]:
+        assert hereditary_decompose(ctx, V)["verified"]
+    assert len(ctx._repl) == len({id(V) for V in Vs})
+    assert set(ctx._res) <= {id(c) for V in Vs for c in V.comps}
+
+
 def test_hereditary_decompose_rejects_nonhereditary(n33):
     with pytest.raises(PreconditionError):
         ctx = DerivedContext(n33, 2)

@@ -393,6 +393,90 @@ def test_cli_cohomology_alias_with_embedded_algebra():
     assert json.loads(out)["result"]["dims"] == [0, 0]
 
 
+# `complex cohomology` reports as printed by the module-building route
+_NZ_CPX = ('{"period": 3, "modules": ["P(1)", "P(2)", "S(1) + P(2)"], '
+           '"differentials": [[[["1"]], [[]]], null, null]}\n')
+_A2_HASH = "6c30b2d92981dfcf8c7b1efc41ab722c2cf48b4eba41b8b9f0db8e8518835678"
+_COHOM_MD = """\
+# complex cohomology
+
+## parameters
+- **verb**: cohomology
+
+## result
+- **dims**: {dims}
+- **dim_vectors**: {vectors}
+
+## metadata
+### input_hashes
+{hashes}
+- **schema**: periodica-report/1
+"""
+_COHOM_BYTES = {
+    "v": _COHOM_MD.format(
+        dims="[0, 0]", vectors="[[0, 0], [0, 0]]",
+        hashes="- **v.cpx**: 05126e299f5e8485b271ecb6a90584eab2e79d52cab9ea0f"
+               "5722e7bfade7a2f8"),
+    "acyclic": _COHOM_MD.format(
+        dims="[0, 0]", vectors="[[0, 0], [0, 0]]",
+        hashes=f"- **a2.alg**: {_A2_HASH}\n- **acyclic.cpx**: "
+               "c486c950debcd7874f5c277296361e4e3ceaa8bde392e572f508105c882b6001"),
+    "nz": _COHOM_MD.format(
+        dims="[0, 1, 3]", vectors="[[0, 0], [0, 1], [2, 1]]",
+        hashes=f"- **a2.alg**: {_A2_HASH}\n- **nz.cpx**: "
+               "b1c540467a700b2ef3ba086e5235f7bddde95f2256a754e394d63751526d599e"),
+}
+_NZ_JSON = """\
+{
+ "command": "complex cohomology",
+ "input_hashes": {
+  "a2.alg": "%s",
+  "nz.cpx": "b1c540467a700b2ef3ba086e5235f7bddde95f2256a754e394d63751526d599e"
+ },
+ "params": {
+  "verb": "cohomology"
+ },
+ "result": {
+  "dim_vectors": [
+   [
+    0,
+    0
+   ],
+   [
+    0,
+    1
+   ],
+   [
+    2,
+    1
+   ]
+  ],
+  "dims": [
+   0,
+   1,
+   3
+  ]
+ },
+ "schema": "periodica-report/1"
+}
+""" % _A2_HASH
+
+
+def test_cli_cohomology_bytes_unchanged(tmp_path):
+    nz = tmp_path / "nz.cpx"
+    nz.write_text(_NZ_CPX)
+    args = {"v": ["--complex", sample("v.cpx")],
+            "acyclic": ["--algebra", sample("a2.alg"),
+                        "--complex", sample("acyclic.cpx")],
+            "nz": ["--algebra", sample("a2.alg"), "--complex", str(nz)]}
+    for name, rest in args.items():
+        code, out = run_cli(["complex", "cohomology", *rest,
+                             "--format", "markdown"])
+        assert code == 0 and out == _COHOM_BYTES[name], name
+    code, out = run_cli(["complex", "cohomology", *args["nz"]])
+    assert code == 0 and out == _NZ_JSON
+
+
 def test_cli_bound_env(monkeypatch):
     monkeypatch.setenv("PERIODICA_BOUND", "2")
     code, _ = run_cli(["period", "algebra", "--name", "N(3,2)"])

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from periodica.families import serial_module
-from periodica.fields import QQ
+from periodica.families import linear_a, nakayama, serial_module
+from periodica.fields import QQ, Field
 from periodica.linalg import Mat
 from periodica.percomplex import (BoundedComplex, GradedMorphism,
                                   PeriodicComplex, K_of, bounded_homotopy_hom_dim,
-                                  chain_map, cohomology, cohomology_dims,
+                                  chain_map, cohomology, cohomology_dim_vectors,
+                                  cohomology_dims,
                                   complex_direct_sum, cone,
                                   decompose_acyclic_projective, fold,
                                   hom_complex, homotopy_hom,
@@ -78,9 +79,15 @@ def test_K_of_m1_shape(a2):
         == A.total_dim
 
 
+BIG_P = 4294967311
+
+
 def test_cone_identities_random(a2, n33):
     rng = random.Random(11)
-    for alg, m in ((a2, 2), (a2, 3), (n33, 2), (a2, 1)):
+    fp = Field.gf(BIG_P)
+    a2p, n33p = linear_a(2, fp), nakayama(3, 3, fp)
+    for alg, m in ((a2, 2), (a2, 3), (n33, 2), (a2, 1),
+                   (a2p, 2), (a2p, 3), (n33p, 2), (a2p, 1)):
         for _ in range(3):
             V = random_periodic_complex(alg, m, rng)
             W = random_periodic_complex(alg, m, rng)
@@ -372,6 +379,53 @@ def test_quasi_iso_and_oracle_agree(a2):
             found_nontrivial += a
     ident = GradedMorphism.identity(random_periodic_complex(a2, 2, rng))
     assert is_quasi_iso(ident) and is_quasi_iso_via_cohomology(ident)
+
+
+def _assert_rank_route_matches(X):
+    hs = [cohomology(X, i) for i in range(X.m)]
+    assert cohomology_dim_vectors(X) == [list(H.dims) for H in hs]
+    assert cohomology_dims(X) == [H.total_dim for H in hs]
+    assert is_acyclic(X) == all(H.is_zero() for H in hs)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.gf(5), Field.gf(BIG_P)],
+                         ids=["Q", "GF5", "GFbig"])
+def test_rank_route_matches_module_route(field):
+    from periodica.derivedper import DerivedContext
+    rng = random.Random(41)
+    for k in (2, 3):
+        alg = linear_a(k, field)
+        for m in (1, 2, 3):
+            ctx = DerivedContext(alg, m)
+            for _ in range(2):
+                V = random_periodic_complex(alg, m, rng)
+                W = random_periodic_complex(alg, m, rng)
+                _assert_rank_route_matches(V)
+                _assert_rank_route_matches(W)
+                _, reps = homotopy_hom(V, W, 0)
+                # the replacement map and the identity are quasi-isomorphisms
+                maps = reps[:2] + [GradedMorphism.identity(V),
+                                   ctx.replacement(V)[1]]
+                for f in maps:
+                    assert is_quasi_iso(f) == is_quasi_iso_via_cohomology(f)
+                    _assert_rank_route_matches(cone(f).cone)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_rank_route_rejects_d_squared_nonzero(a2, m):
+    # d = an idempotent of rank 1 on S(1)+S(1): every rank count reads 0,
+    # so without the d^2 check the complex would pass as acyclic
+    M = direct_sum([Rep.simple(a2, 1), Rep.simple(a2, 1)])[0]
+    e = Morphism(M, M, [Mat.from_rows(QQ, [[1, 0], [0, 0]]), Mat.zeros(QQ, 0, 0)])
+    V = PeriodicComplex(a2, m, [M] * m, [e] * m, check=False)
+    with pytest.raises(PreconditionError, match="d\\^2"):
+        is_acyclic(V)
+    with pytest.raises(PreconditionError, match="d\\^2"):
+        cohomology_dims(V)
+    with pytest.raises(PreconditionError, match="d\\^2"):
+        cohomology_dim_vectors(V)
+    with pytest.raises(PreconditionError):
+        PeriodicComplex(a2, m, [M] * m, [e] * m)
 
 
 def test_contractible_iff_acyclic_projective(a2):
