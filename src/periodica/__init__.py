@@ -30,9 +30,9 @@ from .percomplex import (BoundedComplex, ConeDiagram, GradedMorphism,
 from .derivedper import (DerivedContext, distinct_stalks_d2_dual_numbers,
                          ext_dims, ext_sum_check, hereditary_decompose,
                          list_indecomposables_hereditary, stalk_tilting_check)
-from .hochschild import (BimoduleResolution, HochschildContext, LaurentSetup,
-                         bar_hh_oracle, bimodule_resolution,
-                         formality_criterion, hh_table, smooth_dimension)
+from .hochschild import (HochschildContext, LaurentSetup, bar_hh_oracle,
+                         bimodule_resolution, formality_criterion, hh_table,
+                         smooth_dimension)
 from .stablecat import (NotPeriodic, StableContext, algebra_period,
                         check_periodic_tilting_stable, is_self_injective,
                         stable_end_algebra)

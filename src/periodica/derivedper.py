@@ -311,7 +311,7 @@ class DerivedContext:
         u_diffs = []
         for i in range(m):
             if i == i0:
-                u_diffs.append(Morphism.zero(Z, V.comps[(i0 + 1) % m]))
+                u_diffs.append(Morphism.zero(Z, u_comps[(i0 + 1) % m]))
             elif (i + 1) % m == i0:
                 blocks = []
                 for v in range(len(Z.dims)):

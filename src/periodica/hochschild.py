@@ -11,79 +11,21 @@ indexed by a degree congruence.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .common import PreconditionError, Trunc, TruncationError
 from .families import enveloping
 from .linalg import Mat
 from .quiver import FinDimAlgebra
-from .rep import (HomBasis, Morphism, Rep, global_dimension, hom_space,
-                  kernel_of, minimal_resolution, projective_cover,
-                  radical_subspaces)
+from .rep import (HomBasis, Morphism, Resolution, global_dimension,
+                  minimal_resolution)
 
 
-class BimoduleResolution:
-    """A (possibly truncated) minimal projective bimodule resolution."""
-
-    def __init__(self, alg: FinDimAlgebra, env: FinDimAlgebra, bimodule: Rep,
-                 terms: List[Rep], maps: List[Morphism], aug: Morphism,
-                 complete: bool, bound: int):
-        self.algebra = alg
-        self.env = env
-        self.bimodule = bimodule
-        self.terms = terms
-        self.maps = maps
-        self.aug = aug
-        self.complete = complete
-        self.bound = bound
-
-    @property
-    def length(self) -> int:
-        return len(self.terms) - 1
-
-    def check_minimal(self) -> bool:
-        """Every differential must land inside rad * (previous term)."""
-        for j, d in enumerate(self.maps):
-            rad = radical_subspaces(self.terms[j])
-            for v in range(len(rad)):
-                sub = rad[v]
-                if sub.solve_matrix(d.blocks[v]) is None:
-                    return False
-        return True
-
-    def check_exact(self) -> bool:
-        """d^2 = 0 and homology vanishes strictly below the truncation."""
-        seq = [self.aug] + self.maps
-        for j in range(len(seq) - 1):
-            if not (seq[j] @ seq[j + 1]).is_zero():
-                return False
-        for j in range(len(seq) - 1):
-            zdim = sum(b.kernel_basis().cols for b in seq[j].blocks)
-            bdim = sum(b.rank() for b in seq[j + 1].blocks)
-            if zdim != bdim:
-                return False
-        return True
-
-
-def bimodule_resolution(alg: FinDimAlgebra, bound: int) -> BimoduleResolution:
-    """Iterated projective covers of the regular bimodule over A^op (x) A."""
+def bimodule_resolution(alg: FinDimAlgebra, bound: int) -> Resolution:
+    """The minimal resolution of the regular bimodule over A^op (x) A."""
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
-    env, B = enveloping(alg)
-    P0, aug = projective_cover(B)
-    terms = [P0]
-    maps: List[Morphism] = []
-    K, incl = kernel_of(aug)
-    complete = True
-    while not K.is_zero():
-        if len(terms) > bound:
-            complete = False
-            break
-        P, phi = projective_cover(K)
-        maps.append(incl @ phi)
-        terms.append(P)
-        K, incl = kernel_of(phi)
-    return BimoduleResolution(alg, env, B, terms, maps, aug, complete, bound)
+    return minimal_resolution(enveloping(alg)[1], bound)
 
 
 class HochschildContext:
@@ -106,7 +48,7 @@ class HochschildContext:
         if got is None:
             if j >= len(self.res.terms):
                 raise TruncationError("cochain degree beyond resolution")
-            got = HomBasis(self.res.terms[j], self.res.bimodule)
+            got = HomBasis(self.res.terms[j], self.res.module)
             self._bases[j] = got
         return got
 
@@ -164,7 +106,7 @@ class LaurentSetup:
         # of each piece with the regular bimodule; t is central by
         # construction, so both actions are the identity -- but the
         # connecting map is still assembled from the difference.
-        B = ctx.res.bimodule
+        B = ctx.res.module
         self.left_t = Morphism.identity(B)
         self.right_t = Morphism.identity(B)
         self.connecting_module_map = self.left_t - self.right_t

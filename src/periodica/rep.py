@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import zip_longest
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .common import PreconditionError, Trunc
 from .fields import Field
@@ -585,10 +585,23 @@ def is_projective(M: Rep) -> bool:
     return cover_dim == M.total_dim
 
 
+def syzygies(M: Rep) -> Iterator[Tuple[Rep, Morphism, Rep, Morphism]]:
+    """The syzygies of M along minimal covers, K_0 = M: for j = 0, 1, ...
+    yields (P_j, P_j ->> K_j, K_{j+1}, K_{j+1} >-> P_j) and stops after the
+    first zero kernel.  Each cover is built only when the next item is
+    asked for."""
+    K = M
+    while True:
+        P, phi = projective_cover(K)
+        K, incl = kernel_of(phi)
+        yield P, phi, K, incl
+        if K.is_zero():
+            return
+
+
 def syzygy(M: Rep) -> Rep:
     """Kernel of the projective cover (zero for projectives)."""
-    P, phi = projective_cover(M)
-    return kernel_of(phi)[0]
+    return next(syzygies(M))[2]
 
 
 def injective_envelope(M: Rep) -> Tuple[Rep, Morphism]:
@@ -672,21 +685,42 @@ class Resolution:
     def length(self) -> int:
         return len(self.terms) - 1
 
+    def check_minimal(self) -> bool:
+        """Every differential must land inside rad * (previous term)."""
+        for j, d in enumerate(self.maps):
+            rad = radical_subspaces(self.terms[j])
+            for v in range(len(rad)):
+                sub = rad[v]
+                if sub.solve_matrix(d.blocks[v]) is None:
+                    return False
+        return True
+
+    def check_exact(self) -> bool:
+        """d^2 = 0 and homology vanishes strictly below the truncation."""
+        seq = [self.aug] + self.maps
+        for j in range(len(seq) - 1):
+            if not (seq[j] @ seq[j + 1]).is_zero():
+                return False
+        for j in range(len(seq) - 1):
+            zdim = sum(b.kernel_basis().cols for b in seq[j].blocks)
+            bdim = sum(b.rank() for b in seq[j + 1].blocks)
+            if zdim != bdim:
+                return False
+        return True
+
 
 def minimal_resolution(M: Rep, bound: int) -> Resolution:
-    """Iterated projective covers; stops at a zero syzygy or at ``bound``."""
-    P0, aug = projective_cover(M)
-    terms = [P0]
-    maps: List[Morphism] = []
-    K, incl = kernel_of(aug)
-    while not K.is_zero():
-        if len(terms) > bound:
-            return Resolution(M, terms, maps, aug, complete=False)
-        P, phi = projective_cover(K)
-        maps.append(incl @ phi)
-        terms.append(P)
-        K, incl = kernel_of(phi)
-    return Resolution(M, terms, maps, aug, complete=True)
+    """P_0, ..., P_bound of :func:`syzygies` at most; complete when the last
+    syzygy taken is zero."""
+    steps = []
+    for j, step in enumerate(syzygies(M)):
+        steps.append(step)
+        if j >= bound:
+            break
+    maps = [incl @ phi for (_, _, _, incl), (_, phi, _, _)
+            in zip(steps, steps[1:])]
+    return Resolution(M, [P for P, _, _, _ in steps], maps, steps[0][1],
+                      complete=steps[-1][2].is_zero())
 
 
 def global_dimension(alg: FinDimAlgebra, bound: int) -> Trunc:

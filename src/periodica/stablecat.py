@@ -4,7 +4,10 @@ Stable maps are stored as honest module maps and reduced modulo the subspace
 of maps factoring through projectives (every such map factors through the
 projective cover of the target, so that subspace is computable).  Syzygy and
 cosyzygy are taken along minimal covers and envelopes, which keeps them
-mutually inverse on modules without projective summands.
+mutually inverse on modules without projective summands.  By Heller's lemma
+both keep a module without projective summands free of them, and keep it
+indecomposable when it is, so suspensions are never stripped or decomposed:
+only a cone's cokernel is.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .linalg import Mat
 from .quiver import FinDimAlgebra
 from .rep import (HomBasis, Morphism, Rep, block_sum, cokernel_of, decompose,
                   hom_space, injective_envelope, is_projective, iso_q,
-                  kernel_of, projective_cover)
+                  kernel_of, projective_cover, syzygies)
 
 
 def is_self_injective(alg: FinDimAlgebra, seed: int = 0) -> bool:
@@ -101,8 +104,9 @@ class StableContext:
     ``Rep`` (equal but distinct objects are recomputed).  ``strip`` keeps a
     non-projective indecomposable as the object it was given, and remembers
     the summands of the module it returned last, so the tilting closure
-    reads the pieces of a cone from there: each cone and suspension is
-    decomposed once.
+    reads the pieces of a cone from there: each cone is decomposed once.
+    Suspensions are never decomposed (Heller's lemma): the suspension of a
+    non-projective indecomposable is one.
     """
 
     def __init__(self, alg: FinDimAlgebra, seed: int = 0):
@@ -166,12 +170,6 @@ class StableContext:
 
     # -- suspension -------------------------------------------------------------
 
-    def syzygy_min(self, M: Rep) -> Rep:
-        return self._shift(self.strip(M), -1)
-
-    def cosyzygy(self, M: Rep) -> Rep:
-        return self._shift(self.strip(M), 1)
-
     def _shift(self, M: Rep, direction: int) -> Rep:
         """Sigma M (direction 1) or Omega M (-1) of an M without projective
         summands, along its minimal envelope or cover."""
@@ -184,12 +182,11 @@ class StableContext:
         return kernel_of(phi)[0]
 
     def suspension_power(self, M: Rep, i: int) -> Rep:
-        """Sigma^i M; each step strips its input once, and i = 0 strips M."""
-        if i == 0:
-            return self.strip(M)
-        step = self.cosyzygy if i > 0 else self.syzygy_min
+        """Sigma^i M: M is stripped once, and by Heller's lemma no shift
+        after that has a projective summand to strip."""
+        M = self.strip(M)
         for _ in range(abs(i)):
-            M = step(M)
+            M = self._shift(M, 1 if i > 0 else -1)
         return M
 
     def module_period(self, M: Rep, bound: int) -> Trunc:
@@ -197,12 +194,7 @@ class StableContext:
         M = self.strip(M)
         if M.is_zero():
             raise PreconditionError("period of the zero module is undefined")
-        cur = M
-        for p in range(1, bound + 1):
-            cur = self.syzygy_min(cur)
-            if cur.dims == M.dims and iso_q(cur, M, self.seed):
-                return Trunc(p)
-        return Trunc(bound, exact=False)
+        return _syzygy_period(M, bound, self.seed)
 
     # -- triangles ---------------------------------------------------------------
 
@@ -232,10 +224,10 @@ class StableContext:
 
 
 class NotPeriodic(Trunc):
-    """The exact verdict "no syzygy of A is A again" of :func:`algebra_period`.
+    """The exact verdict "no syzygy of M is M again" of :func:`algebra_period`.
 
-    Its value is ``None``; ``projdim`` is the projective dimension of A over
-    A^e, the last degree of its minimal bimodule resolution.
+    Its value is ``None``; ``projdim`` is the projective dimension of M (of A
+    over A^e), the last degree of its minimal resolution.
     """
 
     __slots__ = ("projdim",)
@@ -254,24 +246,25 @@ class NotPeriodic(Trunc):
         return f"NotPeriodic({self.projdim})"
 
 
-def algebra_period(alg: FinDimAlgebra, bound: int, seed: int = 0) -> Trunc:
-    """Smallest p with the p-th syzygy of the regular bimodule isomorphic to
-    it over the enveloping algebra.
+def _syzygy_period(M: Rep, bound: int, seed: int) -> Trunc:
+    """Smallest p in 1..bound with the p-th syzygy of M isomorphic to M.
 
-    The syzygies are taken along minimal covers.  When the p-th one is zero,
-    every later one is zero too, so none is A: the answer is
-    ``NotPeriodic(p - 1)`` rather than a truncation at ``bound``.
+    When the p-th syzygy is zero, every later one is zero too, so none is M:
+    the answer is ``NotPeriodic(p - 1)`` rather than a truncation at
+    ``bound``.
     """
-    E, B = enveloping(alg)
-    cur = B
-    for p in range(1, bound + 1):
-        P, phi = projective_cover(cur)
-        cur = kernel_of(phi)[0]
-        if cur.is_zero():
+    for p, (_, _, K, _) in zip(range(1, bound + 1), syzygies(M)):
+        if K.is_zero():
             return NotPeriodic(p - 1)
-        if cur.dims == B.dims and iso_q(cur, B, seed):
+        if K.dims == M.dims and iso_q(K, M, seed):
             return Trunc(p)
     return Trunc(bound, exact=False)
+
+
+def algebra_period(alg: FinDimAlgebra, bound: int, seed: int = 0) -> Trunc:
+    """Smallest p with the p-th syzygy of the regular bimodule isomorphic to
+    it over the enveloping algebra, or ``NotPeriodic``."""
+    return _syzygy_period(enveloping(alg)[1], bound, seed)
 
 
 # -- iso-class registry for generation closures ----------------------------------
@@ -327,7 +320,7 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
 
     susp_parts = {0: clean}
     for s in range(1, m + 1):
-        susp_parts[s] = [ctx.suspension_power(T, s) for T in clean]
+        susp_parts[s] = [ctx._shift(X, 1) for X in susp_parts[s - 1]]
 
     periodic_ok = all(
         X.dims == Y.dims and iso_q(X, Y, ctx.seed)
@@ -357,14 +350,12 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
         for idx in range(suspended, count):
             X = reg.items[idx][0]
             for direction in (1, -1):
-                # registry items are non-projective indecomposables already
-                Y = ctx._shift(X, direction)
-                if not Y.is_zero():
-                    for piece in decompose(Y, ctx.seed):
-                        _, new = reg.add(piece, {"op": "suspension",
-                                                 "of": idx,
-                                                 "direction": direction})
-                        frontier = frontier or new
+                # registry items are non-projective indecomposables, and so
+                # are their shifts (Heller's lemma)
+                _, new = reg.add(ctx._shift(X, direction),
+                                 {"op": "suspension", "of": idx,
+                                  "direction": direction})
+                frontier = frontier or new
         suspended = count
         count = len(reg.items)
         for i in range(count):

@@ -387,6 +387,31 @@ def test_cli_tilting_over_a_large_prime_returns():
     assert json.loads(proc.stdout)["result"]["pass"] is False
 
 
+@pytest.mark.parametrize("seed", [0, 4])
+def test_cli_prop3_25_at_period_one(seed):
+    # peeling an m = 1 complex used to give the kept cocycles a differential
+    # ending at the old component: "differential 0 has wrong ends"
+    code, out = run_cli(["reproduce", "prop3.25", "--name", "kA2", "--m",
+                         "1", "--seed", str(seed)])
+    assert code == 0
+    assert json.loads(out)["result"]["pass"] is True
+
+
+def test_cli_module_period_reaches_a_large_bound():
+    # syzygies of a module without projective summands are never
+    # re-decomposed, so a long non-periodic run stays cheap
+    import periodica
+    src = os.path.dirname(os.path.dirname(periodica.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "periodica", "period", "module", "--algebra",
+         sample("exterior2.alg"), "--module", "S(1)", "--bound", "24"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 4
+    assert json.loads(proc.stdout)["result"]["period"] == ">= 24"
+
+
 def test_cli_cohomology_alias_with_embedded_algebra():
     code, out = run_cli(["cohomology", "--complex", sample("v.cpx")])
     assert code == 0

@@ -1,13 +1,14 @@
 import pytest
 
 from periodica.common import PreconditionError, TruncationError
-from periodica.families import linear_a, nakayama
+from periodica.families import linear_a, nakayama, serial_module
 from periodica.fields import QQ
 from periodica.hochschild import (HochschildContext, LaurentSetup,
                                   bar_hh_oracle, bimodule_resolution,
                                   formality_criterion, hh_table,
                                   vanishing_pattern_ok, smooth_dimension)
-from periodica.rep import Rep, hom_space
+from periodica.rep import Morphism, Rep, Resolution, hom_space, \
+    minimal_resolution
 
 
 def test_resolution_lengths(a2, kxk, dual):
@@ -17,18 +18,28 @@ def test_resolution_lengths(a2, kxk, dual):
     assert not res.complete and len(res.terms) == 7
 
 
-def test_resolution_is_minimal_and_exact(a2, dual, n33):
-    for alg in (a2, dual):
-        res = bimodule_resolution(alg, 6)
+def test_resolution_is_minimal_and_exact(a2, a3, dual, n33):
+    resolutions = [bimodule_resolution(alg, 6) for alg in (a2, dual)]
+    resolutions += [minimal_resolution(Rep.simple(a3, v), 6)
+                    for v in range(1, 4)]
+    truncated = minimal_resolution(serial_module(n33, 1, 1), 4)
+    assert not truncated.complete and truncated.length == 4
+    resolutions.append(truncated)
+    for res in resolutions:
         assert res.check_minimal()
         assert res.check_exact()
+    terms, maps = truncated.terms, truncated.maps
+    broken = Resolution(truncated.module, terms,
+                        [Morphism.zero(terms[1], terms[0])] + maps[1:],
+                        truncated.aug, truncated.complete)
+    assert not broken.check_exact()
 
 
 def test_minimality_reads_exts_off_without_differentials(a2):
     # with a minimal resolution, Hom into simple bimodules has zero induced
     # differentials, so Ext dims are the Hom dims themselves
     ctx = HochschildContext(a2, bound=6)
-    E = ctx.res.env
+    E = ctx.res.module.algebra
     for v in range(1, E.quiver.n + 1):
         S = Rep.simple(E, v)
         homs = [len(hom_space(F, S)) for F in ctx.res.terms]

@@ -39,9 +39,9 @@ def test_suspension_formula(n33, n44):
 def test_omega_sigma_inverse(n33):
     ctx = StableContext(n33)
     for _, M in ctx.nakayama_indecomposables():
-        back = ctx.syzygy_min(ctx.cosyzygy(M))
+        back = ctx.suspension_power(ctx.suspension_power(M, 1), -1)
         assert back.dims == M.dims and iso_q(back, M)
-        forth = ctx.cosyzygy(ctx.syzygy_min(M))
+        forth = ctx.suspension_power(ctx.suspension_power(M, -1), 1)
         assert forth.dims == M.dims and iso_q(forth, M)
 
 
@@ -99,7 +99,7 @@ def test_stable_cone_examples(n33):
     m21 = serial_module(n33, 2, 1)
     assert ctx.stable_cone(Morphism.identity(m12)).is_zero()
     C0 = ctx.stable_cone(Morphism.zero(m11, m21))
-    expect = direct_sum([m21, ctx.cosyzygy(m11)])[0]
+    expect = direct_sum([m21, ctx.suspension_power(m11, 1)])[0]
     assert C0.dims == expect.dims and iso_q(C0, expect)
     f = ctx.stable_hom(m11, m12).classes[0]
     C = ctx.stable_cone(f)
@@ -120,7 +120,7 @@ def test_stable_cone_rotation(n33):
     g = (injs[0] @ f) + (injs[1] @ incl)
     Q, proj = cokernel_of(g)
     n_to_q = proj @ injs[0]
-    SigmaM = ctx.cosyzygy(m11)
+    SigmaM = ctx.suspension_power(m11, 1)
     C2 = ctx.stable_cone(n_to_q)
     assert C2.total_dim == SigmaM.total_dim
     assert iso_q(C2, SigmaM)
@@ -409,3 +409,41 @@ def test_closure_decomposes_no_cone_again(monkeypatch):
         return decompose
     log = _closure_n5(monkeypatch, "decompose", wrap)
     assert log["cones"] and not late
+
+
+def _suspension_stripping_every_step(M, i):
+    """Sigma^i M with projective summands dropped before and after every
+    step, from `rep` alone: the reference Heller's lemma lets
+    `suspension_power` skip."""
+    from periodica.rep import (block_sum, cokernel_of, decompose,
+                               injective_envelope, is_projective, syzygy)
+
+    def strip(X):
+        kept = [s for s in decompose(X) if not is_projective(s)]
+        return block_sum(kept) if kept else Rep.zero(X.algebra)
+    M = strip(M)
+    for _ in range(abs(i)):
+        M = strip(cokernel_of(injective_envelope(M)[1])[0] if i > 0
+                  else syzygy(M))
+    return M
+
+
+@pytest.mark.parametrize("field", [QQ, Field.gf(2)], ids=["Q", "GF2"])
+def test_suspension_power_matches_stripping_every_step(field):
+    rng = random.Random(11)
+    for n in (3, 4, 5):
+        alg = nakayama(n, n, field)
+        ctx = StableContext(alg)
+        mods = [serial_module(alg, a, l)
+                for a in range(1, n + 1) for l in range(1, n)]
+        inputs = list(mods)
+        for k in range(6):
+            parts = rng.sample(mods, 2)
+            if k % 2:
+                parts.append(Rep.projective(alg, rng.randint(1, n)))
+            inputs.append(direct_sum(parts)[0])
+        for M in inputs:
+            for i in range(-3, 4):
+                got = ctx.suspension_power(M, i)
+                want = _suspension_stripping_every_step(M, i)
+                assert got.dims == want.dims and iso_q(got, want)
