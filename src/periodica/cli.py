@@ -286,8 +286,15 @@ def cmd_tilting(args) -> int:
     gate = body.get("pass")
     code = _finish(args, report, gate)
     if code == EXIT_OK and gate is None:
-        print(f"inconclusive: the generation closure exceeded --budget "
-              f"{args.budget} iso classes", file=sys.stderr)
+        if body["budget_exhausted"]:
+            reason = (f"the generation closure exceeded --budget "
+                      f"{args.budget} iso classes")
+        else:
+            names = ", ".join(f"S({v})" for v in body["missing_simples"])
+            reason = (f"the generation closure misses {names} in blocks "
+                      f"that hold a summand; it cones only basis maps, so it "
+                      f"need not be thick")
+        print(f"inconclusive: {reason}", file=sys.stderr)
         return EXIT_TRUNCATION
     return code
 

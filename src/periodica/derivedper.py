@@ -7,6 +7,13 @@ pieces (each resolved and folded) and gluing the pieces back along
 componentwise-exact sequences.  The gluing step lifts the extension through
 the replacement of the sub, which is a finite linear solve here.
 
+Over a hereditary algebra a complex splits into its cohomology without being
+replaced (Prop. 3.25): the minimal resolution 0 -> P1 -> P0 -> H^t(V) -> 0
+of each cohomology module lifts into V (P0 through the cocycles, P1 through
+the differential), and its fold F_t maps both to V and onto the stalk of
+H^t(V) at t.  Both sums are certified quasi-isomorphisms, which gives the
+roof V <~ sum_t F_t ~> sum_t H^t(V)[-t].
+
 Over algebras of infinite global dimension none of this applies; only
 cohomology-level certificates are offered (see
 :func:`distinct_stalks_d2_dual_numbers`).
@@ -14,27 +21,42 @@ cohomology-level certificates are offered (see
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .common import CheckFailed, PreconditionError, Trunc, TruncationError
+from .common import CheckFailed, PreconditionError, TruncationError
 from .families import all_intervals, is_linear_a, dual_numbers
 from .fields import Field
 from .linalg import Mat
 from .percomplex import (BoundedComplex, GradedMorphism, PeriodicComplex,
-                         cohomology, cohomology_dims, complex_direct_sum, cone,
-                         fold, hom_complex, homotopy_hom, is_acyclic,
-                         is_quasi_iso, shift, shift_map, stalk_complex,
-                         zero_complex)
+                         _cohom_data, cohomology_dims, complex_direct_sum,
+                         fold, homotopy_hom, is_quasi_iso, shift, shift_map,
+                         stalk_complex, zero_complex)
 from .quiver import FinDimAlgebra
-from .rep import (HomBasis, Morphism, Rep, Resolution, cokernel_of,
-                  direct_sum, global_dimension, hom_space, image_of,
-                  is_projective, kernel_of, minimal_resolution)
+from .rep import (HomBasis, Morphism, Rep, Resolution, direct_sum,
+                  global_dimension, hom_space, is_projective, kernel_of,
+                  minimal_resolution)
 
 
 def _retarget(f: GradedMorphism, source: Optional[PeriodicComplex] = None,
               target: Optional[PeriodicComplex] = None) -> GradedMorphism:
     return GradedMorphism(source or f.source, target or f.target,
                           f.degree, f.comps)
+
+
+def _lift(g: Morphism, q: Morphism) -> Morphism:
+    """h with q o h = g, for g out of a projective into the image of q."""
+    field = g.source.field
+    basis = hom_space(g.source, q.source)
+    coords = HomBasis(g.source, q.target)
+    sol = coords.coords_matrix([q @ b for b in basis]).solve(
+        coords.coords_of(g))
+    if sol is None:
+        raise CheckFailed("projective lift failed (map not into the image?)")
+    h = Morphism.zero(g.source, q.source)
+    for c, b in zip(sol, basis):
+        if not field.is_zero(c):
+            h = h + b.scale(c)
+    return h
 
 
 def resolution_to_bounded(res: Resolution) -> BoundedComplex:
@@ -131,26 +153,11 @@ class DerivedContext:
         pA: PA ->> A, pC: PC ->> C, produce a replacement PB ->> B."""
         m = self.m
         field = self.algebra.field
-        A, B, C = incl.source, incl.target, proj.target
+        A, B = incl.source, incl.target
         PA, PC = pA.source, pC.source
 
         # componentwise lifts h^i with proj o h = pC
-        h: List[Morphism] = []
-        for i in range(m):
-            basis = hom_space(PC.comps[i], B.comps[i])
-            if not basis:
-                h.append(Morphism.zero(PC.comps[i], B.comps[i]))
-                continue
-            coords = HomBasis(PC.comps[i], C.comps[i])
-            matc = coords.coords_matrix([proj.comps[i] @ g for g in basis])
-            sol = matc.solve(coords.coords_of(pC.comps[i]))
-            if sol is None:
-                raise CheckFailed("projective lift failed (proj not onto?)")
-            lift = Morphism.zero(PC.comps[i], B.comps[i])
-            for c, g in zip(sol, basis):
-                if not field.is_zero(c):
-                    lift = lift + g.scale(c)
-            h.append(lift)
+        h = [_lift(pC.comps[i], proj.comps[i]) for i in range(m)]
 
         # the defect lands in A; corestrict it
         defect: List[Morphism] = []
@@ -441,157 +448,72 @@ def ext_sum_check(ctx: DerivedContext, M: Rep, N: Rep) -> dict:
 # -- hereditary decomposition --------------------------------------------------------
 
 
-def _section_of(D: Morphism) -> Morphism:
-    """A module-map section of a split surjection D."""
-    Z = D.target
-    field = Z.field
-    cands = hom_space(Z, D.source)
-    comp = HomBasis(Z, Z)
-    mat = comp.coords_matrix([D @ h for h in cands])
-    sol = mat.solve(comp.coords_of(Morphism.identity(Z)))
-    if sol is None:
-        raise PreconditionError("surjection does not split")
-    section = Morphism.zero(Z, D.source)
-    for c, hmap in zip(sol, cands):
-        if not field.is_zero(c):
-            section = section + hmap.scale(c)
-    return section
+def _out_of_fold(F: PeriodicComplex, target: PeriodicComplex,
+                 maps: Dict[int, Morphism],
+                 projs: Dict[int, GradedMorphism]) -> GradedMorphism:
+    """The degree-0 map out of a fold that is maps[j] on its degree-j term."""
+    m = F.m
+    comps = [Morphism.zero(F.comps[i], target.comps[i]) for i in range(m)]
+    for j, g in maps.items():
+        comps[j % m] = comps[j % m] + g @ projs[j].comps[j % m]
+    return GradedMorphism(F, target, 0, comps)
 
 
 def hereditary_decompose(ctx: DerivedContext, V: PeriodicComplex) -> dict:
     """Split V (up to quasi-isomorphism) into cohomology stalks; gd <= 1 only.
 
-    The replacement P of V decomposes strictly into two-term pieces
-    B^{t} >-> Z^{t} (cocycles are projective, so the sequences
-    0 -> Z -> P -> B -> 0 split), and each piece maps quasi-isomorphically
-    onto the stalk of its cohomology.  The verified roof is
-    V <<- P <~ sum of pieces ->> sum of stalks.
+    For each t with H = H^t(V) nonzero, the minimal resolution
+    0 -> P1 -> P0 -> H -> 0 lifts into V: P0 -> H through the cocycles
+    Z^t ->> H, then P1 -> Z^t through the differential V^{t-1} -> B^t, both
+    possible because P0 and P1 are projective.  The fold F_t of P1 -> P0 at
+    degrees t-1, t maps to V and onto the stalk of H at t.  The verified roof
+    is V <~ sum of the F_t ~> sum of stalks: both maps are chain maps and
+    both are checked to be quasi-isomorphisms.
     """
     if ctx.gd > 1:
         raise PreconditionError("hereditary decomposition needs gd <= 1")
     m = ctx.m
     alg = ctx.algebra
-    field = alg.field
-    P, p = ctx.replacement(V)
-    if P.is_zero_complex():
-        return {"stalks": [], "verified": True,
-                "cohomology": cohomology_dims(V)}
-    Zs, Bs, b2zs, sections = [], [], [], []
-    for t in range(m):
-        Z, inclZ = kernel_of(P.diffs[t])                 # Z^t
-        B, inclB = image_of(P.diffs[(t - 1) % m])        # B^t inside P^t
-        blocks = []
-        for v in range(len(B.dims)):
-            X = inclZ.blocks[v].solve_matrix(inclB.blocks[v])
-            if X is None:
-                raise CheckFailed("coboundaries escape the cocycles")
-            blocks.append(X)
-        b2zs.append(Morphism(B, Z, blocks))              # B^t >-> Z^t
-        Zs.append((Z, inclZ))
-        Bs.append((B, inclB))
-        # section of P^{t-1} ->> B^t (B^t is projective: gd <= 1)
-        i = (t - 1) % m
-        cor = []
-        for v in range(len(B.dims)):
-            X = inclB.blocks[v].solve_matrix(P.diffs[i].blocks[v])
-            assert X is not None
-            cor.append(X)
-        D = Morphism(P.comps[i], B, cor)
-        sections.append(_section_of(D) if not B.is_zero()
-                        else Morphism.zero(B, P.comps[i]))
-    # assemble the sum of pieces A_{t} = (B^t at t-1 -> Z^t at t)
-    parts: List[PeriodicComplex] = []
-    part_pos: List[int] = []
-    for t in range(m):
-        Z, _ = Zs[t]
-        B, _ = Bs[t]
-        if Z.is_zero() and B.is_zero():
-            continue
-        if m == 1:
-            S, injs, projs = direct_sum([B, Z])
-            d = injs[1] @ b2zs[t] @ projs[0]
-            parts.append(PeriodicComplex(alg, 1, [S], [d]))
-        else:
-            comps = [Rep.zero(alg) for _ in range(m)]
-            comps[(t - 1) % m] = B
-            comps[t] = Z
-            diffs = [Morphism.zero(comps[i], comps[(i + 1) % m])
-                     for i in range(m)]
-            diffs[(t - 1) % m] = b2zs[t]
-            parts.append(PeriodicComplex(alg, m, comps, diffs))
-        part_pos.append(t)
-    C, injs, projs = complex_direct_sum(parts)
-    # strict isomorphism C -> P via [section | inclusion] at every degree
-    psi = None
-    for idx, t in enumerate(part_pos):
-        Z, inclZ = Zs[t]
-        B, _ = Bs[t]
-        A = parts[idx]
-        comps = [Morphism.zero(A.comps[i], P.comps[i]) for i in range(m)]
-        if m == 1:
-            _, _, pprojs = direct_sum([B, Z])
-            comps[0] = (sections[t] @ pprojs[0]) + (inclZ @ pprojs[1])
-        else:
-            comps[(t - 1) % m] = sections[t]
-            comps[t] = inclZ
-        g = GradedMorphism(A, P, 0, comps) @ projs[idx]
-        psi = g if psi is None else psi + g
-    assert psi is not None
-    if not psi.is_closed():
-        raise CheckFailed("piece assembly is not a chain map")
-    strict_iso = all(
-        psi.comps[i].source.dims == psi.comps[i].target.dims
-        and psi.comps[i].is_iso() for i in range(m))
-    # quasi-isomorphism from the pieces onto the cohomology stalks
-    stalk_parts: List[Tuple[int, Rep]] = []
-    stalk_maps: List[GradedMorphism] = []
-    for idx, t in enumerate(part_pos):
-        Z, _ = Zs[t]
-        H_t, projH = cokernel_of(b2zs[t])
-        stalk_parts.append((t, H_t))
-        A = parts[idx]
-        T = stalk_complex(H_t, m, t)
-        comps = [Morphism.zero(A.comps[i], T.comps[i]) for i in range(m)]
-        if m == 1:
-            _, _, pprojs = direct_sum([Bs[t][0], Z])
-            comps[0] = projH @ pprojs[1]
-        else:
-            comps[t] = projH
-        stalk_maps.append(GradedMorphism(A, T, 0, comps))
-    stalk_sum, sinjs, _ = complex_direct_sum(
-        [stalk_complex(H, m, t) for t, H in stalk_parts]) \
-        if stalk_parts else (zero_complex(alg, m), [], [])
-    pi = None
-    for idx in range(len(parts)):
-        g = _retarget(sinjs[idx],
-                      source=stalk_maps[idx].target) @ stalk_maps[idx] \
-            @ projs[idx]
-        pi = g if pi is None else pi + g
-    ok = True
-    if pi is not None:
-        if not pi.is_closed():
-            raise CheckFailed("stalk projection is not a chain map")
-        ok = is_quasi_iso(pi)
-    ok = ok and is_quasi_iso(p) and strict_iso
-    from .rep import iso_q
-    stalks = []
-    for t, H in stalk_parts:
-        hv = cohomology(V, t)
-        stalks.append({
-            "position": t,
-            "shift": (-t) % m,
-            "dims": list(H.dims),
-            "matches_cohomology": H.dims == hv.dims and
-                                  (H.total_dim == 0 or iso_q(H, hv)),
-        })
-    cohom_in = cohomology_dims(V)
-    cohom_out = cohomology_dims(stalk_sum) if stalk_parts else [0] * m
+    cohom = cohomology_dims(V)
+    positions = [t for t in range(m) if cohom[t]]
+    if not positions:
+        # V is acyclic: the zero complex is already its decomposition
+        return {"stalks": [], "cohomology": cohom,
+                "stalk_cohomology": [0] * m, "verified": True}
+    pieces, stalks, to_V, to_stalk = [], [], [], []
+    for t in positions:
+        data = _cohom_data(V, t)
+        res = ctx._resolve(data.H)
+        comps, diffs = {t: res.terms[0]}, {}
+        lifts = {t: data.inclZ @ _lift(res.aug, data.projH)}
+        if len(res.terms) > 1:
+            comps[t - 1], diffs[t - 1] = res.terms[1], res.maps[0]
+            lifts[t - 1] = _lift(lifts[t] @ res.maps[0], V.diffs[(t - 1) % m])
+        F, _, projs = fold(BoundedComplex(alg, comps, diffs, check=False), m)
+        S = stalk_complex(data.H, m, t)
+        pieces.append(F)
+        stalks.append(S)
+        to_V.append(_out_of_fold(F, V, lifts, projs))
+        to_stalk.append(_out_of_fold(F, S, {t: res.aug}, projs))
+    total, _, tprojs = complex_direct_sum(pieces)
+    stalk_sum, sinjs, _ = complex_direct_sum(stalks)
+    f = sum((g @ pr for g, pr in zip(to_V, tprojs)),
+            GradedMorphism.zero(total, V))
+    s = sum((inj @ g @ pr for inj, g, pr in zip(sinjs, to_stalk, tprojs)),
+            GradedMorphism.zero(total, stalk_sum))
+    if not f.is_closed():
+        raise CheckFailed("lifted resolutions do not form a chain map")
+    if not s.is_closed():
+        raise CheckFailed("stalk projection is not a chain map")
+    cohom_out = cohomology_dims(stalk_sum)
     return {
-        "stalks": [s for s in stalks if sum(s["dims"])],
-        "cohomology": cohom_in,
+        "stalks": [{"position": t, "shift": (-t) % m,
+                    "dims": list(S.comps[t].dims)}
+                   for t, S in zip(positions, stalks)],
+        "cohomology": cohom,
         "stalk_cohomology": cohom_out,
-        "verified": bool(ok and cohom_in == cohom_out
-                         and all(s["matches_cohomology"] for s in stalks)),
+        "verified": bool(is_quasi_iso(f) and is_quasi_iso(s)
+                         and cohom == cohom_out),
     }
 
 

@@ -297,9 +297,14 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
     ``parts`` are the direct summands of the candidate; projective summands
     are stripped with a warning.  Generation closes the summands under
     suspension (both directions), cones of stable basis maps, and direct
-    summands, and compares against the known indecomposables for cyclic
-    Nakayama algebras (budget-limited and inconclusive otherwise).  An
-    exhausted budget leaves generation undecided (``None``).
+    summands.  For cyclic Nakayama algebras the closure is compared against
+    the known indecomposables.  Otherwise generation is certified once every
+    non-projective simple is in the closure (stmod is the thick closure of
+    the simples) and fails when a simple it misses lies in a block (a
+    connected component of the quiver) holding no summand.  It is undecided
+    (``None``) when the budget runs out, or when the closure misses only
+    simples of covered blocks: it cones only basis maps, so it need not be
+    thick.
 
     Each pass suspends only the items added since the previous pass and
     cones only the pairs involving such an item: redoing earlier work could
@@ -393,9 +398,39 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
         result["pass"] = (result["generation_ok"] if rig_ok and periodic_ok
                           else False)
     else:
-        result["generation_ok"] = None if exhausted else True
-        result["pass"] = None if exhausted else bool(rig_ok and periodic_ok)
+        # stmod is the thick closure of the simples, and no stable map
+        # crosses blocks: a simple of a block without a summand of T is out
+        simples = [Rep.simple(alg, v) for v in range(1, alg.quiver.n + 1)]
+        missing = [v for v, S in enumerate(simples, 1)
+                   if not is_projective(S) and reg.find(S) is None]
+        block = _blocks(alg)
+        covered = {block[v] for X in clean
+                   for v, d in enumerate(X.dims) if d}
+        result["missing_simples"] = missing
+        if any(block[v - 1] not in covered for v in missing):
+            generation = False
+        elif exhausted or missing:
+            generation = None
+        else:
+            generation = True
+        result["generation_ok"] = generation
+        result["pass"] = (None if exhausted and generation is None
+                          else generation if rig_ok and periodic_ok else False)
     return result
+
+
+def _blocks(alg: FinDimAlgebra) -> List[int]:
+    """A label per vertex (index v - 1) naming its connected component."""
+    label = list(range(alg.quiver.n))
+
+    def root(v: int) -> int:
+        while label[v] != v:
+            v = label[v]
+        return v
+
+    for a in alg.quiver.arrows:
+        label[root(a.source - 1)] = root(a.target - 1)
+    return [root(v) for v in range(alg.quiver.n)]
 
 
 def stable_end_algebra(ctx: StableContext, parts: Sequence[Rep],

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from periodica.common import PreconditionError
+from periodica import derivedper
+from periodica.common import CheckFailed, PreconditionError
 from periodica.derivedper import (DerivedContext, distinct_stalks_d2_dual_numbers,
                                   ext_dims, ext_sum_check, hereditary_decompose,
                                   list_indecomposables_hereditary,
                                   stalk_tilting_check)
-from periodica.families import all_intervals, serial_module
+from periodica.families import all_intervals, linear_a, serial_module
 from periodica.fields import QQ
 from periodica.linalg import Mat
-from periodica.percomplex import (GradedMorphism, cohomology, cohomology_dims,
+from periodica.percomplex import (GradedMorphism, cohomology,
+                                  cohomology_dim_vectors, cohomology_dims,
                                   cone, homotopy_hom, is_acyclic, is_quasi_iso,
                                   shift, stalk_complex)
 from periodica.randomcx import random_periodic_complex
@@ -177,6 +179,41 @@ def test_hereditary_decompose_examples(a2):
     assert rep2["verified"]
     assert [(s["position"], s["dims"]) for s in rep2["stalks"]] \
         == [(0, [0, 1])]
+    # random complexes over kA2..kA4 at every period 1..4: one stalk per
+    # nonzero cohomology module, with that module's dimension vector
+    rng = random.Random(41)
+    for k in (2, 3, 4):
+        alg = linear_a(k, QQ)
+        for m in (1, 2, 3, 4):
+            ctx = DerivedContext(alg, m)
+            for _ in range(3):
+                V = random_periodic_complex(alg, m, rng)
+                dims = cohomology_dim_vectors(V)
+                rep = hereditary_decompose(ctx, V)
+                assert rep["verified"]
+                assert [s["position"] for s in rep["stalks"]] \
+                    == [t for t in range(m) if any(dims[t])]
+                for s in rep["stalks"]:
+                    assert s["dims"] == dims[s["position"]]
+
+
+def test_hereditary_decompose_catches_a_wrong_lift(a3, monkeypatch):
+    # with every lift replaced by zero, no complex with cohomology may pass
+    monkeypatch.setattr(derivedper, "_lift",
+                        lambda g, q: Morphism.zero(g.source, q.source))
+    rng = random.Random(43)
+    for m in (1, 2, 3):
+        ctx = DerivedContext(a3, m)
+        tried = 0
+        while tried < 6:
+            V = random_periodic_complex(a3, m, rng)
+            if not any(cohomology_dims(V)):
+                continue
+            tried += 1
+            try:
+                assert not hereditary_decompose(ctx, V)["verified"]
+            except CheckFailed:
+                pass
 
 
 def test_replacement_caches_only_top_level_complexes(a3):
@@ -186,7 +223,7 @@ def test_replacement_caches_only_top_level_complexes(a3):
     rng = random.Random(23)
     Vs = [random_periodic_complex(a3, 3, rng) for _ in range(12)]
     for V in Vs + Vs[:4]:
-        assert hereditary_decompose(ctx, V)["verified"]
+        assert is_quasi_iso(ctx.replacement(V)[1])
     assert len(ctx._repl) == len({id(V) for V in Vs})
     assert set(ctx._res) <= {id(c) for V in Vs for c in V.comps}
 

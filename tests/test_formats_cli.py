@@ -602,6 +602,39 @@ def test_cli_tilting_stable_budget_exhausted_is_inconclusive(capsys):
     assert "usage:" not in err and "Traceback" not in err
 
 
+def test_cli_tilting_stable_misses_an_uncovered_block():
+    # N(3,3) and N(2,2) side by side: no stable map crosses the blocks, so a
+    # summand in one block cannot generate the simples of the other, however
+    # small the budget
+    for T, missing, budget in (("S(4)", [1, 2, 3], "64"),
+                               ("S(1)", [2, 3, 4, 5], "64"),
+                               ("S(4)", [1, 2, 3], "1")):
+        code, out = run_cli(["tilting", "stable", "--algebra",
+                             sample("twoblocks.alg"), "-T", T, "--m", "2",
+                             "--budget", budget])
+        assert code == 5
+        result = json.loads(out)["result"]
+        assert result["pass"] is False and result["generation_ok"] is False
+        assert result["missing_simples"] == missing
+        assert result["budget_exhausted"] == (budget == "1")
+
+
+def test_cli_tilting_stable_missing_simples_of_covered_blocks(capsys):
+    # thick(S(1)) in stmod N(3,3) holds S(1) and its suspension only, but a
+    # closure of basis cones cannot tell that from a short search
+    code, out = run_cli(["tilting", "stable", "--algebra",
+                         sample("twoblocks.alg"), "-T", "S(1)", "-T", "S(4)",
+                         "--m", "2"])
+    assert code == 4
+    result = json.loads(out)["result"]
+    assert not result["budget_exhausted"]
+    assert result["pass"] is None and result["generation_ok"] is None
+    assert result["missing_simples"] == [2, 3]
+    err = capsys.readouterr().err
+    assert err.startswith("inconclusive:") and err.count("\n") == 1
+    assert "S(2), S(3)" in err
+
+
 def test_cli_internal_error_is_one_line(monkeypatch, capsys):
     import periodica.cli as cli
 

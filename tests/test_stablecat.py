@@ -235,6 +235,20 @@ def test_non_nakayama_budget_path():
     assert rep["generation_ok"] is None
 
 
+def test_generation_certified_by_the_simples():
+    # outside the cyclic Nakayama family, a closure holding every simple
+    # generates: stmod is the thick closure of the simples
+    from periodica.formats import load_algebra
+    import os
+    here = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
+    alg = load_algebra(os.path.join(here, "twoblocks.alg"))
+    ctx = StableContext(alg)
+    simples = [Rep.simple(alg, v) for v in range(1, 6)]
+    rep = check_periodic_tilting_stable(ctx, simples, 2)
+    assert rep["missing_simples"] == [] and rep["generation_ok"] is True
+    assert not rep["rigidity_ok"] and rep["pass"] is False
+
+
 def test_suspension_strips_projective_summands(n33):
     ctx = StableContext(n33)
     M = serial_module(n33, 1, 1)
