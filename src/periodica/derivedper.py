@@ -5,7 +5,9 @@ periodic complex receives a surjective quasi-isomorphism from a complex with
 projective components, built by peeling one degree at a time into stalk
 pieces (each resolved and folded) and gluing the pieces back along
 componentwise-exact sequences.  The gluing step lifts the extension through
-the replacement of the sub, which is a finite linear solve here.
+the replacement of the sub, which is a finite linear solve here: its system
+is assembled blockwise, one coordinate solve per (piece, term), and the glued
+replacement is the twisted sum PA + PC of ``percomplex.sum_complex``.
 
 Over a hereditary algebra a complex splits into its cohomology without being
 replaced (Prop. 3.25): the minimal resolution 0 -> P1 -> P0 -> H^t(V) -> 0
@@ -28,11 +30,12 @@ from .families import all_intervals, is_linear_a, dual_numbers
 from .fields import Field
 from .linalg import Mat
 from .percomplex import (BoundedComplex, GradedMorphism, PeriodicComplex,
-                         _cohom_data, cohomology_dims, complex_direct_sum,
-                         fold, homotopy_hom, is_quasi_iso, shift, shift_map,
-                         stalk_complex, zero_complex)
+                         _cohom_data, _unsplit, cohomology_dims,
+                         complex_direct_sum, fold, homotopy_hom, is_quasi_iso,
+                         shift, shift_map, stalk_complex, sum_complex, sum_map,
+                         zero_complex)
 from .quiver import FinDimAlgebra
-from .rep import (HomBasis, Morphism, Rep, Resolution, direct_sum,
+from .rep import (HomBasis, Morphism, Rep, Resolution, block_map,
                   global_dimension, hom_space, is_projective, kernel_of,
                   minimal_resolution)
 
@@ -131,11 +134,14 @@ class DerivedContext:
             Z = zero_complex(self.algebra, self.m)
             return Z, GradedMorphism.zero(Z, target)
         res = resolve(M)
-        F, ginjs, gprojs = fold(resolution_to_bounded(res), self.m)
+        B = resolution_to_bounded(res)
+        F, layout = fold(B, self.m)
         stalk0 = stalk_complex(M, self.m, 0)
         comps = [Morphism.zero(F.comps[i], stalk0.comps[i])
                  for i in range(self.m)]
-        comps[0] = res.aug @ gprojs[0].comps[0]
+        # the augmentation on the degree-0 summand P0 of F^0
+        comps[0] = block_map(F.comps[0], M, [M], [B.comps[j] for j in layout[0]],
+                             {(0, layout[0].index(0)): res.aug})
         phi = GradedMorphism(F, stalk0, 0, comps)
         if position % self.m:
             phi = _retarget(shift_map(phi, -position),
@@ -173,96 +179,50 @@ class DerivedContext:
 
         # solve for sigma (degree 1 into PA, closed) and g (degree 0 into A):
         #   pA o sigma + d_A o g - g o d_PC = defect,  d_PA o sigma + sigma o d_PC = 0
+        # unknowns: the sigma^i, then the g^i; equations: the first family
+        # in degrees 0..m-1, then the second
         sig_bases = [HomBasis(PC.comps[i], PA.comps[(i + 1) % m])
                      for i in range(m)]
         g_bases = [HomBasis(PC.comps[i], A.comps[i]) for i in range(m)]
         eqA = [HomBasis(PC.comps[i], A.comps[(i + 1) % m]) for i in range(m)]
         eqB = [HomBasis(PC.comps[i], PA.comps[(i + 2) % m]) for i in range(m)]
-        offs = []
-        run = 0
-        for hb in sig_bases + g_bases:
-            offs.append(run)
-            run += hb.dim
-        rows_off = []
-        rrun = 0
-        for hb in eqA + eqB:
-            rows_off.append(rrun)
-            rrun += hb.dim
-        bigcols: List[list] = []
+        cells: Dict[Tuple[int, int], Mat] = {}
+
+        def put(r: int, c: int, eq: HomBasis, maps: List[Morphism]) -> None:
+            # at m = 1 two terms share a block and add up
+            X = eq.coords_matrix(maps)
+            cells[(r, c)] = cells[(r, c)] + X if (r, c) in cells else X
+
         for i in range(m):
-            for g in sig_bases[i].basis:
-                col = [field.zero()] * rrun
-                va = eqA[i].coords_matrix([pA.comps[(i + 1) % m] @ g])
-                for r in range(va.rows):
-                    col[rows_off[i] + r] = va.get(r, 0)
-                vb = eqB[i].coords_matrix([PA.diffs[(i + 1) % m] @ g])
-                for r in range(vb.rows):
-                    col[rows_off[m + i] + r] = vb.get(r, 0)
-                vc = eqB[(i - 1) % m].coords_matrix([g @ PC.diffs[(i - 1) % m]])
-                for r in range(vc.rows):
-                    idx = rows_off[m + ((i - 1) % m)] + r
-                    col[idx] = field.add(col[idx], vc.get(r, 0))
-                bigcols.append(col)
-        for i in range(m):
-            for g in g_bases[i].basis:
-                col = [field.zero()] * rrun
-                va = eqA[i].coords_matrix([A.diffs[i] @ g])
-                for r in range(va.rows):
-                    col[rows_off[i] + r] = va.get(r, 0)
-                vb = eqA[(i - 1) % m].coords_matrix(
-                    [(g @ PC.diffs[(i - 1) % m]).scale(field.neg(field.one()))])
-                for r in range(vb.rows):
-                    idx = rows_off[(i - 1) % m] + r
-                    col[idx] = field.add(col[idx], vb.get(r, 0))
-                bigcols.append(col)
-        rhs = [field.zero()] * rrun
-        for i in range(m):
-            dv = eqA[i].coords_of(defect[i])
-            for r, val in enumerate(dv):
-                rhs[rows_off[i] + r] = val
-        if bigcols:
-            system = Mat.from_rows(field, bigcols).transpose()
-            sol = system.solve(rhs)
-        else:
-            sol = [] if all(field.is_zero(x) for x in rhs) else None
+            k = (i - 1) % m
+            sig, g = sig_bases[i].basis, g_bases[i].basis
+            put(i, i, eqA[i], [pA.comps[(i + 1) % m] @ x for x in sig])
+            put(m + i, i, eqB[i], [PA.diffs[(i + 1) % m] @ x for x in sig])
+            put(m + k, i, eqB[k], [x @ PC.diffs[k] for x in sig])
+            put(i, m + i, eqA[i], [A.diffs[i] @ x for x in g])
+            put(k, m + i, eqA[k], [-(x @ PC.diffs[k]) for x in g])
+        system = Mat.block(field, [e.dim for e in eqA + eqB],
+                           [b.dim for b in sig_bases + g_bases], cells)
+        rhs = [c for i in range(m) for c in eqA[i].coords_of(defect[i])]
+        rhs += [field.zero()] * (system.rows - len(rhs))
+        sol = system.solve(rhs)
         if sol is None:
             raise CheckFailed("extension lifting system is inconsistent")
-        sigma: List[Morphism] = []
-        corr: List[Morphism] = []
-        k = 0
-        for i in range(m):
-            hb = sig_bases[i]
-            sigma.append(hb.from_coords(sol[offs[k]:offs[k] + hb.dim]
-                                        if hb.dim else []))
-            k += 1
-        for i in range(m):
-            hb = g_bases[i]
-            corr.append(hb.from_coords(sol[offs[k]:offs[k] + hb.dim]
-                                       if hb.dim else []))
-            k += 1
+        found = []
+        for hb in sig_bases + g_bases:
+            found.append(hb.from_coords(sol[:hb.dim]))
+            sol = sol[hb.dim:]
+        sigma, corr = found[:m], found[m:]
         h = [h[i] - (incl.comps[i] @ corr[i]) for i in range(m)]
 
-        # assemble PB = PA + PC with twisted differential [[d, sigma],[0, d]]
-        comps = []
-        sums = []
-        for i in range(m):
-            S, injs, projs = direct_sum([PA.comps[i], PC.comps[i]])
-            comps.append(S)
-            sums.append((injs, projs))
-        diffs = []
-        for i in range(m):
-            injA, injC = sums[(i + 1) % m][0]
-            prA, prC = sums[i][1]
-            d = (injA @ PA.diffs[i] @ prA) + (injA @ sigma[i] @ prC) \
-                + (injC @ PC.diffs[i] @ prC)
-            diffs.append(d)
-        PB = PeriodicComplex(self.algebra, m, comps, diffs)
-        pb_comps = []
-        for i in range(m):
-            prA, prC = sums[i][1]
-            pb_comps.append((incl.comps[i] @ pA.comps[i] @ prA)
-                            + (h[i] @ prC))
-        pB = GradedMorphism(PB, B, 0, pb_comps)
+        # PB = PA + PC with twisted differential [[d, sigma],[0, d]]
+        parts = [[PA.comps[i], PC.comps[i]] for i in range(m)]
+        PB = sum_complex(self.algebra, parts,
+                         [{(0, 0): PA.diffs[i], (0, 1): sigma[i],
+                           (1, 1): PC.diffs[i]} for i in range(m)])
+        pB = sum_map(PB, B, _unsplit(B), parts,
+                     [{(0, 0): incl.comps[i] @ pA.comps[i], (0, 1): h[i]}
+                      for i in range(m)])
         if not pB.is_closed():
             raise CheckFailed("glued replacement map is not a chain map")
         for i in range(m):
@@ -293,21 +253,18 @@ class DerivedContext:
         if all(is_projective(c) for c in V.comps):
             return V, GradedMorphism.identity(V)
         if all(d.is_zero() for d in V.diffs):
-            parts, maps = [], []
+            # the sum of the folded resolutions of the components, each
+            # mapping to its component only
+            parts: List[PeriodicComplex] = []
+            blocks: List[Dict[Tuple[int, int], Morphism]] = [{} for _ in range(m)]
             for i in V.support():
                 Pi, phi = self.fold_resolution(V.comps[i], i)
+                blocks[i][(0, len(parts))] = phi.comps[i]
                 parts.append(Pi)
-                comps = [Morphism.zero(Pi.comps[t], V.comps[t])
-                         for t in range(m)]
-                comps[i] = Morphism(Pi.comps[i], V.comps[i],
-                                    phi.comps[i].blocks)
-                maps.append(GradedMorphism(Pi, V, 0, comps))
-            total, injs, projs = complex_direct_sum(parts)
-            p = None
-            for f, pr in zip(maps, projs):
-                g = f @ pr
-                p = g if p is None else p + g
-            assert p is not None and p.is_closed()
+            total = complex_direct_sum(parts)
+            p = sum_map(total, V, _unsplit(V),
+                        [[P.comps[t] for P in parts] for t in range(m)], blocks)
+            assert p.is_closed()
             return total, p
         # peel at the first position with a nonzero component
         i0 = V.support()[0]
@@ -448,17 +405,6 @@ def ext_sum_check(ctx: DerivedContext, M: Rep, N: Rep) -> dict:
 # -- hereditary decomposition --------------------------------------------------------
 
 
-def _out_of_fold(F: PeriodicComplex, target: PeriodicComplex,
-                 maps: Dict[int, Morphism],
-                 projs: Dict[int, GradedMorphism]) -> GradedMorphism:
-    """The degree-0 map out of a fold that is maps[j] on its degree-j term."""
-    m = F.m
-    comps = [Morphism.zero(F.comps[i], target.comps[i]) for i in range(m)]
-    for j, g in maps.items():
-        comps[j % m] = comps[j % m] + g @ projs[j].comps[j % m]
-    return GradedMorphism(F, target, 0, comps)
-
-
 def hereditary_decompose(ctx: DerivedContext, V: PeriodicComplex) -> dict:
     """Split V (up to quasi-isomorphism) into cohomology stalks; gd <= 1 only.
 
@@ -467,7 +413,8 @@ def hereditary_decompose(ctx: DerivedContext, V: PeriodicComplex) -> dict:
     Z^t ->> H, then P1 -> Z^t through the differential V^{t-1} -> B^t, both
     possible because P0 and P1 are projective.  The fold F_t of P1 -> P0 at
     degrees t-1, t maps to V and onto the stalk of H at t.  The verified roof
-    is V <~ sum of the F_t ~> sum of stalks: both maps are chain maps and
+    is V <~ sum of the F_t ~> sum of stalks: the sum is assembled blockwise
+    from the P0, P1 and the maps as block rows, both maps are chain maps and
     both are checked to be quasi-isomorphisms.
     """
     if ctx.gd > 1:
@@ -480,27 +427,30 @@ def hereditary_decompose(ctx: DerivedContext, V: PeriodicComplex) -> dict:
         # V is acyclic: the zero complex is already its decomposition
         return {"stalks": [], "cohomology": cohom,
                 "stalk_cohomology": [0] * m, "verified": True}
-    pieces, stalks, to_V, to_stalk = [], [], [], []
+    # the sum of the F_t: terms[i] are the summands of its component i;
+    # d, to_V and to_S hold the blocks of its differential and of its maps
+    # to V and to the sum of the stalks
+    terms: List[List[Rep]] = [[] for _ in range(m)]
+    stalks: List[List[Rep]] = [[] for _ in range(m)]
+    d, to_V, to_S = ([{} for _ in range(m)] for _ in range(3))
     for t in positions:
         data = _cohom_data(V, t)
         res = ctx._resolve(data.H)
-        comps, diffs = {t: res.terms[0]}, {}
-        lifts = {t: data.inclZ @ _lift(res.aug, data.projH)}
+        a0 = data.inclZ @ _lift(res.aug, data.projH)
+        j0 = len(terms[t])
+        to_V[t][(0, j0)] = a0
+        to_S[t][(0, j0)] = res.aug
+        terms[t].append(res.terms[0])
+        stalks[t].append(data.H)
         if len(res.terms) > 1:
-            comps[t - 1], diffs[t - 1] = res.terms[1], res.maps[0]
-            lifts[t - 1] = _lift(lifts[t] @ res.maps[0], V.diffs[(t - 1) % m])
-        F, _, projs = fold(BoundedComplex(alg, comps, diffs, check=False), m)
-        S = stalk_complex(data.H, m, t)
-        pieces.append(F)
-        stalks.append(S)
-        to_V.append(_out_of_fold(F, V, lifts, projs))
-        to_stalk.append(_out_of_fold(F, S, {t: res.aug}, projs))
-    total, _, tprojs = complex_direct_sum(pieces)
-    stalk_sum, sinjs, _ = complex_direct_sum(stalks)
-    f = sum((g @ pr for g, pr in zip(to_V, tprojs)),
-            GradedMorphism.zero(total, V))
-    s = sum((inj @ g @ pr for inj, g, pr in zip(sinjs, to_stalk, tprojs)),
-            GradedMorphism.zero(total, stalk_sum))
+            k = (t - 1) % m
+            d[k][(j0, len(terms[k]))] = res.maps[0]
+            to_V[k][(0, len(terms[k]))] = _lift(a0 @ res.maps[0], V.diffs[k])
+            terms[k].append(res.terms[1])
+    total = sum_complex(alg, terms, d)
+    stalk_sum = sum_complex(alg, stalks, [{} for _ in range(m)], check=False)
+    f = sum_map(total, V, _unsplit(V), terms, to_V)
+    s = sum_map(total, stalk_sum, stalks, terms, to_S)
     if not f.is_closed():
         raise CheckFailed("lifted resolutions do not form a chain map")
     if not s.is_closed():
@@ -508,8 +458,7 @@ def hereditary_decompose(ctx: DerivedContext, V: PeriodicComplex) -> dict:
     cohom_out = cohomology_dims(stalk_sum)
     return {
         "stalks": [{"position": t, "shift": (-t) % m,
-                    "dims": list(S.comps[t].dims)}
-                   for t, S in zip(positions, stalks)],
+                    "dims": list(stalks[t][0].dims)} for t in positions],
         "cohomology": cohom,
         "stalk_cohomology": cohom_out,
         "verified": bool(is_quasi_iso(f) and is_quasi_iso(s)
@@ -565,7 +514,7 @@ def stalk_tilting_check(ctx: DerivedContext) -> dict:
         for k in range(len(res.terms)):
             comps = {-j: res.terms[j] for j in range(k + 1)}
             diffs = {-j: res.maps[j - 1] for j in range(1, k + 1)}
-            Xk, _, _ = fold(BoundedComplex(alg, comps, diffs, check=False), m)
+            Xk, _ = fold(BoundedComplex(alg, comps, diffs, check=False), m)
             split_ok = True
             if prev is not None:
                 for i in range(m):

@@ -30,7 +30,7 @@ from .fields import Field
 from .linalg import Mat
 from .percomplex import GradedMorphism, PeriodicComplex
 from .quiver import AlgebraPresentation, FinDimAlgebra, Quiver, build_algebra
-from .rep import Morphism, Rep, direct_sum
+from .rep import Morphism, Rep, block_sum
 
 
 def _prime_field(p: int, line: Optional[int], col: Optional[int]) -> Field:
@@ -249,7 +249,7 @@ def parse_module_expr(alg: FinDimAlgebra, expr: str) -> Rep:
         return Rep.zero(alg)
     if len(parts) == 1:
         return parts[0]
-    return direct_sum(parts)[0]
+    return block_sum(parts)
 
 
 # -- complexes -----------------------------------------------------------------------
@@ -402,7 +402,10 @@ def load_chain_map_file(alg: FinDimAlgebra, path: str
             blocks.append(Mat.zeros(alg.field, nr, nc) if entry is None else
                           _parse_matrix(alg.field, entry, nr, nc,
                                         f"component {i}, vertex {v+1}"))
-        comps.append(Morphism(src, tgt, blocks))
+        g = Morphism(src, tgt, blocks)
+        if not g.is_intertwiner():
+            raise ParseError(f"component {i} is not a module map")
+        comps.append(g)
     f = GradedMorphism(V, W, 0, comps)
     if not f.is_closed():
         raise ParseError("components do not define a chain map")

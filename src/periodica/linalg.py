@@ -7,7 +7,7 @@ wrap them in place.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _kernels_py as _impl
 from .fields import Field
@@ -175,16 +175,24 @@ class Mat:
                    self.data + other.data)
 
     @classmethod
-    def block(cls, grid: Sequence[Sequence["Mat"]]) -> "Mat":
-        """Assemble a block matrix from a rectangular grid of Mats."""
-        rows = None
-        for brow in grid:
-            part = brow[0]
-            for b in brow[1:]:
-                part = part.hstack(b)
-            rows = part if rows is None else rows.vstack(part)
-        assert rows is not None
-        return rows
+    def block(cls, field: Field, row_sizes: Sequence[int],
+              col_sizes: Sequence[int], blocks: Dict[Tuple[int, int], "Mat"]
+              ) -> "Mat":
+        """The block matrix with ``blocks[(r, c)]`` in block row r and block
+        column c (sized ``row_sizes[r]`` by ``col_sizes[c]``), zero elsewhere."""
+        roff, coff = _offsets(row_sizes), _offsets(col_sizes)
+        ncols = coff[-1]
+        out = cls.zeros(field, roff[-1], ncols)
+        for (r, c), b in blocks.items():
+            if b.field != field:
+                raise ValueError("field mismatch")
+            if b.shape != (row_sizes[r], col_sizes[c]):
+                raise ValueError(f"block ({r}, {c}) has shape {b.shape}, "
+                                 f"expected {(row_sizes[r], col_sizes[c])}")
+            for i in range(b.rows):
+                base = (roff[r] + i) * ncols + coff[c]
+                out.data[base:base + b.cols] = b.row_list(i)
+        return out
 
     def take_cols(self, js: Sequence[int]) -> "Mat":
         data = []
@@ -263,6 +271,14 @@ class Mat:
         if X is None:
             raise ValueError("matrix not invertible")
         return X
+
+
+def _offsets(sizes: Sequence[int]) -> List[int]:
+    """Running sums 0, s_0, s_0 + s_1, ...; the last entry is the total."""
+    out = [0]
+    for s in sizes:
+        out.append(out[-1] + s)
+    return out
 
 
 def reduce_mod_rowspace(R: Mat, piv: Sequence[int], vec: list,

@@ -10,6 +10,12 @@ Chain maps are the closed degree-0 maps; two chain maps are homotopic when
 their difference is exact.  Degrees of graded maps are genuine integers: the
 underlying component spaces only depend on p mod m but the sign (-1)^p does
 not, which is exactly the source of the period-2m phenomenon for odd m.
+
+Sums of complexes with block upper-triangular differentials (cones, folds,
+direct sums and the glued replacements of ``derivedper``; twisted complexes
+in the sense of Bondal-Kapranov) are all built by :func:`sum_complex`, and
+maps into or out of them are block rows and columns (:func:`sum_map`): no
+canonical injection or projection is formed on the way.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .common import CheckFailed, PreconditionError
 from .linalg import Mat
 from .quiver import FinDimAlgebra
-from .rep import (HomBasis, Morphism, Rep, direct_sum, hom_space, image_of,
-                  is_projective, kernel_of, quotient_rep, sub_rep)
+from .rep import (HomBasis, Morphism, Rep, block_map, block_sum, hom_space,
+                  is_projective, kernel_of, quotient_rep)
 
 
 class PeriodicComplex:
@@ -213,6 +219,43 @@ def shift_map(f: GradedMorphism, ell: int) -> GradedMorphism:
                           [f.comps[(i + ell) % m] for i in range(m)])
 
 
+# -- sums of complexes ------------------------------------------------------------
+
+
+def sum_complex(alg: FinDimAlgebra, parts: Sequence[Sequence[Rep]],
+                blocks: Sequence[Dict[Tuple[int, int], Morphism]],
+                check: bool = True) -> PeriodicComplex:
+    """The complex with component i the sum of ``parts[i]`` (m = len(parts))
+    and d^i the block matrix ``blocks[i]``: ``blocks[i][(r, c)]`` maps
+    ``parts[i][c]`` to ``parts[i+1][r]``, and missing blocks are zero.
+
+    Cones, folds and glued replacements are all sums of this kind (twisted
+    complexes), so this is the one place their differentials are assembled.
+    """
+    m = len(parts)
+    comps = [block_sum(p) if p else Rep.zero(alg) for p in parts]
+    diffs = [block_map(comps[i], comps[(i + 1) % m], parts[(i + 1) % m],
+                       parts[i], blocks[i]) for i in range(m)]
+    return PeriodicComplex(alg, m, comps, diffs, check=check)
+
+
+def sum_map(source: PeriodicComplex, target: PeriodicComplex,
+            rows: Sequence[Sequence[Rep]], cols: Sequence[Sequence[Rep]],
+            blocks: Sequence[Dict[Tuple[int, int], Morphism]]
+            ) -> GradedMorphism:
+    """The degree-0 map whose component i is the block matrix ``blocks[i]``
+    from the summands ``cols[i]`` of source^i to the summands ``rows[i]`` of
+    target^i (see :func:`periodica.rep.block_map`)."""
+    return GradedMorphism(source, target, 0, [
+        block_map(source.comps[i], target.comps[i], rows[i], cols[i], blocks[i])
+        for i in range(source.m)])
+
+
+def _unsplit(V: PeriodicComplex) -> List[List[Rep]]:
+    """Each component of V as a sum with one summand (for block rows)."""
+    return [[c] for c in V.comps]
+
+
 class ConeDiagram:
     """The cone of a chain map with its four structure maps.
 
@@ -261,38 +304,34 @@ def cone(f: GradedMorphism) -> ConeDiagram:
     """Cone of a chain map: C^i = W^i + V^{i+1}, d = [[d_W, f],[0, -d_V]]."""
     if f.degree != 0 or not f.is_closed():
         raise PreconditionError("cone needs a closed degree-0 map")
-    return _cone(f)
-
-
-def _cone(f: GradedMorphism) -> ConeDiagram:
-    """The cone of a degree-0 map already known to be closed."""
     V, W = f.source, f.target
     m = V.m
-    field = V.algebra.field
     V1 = shift(V, 1)
-    comps = []
-    sums = []
-    for i in range(m):
-        S, injs, projs = direct_sum([W.comps[i], V1.comps[i]])
-        comps.append(S)
-        sums.append((injs, projs))
-    diffs = []
-    for i in range(m):
-        j = (i + 1) % m
-        blocks = [Mat.block([[dw, fv], [Mat.zeros(field, dv.rows, dw.cols), dv]])
-                  for dw, fv, dv in zip(W.diffs[i].blocks, f.comps[j].blocks,
-                                        V1.diffs[i].blocks)]
-        diffs.append(Morphism(comps[i], comps[j], blocks))
-    C = PeriodicComplex(V.algebra, m, comps, diffs)
-    i_f = GradedMorphism(W, C, 0, [sums[i][0][0] for i in range(m)])
-    q_f = GradedMorphism(C, W, 0, [sums[i][1][0] for i in range(m)])
-    j_f = GradedMorphism(V1, C, 0, [sums[i][0][1] for i in range(m)])
-    p_f = GradedMorphism(C, V1, 0, [sums[i][1][1] for i in range(m)])
+    C = _cone(f)
+    parts = [[W.comps[i], V1.comps[i]] for i in range(m)]
+    maps = []
+    for k, X in enumerate((W, V1)):
+        ids = [Morphism.identity(c) for c in X.comps]
+        maps.append(sum_map(X, C, parts, _unsplit(X),
+                            [{(k, 0): e} for e in ids]))
+        maps.append(sum_map(C, X, _unsplit(X), parts,
+                            [{(0, k): e} for e in ids]))
+    i_f, q_f, j_f, p_f = maps
     xi = GradedMorphism(V1, V, 1,
                         [Morphism.identity(V1.comps[i]) for i in range(m)])
     zeta = GradedMorphism(V, V1, -1,
                           [Morphism.identity(V.comps[i]) for i in range(m)])
     return ConeDiagram(f, C, i_f, p_f, j_f, q_f, xi, zeta)
+
+
+def _cone(f: GradedMorphism) -> PeriodicComplex:
+    """The cone complex alone, of a degree-0 map already known to be closed."""
+    V, W = f.source, f.target
+    m = V.m
+    V1 = shift(V, 1)
+    return sum_complex(V.algebra, [[W.comps[i], V1.comps[i]] for i in range(m)],
+                       [{(0, 0): W.diffs[i], (0, 1): f.comps[(i + 1) % m],
+                         (1, 1): V1.diffs[i]} for i in range(m)])
 
 
 def K_of(A: Rep, m: int) -> PeriodicComplex:
@@ -303,9 +342,7 @@ def K_of(A: Rep, m: int) -> PeriodicComplex:
     """
     alg = A.algebra
     if m == 1:
-        S, injs, projs = direct_sum([A, A])
-        d = injs[0] @ projs[1]
-        return PeriodicComplex(alg, 1, [S], [d])
+        return sum_complex(alg, [[A, A]], [{(0, 1): Morphism.identity(A)}])
     comps = [Rep.zero(alg) for _ in range(m)]
     comps[0] = A
     comps[m - 1] = A
@@ -314,31 +351,13 @@ def K_of(A: Rep, m: int) -> PeriodicComplex:
     return PeriodicComplex(alg, m, comps, diffs, check=False)
 
 
-def complex_direct_sum(parts: Sequence[PeriodicComplex]
-                       ) -> Tuple[PeriodicComplex, List[GradedMorphism],
-                                  List[GradedMorphism]]:
+def complex_direct_sum(parts: Sequence[PeriodicComplex]) -> PeriodicComplex:
+    """The direct sum of complexes: block-diagonal differentials."""
     m = parts[0].m
-    alg = parts[0].algebra
-    comps = []
-    allinjs: List[List[Morphism]] = [[] for _ in parts]
-    allprojs: List[List[Morphism]] = [[] for _ in parts]
-    for i in range(m):
-        S, injs, projs = direct_sum([p.comps[i] for p in parts])
-        comps.append(S)
-        for k in range(len(parts)):
-            allinjs[k].append(injs[k])
-            allprojs[k].append(projs[k])
-    diffs = []
-    for i in range(m):
-        d = None
-        for k, p in enumerate(parts):
-            term = allinjs[k][(i + 1) % m] @ p.diffs[i] @ allprojs[k][i]
-            d = term if d is None else d + term
-        diffs.append(d)
-    C = PeriodicComplex(alg, m, comps, diffs, check=False)
-    gi = [GradedMorphism(p, C, 0, allinjs[k]) for k, p in enumerate(parts)]
-    gp = [GradedMorphism(C, p, 0, allprojs[k]) for k, p in enumerate(parts)]
-    return C, gi, gp
+    return sum_complex(parts[0].algebra,
+                       [[p.comps[i] for p in parts] for i in range(m)],
+                       [{(k, k): p.diffs[i] for k, p in enumerate(parts)}
+                        for i in range(m)], check=False)
 
 
 # -- cohomology -------------------------------------------------------------------
@@ -435,7 +454,7 @@ def is_quasi_iso(f: GradedMorphism) -> bool:
     """Quasi-isomorphism test: the cone is acyclic."""
     if f.degree != 0 or not f.is_closed():
         raise PreconditionError("need a chain map")
-    return is_acyclic(_cone(f).cone)
+    return is_acyclic(_cone(f))
 
 
 def is_quasi_iso_via_cohomology(f: GradedMorphism) -> bool:
@@ -516,38 +535,26 @@ class PeriodicHomComplex:
         if got is not None:
             return got
         field = self.V.algebra.field
+        src_dims, tgt_dims = self.degree_dims(p), self.degree_dims(p + 1)
+        if not any(src_dims):
+            # Hom^p = 0: no columns, cheaper to rebuild than to keep
+            return Mat.zeros(field, sum(tgt_dims), 0)
         m = self.m
-        sign = field.sign_pow(p)
-        src_dims = self.degree_dims(p)
-        tgt_dims = self.degree_dims(p + 1)
-        tgt_off = [0] * m
-        run = 0
+        neg_sign = field.neg(field.sign_pow(p))
+        blocks: Dict[Tuple[int, int], Mat] = {}
         for i in range(m):
-            tgt_off[i] = run
-            run += tgt_dims[i]
-        total_tgt = run
-        cols: List[list] = []
-        for i in range(m):
-            piece = self.piece(i, i + p)
-            if piece.dim == 0:
+            basis = self.piece(i, i + p).basis.basis
+            if not basis:
                 continue
             # d_W o f lands in target piece i; -(+-1) f o d_V in piece i-1
-            up_maps = [self.W.diffs[(i + p) % m] @ g for g in piece.basis.basis]
-            dn_maps = [(g @ self.V.diffs[(i - 1) % m]).scale(field.neg(sign))
-                       for g in piece.basis.basis]
-            up = self.piece(i, i + p + 1).basis.coords_matrix(up_maps)
-            dn = self.piece(i - 1, i + p).basis.coords_matrix(dn_maps)
-            for c in range(piece.dim):
-                col = [field.zero()] * total_tgt
-                for r in range(up.rows):
-                    col[tgt_off[i] + r] = up.get(r, c)
-                for r in range(dn.rows):
-                    idx = tgt_off[(i - 1) % m] + r
-                    col[idx] = field.add(col[idx], dn.get(r, c))
-                cols.append(col)
-        if not cols:
-            return Mat.zeros(field, total_tgt, 0)
-        mat = Mat.from_rows(field, cols).transpose()
+            k = (i - 1) % m
+            blocks[(i, i)] = self.piece(i, i + p + 1).basis.coords_matrix(
+                [self.W.diffs[(i + p) % m] @ g for g in basis])
+            dn = self.piece(k, i + p).basis.coords_matrix(
+                [(g @ self.V.diffs[k]).scale(neg_sign) for g in basis])
+            # at m = 1 (k = i) both terms land in one block
+            blocks[(k, i)] = blocks[(k, i)] + dn if (k, i) in blocks else dn
+        mat = Mat.block(field, tgt_dims, src_dims, blocks)
         self._dmat[key] = mat
         return mat
 
@@ -664,60 +671,23 @@ class BoundedComplex:
         return f"BoundedComplex(degrees {sorted(self.comps)})"
 
 
-def fold(C: BoundedComplex, m: int
-         ) -> Tuple[PeriodicComplex, Dict[int, GradedMorphism],
-                    Dict[int, GradedMorphism]]:
-    """Wrap a bounded complex around Z_m: component i gets the sum over j = i.
+def fold(C: BoundedComplex, m: int) -> Tuple[PeriodicComplex, List[List[int]]]:
+    """Wrap a bounded complex around Z_m: component i is the sum of the C^j
+    with j = i mod m, in increasing j, and d^j maps the summand C^j to the
+    summand C^{j+1}.  Differentials fold without signs.
 
-    Returns the periodic complex together with, for every original degree j,
-    the inclusion of C^j into the folded component (as a degree-0 graded map
-    from the stalk of C^j at j mod m) -- handy for building maps out of folds.
-    Differentials fold without signs.
+    Returns the periodic complex and its layout: ``layout[i]`` lists the
+    degrees j folded into component i, in summand order.
     """
-    alg = C.algebra
-    if not C.comps:
-        Z = zero_complex(alg, m)
-        return Z, {}, {}
-    layout: Dict[int, List[int]] = {i: [] for i in range(m)}
+    layout: List[List[int]] = [[] for _ in range(m)]
     for j in sorted(C.comps):
         layout[j % m].append(j)
-    comps = []
-    injs: Dict[int, Morphism] = {}
-    projs: Dict[int, Morphism] = {}
-    for i in range(m):
-        parts = [C.comps[j] for j in layout[i]]
-        if not parts:
-            comps.append(Rep.zero(alg))
-            continue
-        S, inj, proj = direct_sum(parts)
-        comps.append(S)
-        for j, mi, mp in zip(layout[i], inj, proj):
-            injs[j] = mi
-            projs[j] = mp
-    diffs = []
-    for i in range(m):
-        d = None
-        for j in layout[i]:
-            dj = C.diffs.get(j)
-            if dj is None:
-                continue
-            term = injs[j + 1] @ dj @ projs[j]
-            d = term if d is None else d + term
-        if d is None:
-            d = Morphism.zero(comps[i], comps[(i + 1) % m])
-        diffs.append(d)
-    P = PeriodicComplex(alg, m, comps, diffs)
-    ginjs = {}
-    gprojs = {}
-    for j in injs:
-        stalk = stalk_complex(C.comps[j], m, j % m)
-        comps_in = [Morphism.zero(stalk.comps[i], P.comps[i]) for i in range(m)]
-        comps_in[j % m] = injs[j]
-        ginjs[j] = GradedMorphism(stalk, P, 0, comps_in)
-        comps_out = [Morphism.zero(P.comps[i], stalk.comps[i]) for i in range(m)]
-        comps_out[j % m] = projs[j]
-        gprojs[j] = GradedMorphism(P, stalk, 0, comps_out)
-    return P, ginjs, gprojs
+    blocks = [{(layout[(i + 1) % m].index(j + 1), k): C.diffs[j]
+               for k, j in enumerate(js) if j in C.diffs}
+              for i, js in enumerate(layout)]
+    P = sum_complex(C.algebra, [[C.comps[j] for j in js] for js in layout],
+                    blocks)
+    return P, layout
 
 
 def unroll(V: PeriodicComplex, lo: int, hi: int) -> BoundedComplex:
@@ -848,33 +818,27 @@ def decompose_acyclic_projective(V: PeriodicComplex
                 section = t if section is None else section + t
         assert section is not None
         summands.append((i, Z, inclZ, section))
-    # assemble the isomorphism sum K_{Z^{i+1}}[-(i+1)] -> V and verify it
+    # assemble the isomorphism sum K_{Z^{i+1}}[-(i+1)] -> V and verify it;
+    # blocks[t][(0, k)] is the map from the k-th block's component t to V^t
     parts = []
-    maps = []
-    field = alg.field
+    blocks: List[Dict[Tuple[int, int], Morphism]] = [{} for _ in range(m)]
     for i, Z, inclZ, section in summands:
-        ell = 0 if m == 1 else -(i + 1)
-        K = shift(K_of(Z, m), ell) if ell else K_of(Z, m)
-        comps = [Morphism.zero(K.comps[t], V.comps[t]) for t in range(m)]
+        k = len(parts)
         if m == 1:
             # K is Z+Z in degree 0; (a, b) -> incl(a) + section(b) is a chain map
-            _, _, zprojs = direct_sum([Z, Z])
-            comps[0] = (inclZ @ zprojs[0]) + (section @ zprojs[1])
+            parts.append(K_of(Z, 1))
+            blocks[0][(0, k)] = block_map(parts[k].comps[0], V.comps[0],
+                                          [V.comps[0]], [Z, Z],
+                                          {(0, 0): inclZ, (0, 1): section})
         else:
-            sign = field.sign_pow(i + 1)
-            comps[i % m] = section.scale(sign)
-            comps[(i + 1) % m] = inclZ
-        maps.append((K, comps))
-        parts.append(K)
-        out.append((Z, ell % m))
+            parts.append(shift(K_of(Z, m), -(i + 1)))
+            blocks[i][(0, k)] = section.scale(alg.field.sign_pow(i + 1))
+            blocks[(i + 1) % m][(0, k)] = inclZ
+        out.append((Z, 0 if m == 1 else -(i + 1) % m))
     if not parts:
         return []
-    total, injs, projs = complex_direct_sum(parts)
-    glue = None
-    for (K, comps), pr in zip(maps, projs):
-        g = GradedMorphism(K, V, 0, comps) @ pr
-        glue = g if glue is None else glue + g
-    assert glue is not None
+    glue = sum_map(complex_direct_sum(parts), V, _unsplit(V),
+                   [[K.comps[t] for K in parts] for t in range(m)], blocks)
     if not glue.is_closed():
         raise CheckFailed("assembled comparison map is not a chain map")
     for t in range(m):

@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence
 from .families import all_intervals, is_linear_a
 from .percomplex import BoundedComplex, PeriodicComplex
 from .quiver import FinDimAlgebra
-from .rep import Morphism, Rep, direct_sum, hom_space
+from .rep import Morphism, Rep, block_sum, hom_space
 
 
 def _random_map(rng: random.Random, space: Sequence[Morphism],
@@ -37,7 +37,7 @@ def random_periodic_complex(alg: FinDimAlgebra, m: int, rng: random.Random,
     for _ in range(m):
         parts = [pool[rng.randrange(len(pool))]
                  for _ in range(rng.randint(1, max_summands))]
-        comps.append(direct_sum(parts)[0])
+        comps.append(block_sum(parts))
     spaces = [hom_space(comps[i], comps[(i + 1) % m]) for i in range(m)]
     for _ in range(60):
         chosen = [_random_map(rng, spaces[i], comps[i], comps[(i + 1) % m])
@@ -58,7 +58,7 @@ def random_bounded_projectives(alg: FinDimAlgebra, rng: random.Random,
     for j in range(lo, lo + rng.randint(1, span)):
         parts = [projs[rng.randrange(len(projs))]
                  for _ in range(rng.randint(1, max_summands))]
-        comps[j] = direct_sum(parts)[0]
+        comps[j] = block_sum(parts)
     degs = sorted(comps)
     for _ in range(80):
         diffs = {}

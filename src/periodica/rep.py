@@ -293,28 +293,28 @@ def block_sum(parts: Sequence[Rep]) -> Rep:
     return Rep(alg, dims, act)
 
 
+def block_map(source: Rep, target: Rep, rows: Sequence[Rep],
+              cols: Sequence[Rep], blocks: Dict[Tuple[int, int], Morphism]
+              ) -> Morphism:
+    """The map from ``source`` (the sum of ``cols``) to ``target`` (the sum
+    of ``rows``) that is ``blocks[(r, c)]: cols[c] -> rows[r]`` on those
+    summands and zero between all others; only the blocks' matrices are read."""
+    return Morphism(source, target, [
+        Mat.block(source.field, [r.dims[v] for r in rows],
+                  [c.dims[v] for c in cols],
+                  {k: g.blocks[v] for k, g in blocks.items()})
+        for v in range(len(source.dims))])
+
+
 def direct_sum(parts: Sequence[Rep]) -> Tuple[Rep, List[Morphism], List[Morphism]]:
     """Direct sum (``block_sum``) with its canonical injections and
     projections."""
     S = block_sum(parts)
-    f, dims = S.field, S.dims
-    n = len(dims)
-    run = [0] * n
-    injs, projs = [], []
-    for p in parts:
-        iblocks, pblocks = [], []
-        for v in range(n):
-            inj = Mat.zeros(f, dims[v], p.dims[v])
-            pro = Mat.zeros(f, p.dims[v], dims[v])
-            off = run[v]
-            for i in range(p.dims[v]):
-                inj.data[(off + i) * p.dims[v] + i] = f.one()
-                pro.data[i * dims[v] + off + i] = f.one()
-            iblocks.append(inj)
-            pblocks.append(pro)
-        run = [run[v] + p.dims[v] for v in range(n)]
-        injs.append(Morphism(p, S, iblocks))
-        projs.append(Morphism(S, p, pblocks))
+    ids = [Morphism.identity(p) for p in parts]
+    injs = [block_map(p, S, parts, [p], {(k, 0): ids[k]})
+            for k, p in enumerate(parts)]
+    projs = [block_map(S, p, [p], parts, {(0, k): ids[k]})
+             for k, p in enumerate(parts)]
     return S, injs, projs
 
 

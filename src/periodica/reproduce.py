@@ -164,8 +164,8 @@ def reproduce_prop3_10(alg: FinDimAlgebra, m: int, seed: int, pairs: int
     for t in range(pairs):
         X = random_bounded_projectives(alg, rng)
         Y = random_bounded_projectives(alg, rng)
-        FX, _, _ = fold(X, m)
-        FY, _, _ = fold(Y, m)
+        FX, _ = fold(X, m)
+        FY, _ = fold(Y, m)
         lhs = homotopy_hom(FX, FY, 0)[0]
         span = (X.hi - X.lo) + (Y.hi - Y.lo) + 2 * m
         lo = -(span // m) * m

@@ -298,13 +298,15 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
     are stripped with a warning.  Generation closes the summands under
     suspension (both directions), cones of stable basis maps, and direct
     summands.  For cyclic Nakayama algebras the closure is compared against
-    the known indecomposables.  Otherwise generation is certified once every
+    the known indecomposables; holding all of them certifies generation even
+    when the budget ran out.  Otherwise generation is certified once every
     non-projective simple is in the closure (stmod is the thick closure of
     the simples) and fails when a simple it misses lies in a block (a
-    connected component of the quiver) holding no summand.  It is undecided
-    (``None``) when the budget runs out, or when the closure misses only
-    simples of covered blocks: it cones only basis maps, so it need not be
-    thick.
+    connected component of the quiver) holding no summand, whether or not
+    the budget ran out.  Otherwise it is undecided (``None``): the closure
+    misses simples of covered blocks, because the budget ran out or because
+    it cones only basis maps and so need not be thick.  The verdict
+    ``pass`` is False whenever rigidity or periodicity fails.
 
     Each pass suspends only the items added since the previous pass and
     cones only the pairs involving such an item: redoing earlier work could
@@ -394,7 +396,7 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
                 missing.append([a, l])
         result["target_count"] = len(targets)
         result["missing"] = missing
-        result["generation_ok"] = None if exhausted else not missing
+        result["generation_ok"] = None if exhausted and missing else not missing
         result["pass"] = (result["generation_ok"] if rig_ok and periodic_ok
                           else False)
     else:
@@ -407,15 +409,16 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
         covered = {block[v] for X in clean
                    for v, d in enumerate(X.dims) if d}
         result["missing_simples"] = missing
+        # the closure only holds objects of thick(T), so every simple in it
+        # certifies generation, budget exhausted or not
         if any(block[v - 1] not in covered for v in missing):
             generation = False
-        elif exhausted or missing:
+        elif missing:
             generation = None
         else:
             generation = True
         result["generation_ok"] = generation
-        result["pass"] = (None if exhausted and generation is None
-                          else generation if rig_ok and periodic_ok else False)
+        result["pass"] = generation if rig_ok and periodic_ok else False
     return result
 
 

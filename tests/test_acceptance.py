@@ -121,8 +121,8 @@ def test_criterion_4_fold_hom_formula_and_ext_sums():
     for _ in range(50):
         X = random_bounded_projectives(a2, rng)
         Y = random_bounded_projectives(a2, rng)
-        FX, _, _ = fold(X, 2)
-        FY, _, _ = fold(Y, 2)
+        FX, _ = fold(X, 2)
+        FY, _ = fold(Y, 2)
         lhs = homotopy_hom(FX, FY, 0)[0]
         rhs = sum(bounded_homotopy_hom_dim(X, Y, mi)
                   for mi in range(-12, 13, 2))
@@ -216,7 +216,7 @@ def test_criterion_9_invariant_suites():
     # five-way equivalence spot checks on seeded projective complexes
     P1, P2 = Rep.projective(a2, 1), Rep.projective(a2, 2)
     for m in (2, 3):
-        V, _, _ = complex_direct_sum([K_of(P1, m), shift(K_of(P2, m), 1)])
+        V = complex_direct_sum([K_of(P1, m), shift(K_of(P2, m), 1)])
         ok = ok and is_acyclic(V) and is_contractible(V)
         blocks = decompose_acyclic_projective(V)
         ok = ok and len(blocks) == 2

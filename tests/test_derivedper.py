@@ -174,7 +174,7 @@ def test_hereditary_decompose_examples(a2):
     P1, P2 = Rep.projective(a2, 1), Rep.projective(a2, 2)
     f = hom_space(P1, P2)[0]
     from periodica.percomplex import BoundedComplex, fold
-    F, _, _ = fold(BoundedComplex(a2, {-1: P1, 0: P2}, {-1: f}), 2)
+    F, _ = fold(BoundedComplex(a2, {-1: P1, 0: P2}, {-1: f}), 2)
     rep2 = hereditary_decompose(ctx, F)
     assert rep2["verified"]
     assert [(s["position"], s["dims"]) for s in rep2["stalks"]] \
@@ -245,7 +245,7 @@ def test_hereditary_decompose_preserves_derived_homs(a2):
                                    s["position"]))
     if parts:
         from periodica.percomplex import complex_direct_sum
-        S, _, _ = complex_direct_sum(parts)
+        S = complex_direct_sum(parts)
         for p in range(2):
             assert ctx.derived_hom(V, V, p)[0] == ctx.derived_hom(S, S, p)[0]
 

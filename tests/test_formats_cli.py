@@ -281,6 +281,20 @@ def test_cli_shift_and_cone(tmp_path):
     assert doc["result"]["cohomology"] == [[0, 1], [0, 0]]
 
 
+def test_cli_cone_map_component_not_a_module_map(tmp_path, capsys):
+    # (1, 0) on P(2) = (k -> k) does not commute with the arrow: the input
+    # file is at fault, not the cone built from it
+    ends = {"period": 2, "modules": ["P(2)", "0"]}
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"source": ends, "target": ends,
+                              "components": [[[[1]], [[0]]], None]}))
+    code, out = run_cli(["complex", "cone", "--algebra", sample("a2.alg"),
+                         "--map", str(mp)])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err == "parse error: component 0 is not a module map\n"
+
+
 def test_cli_hom_and_derived():
     code, out = run_cli(["hom", "--algebra", sample("a2.alg"),
                          "-M", "R", "-N", "S(1)"])
@@ -600,6 +614,29 @@ def test_cli_tilting_stable_budget_exhausted_is_inconclusive(capsys):
     err = capsys.readouterr().err
     assert err.startswith("inconclusive:") and err.count("\n") == 1
     assert "usage:" not in err and "Traceback" not in err
+
+
+def test_cli_tilting_stable_exhausted_budget_verdicts():
+    # the closure only holds objects of thick(T): an exhausted budget leaves
+    # the verdict open only while rigidity and periodicity hold and a target
+    # is still missing
+    S14 = ["-T", "S(1)", "-T", "S(4)"]
+    for argv, code in (
+            # rigidity and periodicity fail: false however the closure ends
+            (["--algebra", sample("exterior2.alg"), "-T", "S(1)", "--m", "2",
+              "--budget", "6"], 5),
+            (["--algebra", sample("twoblocks.alg")] + S14
+             + ["--m", "3", "--budget", "2"], 5),
+            # both hold, simples of covered blocks missing: inconclusive
+            (["--algebra", sample("twoblocks.alg")] + S14
+             + ["--m", "2", "--budget", "2"], 4),
+            # the closure reached all six indecomposables of N(3,3)
+            (["--name", "N(3,3)", "-T", "M(1,1)", "-T", "M(1,2)", "--m", "2",
+              "--budget", "5"], 0)):
+        got, out = run_cli(["tilting", "stable"] + argv)
+        result = json.loads(out)["result"]
+        assert got == code and result["budget_exhausted"]
+        assert result["pass"] is {0: True, 4: None, 5: False}[code]
 
 
 def test_cli_tilting_stable_misses_an_uncovered_block():

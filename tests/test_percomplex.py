@@ -109,7 +109,7 @@ def test_cone_of_zero_is_sum(a2):
     V = random_periodic_complex(a2, 2, rng)
     W = random_periodic_complex(a2, 2, rng)
     d = cone(GradedMorphism.zero(V, W))
-    S, _, _ = complex_direct_sum([W, shift(V, 1)])
+    S = complex_direct_sum([W, shift(V, 1)])
     assert d.cone.dim_vector() == S.dim_vector()
     assert cohomology_dims(d.cone) == cohomology_dims(S)
 
@@ -187,17 +187,17 @@ def test_fold_cohomology(a2):
     # fold of a stalk is a stalk
     S = Rep.simple(a2, 1)
     B = BoundedComplex(a2, {0: S}, {})
-    F, _, _ = fold(B, 2)
+    F, _ = fold(B, 2)
     assert F.comps[0].dims == S.dims and F.comps[1].is_zero()
     # fold of supported degrees {0, m} lands in one slot
     B2 = BoundedComplex(a2, {0: S, 2: S}, {})
-    F2, _, _ = fold(B2, 2)
+    F2, _ = fold(B2, 2)
     assert F2.comps[0].total_dim == 2 * S.total_dim
     # cohomology adds up with signs forgotten
     rng = random.Random(9)
     for _ in range(5):
         X = random_bounded_projectives(a2, rng)
-        FX, _, _ = fold(X, 2)
+        FX, _ = fold(X, 2)
         for i in range(2):
             expected = 0
             for j in range(X.lo - 2, X.hi + 3):
@@ -215,7 +215,7 @@ def test_fold_cohomology_iso_objectwise(a2):
     # the folded cohomology is isomorphic to the sum over the residue class
     rng = random.Random(29)
     X = random_bounded_projectives(a2, rng)
-    FX, _, _ = fold(X, 2)
+    FX, _ = fold(X, 2)
     for i in range(2):
         parts = []
         for j in range(X.lo - 1, X.hi + 2):
@@ -261,10 +261,10 @@ def test_unroll_window(a2):
         bb = sum(b.rank() for b in d_prev.blocks)
         assert z - bb == cohomology(U, j).total_dim
     # re-folding a full period reproduces the complex
-    FF, _, _ = fold(unroll(U, 0, 1), 2)
+    FF, _ = fold(unroll(U, 0, 1), 2)
     assert FF.dim_vector() == U.dim_vector()
     # but a longer window does not
-    FF2, _, _ = fold(unroll(U, 0, 3), 2)
+    FF2, _ = fold(unroll(U, 0, 3), 2)
     assert FF2.dim_vector() != U.dim_vector()
 
 
@@ -328,8 +328,8 @@ def test_homotopy_hom_fold_formula(a2):
     for _ in range(6):
         X = random_bounded_projectives(a2, rng)
         Y = random_bounded_projectives(a2, rng)
-        FX, _, _ = fold(X, 2)
-        FY, _, _ = fold(Y, 2)
+        FX, _ = fold(X, 2)
+        FY, _ = fold(Y, 2)
         lhs = homotopy_hom(FX, FY, 0)[0]
         rhs = sum(bounded_homotopy_hom_dim(X, Y, mi)
                   for mi in range(-10, 11, 2))
@@ -343,8 +343,8 @@ def test_hom_complex_graded_piece_formula(a2):
     X = random_bounded_projectives(a2, rng)
     Y = random_bounded_projectives(a2, rng)
     m = 2
-    FX, _, _ = fold(X, m)
-    FY, _, _ = fold(Y, m)
+    FX, _ = fold(X, m)
+    FY, _ = fold(Y, m)
     hc = hom_complex(FX, FY)
     from periodica.percomplex import BoundedHomComplex
     bc = BoundedHomComplex(X, Y)
@@ -434,7 +434,7 @@ def test_contractible_iff_acyclic_projective(a2):
     P1, P2 = Rep.projective(a2, 1), Rep.projective(a2, 2)
     for m in (2, 3):
         pieces = [K_of(P1, m), shift(K_of(P2, m), 1), K_of(P2, m)]
-        V, _, _ = complex_direct_sum(pieces[:rng.randint(2, 3)])
+        V = complex_direct_sum(pieces[:rng.randint(2, 3)])
         assert is_acyclic(V)
         assert is_contractible(V)
         summands = decompose_acyclic_projective(V)
@@ -448,7 +448,7 @@ def test_contractible_iff_acyclic_projective(a2):
 
 def test_decompose_acyclic_recovers_blocks(a2):
     P1, P2 = Rep.projective(a2, 1), Rep.projective(a2, 2)
-    V, _, _ = complex_direct_sum([K_of(P1, 2), shift(K_of(P2, 2), 1)])
+    V = complex_direct_sum([K_of(P1, 2), shift(K_of(P2, 2), 1)])
     out = decompose_acyclic_projective(V)
     assert sorted((z.dims, l) for z, l in out) \
         == sorted([(P1.dims, 0), (P2.dims, 1)])

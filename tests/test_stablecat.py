@@ -219,8 +219,9 @@ def test_indecomposable_count_bridge(n33, a2):
 
 
 def test_non_nakayama_budget_path():
-    # a self-injective algebra outside the serial family: the closure must
-    # report inconclusiveness when its iso-class budget runs out
+    # self-injective algebras outside the serial family: an exhausted budget
+    # leaves the verdict open only while rigidity and periodicity hold and a
+    # simple of a covered block is missing
     from periodica.formats import load_algebra
     import os
     here = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
@@ -230,9 +231,20 @@ def test_non_nakayama_budget_path():
     ctx = StableContext(alg)
     rep = check_periodic_tilting_stable(ctx, [Rep.simple(alg, 1)], 2,
                                         budget=6)
-    assert rep["budget_exhausted"]
-    assert rep["pass"] is None
-    assert rep["generation_ok"] is None
+    # the closure holds the only simple, and S(1) is not 2-periodic
+    assert rep["budget_exhausted"] and rep["missing_simples"] == []
+    assert rep["generation_ok"] is True
+    assert not rep["rigidity_ok"] and not rep["periodicity_ok"]
+    assert rep["pass"] is False
+    two = load_algebra(os.path.join(here, "twoblocks.alg"))
+    ctx = StableContext(two)
+    T = [Rep.simple(two, 1), Rep.simple(two, 4)]
+    for m, verdict in ((3, False), (2, None)):
+        rep = check_periodic_tilting_stable(ctx, T, m, budget=2)
+        assert rep["budget_exhausted"] and rep["missing_simples"] == [2, 3]
+        assert rep["generation_ok"] is None
+        assert (rep["rigidity_ok"] and rep["periodicity_ok"]) == (m == 2)
+        assert rep["pass"] is verdict
 
 
 def test_generation_certified_by_the_simples():
