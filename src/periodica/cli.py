@@ -179,7 +179,8 @@ def cmd_derived_hom(args) -> int:
     ctx = DerivedContext(alg, args.m, _default_bound(24))
     M = parse_module_expr(alg, args.source)
     N = parse_module_expr(alg, args.target)
-    degrees = _parse_range(args.prange) if args.prange else [args.p]
+    degrees = _parse_range("--prange", args.prange) if args.prange \
+        else [args.p]
     rows = [{"degree": p,
              "dim": ctx.derived_hom_modules(M, N, p)} for p in degrees]
     body = {"rows": rows, "period": args.m}
@@ -208,14 +209,20 @@ def cmd_hochschild(args) -> int:
     bound = _default_bound(12, args.bound)
     if args.verb == "smooth-dim":
         body = smooth_dimension(alg, bound)
-        return _finish(args, build_report("hochschild smooth-dim",
-                                          {"bound": bound}, body,
-                                          inputs=inputs))
+        _emit(args, build_report("hochschild smooth-dim", {"bound": bound},
+                                 body, inputs=inputs))
+        truncated = any(isinstance(body[k], str)
+                        for k in ("smooth_dimension", "global_dimension"))
+        return EXIT_TRUNCATION if truncated else EXIT_OK
+    if args.verb == "table":        # reject bad ranges before resolving
+        qlo, qhi = _parse_span("--qrange", args.qrange) if args.qrange \
+            else (-3 * args.m, 3 * args.m)
+        if args.pmax is not None and args.pmax < 0:
+            raise ParseError(f"--pmax must be a non-negative integer, "
+                             f"got '{args.pmax}'")
     hctx = HochschildContext(alg, bound)
     setup = LaurentSetup(hctx, args.m)
     if args.verb == "table":
-        qlo, qhi = _parse_span(args.qrange) if args.qrange \
-            else (-3 * args.m, 3 * args.m)
         pmax = args.pmax if args.pmax is not None else \
             ((hctx.smooth_dimension().value + 4)
              if hctx.smooth_dimension().exact else bound - 2)
@@ -356,16 +363,22 @@ def cmd_reproduce(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
-def _parse_range(spec: str):
-    lo, hi = _parse_span(spec)
+def _parse_range(where: str, spec: str):
+    lo, hi = _parse_span(where, spec)
     return list(range(lo, hi + 1))
 
 
-def _parse_span(spec: str):
-    m = spec.split("..")
-    if len(m) != 2:
-        raise PreconditionError("ranges look like -6..6")
-    return int(m[0]), int(m[1])
+def _parse_span(where: str, spec: str):
+    """``(lo, hi)`` from ``lo..hi`` with integers lo <= hi; anything else is
+    a parse error naming ``where``."""
+    try:
+        lo, hi = map(int, spec.split(".."))
+        if lo <= hi:
+            return lo, hi
+    except ValueError:
+        pass
+    raise ParseError(f"{where} must be lo..hi with integers lo <= hi, "
+                     f"got {spec!r}")
 
 
 def _add_common(p, algebra=True):

@@ -194,6 +194,12 @@ class Mat:
                 out.data[base:base + b.cols] = b.row_list(i)
         return out
 
+    def take_rows(self, js: Sequence[int]) -> "Mat":
+        data = []
+        for i in js:
+            data.extend(self.row_list(i))
+        return Mat(self.field, len(js), self.cols, data)
+
     def take_cols(self, js: Sequence[int]) -> "Mat":
         data = []
         for i in range(self.rows):
@@ -224,8 +230,7 @@ class Mat:
     def kernel_basis(self) -> "Mat":
         """Columns form a basis of the null space {x : A x = 0}."""
         R, piv = self.rref()
-        pivots = set(piv)
-        free = [j for j in range(self.cols) if j not in pivots]
+        free = _free_cols(self.cols, piv)
         out = Mat.zeros(self.field, self.cols, len(free))
         one = self.field.one()
         neg = self.field.neg
@@ -281,6 +286,13 @@ def _offsets(sizes: Sequence[int]) -> List[int]:
     return out
 
 
+def _free_cols(ncols: int, piv: Sequence[int]) -> List[int]:
+    """The columns of an rref with ``ncols`` columns and pivot columns
+    ``piv`` that hold no pivot."""
+    pivots = set(piv)
+    return [j for j in range(ncols) if j not in pivots]
+
+
 def reduce_mod_rowspace(R: Mat, piv: Sequence[int], vec: list,
                         field: Field) -> list:
     """Reduce a vector modulo the row space of an rref matrix R."""
@@ -299,20 +311,12 @@ def quotient(ambient_dim: int, sub: Mat) -> Tuple[int, Mat]:
     """Quotient of k^n by the column span of ``sub``.
 
     Returns ``(dim, projection)`` with ``projection @ sub == 0``; the
-    projection is onto the coordinates not hit by pivots of the subspace.
+    projection is onto the coordinates fc that are not pivots of the rref R
+    of ``sub``'s transpose, read straight off R: it is the identity on those
+    columns and -R[k, fc] at the k-th pivot column, i.e. the transpose of
+    that rref's kernel basis.
     """
     if sub.rows != ambient_dim:
         raise ValueError("subspace columns must live in the ambient space")
-    R, piv = sub.transpose().rref()
-    pivots = set(piv)
-    free = [j for j in range(ambient_dim) if j not in pivots]
-    dim = len(free)
-    field = sub.field
-    proj = Mat.zeros(field, dim, ambient_dim)
-    for j in range(ambient_dim):
-        e = [field.zero()] * ambient_dim
-        e[j] = field.one()
-        red = reduce_mod_rowspace(R, piv, e, field)
-        for i, fc in enumerate(free):
-            proj.data[i * ambient_dim + j] = red[fc]
-    return dim, proj
+    K = sub.transpose().kernel_basis()
+    return K.cols, K.transpose()

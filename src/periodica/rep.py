@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .common import PreconditionError, Trunc
 from .fields import Field
-from .linalg import Mat, quotient as space_quotient
+from .linalg import Mat, _free_cols
 from .quiver import FinDimAlgebra, Walk
 
 
@@ -430,36 +430,41 @@ def sub_rep(M: Rep, bases: Sequence[Mat]) -> Tuple[Rep, Morphism]:
 
 
 def quotient_rep(M: Rep, bases: Sequence[Mat]) -> Tuple[Rep, Morphism]:
-    """Quotient of M by an invariant subspace; returns the projection."""
-    alg = M.algebra
-    q = alg.quiver
-    f = alg.field
-    projs = []
-    dims = []
+    """Quotient of M by an invariant subspace; returns the projection, at
+    each vertex ``linalg.quotient``'s.  It is the identity on its free
+    coordinates, so their unit vectors are the section the action is read
+    through (any section gives the same action, the subspace being
+    invariant)."""
+    q = M.algebra.quiver
+    projs, free = [], []
     for v in range(q.n):
-        d, pr = space_quotient(M.dims[v], bases[v])
-        dims.append(d)
-        projs.append(pr)
-    sections = []
-    for v in range(q.n):
-        if dims[v] == 0:
-            sections.append(Mat.zeros(f, M.dims[v], 0))
-            continue
-        s = projs[v].solve_matrix(Mat.identity(f, dims[v]))
-        assert s is not None
-        sections.append(s)
-    act = []
-    for ai, a in enumerate(q.arrows):
-        u, v = a.source - 1, a.target - 1
-        act.append(projs[u] @ M.act[ai] @ sections[v])
-    Q = Rep(alg, dims, act)
-    proj = Morphism(M, Q, projs)
-    return Q, proj
+        T = bases[v].transpose()
+        projs.append(T.kernel_basis().transpose())
+        free.append(_free_cols(T.cols, T.rref()[1]))
+    act = [projs[a.source - 1] @ M.act[ai].take_cols(free[a.target - 1])
+           for ai, a in enumerate(q.arrows)]
+    Q = Rep(M.algebra, [len(c) for c in free], act)
+    return Q, Morphism(M, Q, projs)
 
 
 def kernel_of(f: Morphism) -> Tuple[Rep, Morphism]:
+    """The kernel of f, included by the blocks' ``kernel_basis`` K_v.  K_u
+    is the identity on the free rows of f's rref at u, so arrow a: u -> v
+    acts by those rows X of act[a] @ K_v; K_u @ X = act[a] @ K_v is checked
+    on the pivot rows, which certifies that the kernel is invariant."""
+    M = f.source
     bases = [b.kernel_basis() for b in f.blocks]
-    return sub_rep(f.source, bases)
+    act = []
+    for ai, a in enumerate(M.algebra.quiver.arrows):
+        u = a.source - 1
+        Y = M.act[ai] @ bases[a.target - 1]
+        piv = f.blocks[u].rref()[1]
+        X = Y.take_rows(_free_cols(M.dims[u], piv))
+        if bases[u].take_rows(piv) @ X != Y.take_rows(piv):
+            raise PreconditionError("subspaces are not arrow-invariant")
+        act.append(X)
+    K = Rep(M.algebra, [b.cols for b in bases], act)
+    return K, Morphism(K, M, bases)
 
 
 def image_of(f: Morphism) -> Tuple[Rep, Morphism]:
@@ -490,10 +495,6 @@ def radical_subspaces(M: Rep) -> List[Mat]:
             for v in range(1, q.n + 1)]
 
 
-def top_of(M: Rep) -> Tuple[Rep, Morphism]:
-    return quotient_rep(M, radical_subspaces(M))
-
-
 def socle_subspaces(M: Rep) -> List[Mat]:
     """soc(M)_v: intersection of kernels of arrows ending at v."""
     q = M.algebra.quiver
@@ -516,12 +517,14 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
 
     P(M) has one summand P(v) = e_v A per top generator at v, ordered by
     vertex and then generator; P(v) is built once per vertex and the sum
-    by ``block_sum``.  The columns g_1..g_t of the lift L_v of top(M)_v
-    are the generators, and the basis walk w (ending at v) of the r-th
-    P(v) maps to rho(w) g_r.  No rho(w) is formed: the images
-    rho(s) L_v of the arrow suffixes s of the walks are memoised for the
-    call, image(()) = L_v and image((a,) + s) = act[a] @ image(s), one
-    d x t product per distinct suffix, and each block of the map is read
+    by ``block_sum``.  The generators g_1..g_t at v are the unit vectors
+    at the free columns of the rref of rad(M)_v (one row per image vector
+    of an arrow): with its rows they form a unit-triangular basis, so they
+    span a complement.  The basis walk w (ending at v) of the r-th P(v)
+    maps to rho(w) g_r.  No rho(w) is formed: the images rho(s) g of the
+    arrow suffixes s of the walks are memoised for the call, image((a,))
+    a column selection of act[a] and image((a,) + s) = act[a] @ image(s),
+    one d x t product per longer suffix, and each block of the map is read
     off column r of those images, basis elements in algebra order.
     """
     alg = M.algebra
@@ -530,15 +533,15 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
     if M.is_zero():
         Z = Rep.zero(alg)
         return Z, Morphism.zero(Z, M)
-    top, proj = top_of(M)
     # nonempty suffixes end at their vertex v, so one memo serves every v
-    # once image(()) is reset to L_v
+    # once image(()) and gens are reset for v
     images: Dict[Walk, Mat] = {}
 
     def image(s: Walk) -> Mat:
         m = images.get(s)
         if m is None:
-            m = images[s] = M.act[s[0]] @ image(s[1:])
+            m = images[s] = (M.act[s[0]] @ image(s[1:]) if len(s) > 1
+                             else M.act[s[0]].take_cols(gens))
         return m
 
     parts: List[Rep] = []
@@ -546,12 +549,14 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
     # P(M)'s basis there
     cols: List[list] = [[] for _ in range(q.n)]
     for v in range(q.n):
-        t = top.dims[v]
+        rad = Mat.zeros(f, 0, M.dims[v])
+        for ai in q.arrows_from[v + 1]:
+            rad = rad.vstack(M.act[ai].transpose())
+        gens = _free_cols(M.dims[v], rad.rref()[1])
+        t = len(gens)
         if not t:
             continue
-        L = proj.blocks[v].solve_matrix(Mat.identity(f, t))
-        assert L is not None
-        images[()] = L
+        images[()] = Mat.identity(f, M.dims[v]).take_cols(gens)
         walks: List[list] = [[] for _ in range(q.n)]
         for i in range(alg.dim):
             if alg.target[i] == v + 1:
@@ -560,6 +565,7 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
         for r in range(t):
             for w in range(q.n):
                 cols[w].extend(m.col_list(r) for m in walks[w])
+    images.clear()      # image() refers to itself: free the memo now
     P = block_sum(parts)
     phi = Morphism(P, M, [
         Mat(f, M.dims[w], len(cw),
@@ -657,6 +663,7 @@ def injective_envelope(M: Rep) -> Tuple[Rep, Morphism]:
                 rows[w].extend(m.row_list(r) for m in walks[w])
     if not parts:
         raise PreconditionError("nonzero module with zero socle")
+    images.clear()      # image() refers to itself: free the memo now
     I = block_sum(parts)
     phi = Morphism(M, I, [
         Mat(f, len(rw), M.dims[w], [x for row in rw for x in row])

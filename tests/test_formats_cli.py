@@ -560,6 +560,41 @@ def test_cli_rejects_bad_bounds(monkeypatch, capsys, argv, env):
     assert err.startswith("parse error:") and err.count("\n") == 1
 
 
+_DERIVED_HOM_A2 = ["derived-hom", "--algebra", sample("a2.alg"), "-M", "S(2)",
+                   "-N", "S(1)", "--m", "2"]
+_HH_TABLE_A2 = ["hochschild", "table", "--algebra", sample("a2.alg"),
+                "--m", "2"]
+
+
+@pytest.mark.parametrize("argv, where", [
+    (_DERIVED_HOM_A2 + ["--prange", "x..2"], "--prange"),
+    (_DERIVED_HOM_A2 + ["--prange", "1..2..3"], "--prange"),
+    (_DERIVED_HOM_A2 + ["--prange", "3"], "--prange"),
+    (_DERIVED_HOM_A2 + ["--prange", "3..1"], "--prange"),
+    (_HH_TABLE_A2 + ["--pmax", "4", "--qrange", "6..-6"], "--qrange"),
+    (_HH_TABLE_A2 + ["--pmax", "4", "--qrange", "1.5..2"], "--qrange"),
+    (_HH_TABLE_A2 + ["--pmax", "-1", "--qrange", "-6..6"], "--pmax"),
+])
+def test_cli_rejects_bad_ranges(capsys, argv, where):
+    # a malformed, non-integer or empty range was an internal error, a
+    # precondition violation or an empty (vacuously passing) report
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {where} must be")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, code", [
+    ("N(2,2)", 4), ("dual", 4), ("kA3", 0),
+])
+def test_cli_smooth_dim_exits_4_when_truncated(name, code):
+    got, out = run_cli(["hochschild", "smooth-dim", "--name", name])
+    assert got == code
+    result = json.loads(out)["result"]
+    assert str(result["smooth_dimension"]).startswith(">=") == (code == 4)
+
+
 @pytest.mark.parametrize("argv", [
     ["derived-hom", "--algebra", sample("a2.alg"), "-M", "S(2)", "-N", "S(1)",
      "--m", "0"],

@@ -210,6 +210,23 @@ def test_quotient_dimension_formula(A):
     assert proj.rank() == dim
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(q_matrices(), fp_matrices()))
+def test_quotient_is_the_reduction_of_unit_vectors(A):
+    # column j of the projection is e_j reduced modulo the row space of the
+    # rref R of A's transpose, read at R's free columns
+    f = A.field
+    R, piv = A.transpose().rref()
+    free = [j for j in range(A.rows) if j not in piv]
+    red = [linalg.reduce_mod_rowspace(
+        R, piv, [f.one() if i == j else f.zero() for i in range(A.rows)], f)
+        for j in range(A.rows)]
+    dim, proj = quotient(A.rows, A)
+    assert dim == len(free)
+    assert proj == Mat(f, dim, A.rows, [red[j][fc] for fc in free
+                                        for j in range(A.rows)])
+
+
 def test_no_floats_anywhere():
     A = Mat.from_rows(QQ, [[1, 2], [3, 4]])
     R, _ = A.rref()

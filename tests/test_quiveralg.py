@@ -11,14 +11,16 @@ from periodica.families import (all_intervals, dual_numbers, enveloping,
                                 serial_module)
 from periodica.fields import Field, QQ
 from periodica.formats import load_algebra
-from periodica.linalg import Mat
+from periodica.linalg import Mat, quotient
 from periodica.quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
                               build_algebra, enveloping_algebra,
                               tensor_op_presentation)
-from periodica.rep import (Morphism, Rep, _roots_mod_p, decompose, direct_sum,
-                           global_dimension, hom_space, indecomposable_q,
-                           injective_envelope, iso_q, projective_cover,
-                           socle_subspaces, syzygy, top_of)
+from periodica.rep import (Morphism, Rep, _roots_mod_p, cokernel_of,
+                           decompose, direct_sum, global_dimension,
+                           hom_space, indecomposable_q, injective_envelope,
+                           iso_q, kernel_of, projective_cover, quotient_rep,
+                           radical_subspaces, socle_subspaces, sub_rep,
+                           syzygy)
 
 
 def test_build_ka2_dimension(a2):
@@ -318,16 +320,17 @@ def _stack(start, pieces, join):
 
 def _oracle_cover(M):
     """P(M) and phi from the full products rho(w) @ g, one summand per
-    generator, the blocks of phi stacked column by column."""
+    generator g, the blocks of phi stacked column by column.  The generators
+    at v are the unit vectors at the columns that hold no pivot of the rref
+    of rad(M)_v's transpose (an rref depends only on the row space)."""
     alg, f, n = M.algebra, M.field, M.algebra.quiver.n
-    top, proj = top_of(M)
+    rad = radical_subspaces(M)
     parts, cols = [], [[] for _ in range(n)]
     for v in range(n):
-        t = top.dims[v]
-        L = proj.blocks[v].solve_matrix(Mat.identity(f, t)) if t else None
-        for r in range(t):
+        piv = rad[v].transpose().rref()[1]
+        for j in (j for j in range(M.dims[v]) if j not in piv):
             parts.append(Rep.projective(alg, v + 1))
-            g = L.take_cols([r])
+            g = Mat.identity(f, M.dims[v]).take_cols([j])
             for i in range(alg.dim):
                 if alg.target[i] == v + 1:
                     cols[alg.source[i] - 1].append(M.rho(alg.basis[i]) @ g)
@@ -358,13 +361,34 @@ def _oracle_envelope(M):
              for w in range(n)])
 
 
+def _base_changed(M, rng):
+    """M carried along a random invertible matrix G_v at every vertex:
+    arrow u -> v acts by G_u^-1 @ act @ G_v."""
+    f = M.field
+    G = []
+    for d in M.dims:
+        while True:
+            g = Mat(f, d, d, [f.coerce(rng.randrange(5)) for _ in range(d * d)])
+            if g.is_invertible():
+                break
+        G.append(g)
+    return Rep(M.algebra, M.dims,
+               [G[a.source - 1].inverse() @ M.act[i] @ G[a.target - 1]
+                for i, a in enumerate(M.algebra.quiver.arrows)], check=True)
+
+
 def _oracle_modules(field):
     # the sums have several generators (functionals) at one vertex, which
-    # fixes their order in the cover (envelope)
+    # fixes their order in the cover (envelope); in the base-changed sums
+    # the top is no longer spanned by basis vectors
     n44 = nakayama(4, 4, field)
     mods = [serial_module(n44, a, l) for a in range(1, 5) for l in (1, 2, 4)]
     mods.append(direct_sum([serial_module(n44, a, l) for a, l in
                             ((1, 2), (1, 3), (2, 2), (3, 1))])[0])
+    rng = random.Random(field.p)
+    mods += [_base_changed(mods[-1], rng) for _ in range(3)]
+    mods += [_base_changed(direct_sum([serial_module(n44, 1, 2)] * 2
+                                      + [serial_module(n44, 2, 4)])[0], rng)]
     mods += [M for _, M in all_intervals(linear_a(3, field))]
     for m, n in ((3, 2), (4, 4)):
         om = syzygy(enveloping(nakayama(m, n, field))[1])
@@ -386,6 +410,46 @@ def test_cover_and_envelope_match_rho_rebuild(p):
         assert iota.is_intertwiner()
 
 
+def _solved_quotient_rep(M, bases):
+    """``quotient_rep`` built with sections solved from the projections."""
+    f = M.field
+    projs = [quotient(d, b)[1] for d, b in zip(M.dims, bases)]
+    secs = [pr.solve_matrix(Mat.identity(f, pr.rows)) for pr in projs]
+    Q = Rep(M.algebra, [pr.rows for pr in projs],
+            [projs[a.source - 1] @ M.act[i] @ secs[a.target - 1]
+             for i, a in enumerate(M.algebra.quiver.arrows)])
+    return Q, Morphism(M, Q, projs)
+
+
+@pytest.mark.parametrize("p", [0, 2, 4294967311])
+def test_kernels_and_quotients_match_the_solved_construction(p):
+    # kernels through sub_rep's solves, quotients through solved sections:
+    # the same bytes as reading both off the echelon forms
+    rng = random.Random(p)
+    for M in _oracle_modules(Field(p)):
+        phi, iota = projective_cover(M)[1], injective_envelope(M)[1]
+        ends = hom_space(M, M)
+        g = Morphism.zero(M, M)
+        for e in rng.sample(ends, min(3, len(ends))):
+            g = g + e.scale(rng.randrange(1, 5))
+        for h in (phi, iota, iota @ phi, g):
+            assert kernel_of(h) == sub_rep(
+                h.source, [b.kernel_basis() for b in h.blocks])
+            assert cokernel_of(h) == _solved_quotient_rep(
+                h.target, [b.image_basis() for b in h.blocks])
+        for bases in (radical_subspaces(M), socle_subspaces(M)):
+            assert quotient_rep(M, bases) == _solved_quotient_rep(M, bases)
+
+
+def test_kernel_of_a_non_map_is_refused(a2):
+    # [I, 0] on P(2) = (k -> k) does not commute with the arrow: the kernel
+    # k at vertex 2 is not invariant
+    P2 = Rep.projective(a2, 2)
+    f = Morphism(P2, P2, [Mat.identity(QQ, 1), Mat.zeros(QQ, 1, 1)])
+    with pytest.raises(PreconditionError, match="not arrow-invariant"):
+        kernel_of(f)
+
+
 def _count_products(monkeypatch, fn, *args):
     calls = [0]
     matmul = Mat.__matmul__
@@ -400,16 +464,17 @@ def _count_products(monkeypatch, fn, *args):
 
 
 def test_cover_takes_one_product_per_walk(monkeypatch):
-    # one d x t product per basis walk into a top vertex (every suffix of a
-    # walk of this monomial algebra is a basis walk) plus top_of's two per
-    # arrow; forming every rho(w) took 324 here
+    # at most one d x t product per basis walk into a top vertex (every
+    # suffix of a walk of this monomial algebra is a basis walk; a
+    # one-arrow suffix is a column selection); forming every rho(w) took
+    # 324 here
     E, A = enveloping(nakayama(4, 4, QQ))
     M = syzygy(A)
-    tops = {v + 1 for v, t in enumerate(top_of(M)[0].dims) if t}
+    tops = {v + 1 for v, b in enumerate(radical_subspaces(M))
+            if b.cols < M.dims[v]}
     walks = sum(1 for i, w in enumerate(E.basis)
                 if len(w) > 1 and E.target[i] in tops)
-    assert _count_products(monkeypatch, projective_cover, M) \
-        <= walks + 2 * len(E.quiver.arrows)
+    assert _count_products(monkeypatch, projective_cover, M) <= walks
 
 
 def test_envelope_takes_one_product_per_walk(monkeypatch):
