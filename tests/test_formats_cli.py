@@ -371,6 +371,26 @@ def test_golden_reports(name):
         assert fh.read() == out
 
 
+# Not in GOLDEN_CASES (whose copy perfbench replays): the only goldens with
+# non-integral rationals, pinning how a Q scalar prints whether it is an int
+# or a Fraction.
+RATIONAL_GOLDENS = {
+    "ratsquare_show.json": ["algebra", "show",
+                            "--algebra", sample("ratsquare.alg")],
+    "ratsquare_hom_p4_i1.json": ["hom", "--algebra", sample("ratsquare.alg"),
+                                 "-M", "P(4)", "-N", "I(1)", "--basis"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_GOLDENS))
+def test_rational_coefficient_goldens(name):
+    code, out = run_cli(RATIONAL_GOLDENS[name])
+    assert code == 0
+    assert '"2/3"' in out or '"3/2"' in out
+    with open(os.path.join(GOLDEN, name), "r", encoding="utf-8") as fh:
+        assert fh.read() == out
+
+
 def test_console_entry_point():
     # the child imports the same periodica as this process, however pytest
     # put it on sys.path (PYTHONPATH or the pyproject `pythonpath`)
