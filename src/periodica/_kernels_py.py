@@ -1,21 +1,24 @@
 """Elimination kernels: products and reduced row echelon forms.
 
 Matrices are flat row-major lists: Python ints in [0, p) over GF(p), or
-Fractions over Q.  Every kernel is exact for any p.
+rationals in the normal form of ``fields`` over Q (an ``int`` when the
+denominator is 1, a reduced ``Fraction`` otherwise).  Every kernel is exact
+for any p.  The Q kernels accept any exact entries, an integral
+``Fraction(4, 2)`` included, and return normal forms.
 
-``q_rref`` does all its arithmetic on Python ints and builds each result
-``Fraction`` once: it scales every row by the lcm of its denominators, runs
-a fraction-free cross-multiplication sweep with gcd cleanup and returns
-``Fraction(x, pivot)``, or the shared ``fields.Q_ZERO`` for a zero entry.
-``q_matmul`` multiplies Fractions and skips zero factors: the products it
-sees are small and sparse, where scaling rows and columns to integers costs
-more than it saves.  An entry with no nonzero product is ``Q_ZERO``.
+``q_rref`` does all its arithmetic on Python ints: it scales every row by
+the lcm of its denominators, runs a fraction-free cross-multiplication
+sweep with gcd cleanup and returns ``x // pivot`` where the pivot divides
+``x``, building a ``Fraction(x, pivot)`` only where it does not.
+``q_matmul`` multiplies the entries as they are (int products wherever both
+factors are ints, which is almost everywhere) and skips zero factors; an
+integral ``Fraction`` sum is folded to its numerator.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import Q_ZERO
+from .fields import q_normal
 
 
 def fp_matmul(a, b, n, k, m, p):
@@ -35,7 +38,7 @@ def fp_matmul(a, b, n, k, m, p):
 
 def q_matmul(a, b, n, k, m):
     """Flat row-major product of exact rational matrices."""
-    out = [Q_ZERO] * (n * m)
+    out = [0] * (n * m)
     for i in range(n):
         ai = i * k
         oi = i * m
@@ -46,7 +49,7 @@ def q_matmul(a, b, n, k, m):
                 for j in range(m):
                     if b[bt + j]:
                         out[oi + j] += x * b[bt + j]
-    return out
+    return [y if type(y) is int else q_normal(y) for y in out]
 
 
 def fp_rref(flat, nrows, ncols, p):
@@ -92,7 +95,8 @@ def fp_rref(flat, nrows, ncols, p):
 def q_rref(flat, nrows, ncols):
     """Reduced row echelon form over Q, fraction-free in the middle.
 
-    Same contract as :func:`fp_rref`; entries of the result are Fractions.
+    Same contract as :func:`fp_rref`; entries of the result are in normal
+    form.
     """
     rows = []
     for i in range(nrows):
@@ -139,5 +143,5 @@ def q_rref(flat, nrows, ncols):
     for i, c in enumerate(pivots):
         prow = rows[i]
         pv = prow[c]
-        out.extend(Fraction(x, pv) if x else Q_ZERO for x in prow)
+        out.extend(x // pv if x % pv == 0 else Fraction(x, pv) for x in prow)
     return out, pivots

@@ -1,21 +1,29 @@
 """Exact scalar arithmetic: the rationals and prime fields GF(p).
 
-Scalars are ``fractions.Fraction`` values over Q and plain ints in
-``0..p-1`` over GF(p).  No floating point is used anywhere.
+Scalars are plain ints in ``0..p-1`` over GF(p).  Over Q a scalar is kept
+in normal form: a Python ``int`` when its denominator is 1, and a reduced
+``fractions.Fraction`` otherwise.  Python's numeric tower makes the two
+interoperate exactly (``Fraction(3) == 3``, equal hashes, ``str`` gives
+``"3"`` for both), so the normal form changes no value and no report byte.
+What it changes is cost: the integer entries, which are almost all of them
+on every workload, pay for int arithmetic instead of Fraction's Python-level
+normalisation.  ``coerce``, ``parse``, ``inv`` and the four arithmetic
+operations return normal forms for any exact input, an integral
+``Fraction(4, 2)`` included.  No floating point is used anywhere:
+``coerce`` refuses a float (or any other non-rational) with ``TypeError``.
 
-Over Q, ``Field.zero()`` and ``Field.one()`` return the module constants
-``Q_ZERO`` and ``Q_ONE`` instead of building a new ``Fraction`` per call;
-Fractions are immutable, so sharing one object is safe.  ``q_rref`` emits
-the same ``Q_ZERO`` for every zero entry, and ``q_matmul`` for every entry
-with no nonzero product.
+Zero and one are the ints 0 and 1 over every field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
-Q_ZERO = Fraction(0)
-Q_ONE = Fraction(1)
+
+def q_normal(x: Fraction):
+    """The normal form of a rational: its numerator if it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
@@ -77,34 +85,36 @@ class Field:
     # -- scalar construction -------------------------------------------------
 
     def zero(self):
-        return 0 if self.p else Q_ZERO
+        return 0
 
     def one(self):
-        return 1 if self.p else Q_ONE
+        return 1
 
     def coerce(self, x):
-        """Turn an int / Fraction / scalar-of-this-field into a scalar."""
+        """Turn an exact rational (int, Fraction or any ``numbers.Rational``)
+        into a scalar of this field; a float or anything else raises
+        ``TypeError`` rather than being rounded."""
         p = self.p
-        if p == 0:
-            return x if type(x) is Fraction else Fraction(x)
         if type(x) is int:
-            return x % p
-        if isinstance(x, Fraction):
-            den = x.denominator % p
-            if den == 0:
-                raise ZeroDivisionError("denominator vanishes in GF(p)")
-            return x.numerator * pow(den, p - 2, p) % p
-        return int(x) % p
+            return x % p if p else x
+        if type(x) is not Fraction:
+            if not isinstance(x, Rational):
+                raise TypeError(f"not an exact rational scalar: {x!r}")
+            x = Fraction(x.numerator, x.denominator)
+        if p == 0:
+            return q_normal(x)
+        den = x.denominator % p
+        if den == 0:
+            raise ZeroDivisionError("denominator vanishes in GF(p)")
+        return x.numerator * pow(den, p - 2, p) % p
 
     def parse(self, text: str):
         """Parse a scalar literal: an integer or a fraction like ``-3/7``."""
         text = text.strip()
         if "/" in text:
             num, den = text.split("/", 1)
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(text))
-        return self.coerce(value)
+            return self.coerce(Fraction(int(num), int(den)))
+        return self.coerce(int(text))
 
     def to_str(self, x) -> str:
         return str(x)
@@ -112,16 +122,27 @@ class Field:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
+        if self.p:
+            return (a + b) % self.p
+        c = a + b
+        return c if type(c) is int else q_normal(c)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
+        if self.p:
+            return (a - b) % self.p
+        c = a - b
+        return c if type(c) is int else q_normal(c)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
+        if self.p:
+            return (a * b) % self.p
+        c = a * b
+        return c if type(c) is int else q_normal(c)
 
     def neg(self, a):
-        return (-a) % self.p if self.p else -a
+        if self.p:
+            return (-a) % self.p
+        return -a if type(a) is int else q_normal(-a)
 
     def inv(self, a):
         if self.p:
@@ -130,7 +151,7 @@ class Field:
             return pow(a, self.p - 2, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return q_normal(1 / Fraction(a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -1,5 +1,14 @@
 """Dense exact matrices over Q or GF(p) and the solvers everything reduces to.
 
+Entries are scalars of ``fields``: ints in ``0..p-1`` over GF(p), and over Q
+rationals in normal form (an ``int`` when the denominator is 1, a reduced
+``Fraction`` otherwise).  ``from_rows``, ``column`` and ``scale`` pass every
+entry through ``Field.coerce``, which refuses floats; ``Mat(field, rows,
+cols, data)`` trusts its data.  Arithmetic and elimination (``+``, ``-``,
+``@``, ``scale``, ``rref``, ``kernel_basis``, ``solve_matrix``, ``inverse``,
+``quotient``) return normal forms even from entries that are not, such as
+``Fraction(4, 2)``; transposes, slices and blocks copy entries as they are.
+
 Row reduction and products run in the kernels of ``_kernels_py``, reached
 through the module alias ``_impl`` by attribute lookup, so a profiler can
 wrap them in place.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import zip_longest
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -928,18 +929,17 @@ def _minimal_poly_roots(A: Mat, seed: int) -> List:
         p = field.p
         return _roots_mod_p([-c % p for c in coeffs] + [1], p, rng)
     roots = []
-    from fractions import Fraction
     den = 1
     for c in coeffs:
         den = den * c.denominator // math.gcd(den, c.denominator)
     ints = [int(c * den) for c in coeffs]
     lead = den
     const = ints[0] if ints else 0
-    cands = {Fraction(0)}
+    cands = {field.zero()}
     for p in _divisors(abs(const) if const else 0):
         for qd in _divisors(abs(lead)):
-            cands.add(Fraction(p, qd))
-            cands.add(Fraction(-p, qd))
+            cands.add(field.coerce(Fraction(p, qd)))
+            cands.add(field.coerce(Fraction(-p, qd)))
     for lam in sorted(cands):
         acc = field.zero()
         powv = field.one()

@@ -71,12 +71,21 @@ small = st.integers(min_value=-6, max_value=6)
 # small numerators over a few denominators, so the rational kernels clear
 # denominators other than 1
 q_entries = st.builds(Fraction, small, st.sampled_from([1, 2, 3, 4, 7]))
+# the same values in normal form or not: an integral entry is drawn both as
+# an int and as a Fraction such as Fraction(4, 2)
+q_mixed = st.one_of(q_entries, q_entries.map(QQ.coerce))
+
+
+def is_normal_q(x):
+    """A rational in normal form: an int iff its denominator is 1, else a
+    Fraction; never a float or a bool."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 @st.composite
-def q_matrices(draw, maxdim=5, shape=None):
+def q_matrices(draw, maxdim=5, shape=None, entries=q_entries):
     r, c = shape or (draw(st.integers(1, maxdim)), draw(st.integers(1, maxdim)))
-    data = draw(st.lists(q_entries, min_size=r * c, max_size=r * c))
+    data = draw(st.lists(entries, min_size=r * c, max_size=r * c))
     return Mat(QQ, r, c, data)
 
 
@@ -147,7 +156,61 @@ def test_q_matmul_matches_naive_product(AB):
             naive = Fraction(0)
             for t in range(A.cols):
                 naive += A.get(i, t) * B.get(t, j)
-            assert type(C.get(i, j)) is Fraction and C.get(i, j) == naive
+            assert is_normal_q(C.get(i, j)) and C.get(i, j) == naive
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_mixed, q_mixed, small, st.integers(1, 8))
+def test_q_scalars_are_in_normal_form(a, b, num, den):
+    fa, fb = Fraction(a), Fraction(b)
+    results = [
+        (QQ.coerce(a), fa),
+        (QQ.parse(str(a)), fa),
+        (QQ.parse(f"{2 * num}/{2 * den}"), Fraction(num, den)),
+        (QQ.add(a, b), fa + fb),
+        (QQ.sub(a, b), fa - fb),
+        (QQ.mul(a, b), fa * fb),
+        (QQ.neg(a), -fa),
+    ]
+    if a:
+        results.append((QQ.inv(a), 1 / fa))
+    for got, want in results:
+        assert is_normal_q(got) and got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_q_matrix_results_are_in_normal_form(data):
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    A = data.draw(q_matrices(shape=(n, k), entries=q_mixed))
+    B = data.draw(q_matrices(shape=(k, m), entries=q_mixed))
+    C = data.draw(q_matrices(shape=(n, m), entries=q_mixed))
+    AB = A @ B
+    outs = [AB, A.rref()[0], A.kernel_basis(), quotient(n, A)[1],
+            Mat.from_rows(QQ, A.tolist()), AB + C, AB - C, -A,
+            A.scale(Fraction(2))]
+    X = A.solve_matrix(C)
+    if X is not None:
+        assert A @ X == C
+        outs.append(X)
+    S = A @ A.transpose()
+    if S.is_invertible():
+        outs.append(S.inverse())
+    for M in outs:
+        assert all(is_normal_q(x) for x in M.data)
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+@pytest.mark.parametrize("bad", [2.7, 0.1, 2.0])
+def test_coerce_refuses_floats(field, bad):
+    with pytest.raises(TypeError):
+        field.coerce(bad)
+    with pytest.raises(TypeError):
+        Mat.from_rows(field, [[bad, 1]])
+    with pytest.raises(TypeError):
+        Mat.column(field, [1, bad])
+    with pytest.raises(TypeError):
+        Mat.identity(field, 2).scale(bad)
 
 
 def _in_row_space(M, row):
@@ -230,10 +293,10 @@ def test_quotient_is_the_reduction_of_unit_vectors(A):
 def test_no_floats_anywhere():
     A = Mat.from_rows(QQ, [[1, 2], [3, 4]])
     R, _ = A.rref()
-    assert all(isinstance(x, Fraction) for x in R.data)
+    assert all(is_normal_q(x) for x in R.data)
     H = Mat.from_rows(QQ, [[Fraction(1, 2), 0], [0, Fraction(-2, 3)]])
     for P in (A @ A, A @ H, H @ Mat.zeros(QQ, 2, 3)):
-        assert all(isinstance(x, Fraction) for x in P.data)
+        assert all(is_normal_q(x) for x in P.data)
     B = Mat.from_rows(F5, [[1, 2], [3, 4]])
     R5, _ = B.rref()
     assert all(isinstance(x, int) for x in R5.data)
