@@ -16,8 +16,7 @@ from .linalg import Mat, backend
 from .quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
                      build_algebra, tensor_op_presentation)
 from .families import (dual_numbers, enveloping, interval_module, linear_a,
-                       nakayama, semisimple_product, serial_module,
-                       truncated_polynomials)
+                       nakayama, semisimple_product, serial_module)
 from .rep import (Morphism, Rep, decompose, direct_sum, find_iso,
                   global_dimension, hom_space, indecomposable_q,
                   injective_envelope, iso_q, minimal_resolution,

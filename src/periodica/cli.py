@@ -18,20 +18,17 @@ from .common import (CheckFailed, ParseError, PeriodicaError,
                      PreconditionError, TruncationError)
 from .derivedper import DerivedContext, ext_sum_check, stalk_tilting_check
 from .fields import Field
-from .formats import (complex_to_doc, field_from_string, load_algebra,
-                      load_chain_map_file, load_complex_file,
-                      parse_algebra_file, parse_module_expr)
+from .formats import (complex_to_doc, field_from_string, load_chain_map_file,
+                      load_complex_file, parse_algebra_file, parse_module_expr)
 from .hochschild import (HochschildContext, LaurentSetup, formality_criterion,
                          hh_table, vanishing_pattern_ok, smooth_dimension)
-from .percomplex import (cohomology, cohomology_dim_vectors, cone, shift,
-                         stalk_complex)
+from .percomplex import cohomology, cohomology_dim_vectors, cone, shift
 from .quiver import build_algebra
 from .rep import hom_space
 from .reports import build_report, file_sha256, text_sha256, to_json, to_markdown
 from .reproduce import (builtin_algebra, reproduce_ex5_6, reproduce_ex5_8,
-                        reproduce_ex5_9, reproduce_ext_sum,
-                        reproduce_lemma4_1, reproduce_prop3_10,
-                        reproduce_prop3_25)
+                        reproduce_ex5_9, reproduce_lemma4_1,
+                        reproduce_prop3_10, reproduce_prop3_25)
 from .stablecat import NotPeriodic, StableContext, algebra_period, \
     check_periodic_tilting_stable, stable_end_algebra
 

@@ -51,11 +51,6 @@ def dual_numbers(field: Field) -> FinDimAlgebra:
     return nakayama(1, 2, field)
 
 
-def truncated_polynomials(m: int, field: Field) -> FinDimAlgebra:
-    """k[x]/(x^m)."""
-    return nakayama(1, m, field)
-
-
 def semisimple_product(n: int, field: Field) -> FinDimAlgebra:
     """k x k x ... x k (n factors): n vertices, no arrows."""
     pres = AlgebraPresentation(Quiver(n, []), field, [], 2, label=f"k^{n}")

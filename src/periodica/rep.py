@@ -670,7 +670,7 @@ def injective_envelope(M: Rep) -> Tuple[Rep, Morphism]:
         Mat(f, len(rw), M.dims[w], [x for row in rw for x in row])
         for w, rw in enumerate(rows)])
     for v in range(q.n):
-        if phi.blocks[v].kernel_basis().cols != 0:
+        if phi.blocks[v].rank() != M.dims[v]:
             raise PreconditionError("injective envelope failed to embed")
     return I, phi
 
@@ -710,7 +710,7 @@ class Resolution:
             if not (seq[j] @ seq[j + 1]).is_zero():
                 return False
         for j in range(len(seq) - 1):
-            zdim = sum(b.kernel_basis().cols for b in seq[j].blocks)
+            zdim = sum(b.cols - b.rank() for b in seq[j].blocks)
             bdim = sum(b.rank() for b in seq[j + 1].blocks)
             if zdim != bdim:
                 return False
@@ -747,7 +747,7 @@ def global_dimension(alg: FinDimAlgebra, bound: int) -> Trunc:
 # -- isomorphism and decomposition ----------------------------------------------
 
 
-def _total_matrix(f: Morphism) -> Mat:
+def _block_diagonal(f: Morphism) -> Mat:
     """Block-diagonal matrix of an endomorphism on the total space."""
     field = f.source.field
     n = f.source.total_dim
@@ -1104,7 +1104,7 @@ def decompose(M: Rep, seed: int = 0) -> List[Rep]:
     for f in _split_candidates(endos, seed):
         split = _fitting_split(M, f)
         if split is None:
-            for lam in _minimal_poly_roots(_total_matrix(f), seed):
+            for lam in _minimal_poly_roots(_block_diagonal(f), seed):
                 if M.field.is_zero(lam):
                     continue
                 shifted = f - Morphism.identity(M).scale(lam)

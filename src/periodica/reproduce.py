@@ -7,10 +7,9 @@ import math
 import random
 from typing import List, Optional
 
-from .common import CheckFailed, ParseError, PreconditionError
+from .common import ParseError, PreconditionError
 from .derivedper import (DerivedContext, distinct_stalks_d2_dual_numbers,
-                         ext_sum_check, hereditary_decompose,
-                         list_indecomposables_hereditary, stalk_tilting_check)
+                         hereditary_decompose)
 from .families import (dual_numbers, linear_a, nakayama, semisimple_product,
                        serial_module)
 from .fields import Field
@@ -19,7 +18,7 @@ from .hochschild import (HochschildContext, LaurentSetup, formality_criterion,
 from .percomplex import bounded_homotopy_hom_dim, fold, homotopy_hom
 from .quiver import FinDimAlgebra
 from .randomcx import random_bounded_projectives, random_periodic_complex
-from .rep import Rep, iso_q
+from .rep import iso_q
 from .stablecat import (StableContext, algebra_period,
                         check_periodic_tilting_stable, stable_end_algebra)
 
@@ -204,17 +203,3 @@ def reproduce_prop3_25(alg: FinDimAlgebra, m: int, seed: int, count: int
             "verified": rep["verified"]})
         ok = ok and rep["verified"]
     return {"pass": ok, "count": count, "period": m, "rows": rows}
-
-
-def reproduce_ext_sum(alg: FinDimAlgebra, m: int, indecomposables: List[Rep]
-                      ) -> dict:
-    """Exhaustive lacunary-Ext checks over a list of indecomposables."""
-    ctx = DerivedContext(alg, m)
-    rows = []
-    ok = True
-    for i, M in enumerate(indecomposables):
-        for j, N in enumerate(indecomposables):
-            rep = ext_sum_check(ctx, M, N)
-            rows.append({"from": i, "to": j, "match": rep["match"]})
-            ok = ok and rep["match"]
-    return {"pass": ok, "period": m, "pairs": len(rows), "rows": rows}

@@ -391,6 +391,17 @@ def test_rational_coefficient_goldens(name):
         assert fh.read() == out
 
 
+def test_markdown_report_golden():
+    # the markdown renderer, tables included, on the graded Hochschild cells
+    code, out = run_cli(["hochschild", "table", "--algebra", sample("a2.alg"),
+                         "--m", "2", "--pmax", "4", "--qrange", "-6..6",
+                         "--format", "markdown"])
+    assert code == 0
+    path = os.path.join(GOLDEN, "hochschild_table_a2_m2.md")
+    with open(path, "r", encoding="utf-8") as fh:
+        assert fh.read() == out
+
+
 def test_console_entry_point():
     # the child imports the same periodica as this process, however pytest
     # put it on sys.path (PYTHONPATH or the pyproject `pythonpath`)
