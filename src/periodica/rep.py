@@ -761,141 +761,51 @@ def _block_diagonal(f: Morphism) -> Mat:
     return m
 
 
-def _invertible_combination(M: Rep, N: Rep, basis: List[Morphism],
-                            seed: int) -> Optional[Morphism]:
-    field = M.field
-    for g in basis:
-        if g.is_iso():
-            return g
-    k = len(basis)
-    if k == 0:
-        return None
-    if field.p:
-        # small prime fields: exhaust coefficient tuples when feasible
-        budget = 4096
-        if field.p ** k <= budget:
-            from itertools import product
-            for coeffs in product(range(field.p), repeat=k):
-                if not any(coeffs):
-                    continue
-                g = _combine(basis, coeffs)
-                if g.is_iso():
-                    return g
-            return None
-    rng = random.Random(seed)
-    for trial in range(80):
-        span = 2 + trial // 20
-        coeffs = [rng.randint(-span, span) for _ in range(k)]
-        if not any(coeffs):
-            continue
-        g = _combine(basis, coeffs)
-        if g.is_iso():
-            return g
-    if not field.p and M.total_dim <= 6:
-        return _det_poly_witness(M, basis)
-    return None
+def find_iso(M: Rep, N: Rep) -> Optional[Morphism]:
+    """An invertible basis element of Hom(M, N), or None.
 
-
-def _combine(basis: List[Morphism], coeffs) -> Morphism:
-    g = None
-    for c, b in zip(coeffs, basis):
-        if c:
-            term = b.scale(c)
-            g = term if g is None else g + term
-    return g if g is not None else Morphism.zero(basis[0].source, basis[0].target)
-
-
-def _det_poly_witness(M: Rep, basis: List[Morphism]) -> Optional[Morphism]:
-    """Deterministic fallback: expand det(sum c_i f_i) symbolically.
-
-    Only used at tiny total dimension.  The determinant of the generic
-    combination is a polynomial in the c_i; it vanishes identically iff no
-    combination is invertible.
+    The answer None is exact when M or N is indecomposable.  Say M is, so
+    End M is local.  If phi: M -> N is an isomorphism, a map g: M -> N is
+    one iff phi^-1 g is a unit of End M, so the maps that are not form the
+    proper subspace phi rad(End M) of Hom(M, N); no basis fits inside a
+    proper subspace.  (For N indecomposable, read rad(End N) phi.)  For two
+    decomposable modules, see :func:`iso_q`.
     """
-    from itertools import permutations, product
-    field = M.field
-    k = len(basis)
-
-    def poly_mul(p1, p2):
-        out = {}
-        for m1, c1 in p1.items():
-            for m2, c2 in p2.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, field.zero())
-                out[m] = field.add(out[m], field.mul(c1, c2))
-        return {m: c for m, c in out.items() if not field.is_zero(c)}
-
-    total = {tuple([0] * k): field.one()}
-    degree = 0
-    for v in range(len(M.dims)):
-        d = M.dims[v]
-        if d == 0:
-            continue
-        degree += d
-        entries = [[{} for _ in range(d)] for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                mono = {}
-                for t, b in enumerate(basis):
-                    c = b.blocks[v].get(i, j)
-                    if not field.is_zero(c):
-                        key = tuple(1 if s == t else 0 for s in range(k))
-                        mono[key] = c
-                entries[i][j] = mono
-        det = {}
-        for perm in permutations(range(d)):
-            sign = field.one()
-            inv = sum(1 for x in range(d) for y in range(x + 1, d)
-                      if perm[x] > perm[y])
-            if inv % 2:
-                sign = field.neg(sign)
-            term = {tuple([0] * k): sign}
-            ok = True
-            for i in range(d):
-                cell = entries[i][perm[i]]
-                if not cell:
-                    ok = False
-                    break
-                term = poly_mul(term, cell)
-            if ok:
-                for m, c in term.items():
-                    det[m] = field.add(det.get(m, field.zero()), c)
-        det = {m: c for m, c in det.items() if not field.is_zero(c)}
-        total = poly_mul(total, det)
-        if not total:
-            return None
-    # the polynomial is nonzero: a witness exists with coordinates in a small grid
-    for point in product(range(degree + 1), repeat=k):
-        val = field.zero()
-        for m, c in total.items():
-            term = c
-            for e, x in zip(m, point):
-                for _ in range(e):
-                    term = field.mul(term, field.coerce(x))
-            val = field.add(val, term)
-        if not field.is_zero(val):
-            g = _combine(basis, point)
-            assert g.is_iso()
-            return g
-    return None
-
-
-def find_iso(M: Rep, N: Rep, seed: int = 0) -> Optional[Morphism]:
-    """An invertible module map M -> N, or None."""
     if M.algebra is not N.algebra:
         raise PreconditionError("modules over different algebras")
     if M.dims != N.dims:
         return None
     if M.total_dim == 0:
         return Morphism.zero(M, N)
-    basis = hom_space(M, N)
-    if not basis:
-        return None
-    return _invertible_combination(M, N, basis, seed)
+    return next((g for g in hom_space(M, N) if g.is_iso()), None)
 
 
 def iso_q(M: Rep, N: Rep, seed: int = 0) -> bool:
-    return find_iso(M, N, seed) is not None
+    """Is M isomorphic to N?
+
+    An invertible basis element of Hom(M, N) settles it (:func:`find_iso`).
+    Without one, M is not N when ``decompose(M, seed)`` leaves M whole;
+    otherwise the indecomposable summands of M and of N must match one to
+    one by :func:`find_iso` (Krull-Schmidt).  ``seed`` reaches only
+    ``decompose``.
+    """
+    if find_iso(M, N) is not None:
+        return True
+    if M.dims != N.dims:
+        return False
+    ms = decompose(M, seed)
+    if len(ms) == 1:
+        return False
+    rest = decompose(N, seed)
+    if len(rest) != len(ms):
+        return False
+    for X in ms:
+        hit = next((i for i, Y in enumerate(rest)
+                    if find_iso(X, Y) is not None), None)
+        if hit is None:
+            return False
+        del rest[hit]
+    return True
 
 
 def _minimal_poly_roots(A: Mat, seed: int) -> List:
@@ -1077,6 +987,15 @@ def _fitting_split(M: Rep, f: Morphism) -> Optional[Tuple[Rep, Rep]]:
         I, _ = image_of(power)
         return K, I
     return None
+
+
+def _combine(basis: List[Morphism], coeffs) -> Morphism:
+    g = None
+    for c, b in zip(coeffs, basis):
+        if c:
+            term = b.scale(c)
+            g = term if g is None else g + term
+    return g if g is not None else Morphism.zero(basis[0].source, basis[0].target)
 
 
 def _split_candidates(endos: List[Morphism], seed: int):

@@ -20,26 +20,24 @@ from .linalg import Mat
 from .quiver import FinDimAlgebra
 from .rep import (HomBasis, Morphism, Rep, block_sum, cokernel_of, decompose,
                   hom_space, injective_envelope, is_projective, iso_q,
-                  kernel_of, projective_cover, syzygies)
+                  kernel_of, projective_cover, socle_subspaces, syzygies)
 
 
-def is_self_injective(alg: FinDimAlgebra, seed: int = 0) -> bool:
-    """Does every indecomposable projective match an indecomposable injective?"""
-    n = alg.quiver.n
-    projs = [Rep.projective(alg, v) for v in range(1, n + 1)]
-    injs = [Rep.injective(alg, v) for v in range(1, n + 1)]
-    used = set()
-    for P in projs:
-        hit = None
-        for w, I in enumerate(injs):
-            if w in used or I.dims != P.dims:
-                continue
-            if iso_q(P, I, seed):
-                hit = w
-                break
-        if hit is None:
+def is_self_injective(alg: FinDimAlgebra) -> bool:
+    """Is each indecomposable projective P(v) isomorphic to some I(w)?
+
+    P(v) is I(w) iff soc P(v) is the one simple S(w) and dim P(v) =
+    dim I(w): P(v) then embeds in I(w), the injective envelope of its
+    socle, and the dimensions make the embedding onto.  So the socles
+    decide, and no isomorphism is searched for.  No two P(v) can be the
+    same I(w), having different tops, so each I(w) is used at most once.
+    """
+    for v in range(1, alg.quiver.n + 1):
+        P = Rep.projective(alg, v)
+        soc = [b.cols for b in socle_subspaces(P)]
+        # dim I(w) counts the basis walks starting at w
+        if sum(soc) != 1 or P.total_dim != alg.source.count(soc.index(1) + 1):
             return False
-        used.add(hit)
     return True
 
 
@@ -110,7 +108,7 @@ class StableContext:
     """
 
     def __init__(self, alg: FinDimAlgebra, seed: int = 0):
-        if not is_self_injective(alg, seed):
+        if not is_self_injective(alg):
             raise PreconditionError("algebra is not self-injective")
         self.algebra = alg
         self.seed = seed

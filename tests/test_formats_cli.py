@@ -391,6 +391,26 @@ def test_rational_coefficient_goldens(name):
         assert fh.read() == out
 
 
+# Not in GOLDEN_CASES either: the periods whose isomorphism tests reach
+# iso_q's Krull-Schmidt branch.  No basis element of End(S(1) + S(1)) (the
+# matrix units) is invertible, and the regular bimodule of twoblocks.alg
+# splits into its two blocks.
+KRULL_SCHMIDT_GOLDENS = {
+    "period_module_n33_2s1.json": ["period", "module", "--name", "N(3,3)",
+                                   "--module", "2*S(1)"],
+    "period_algebra_twoblocks.json": ["period", "algebra", "--algebra",
+                                      sample("twoblocks.alg")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(KRULL_SCHMIDT_GOLDENS))
+def test_krull_schmidt_period_goldens(name):
+    code, out = run_cli(KRULL_SCHMIDT_GOLDENS[name])
+    assert code == 0
+    with open(os.path.join(GOLDEN, name), "r", encoding="utf-8") as fh:
+        assert fh.read() == out
+
+
 def test_markdown_report_golden():
     # the markdown renderer, tables included, on the graded Hochschild cells
     code, out = run_cli(["hochschild", "table", "--algebra", sample("a2.alg"),

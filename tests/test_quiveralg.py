@@ -1,14 +1,15 @@
 import glob
 import os
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from periodica.common import PreconditionError
 from periodica.families import (all_intervals, dual_numbers, enveloping,
-                                linear_a, nakayama, semisimple_product,
-                                serial_module)
+                                interval_module, is_linear_a, linear_a,
+                                nakayama, semisimple_product, serial_module)
 from periodica.fields import Field, QQ
 from periodica.formats import load_algebra
 from periodica.linalg import Mat, quotient
@@ -16,7 +17,7 @@ from periodica.quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
                               build_algebra, enveloping_algebra,
                               tensor_op_presentation)
 from periodica.rep import (Morphism, Rep, _roots_mod_p, cokernel_of,
-                           decompose, direct_sum, global_dimension,
+                           decompose, direct_sum, find_iso, global_dimension,
                            hom_space, indecomposable_q, injective_envelope,
                            iso_q, kernel_of, projective_cover, quotient_rep,
                            radical_subspaces, socle_subspaces, sub_rep,
@@ -153,6 +154,123 @@ def test_iso_and_decompose(a2):
     # non-isomorphic with equal dimension vectors
     two = direct_sum([Rep.simple(a2, 1), Rep.simple(a2, 2)])[0]
     assert two.dims == P2.dims and not iso_q(two, P2)
+
+
+def _invertible_mod_p(flat, d, p):
+    """Is the d x d matrix with row-major entries ``flat`` invertible mod p?
+    Plain elimination on ints, sharing no code with ``linalg``."""
+    rows = [flat[i * d:(i + 1) * d] for i in range(d)]
+    for c in range(d):
+        piv = next((r for r in range(c, d) if rows[r][c] % p), None)
+        if piv is None:
+            return False
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], p - 2, p)
+        for r in range(c + 1, d):
+            t = rows[r][c] * inv % p
+            if t:
+                rows[r] = [(x - t * y) % p for x, y in zip(rows[r], rows[c])]
+    return True
+
+
+def _exhaustive_iso(M, N):
+    """Is some map in all of Hom(M, N) invertible?  Every coefficient tuple
+    on the basis whose first nonzero entry is 1, over GF(p), depth first
+    from the all-ones tuple on (sums of many basis maps are the likelier
+    isomorphisms)."""
+    if M.dims != N.dims:
+        return False
+    if M.total_dim == 0:
+        return True
+    p = M.field.p
+    basis = [g.flatten() for g in hom_space(M, N)]
+    blocks, off = [], 0
+    for d in M.dims:
+        blocks.append((off, d))
+        off += d * d
+
+    def search(i, acc, normalised):
+        if i == len(basis):
+            return normalised and all(
+                _invertible_mod_p(acc[o:o + d * d], d, p) for o, d in blocks)
+        for c in ([*range(1, p), 0] if normalised else [1, 0]):
+            nxt = ([(x + c * y) % p for x, y in zip(acc, basis[i])] if c
+                   else acc)
+            if search(i + 1, nxt, normalised or c == 1):
+                return True
+        return False
+
+    return search(0, [0] * off, False)
+
+
+def _iso_oracle_pool(alg):
+    """Simples, projectives, injectives and serial (interval) modules."""
+    n = alg.quiver.n
+    pool = [make(alg, v) for v in range(1, n + 1)
+            for make in (Rep.simple, Rep.projective, Rep.injective)]
+    if is_linear_a(alg):
+        pool += [interval_module(alg, a, b)
+                 for a in range(1, n + 1) for b in range(a, n + 1)]
+    else:
+        pool += [serial_module(alg, a, l) for a in range(1, n + 1)
+                 for l in range(1, alg.nilpotency + 1)]
+    return pool
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["N(3,3)", "N(2,3)", "kA3", "dual"])
+def test_iso_q_matches_exhaustive_search(name, p):
+    # random sums of one to three pool modules, each with a reordering of
+    # its summands (isomorphic) and a twin with one summand replaced by the
+    # simples of its dimension vector (equal dims, isomorphic only when
+    # that summand is simple); every pair of sums with equal dims is checked
+    field = Field.gf(p)
+    alg = {"N(3,3)": lambda: nakayama(3, 3, field),
+           "N(2,3)": lambda: nakayama(2, 3, field),
+           "kA3": lambda: linear_a(3, field),
+           "dual": lambda: dual_numbers(field)}[name]()
+    pool = _iso_oracle_pool(alg)
+    rng = random.Random(p)
+    sums = {}       # pool indices in summand order -> their sum
+    for _ in range(10):
+        parts = [rng.randrange(len(pool)) for _ in range(rng.randint(1, 3))]
+        j = rng.randrange(len(parts))
+        # pool[3 * v] is the simple at vertex v + 1
+        twin = parts[:j] + [3 * v for v, d in enumerate(pool[parts[j]].dims)
+                            for _ in range(d)] + parts[j + 1:]
+        for key in (parts, rng.sample(parts, len(parts)), twin):
+            sums[tuple(key)] = direct_sum([pool[i] for i in key])[0]
+    # reordered summands give isomorphic sums: one search per pair of
+    # summand multisets
+    verdicts = {}
+    checked = {True: 0, False: 0}
+    items = list(sums.items())
+    for i, (km, M) in enumerate(items):
+        for kn, N in items[i:]:
+            if M.dims != N.dims or p ** len(hom_space(M, N)) > 70000:
+                continue
+            pair = (tuple(sorted(km)), tuple(sorted(kn)))
+            if pair not in verdicts:
+                verdicts[pair] = _exhaustive_iso(M, N)
+            want = verdicts[pair]
+            assert iso_q(M, N) == iso_q(M, N, 9001) == want
+            checked[want] += 1
+    assert checked[True] and checked[False]
+    # End(S + S) has a basis of matrix units, none of them invertible: the
+    # Krull-Schmidt matching decides
+    S = Rep.simple(alg, 1)
+    SS = direct_sum([S, S])[0]
+    assert find_iso(SS, SS) is None and iso_q(SS, SS)
+
+
+def test_iso_q_counts_summands(a2):
+    # equal dims and both decomposable: P(2) + S(2) has two summands and
+    # S(1) + S(2) + S(2) three
+    S1, S2 = Rep.simple(a2, 1), Rep.simple(a2, 2)
+    M = direct_sum([Rep.projective(a2, 2), S2])[0]
+    N = direct_sum([S1, S2, S2])[0]
+    assert M.dims == N.dims and find_iso(M, N) is None
+    assert not iso_q(M, N) and not iso_q(N, M)
 
 
 def test_serial_indecomposable(n33):

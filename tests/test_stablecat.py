@@ -1,12 +1,16 @@
+import glob
+import os
 import random
 
 import pytest
 
 from periodica.common import PreconditionError, Trunc
-from periodica.families import (linear_a, nakayama, semisimple_product,
-                                serial_module)
+from periodica.families import (dual_numbers, linear_a, nakayama,
+                                semisimple_product, serial_module)
 from periodica.fields import Field, QQ
-from periodica.rep import Morphism, Rep, direct_sum, hom_space, iso_q
+from periodica.formats import load_algebra
+from periodica.rep import (Morphism, Rep, direct_sum, find_iso, hom_space,
+                           iso_q)
 from periodica.stablecat import (NotPeriodic, StableContext, algebra_period,
                                  check_periodic_tilting_stable,
                                  is_self_injective, stable_end_algebra)
@@ -16,8 +20,45 @@ def test_self_injectivity(a2, kxk, n33, n44):
     assert is_self_injective(n33)
     assert is_self_injective(n44)
     assert is_self_injective(kxk)
+    # P(1) = S(1) has the simple socle S(1), but dim 1 != dim I(1) = 2
     assert not is_self_injective(a2)
     assert is_self_injective(nakayama(2, 4, QQ))
+
+
+def _self_injective_by_isos(alg):
+    """The definition: each P(v) is isomorphic to an unused I(w).  P(v) is
+    indecomposable, so find_iso decides each pair exactly."""
+    n = alg.quiver.n
+    injs = [Rep.injective(alg, w) for w in range(1, n + 1)]
+    used = set()
+    for v in range(1, n + 1):
+        P = Rep.projective(alg, v)
+        hit = next((w for w, I in enumerate(injs)
+                    if w not in used and find_iso(P, I) is not None), None)
+        if hit is None:
+            return False
+        used.add(hit)
+    return True
+
+
+def _self_injectivity_cases():
+    here = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
+    for path in sorted(glob.glob(os.path.join(here, "*.alg"))):
+        yield os.path.basename(path), lambda path=path: load_algebra(path)
+    for field in (QQ, Field.gf(2)):
+        for n in range(1, 5):
+            for l in range(2, 6):
+                yield (f"N({n},{l}) {field}",
+                       lambda n=n, l=l, field=field: nakayama(n, l, field))
+        yield f"kA3 {field}", lambda field=field: linear_a(3, field)
+        yield f"dual {field}", lambda field=field: dual_numbers(field)
+
+
+@pytest.mark.parametrize("build", [pytest.param(b, id=i) for i, b in
+                                   _self_injectivity_cases()])
+def test_self_injectivity_by_socles_matches_isos(build):
+    alg = build()
+    assert is_self_injective(alg) == _self_injective_by_isos(alg)
 
 
 def test_context_rejects_non_self_injective(a2):
