@@ -258,17 +258,6 @@ class Morphism:
         return f"Morphism({self.source!r} -> {self.target!r})"
 
 
-def morphism_from_flat(M: Rep, N: Rep, flat: Sequence) -> Morphism:
-    f = M.field
-    blocks = []
-    k = 0
-    for v in range(len(M.dims)):
-        r, c = N.dims[v], M.dims[v]
-        blocks.append(Mat(f, r, c, [f.coerce(x) for x in flat[k:k + r * c]]))
-        k += r * c
-    return Morphism(M, N, blocks)
-
-
 def block_sum(parts: Sequence[Rep]) -> Rep:
     """The direct sum of ``parts`` alone: each arrow acts block-diagonally,
     one block per part in order.  For callers that need no injections or
@@ -323,46 +312,53 @@ def direct_sum(parts: Sequence[Rep]) -> Tuple[Rep, List[Morphism], List[Morphism
 
 
 def hom_space(M: Rep, N: Rep) -> List[Morphism]:
-    """A basis of Hom(M, N): all tuples of blocks commuting with every arrow."""
+    """A basis of Hom(M, N): all tuples of blocks commuting with every arrow.
+
+    The unknowns are the blocks f_v, row-major and vertex by vertex; arrow
+    a: u -> v gives the rows N_a f_v - f_u M_a = 0, one per entry, written
+    into one flat list from the arrows' matrices.  Every entry is a field
+    scalar already, and so is every entry of the kernel basis, whose
+    columns are cut into blocks as they stand.
+    """
     if M.algebra is not N.algebra:
         raise PreconditionError("modules over different algebras")
     f = M.field
     q = M.algebra.quiver
-    nvars = sum(N.dims[v] * M.dims[v] for v in range(q.n))
+    off = [0]
+    for v in range(q.n):
+        off.append(off[-1] + N.dims[v] * M.dims[v])
+    nvars = off[-1]
     if nvars == 0:
         return []
-    var_off = []
-    k = 0
-    for v in range(q.n):
-        var_off.append(k)
-        k += N.dims[v] * M.dims[v]
-    rows = []
-    for ai, a in enumerate(q.arrows):
-        u, v = a.source - 1, a.target - 1
-        nu, nv = N.dims[u], N.dims[v]
-        mu, mv = M.dims[u], M.dims[v]
-        Na, Ma = N.act[ai], M.act[ai]
-        for i in range(nu):
-            for j in range(mv):
-                row = [f.zero()] * nvars
-                for r in range(nv):
-                    c = Na.get(i, r)
-                    if not f.is_zero(c):
-                        row[var_off[v] + r * mv + j] = c
-                for cidx in range(mu):
-                    c = Ma.get(cidx, j)
-                    if not f.is_zero(c):
-                        row[var_off[u] + i * mu + cidx] = f.sub(
-                            row[var_off[u] + i * mu + cidx], c)
-                rows.append(row)
-    if rows:
-        K = Mat.from_rows(f, rows).kernel_basis()
+    shapes = [(a.source - 1, a.target - 1) for a in q.arrows]
+    nrows = sum(N.dims[u] * M.dims[v] for u, v in shapes)
+    if nrows:
+        sub = f.sub
+        data = [f.zero()] * (nrows * nvars)
+        base = 0
+        for ai, (u, v) in enumerate(shapes):
+            nu, nv = N.dims[u], N.dims[v]
+            mu, mv = M.dims[u], M.dims[v]
+            Na, Ma = N.act[ai].data, M.act[ai].data
+            for i in range(nu):
+                for j in range(mv):
+                    for r in range(nv):
+                        c = Na[i * nv + r]
+                        if c:
+                            data[base + off[v] + r * mv + j] = c
+                    for k in range(mu):
+                        c = Ma[k * mv + j]
+                        if c:
+                            x = base + off[u] + i * mu + k
+                            data[x] = sub(data[x], c)
+                    base += nvars
+        K = Mat(f, nrows, nvars, data).kernel_basis()
     else:
         K = Mat.identity(f, nvars)
-    out = []
-    for jcol in range(K.cols):
-        out.append(morphism_from_flat(M, N, K.col_list(jcol)))
-    return out
+    kd, kc = K.data, K.cols
+    return [Morphism(M, N, [
+        Mat(f, N.dims[v], M.dims[v], kd[off[v] * kc + j:off[v + 1] * kc:kc])
+        for v in range(q.n)]) for j in range(kc)]
 
 
 class HomBasis:

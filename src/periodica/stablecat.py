@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .common import CheckFailed, PreconditionError, Trunc
+from .common import PreconditionError, Trunc
 from .families import enveloping, is_cyclic_nakayama, serial_module
-from .linalg import Mat
+from .linalg import Mat, _free_cols, reduce_mod_rowspace
 from .quiver import FinDimAlgebra
 from .rep import (HomBasis, Morphism, Rep, block_sum, cokernel_of, decompose,
                   hom_space, injective_envelope, is_projective, iso_q,
@@ -42,7 +42,16 @@ def is_self_injective(alg: FinDimAlgebra) -> bool:
 
 
 class StableHom:
-    """The stable Hom space of a pair of modules, with canonical reduction."""
+    """The stable Hom space of a pair of modules, with canonical reduction.
+
+    Maps are coordinates on ``full.basis``, a basis of Hom(M, N).  The maps
+    that factor through a projective are the composites with the projective
+    cover P_N ->> N; ``reduce`` takes coordinates modulo the rref of theirs.
+    The basis maps at that rref's free (non-pivot) columns reduce to
+    themselves and span a complement, so they are the ``classes``, and a
+    map's coordinates on them are its reduced coordinates at those columns.
+    When Hom(M, N) = 0 nothing else is built: no cover composites, no rref.
+    """
 
     def __init__(self, M: Rep, N: Rep,
                  cover: Optional[Tuple[Rep, Morphism]] = None):
@@ -50,48 +59,29 @@ class StableHom:
         self.M = M
         self.N = N
         self.full = HomBasis(M, N)
-        P_N, cover = cover or projective_cover(N)
-        through = [cover @ g for g in hom_space(M, P_N)]
-        field = M.field
-        if through and self.full.dim:
+        through: List[Morphism] = []
+        if self.full.dim:
+            P_N, pi = cover or projective_cover(N)
+            through = [pi @ g for g in hom_space(M, P_N)]
+        if through:
             coords = self.full.coords_matrix(through)
             self._red, self._piv = coords.transpose().rref()
         else:
-            self._red = Mat.zeros(field, 0, self.full.dim)
-            self._piv = ()
-        self.dim = self.full.dim - len(self._piv)
-        self.classes: List[Morphism] = []
-        self._class_coords: List[list] = []
-        seen = Mat.zeros(field, self.full.dim, 0)
-        for g in self.full.basis:
-            vec = self.reduce_coords(self.full.coords_of(g))
-            cand = seen.hstack(Mat.column(field, vec))
-            if cand.rank() > seen.rank():
-                seen = cand
-                self.classes.append(self.full.from_coords(vec))
-                self._class_coords.append(vec)
-            if len(self.classes) == self.dim:
-                break
-
-    def reduce_coords(self, coords: list) -> list:
-        from .linalg import reduce_mod_rowspace
-        return reduce_mod_rowspace(self._red, self._piv, coords,
-                                   self.M.field)
+            self._red, self._piv = Mat.zeros(M.field, 0, self.full.dim), ()
+        self._free = _free_cols(self.full.dim, self._piv)
+        self.dim = len(self._free)
+        self.classes: List[Morphism] = [self.full.basis[j]
+                                        for j in self._free]
 
     def reduce(self, f: Morphism) -> list:
         """Canonical coordinates of the stable class of a module map."""
-        return self.reduce_coords(self.full.coords_of(f))
+        return reduce_mod_rowspace(self._red, self._piv,
+                                   self.full.coords_of(f), self.M.field)
 
     def class_coords(self, f: Morphism) -> list:
-        """Coordinates of the class of f on the chosen class basis."""
-        field = self.M.field
-        if self.dim == 0:
-            return []
-        B = Mat.from_rows(field, self._class_coords).transpose()
-        sol = B.solve(self.reduce(f))
-        if sol is None:
-            raise CheckFailed("reduction left the class space")
-        return sol
+        """Coordinates of the class of f on ``classes``."""
+        red = self.reduce(f)
+        return [red[j] for j in self._free]
 
 
 class StableContext:

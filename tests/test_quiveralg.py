@@ -1,7 +1,9 @@
 import glob
 import os
 import random
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +101,61 @@ def test_hom_examples(a2):
     assert len(hom_space(S1, S2)) == 0
     assert len(hom_space(P2, S1)) == 0
     assert len(hom_space(P2, S2)) == 1
+
+
+def _normal_form(field, x):
+    """A field scalar as the library keeps it: an int in 0..p-1 over GF(p);
+    over Q an int, or a reduced Fraction that is not integral."""
+    if field.p:
+        return type(x) is int and 0 <= x < field.p
+    if type(x) is Fraction:
+        return x.denominator > 1 and gcd(x.numerator, x.denominator) == 1
+    return type(x) is int
+
+
+def _hom_space_inputs():
+    for field in (Field.gf(2), Field.gf(4294967311)):
+        alg = nakayama(4, 4, field)
+        yield f"N(4,4) {field}", [serial_module(alg, a, l)
+                                  for a in range(1, 5) for l in range(1, 5)]
+    here = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
+    alg = load_algebra(os.path.join(here, "ratsquare.alg"))
+    yield "ratsquare", [make(alg, v) for v in range(1, 5)
+                        for make in (Rep.simple, Rep.projective, Rep.injective)]
+
+
+@pytest.mark.parametrize("mods", [pytest.param(mods, id=name) for name, mods
+                                  in _hom_space_inputs()])
+def test_hom_space_basis_is_in_normal_form(mods):
+    # hom_space builds its matrices with the trusted constructor, coercing
+    # nothing, so every entry must already be a normal-form scalar
+    fractions = 0
+    for M in mods:
+        for N in mods:
+            for g in hom_space(M, N):
+                assert g.is_intertwiner()
+                for b in g.blocks:
+                    assert all(_normal_form(M.field, x) for x in b.data)
+                    fractions += sum(type(x) is Fraction for x in b.data)
+    # ratsquare's 2/3 reaches the bases
+    assert fractions or M.field.p
+
+
+@pytest.mark.parametrize("field", [QQ, Field.gf(3)], ids=["Q", "GF3"])
+def test_hom_space_on_a_loop_with_a_diagonal(field):
+    # x acts on k^2 by [[1, 1], [-1, -1]] (x^2 = 0, rank 1): the free module
+    # k[x]/(x^2) in another basis.  Its loop equations put an entry of N_x
+    # and one of M_x on the same unknown, which the assembly must add.
+    alg = dual_numbers(field)
+    x = Mat.from_rows(field, [[1, 1], [-1, -1]])
+    M = Rep(alg, [2], [x], check=True)
+    S = Rep.simple(alg, 1)
+    for A, B, dim in ((M, M, 2), (M, S, 1), (S, M, 1),
+                      (M, Rep.regular(alg), 2)):
+        basis = hom_space(A, B)
+        assert len(basis) == dim
+        assert all(g.is_intertwiner() for g in basis)
+    assert iso_q(M, Rep.regular(alg))
 
 
 def test_projective_cover_and_syzygy(a2):

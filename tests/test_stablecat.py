@@ -9,8 +9,9 @@ from periodica.families import (dual_numbers, linear_a, nakayama,
                                 semisimple_product, serial_module)
 from periodica.fields import Field, QQ
 from periodica.formats import load_algebra
-from periodica.rep import (Morphism, Rep, direct_sum, find_iso, hom_space,
-                           iso_q)
+from periodica.rep import (HomBasis, Morphism, Rep, direct_sum, find_iso,
+                           hom_space, injective_envelope, iso_q,
+                           projective_cover)
 from periodica.stablecat import (NotPeriodic, StableContext, algebra_period,
                                  check_periodic_tilting_stable,
                                  is_self_injective, stable_end_algebra)
@@ -514,3 +515,79 @@ def test_suspension_power_matches_stripping_every_step(field):
                 got = ctx.suspension_power(M, i)
                 want = _suspension_stripping_every_step(M, i)
                 assert got.dims == want.dims and iso_q(got, want)
+
+
+def _stable_dim_by_envelope(M, N):
+    """dim stHom(M, N) from the source side: dim Hom(M, N) minus the rank of
+    {g . iota : g in Hom(I(M), N)}, iota: M >-> I(M) the injective envelope.
+    Over a self-injective algebra projectives are injective, so a map
+    factoring through one factors through iota."""
+    full = HomBasis(M, N)
+    if not full.dim:
+        return 0
+    I, iota = injective_envelope(M)
+    through = [g @ iota for g in hom_space(I, N)]
+    return full.dim - full.coords_matrix(through).rank()
+
+
+def _nakayama_pairs(field):
+    mods = []
+    for n in (3, 4, 5):
+        alg = nakayama(n, n, field)
+        mods.append((StableContext(alg),
+                     [serial_module(alg, a, l)
+                      for a in range(1, n + 1) for l in range(1, n)]))
+    return mods
+
+
+def _exterior2_syzygies():
+    here = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
+    alg = load_algebra(os.path.join(here, "exterior2.alg"))
+    ctx = StableContext(alg)
+    S = Rep.simple(alg, 1)
+    return [(ctx, [ctx.suspension_power(S, -i) for i in (1, 2, 3)])]
+
+
+_STABLE_PAIR_CASES = [
+    pytest.param(lambda: _nakayama_pairs(Field.gf(2)), id="N(n,n)-GF2"),
+    pytest.param(lambda: _nakayama_pairs(Field.gf(4294967311)),
+                 id="N(n,n)-GFbig"),
+    pytest.param(_exterior2_syzygies, id="exterior2-syzygies"),
+]
+
+
+@pytest.mark.parametrize("cases", _STABLE_PAIR_CASES)
+def test_stable_hom_dim_matches_the_envelope_side(cases):
+    # the cover of the target (StableHom) against the envelope of the source
+    for ctx, mods in cases():
+        for M in mods:
+            for N in mods:
+                assert (ctx.stable_hom(M, N).dim
+                        == _stable_dim_by_envelope(M, N))
+
+
+@pytest.mark.parametrize("cases", _STABLE_PAIR_CASES)
+def test_stable_hom_class_basis_contract(cases):
+    for ctx, mods in cases():
+        zero_homs = 0
+        for M in mods:
+            for N in mods:
+                sh = ctx.stable_hom(M, N)
+                for c, f in enumerate(sh.classes):
+                    assert sh.class_coords(f) == [int(k == c)
+                                                  for k in range(sh.dim)]
+                # every map, plus a map through the cover, keeps its class
+                P, pi = projective_cover(N)
+                through = [pi @ t for t in hom_space(M, P)]
+                for f in sh.full.basis:
+                    base = sh.class_coords(f)
+                    assert len(base) == sh.dim
+                    for t in through:
+                        assert sh.class_coords(f + t) == base
+                if not sh.full.dim:
+                    zero_homs += 1
+                    assert sh.dim == 0 and sh.classes == []
+                    assert sh.class_coords(Morphism.zero(M, N)) == []
+        # over a local algebra M ->> top M = S embeds in soc N, so Hom is
+        # never 0 there; the Nakayama lists hold S(1), S(2)
+        assert zero_homs or ctx.algebra.quiver.n == 1
