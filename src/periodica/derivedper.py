@@ -6,7 +6,7 @@ projective components, built by peeling one degree at a time into stalk
 pieces (each resolved and folded) and gluing the pieces back along
 componentwise-exact sequences.  The gluing step lifts the extension through
 the replacement of the sub, which is a finite linear solve here: its system
-is assembled blockwise, one coordinate solve per (piece, term), and the glued
+is assembled blockwise from Hom coordinates per (piece, term), and the glued
 replacement is the twisted sum PA + PC of ``percomplex.sum_complex``.
 
 Over a hereditary algebra a complex splits into its cohomology without being
@@ -35,9 +35,9 @@ from .percomplex import (BoundedComplex, GradedMorphism, PeriodicComplex,
                          shift, shift_map, stalk_complex, sum_complex, sum_map,
                          zero_complex)
 from .quiver import FinDimAlgebra
-from .rep import (HomBasis, Morphism, Rep, Resolution, block_map,
+from .rep import (HomBasis, Morphism, Rep, Resolution, block_map, decompose,
                   global_dimension, hom_space, is_projective, kernel_of,
-                  minimal_resolution)
+                  minimal_resolution, quotient_rep)
 
 
 def _retarget(f: GradedMorphism, source: Optional[PeriodicComplex] = None,
@@ -48,18 +48,13 @@ def _retarget(f: GradedMorphism, source: Optional[PeriodicComplex] = None,
 
 def _lift(g: Morphism, q: Morphism) -> Morphism:
     """h with q o h = g, for g out of a projective into the image of q."""
-    field = g.source.field
-    basis = hom_space(g.source, q.source)
+    basis = HomBasis(g.source, q.source)
     coords = HomBasis(g.source, q.target)
-    sol = coords.coords_matrix([q @ b for b in basis]).solve(
+    sol = coords.coords_matrix([q @ b for b in basis.basis]).solve(
         coords.coords_of(g))
     if sol is None:
         raise CheckFailed("projective lift failed (map not into the image?)")
-    h = Morphism.zero(g.source, q.source)
-    for c, b in zip(sol, basis):
-        if not field.is_zero(c):
-            h = h + b.scale(c)
-    return h
+    return basis.from_coords(sol)
 
 
 def resolution_to_bounded(res: Resolution) -> BoundedComplex:
@@ -278,8 +273,8 @@ class DerivedContext:
                 u_diffs.append(Morphism.zero(Z, u_comps[(i0 + 1) % m]))
             elif (i + 1) % m == i0:
                 blocks = []
-                for v in range(len(Z.dims)):
-                    X = inclZ.blocks[v].solve_matrix(V.diffs[i].blocks[v])
+                for here, prev in zip(V.diffs[i0].blocks, V.diffs[i].blocks):
+                    X = here.kernel_coords(prev)
                     if X is None:
                         raise CheckFailed("differential misses the cocycles")
                     blocks.append(X)
@@ -320,9 +315,7 @@ class DerivedContext:
         if Z.total_dim == V.comps[i0].total_dim:
             # no quotient stalk: U was V itself
             return PU, _retarget(pU, target=V)
-        from .rep import quotient_rep
-        Tq, projq = quotient_rep(V.comps[i0], [inclZ.blocks[v]
-                                               for v in range(len(Z.dims))])
+        Tq, projq = quotient_rep(V.comps[i0], inclZ.blocks)
         T = stalk_complex(Tq, m, i0)
         incl_uv = GradedMorphism(
             U, V, 0,
@@ -566,7 +559,6 @@ def distinct_stalks_d2_dual_numbers(field: Optional[Field] = None) -> dict:
     alg = dual_numbers(field)
     Lam = Rep.regular(alg)
     radical = Rep.simple(alg, 1)    # rad = (x) has dimension 1
-    from .rep import hom_space as hs, decompose
     objects = []
     for name, M, sh in [("algebra", Lam, 0), ("radical", radical, 0),
                         ("algebra[1]", Lam, 1), ("radical[1]", radical, 1)]:
@@ -574,7 +566,7 @@ def distinct_stalks_d2_dual_numbers(field: Optional[Field] = None) -> dict:
             stalk_complex(M, 2, 0), sh)
         objects.append({"name": name, "complex": X,
                         "cohomology": cohomology_dims(X),
-                        "end_dim_module": len(hs(M, M)),
+                        "end_dim_module": len(hom_space(M, M)),
                         "indecomposable_module": len(decompose(M)) == 1})
     pairs = []
     distinct = True

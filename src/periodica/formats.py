@@ -22,7 +22,7 @@ import json
 import os
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .common import ParseError, PreconditionError
 from .families import is_cyclic_nakayama, serial_module

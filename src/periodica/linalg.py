@@ -9,6 +9,13 @@ cols, data)`` trusts its data.  Arithmetic and elimination (``+``, ``-``,
 ``quotient``) return normal forms even from entries that are not, such as
 ``Fraction(4, 2)``; transposes, slices and blocks copy entries as they are.
 
+A ``kernel_basis`` is the identity on the free columns of the cached rref,
+so coordinates on it are read there, with no solve: ``kernel_coords`` for a
+map into a kernel, ``rep.HomBasis`` for Hom coordinates (a combination of
+basis maps is then one product with the kernel basis).  ``quotient`` reads
+only the span of its columns, through the canonical rref of the transpose,
+so any spanning columns give the same projection from one elimination.
+
 Row reduction and products run in the kernels of ``_kernels_py``, reached
 through the module alias ``_impl`` by attribute lookup, so a profiler can
 wrap them in place.
@@ -248,6 +255,15 @@ class Mat:
             for k, pc in enumerate(piv):
                 out.data[pc * len(free) + i] = neg(R.get(k, fc))
         return out
+
+    def kernel_coords(self, Y: "Mat") -> Optional["Mat"]:
+        """X with ``self.kernel_basis() @ X == Y``, or None when a column of
+        Y leaves the null space.  The kernel basis is the identity on the
+        free rows, so X is Y's free rows; ``self @ Y == 0`` certifies it."""
+        self._check_field(Y)
+        if not (self @ Y).is_zero():
+            return None
+        return Y.take_rows(_free_cols(self.cols, self.rref()[1]))
 
     def image_basis(self) -> "Mat":
         """Columns: the pivot columns of A (a basis of the column space)."""

@@ -23,9 +23,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .common import CheckFailed, PreconditionError
-from .linalg import Mat
+from .linalg import Mat, reduce_mod_rowspace
 from .quiver import FinDimAlgebra
-from .rep import (HomBasis, Morphism, Rep, block_map, block_sum, hom_space,
+from .rep import (HomBasis, Morphism, Rep, block_map, block_sum,
                   is_projective, kernel_of, quotient_rep)
 
 
@@ -378,12 +378,11 @@ def _cohom_data(V: PeriodicComplex, i: int) -> _CohomData:
     data = V._cohom_cache.get(i)
     if data is None:
         Z, inclZ = kernel_of(V.diffs[i])
-        dprev = V.diffs[(i - 1) % V.m]
-        bbases = [b.image_basis() for b in dprev.blocks]
-        # coordinates of the coboundaries inside the cocycles
+        # d^{i-1} corestricted to the cocycles spans the coboundaries there
         inside = []
-        for v in range(len(Z.dims)):
-            X = inclZ.blocks[v].solve_matrix(bbases[v])
+        for here, prev in zip(V.diffs[i].blocks,
+                              V.diffs[(i - 1) % V.m].blocks):
+            X = here.kernel_coords(prev)
             if X is None:
                 raise PreconditionError("image not inside kernel; d^2 != 0?")
             inside.append(X)
@@ -439,7 +438,7 @@ def induced_map_on_cohomology(f: GradedMorphism, i: int) -> Morphism:
         section = dv.projH.blocks[v].solve_matrix(Mat.identity(field, hdim))
         assert section is not None
         carried = f.comps[i % V.m].blocks[v] @ dv.inclZ.blocks[v] @ section
-        X = dw.inclZ.blocks[v].solve_matrix(carried)
+        X = W.diffs[(i + p) % W.m].blocks[v].kernel_coords(carried)
         if X is None:
             raise PreconditionError("closed map does not preserve cocycles")
         blocks.append(dw.projH.blocks[v] @ X)
@@ -563,7 +562,6 @@ class PeriodicHomComplex:
         B = d_prev.image_basis()
         if B.cols:
             R, piv = B.transpose().rref()
-            from .linalg import reduce_mod_rowspace
             reps = []
             seen = Mat.zeros(field, d_here.cols, 0)
             for c in range(Z.cols):
@@ -718,35 +716,22 @@ class BoundedHomComplex:
     def diff_matrix(self, s: int) -> Mat:
         sign = self.field.neg(self.field.sign_pow(s))
         src = self.degree_layout(s)
-        tgt = self.degree_layout(s + 1)
-        tgt_off = {}
-        run = 0
-        for j in tgt:
-            tgt_off[j] = run
-            run += self.piece(j, j + s + 1).dim
-        cols = []
-        for j in src:
-            piece = self.piece(j, j + s)
-            up_maps = [self.Y.differential(j + s) @ g for g in piece.basis]
-            dn_maps = [(g @ self.X.differential(j - 1)).scale(sign)
-                       for g in piece.basis]
-            up = self.piece(j, j + s + 1).coords_matrix(up_maps) \
-                if j in tgt_off else None
-            dn = self.piece(j - 1, j + s).coords_matrix(dn_maps) \
-                if (j - 1) in tgt_off else None
-            for c in range(piece.dim):
-                col = [self.field.zero()] * run
-                if up is not None:
-                    for r in range(up.rows):
-                        col[tgt_off[j] + r] = up.get(r, c)
-                if dn is not None:
-                    for r in range(dn.rows):
-                        idx = tgt_off[j - 1] + r
-                        col[idx] = self.field.add(col[idx], dn.get(r, c))
-                cols.append(col)
-        if not cols:
-            return Mat.zeros(self.field, run, 0)
-        return Mat.from_rows(self.field, cols).transpose()
+        tgt = {j: r for r, j in enumerate(self.degree_layout(s + 1))}
+        blocks: Dict[Tuple[int, int], Mat] = {}
+        for c, j in enumerate(src):
+            basis = self.piece(j, j + s).basis
+            # d_Y o g lands in target piece j, -(+-1) g o d_X in piece j-1
+            if j in tgt:
+                blocks[(tgt[j], c)] = self.piece(j, j + s + 1).coords_matrix(
+                    [self.Y.differential(j + s) @ g for g in basis])
+            if j - 1 in tgt:
+                dn = [(g @ self.X.differential(j - 1)).scale(sign)
+                      for g in basis]
+                blocks[(tgt[j - 1], c)] = \
+                    self.piece(j - 1, j + s).coords_matrix(dn)
+        return Mat.block(self.field,
+                         [self.piece(j, j + s + 1).dim for j in tgt],
+                         [self.piece(j, j + s).dim for j in src], blocks)
 
     def homotopy_dim(self, s: int) -> int:
         d_here = self.diff_matrix(s)
@@ -791,26 +776,17 @@ def decompose_acyclic_projective(V: PeriodicComplex
         Z, inclZ = cocycles[(i + 1) % m]
         if Z.is_zero():
             continue
-        D_blocks = []
-        for v in range(len(Z.dims)):
-            X = inclZ.blocks[v].solve_matrix(V.diffs[i].blocks[v])
-            assert X is not None
-            D_blocks.append(X)
-        D = Morphism(V.comps[i], Z, D_blocks)
-        cands = hom_space(Z, V.comps[i])
+        D = Morphism(V.comps[i], Z, [
+            d.kernel_coords(b) for d, b in
+            zip(V.diffs[(i + 1) % m].blocks, V.diffs[i].blocks)])
+        cands = HomBasis(Z, V.comps[i])
         comp = HomBasis(Z, Z)
-        mat = comp.coords_matrix([D @ h for h in cands])
+        mat = comp.coords_matrix([D @ h for h in cands.basis])
         idc = comp.coords_of(Morphism.identity(Z))
         sol = mat.solve(idc)
         if sol is None:
             raise PreconditionError("splitting section does not exist")
-        section = None
-        for c, h in zip(sol, cands):
-            if not alg.field.is_zero(c):
-                t = h.scale(c)
-                section = t if section is None else section + t
-        assert section is not None
-        summands.append((i, Z, inclZ, section))
+        summands.append((i, Z, inclZ, cands.from_coords(sol)))
     # assemble the isomorphism sum K_{Z^{i+1}}[-(i+1)] -> V and verify it;
     # blocks[t][(0, k)] is the map from the k-th block's component t to V^t
     parts = []

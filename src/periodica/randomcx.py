@@ -3,22 +3,18 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List
 
 from .families import all_intervals, is_linear_a
 from .percomplex import BoundedComplex, PeriodicComplex
 from .quiver import FinDimAlgebra
-from .rep import Morphism, Rep, block_sum, hom_space
+from .rep import HomBasis, Morphism, Rep, block_sum
 
 
-def _random_map(rng: random.Random, space: Sequence[Morphism],
-                src: Rep, tgt: Rep, spread: int = 1) -> Morphism:
-    f = Morphism.zero(src, tgt)
-    for g in space:
-        c = rng.randint(-spread, spread)
-        if c:
-            f = f + g.scale(c)
-    return f
+def _random_map(rng: random.Random, space: HomBasis) -> Morphism:
+    """The combination of ``space``'s basis maps with coefficients drawn
+    from -1, 0, 1."""
+    return space.from_coords([rng.randint(-1, 1) for _ in space.basis])
 
 
 def _indecomposable_pool(alg: FinDimAlgebra) -> List[Rep]:
@@ -38,10 +34,9 @@ def random_periodic_complex(alg: FinDimAlgebra, m: int, rng: random.Random,
         parts = [pool[rng.randrange(len(pool))]
                  for _ in range(rng.randint(1, max_summands))]
         comps.append(block_sum(parts))
-    spaces = [hom_space(comps[i], comps[(i + 1) % m]) for i in range(m)]
+    spaces = [HomBasis(comps[i], comps[(i + 1) % m]) for i in range(m)]
     for _ in range(60):
-        chosen = [_random_map(rng, spaces[i], comps[i], comps[(i + 1) % m])
-                  for i in range(m)]
+        chosen = [_random_map(rng, space) for space in spaces]
         if all((chosen[(i + 1) % m] @ chosen[i]).is_zero() for i in range(m)):
             return PeriodicComplex(alg, m, comps, chosen)
     zero = [Morphism.zero(comps[i], comps[(i + 1) % m]) for i in range(m)]
@@ -64,8 +59,7 @@ def random_bounded_projectives(alg: FinDimAlgebra, rng: random.Random,
         diffs = {}
         for j in degs:
             if j + 1 in comps:
-                space = hom_space(comps[j], comps[j + 1])
-                diffs[j] = _random_map(rng, space, comps[j], comps[j + 1])
+                diffs[j] = _random_map(rng, HomBasis(comps[j], comps[j + 1]))
         ok = True
         for j in degs:
             if j in diffs and (j + 1) in diffs:

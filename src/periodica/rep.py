@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .common import PreconditionError, Trunc
 from .fields import Field
-from .linalg import Mat, _free_cols
+from .linalg import Mat, _free_cols, _offsets
 from .quiver import FinDimAlgebra, Walk
 
 
@@ -312,27 +312,37 @@ def direct_sum(parts: Sequence[Rep]) -> Tuple[Rep, List[Morphism], List[Morphism
 
 
 def hom_space(M: Rep, N: Rep) -> List[Morphism]:
-    """A basis of Hom(M, N): all tuples of blocks commuting with every arrow.
+    """A basis of Hom(M, N): all tuples of blocks commuting with every
+    arrow (``HomBasis(M, N).basis``)."""
+    return HomBasis(M, N).basis
+
+
+class HomBasis:
+    """A basis of Hom(M, N) and coordinates on it, read off its kernel basis.
 
     The unknowns are the blocks f_v, row-major and vertex by vertex; arrow
     a: u -> v gives the rows N_a f_v - f_u M_a = 0, one per entry, written
-    into one flat list from the arrows' matrices.  Every entry is a field
-    scalar already, and so is every entry of the kernel basis, whose
-    columns are cut into blocks as they stand.
+    into one flat list from the arrows' matrices.  The columns of ``K``, the
+    system's ``kernel_basis``, are the flattened basis maps, cut into blocks
+    as they stand.  K is the identity on the free unknowns ``free``, so a
+    map's coordinates are its entries there, with no solve; ``K @ X == B``
+    certifies them (also when Hom(M, N) = 0 and ``free`` is empty).  A
+    combination of basis maps is the one product ``K @ c``.
     """
-    if M.algebra is not N.algebra:
-        raise PreconditionError("modules over different algebras")
-    f = M.field
-    q = M.algebra.quiver
-    off = [0]
-    for v in range(q.n):
-        off.append(off[-1] + N.dims[v] * M.dims[v])
-    nvars = off[-1]
-    if nvars == 0:
-        return []
-    shapes = [(a.source - 1, a.target - 1) for a in q.arrows]
-    nrows = sum(N.dims[u] * M.dims[v] for u, v in shapes)
-    if nrows:
+
+    __slots__ = ("M", "N", "basis", "K", "free")
+
+    def __init__(self, M: Rep, N: Rep):
+        if M.algebra is not N.algebra:
+            raise PreconditionError("modules over different algebras")
+        self.M = M
+        self.N = N
+        f = M.field
+        q = M.algebra.quiver
+        off = _offsets([n * m for n, m in zip(N.dims, M.dims)])
+        nvars = off[-1]
+        shapes = [(a.source - 1, a.target - 1) for a in q.arrows]
+        nrows = sum(N.dims[u] * M.dims[v] for u, v in shapes)
         sub = f.sub
         data = [f.zero()] * (nrows * nvars)
         base = 0
@@ -352,57 +362,47 @@ def hom_space(M: Rep, N: Rep) -> List[Morphism]:
                             x = base + off[u] + i * mu + k
                             data[x] = sub(data[x], c)
                     base += nvars
-        K = Mat(f, nrows, nvars, data).kernel_basis()
-    else:
-        K = Mat.identity(f, nvars)
-    kd, kc = K.data, K.cols
-    return [Morphism(M, N, [
-        Mat(f, N.dims[v], M.dims[v], kd[off[v] * kc + j:off[v + 1] * kc:kc])
-        for v in range(q.n)]) for j in range(kc)]
+        system = Mat(f, nrows, nvars, data)
+        self.K = system.kernel_basis()
+        self.free = tuple(_free_cols(nvars, system.rref()[1]))
+        kc = self.K.cols
+        self.basis = [self._morphism(self.K.data, kc, j, off)
+                      for j in range(kc)]
 
-
-class HomBasis:
-    """A hom-space basis with a coordinate solver (flattened blocks)."""
-
-    def __init__(self, M: Rep, N: Rep):
-        self.M = M
-        self.N = N
-        self.basis = hom_space(M, N)
-        f = M.field
-        n = sum(N.dims[v] * M.dims[v] for v in range(len(M.dims)))
-        cols = [g.flatten() for g in self.basis]
-        if cols:
-            self.mat = Mat.from_rows(f, cols).transpose()
-        else:
-            self.mat = Mat.zeros(f, n, 0)
+    def _morphism(self, flat: list, kc: int, j: int,
+                  off: List[int]) -> Morphism:
+        """The map whose flattened blocks are column j of the row-major
+        ``flat`` with ``kc`` columns."""
+        M, N = self.M, self.N
+        return Morphism(M, N, [
+            Mat(M.field, N.dims[v], M.dims[v],
+                flat[off[v] * kc + j:off[v + 1] * kc:kc])
+            for v in range(len(M.dims))])
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def coords_of(self, g: Morphism) -> list:
-        x = self.mat.solve(g.flatten())
-        if x is None:
-            raise PreconditionError("map is not a module morphism")
-        return x
+        return self.coords_matrix([g]).data
 
     def coords_matrix(self, maps: Sequence[Morphism]) -> Mat:
+        """Columns: the coordinates of ``maps``, their entries at ``free``."""
         f = self.M.field
         if not maps:
             return Mat.zeros(f, self.dim, 0)
-        B = Mat.from_rows(f, [g.flatten() for g in maps]).transpose()
-        X = self.mat.solve_matrix(B)
-        if X is None:
+        rows = list(zip(*[g.flatten() for g in maps]))
+        B = Mat(f, len(rows), len(maps), [x for r in rows for x in r])
+        X = Mat(f, len(self.free), len(maps),
+                [x for j in self.free for x in rows[j]])
+        if self.K @ X != B:
             raise PreconditionError("map is not a module morphism")
         return X
 
     def from_coords(self, coords: Sequence) -> Morphism:
-        f = self.M.field
-        g = Morphism.zero(self.M, self.N)
-        for c, b in zip(coords, self.basis):
-            if not f.is_zero(f.coerce(c)):
-                g = g + b.scale(c)
-        return g
+        flat = (self.K @ Mat.column(self.M.field, coords)).data
+        return self._morphism(flat, 1, 0, _offsets(
+            [n * m for n, m in zip(self.N.dims, self.M.dims)]))
 
 
 # -- sub / quotient machinery --------------------------------------------------
@@ -427,11 +427,13 @@ def sub_rep(M: Rep, bases: Sequence[Mat]) -> Tuple[Rep, Morphism]:
 
 
 def quotient_rep(M: Rep, bases: Sequence[Mat]) -> Tuple[Rep, Morphism]:
-    """Quotient of M by an invariant subspace; returns the projection, at
-    each vertex ``linalg.quotient``'s.  It is the identity on its free
-    coordinates, so their unit vectors are the section the action is read
-    through (any section gives the same action, the subspace being
-    invariant)."""
+    """Quotient of M by the invariant subspaces spanned by the columns of
+    ``bases`` (any spanning columns: only their span is read, through the
+    canonical rref of the transpose, one elimination per vertex).  Returns
+    the projection, at each vertex ``linalg.quotient``'s.  It is the
+    identity on its free coordinates, so their unit vectors are the section
+    the action is read through (any section gives the same action, the
+    subspace being invariant)."""
     q = M.algebra.quiver
     projs, free = [], []
     for v in range(q.n):
@@ -445,19 +447,17 @@ def quotient_rep(M: Rep, bases: Sequence[Mat]) -> Tuple[Rep, Morphism]:
 
 
 def kernel_of(f: Morphism) -> Tuple[Rep, Morphism]:
-    """The kernel of f, included by the blocks' ``kernel_basis`` K_v.  K_u
-    is the identity on the free rows of f's rref at u, so arrow a: u -> v
-    acts by those rows X of act[a] @ K_v; K_u @ X = act[a] @ K_v is checked
-    on the pivot rows, which certifies that the kernel is invariant."""
+    """The kernel of f, included by the blocks' ``kernel_basis`` K_v.  Arrow
+    a: u -> v acts by the coordinates of act[a] @ K_v on K_u
+    (``Mat.kernel_coords`` of f's block at u, which certifies that the
+    kernel is invariant)."""
     M = f.source
     bases = [b.kernel_basis() for b in f.blocks]
     act = []
     for ai, a in enumerate(M.algebra.quiver.arrows):
-        u = a.source - 1
-        Y = M.act[ai] @ bases[a.target - 1]
-        piv = f.blocks[u].rref()[1]
-        X = Y.take_rows(_free_cols(M.dims[u], piv))
-        if bases[u].take_rows(piv) @ X != Y.take_rows(piv):
+        X = f.blocks[a.source - 1].kernel_coords(
+            M.act[ai] @ bases[a.target - 1])
+        if X is None:
             raise PreconditionError("subspaces are not arrow-invariant")
         act.append(X)
     K = Rep(M.algebra, [b.cols for b in bases], act)
@@ -470,8 +470,9 @@ def image_of(f: Morphism) -> Tuple[Rep, Morphism]:
 
 
 def cokernel_of(f: Morphism) -> Tuple[Rep, Morphism]:
-    bases = [b.image_basis() for b in f.blocks]
-    return quotient_rep(f.target, bases)
+    """``quotient_rep`` of the target by f's blocks as they stand: one
+    elimination per vertex."""
+    return quotient_rep(f.target, f.blocks)
 
 
 def _span(f: Field, dim: int, pieces: Sequence[Mat]) -> Mat:
@@ -985,24 +986,15 @@ def _fitting_split(M: Rep, f: Morphism) -> Optional[Tuple[Rep, Rep]]:
     return None
 
 
-def _combine(basis: List[Morphism], coeffs) -> Morphism:
-    g = None
-    for c, b in zip(coeffs, basis):
-        if c:
-            term = b.scale(c)
-            g = term if g is None else g + term
-    return g if g is not None else Morphism.zero(basis[0].source, basis[0].target)
-
-
-def _split_candidates(endos: List[Morphism], seed: int):
+def _split_candidates(endos: HomBasis, seed: int):
     """The basis endomorphisms, then 8 random combinations of them, drawn
     only once the basis has failed to split."""
-    yield from endos
+    yield from endos.basis
     rng = random.Random(seed)
     for _ in range(8):
-        coeffs = [rng.randint(-2, 2) for _ in endos]
+        coeffs = [rng.randint(-2, 2) for _ in endos.basis]
         if any(coeffs):
-            yield _combine(endos, coeffs)
+            yield endos.from_coords(coeffs)
 
 
 def decompose(M: Rep, seed: int = 0) -> List[Rep]:
@@ -1013,8 +1005,8 @@ def decompose(M: Rep, seed: int = 0) -> List[Rep]:
     """
     if M.is_zero():
         return []
-    endos = hom_space(M, M)
-    if len(endos) == 1:
+    endos = HomBasis(M, M)
+    if endos.dim == 1:
         return [M]
     for f in _split_candidates(endos, seed):
         split = _fitting_split(M, f)

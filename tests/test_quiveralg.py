@@ -18,7 +18,7 @@ from periodica.linalg import Mat, quotient
 from periodica.quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
                               build_algebra, enveloping_algebra,
                               tensor_op_presentation)
-from periodica.rep import (Morphism, Rep, _roots_mod_p, cokernel_of,
+from periodica.rep import (HomBasis, Morphism, Rep, _roots_mod_p, cokernel_of,
                            decompose, direct_sum, find_iso, global_dimension,
                            hom_space, indecomposable_q, injective_envelope,
                            iso_q, kernel_of, projective_cover, quotient_rep,
@@ -614,6 +614,90 @@ def test_kernels_and_quotients_match_the_solved_construction(p):
                 h.target, [b.image_basis() for b in h.blocks])
         for bases in (radical_subspaces(M), socle_subspaces(M)):
             assert quotient_rep(M, bases) == _solved_quotient_rep(M, bases)
+
+
+def _hom_pairs(mods):
+    """Each module with itself and with the next three over its algebra."""
+    for k, M in enumerate(mods):
+        same = [N for N in mods[k + 1:] + mods[:k] if N.algebra is M.algebra]
+        yield from ((M, N) for N in [M] + same[:3])
+
+
+@pytest.mark.parametrize("p", [0, 2, 4294967311])
+def test_hom_coordinates_match_a_solve_against_the_stacked_basis(p):
+    rng = random.Random(p)
+    f = Field(p)
+    zero_homs = pivots = 0
+    for M, N in _hom_pairs(_oracle_modules(f)):
+        hb = HomBasis(M, N)
+        nvars = sum(a * b for a, b in zip(M.dims, N.dims))
+        assert hb.basis == hom_space(M, N)
+        if hb.dim:
+            stacked = Mat.from_rows(
+                f, [g.flatten() for g in hb.basis]).transpose()
+            cs = [[rng.randrange(-3, 4) for _ in hb.basis] for _ in range(3)]
+            maps = [Morphism(M, N, _blocks_of(M, N, (stacked @ Mat.column(
+                f, c)).data)) for c in cs]
+            for c, g in zip(cs, maps):
+                assert hb.from_coords(c) == g
+                assert hb.coords_of(g) == stacked.solve(g.flatten())
+            maps += hb.basis
+            assert hb.coords_matrix(maps) == stacked.solve_matrix(
+                Mat.from_rows(f, [g.flatten() for g in maps]).transpose())
+        else:
+            assert hb.from_coords([]) == Morphism.zero(M, N)
+            assert hb.coords_matrix([]).shape == (0, 0)
+        if nvars == 0:
+            continue
+        # a block tuple that is no module map: a nonzero tuple when
+        # Hom(M, N) = 0, else a basis map moved at one pivot unknown, which
+        # leaves every free unknown (every coordinate read) as it was
+        pivot = sorted(set(range(nvars)) - set(hb.free))
+        if hb.dim and not pivot:
+            continue
+        flat = hb.basis[0].flatten() if hb.dim else [f.zero()] * nvars
+        at = pivot[0] if hb.dim else rng.randrange(nvars)
+        flat[at] = f.add(flat[at], f.one())
+        bad = Morphism(M, N, _blocks_of(M, N, flat))
+        assert not bad.is_intertwiner()
+        with pytest.raises(PreconditionError, match="not a module morphism"):
+            hb.coords_of(bad)
+        with pytest.raises(PreconditionError, match="not a module morphism"):
+            hb.coords_matrix(hb.basis + [bad])
+        zero_homs += not hb.dim
+        pivots += bool(hb.dim)
+    assert zero_homs >= 10 and pivots >= 10
+
+
+def _blocks_of(M, N, flat):
+    """The blocks of a flattened block tuple M -> N, vertex by vertex."""
+    out, at = [], 0
+    for m, n in zip(M.dims, N.dims):
+        out.append(Mat(M.field, n, m, flat[at:at + n * m]))
+        at += n * m
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 2, 4294967311])
+def test_kernel_coords_reads_the_free_rows_or_refuses(p):
+    rng = random.Random(p)
+    f = Field(p)
+    for _ in range(30):
+        r, c = rng.randrange(1, 5), rng.randrange(2, 7)
+        A = Mat(f, r, c,
+                [f.coerce(rng.randrange(-2, 3)) for _ in range(r * c)])
+        K = A.kernel_basis()
+        X = Mat(f, K.cols, 3,
+                [f.coerce(rng.randrange(-3, 4)) for _ in range(K.cols * 3)])
+        Y = K @ X
+        assert A.kernel_coords(Y) == X
+        # a column with a unit vector added where A is nonzero leaves ker A
+        j = next((j for j in range(c) if any(A.col_list(j))), None)
+        if j is None:
+            continue
+        out = Mat(f, c, 1, [f.one() if i == j else f.zero() for i in range(c)])
+        assert A.kernel_coords(Y.hstack(K @ X.take_cols([0]) + out)) is None
+        assert A.kernel_coords(out) is None
 
 
 def test_kernel_of_a_non_map_is_refused(a2):

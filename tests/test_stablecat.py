@@ -397,8 +397,9 @@ def test_nakayama_budget_exhaustion_is_inconclusive(n33):
 
 
 def test_closure_report_pinned_gf2_seed5():
-    # GF(2) takes the exhaustive iso search, where a reordered closure loop
-    # would show up as a reordered registry
+    # both fields decide isomorphism by invertible Hom basis elements, then
+    # Krull-Schmidt; a reordered closure loop would show up here as a
+    # reordered registry
     import json
     import os
     alg = nakayama(5, 5, Field.gf(2))
