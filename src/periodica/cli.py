@@ -321,14 +321,14 @@ def cmd_reproduce(args) -> int:
     target = args.target
     params = {"target": target}
     inputs = {}
-    seed = getattr(args, "seed", None)
+    seed = args.seed
     if target == "ex5.6":
         field = field_from_string(args.field) if args.field else Field.rationals()
         m = _period_arg(args)
         body = reproduce_ex5_6(args.n, m, field)
         params.update({"n": args.n, "m": m, "field": repr(field)})
     elif target == "ex5.8":
-        body = reproduce_ex5_8(args.n, seed or 0)
+        body = reproduce_ex5_8(args.n, seed)
         params.update({"n": args.n})
     elif target == "ex5.9":
         body = reproduce_ex5_9()
@@ -341,13 +341,13 @@ def cmd_reproduce(args) -> int:
         m = _period_arg(args)
         pairs = _positive("--pairs", str(args.pairs))
         alg, inputs = _load_algebra_arg(args)
-        body = reproduce_prop3_10(alg, m, seed or 0, pairs)
+        body = reproduce_prop3_10(alg, m, seed, pairs)
         params.update({"algebra": alg.label, "m": m, "pairs": pairs})
     elif target == "prop3.25":
         m = _period_arg(args)
         count = _positive("--count", str(args.count))
         alg, inputs = _load_algebra_arg(args)
-        body = reproduce_prop3_25(alg, m, seed or 0, count)
+        body = reproduce_prop3_25(alg, m, seed, count)
         params.update({"algebra": alg.label, "m": m, "count": count})
     else:  # pragma: no cover - argparse restricts choices
         raise PreconditionError(f"unknown target {target}")
@@ -378,10 +378,12 @@ def _parse_span(where: str, spec: str):
                      f"got {spec!r}")
 
 
-def _add_common(p, algebra=True):
+def _add_common(p, algebra=True, seed=False):
+    """The report flags; ``--seed`` only where the report prints it."""
     p.add_argument("--format", choices=["json", "markdown"], default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     if algebra:
         p.add_argument("--algebra", help="algebra presentation file")
         p.add_argument("--name", help="builtin algebra, e.g. kA2 or N(3,3)")
@@ -472,19 +474,19 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("period", help="module or bimodule syzygy period")
     ps = p.add_subparsers(dest="verb", required=True)
     q = ps.add_parser("module")
-    _add_common(q)
+    _add_common(q, seed=True)
     q.add_argument("-M", "--module", required=True)
     q.add_argument("--bound", type=int)
     q.set_defaults(func=cmd_period, verb="module")
     q = ps.add_parser("algebra")
-    _add_common(q)
+    _add_common(q, seed=True)
     q.add_argument("--bound", type=int)
     q.set_defaults(func=cmd_period, verb="algebra")
 
     p = sub.add_parser("tilting", help="periodic tilting checks")
     ps = p.add_subparsers(dest="verb", required=True)
     q = ps.add_parser("stable")
-    _add_common(q)
+    _add_common(q, seed=True)
     q.add_argument("-T", "--summand", action="append", required=True,
                    help="one summand expression per flag")
     q.add_argument("--m", type=int, required=True)
@@ -493,7 +495,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="compare the stable End algebra against kA<k>")
     q.set_defaults(func=cmd_tilting, verb="stable")
     q = ps.add_parser("stalk")
-    _add_common(q)
+    _add_common(q, seed=True)
     q.add_argument("--m", type=int, required=True)
     q.set_defaults(func=cmd_tilting, verb="stalk")
 
@@ -502,7 +504,8 @@ def make_parser() -> argparse.ArgumentParser:
     for target in ("ex5.6", "ex5.8", "ex5.9", "lemma4.1", "prop3.10",
                    "prop3.25"):
         q = ps.add_parser(target)
-        _add_common(q, algebra=target in ("lemma4.1", "prop3.10", "prop3.25"))
+        _add_common(q, algebra=target in ("lemma4.1", "prop3.10", "prop3.25"),
+                    seed=True)
         if target in ("ex5.6", "ex5.8"):
             q.add_argument("--n", type=int, required=True)
         if target == "ex5.6":

@@ -35,9 +35,9 @@ from .percomplex import (BoundedComplex, GradedMorphism, PeriodicComplex,
                          shift, shift_map, stalk_complex, sum_complex, sum_map,
                          zero_complex)
 from .quiver import FinDimAlgebra
-from .rep import (HomBasis, Morphism, Rep, Resolution, block_map, decompose,
-                  global_dimension, hom_space, is_projective, kernel_of,
-                  minimal_resolution, quotient_rep)
+from .rep import (ExtCochains, HomBasis, Morphism, Rep, Resolution,
+                  block_map, decompose, global_dimension, hom_space,
+                  is_projective, kernel_of, minimal_resolution, quotient_rep)
 
 
 def _retarget(f: GradedMorphism, source: Optional[PeriodicComplex] = None,
@@ -345,35 +345,18 @@ class DerivedContext:
 
 
 def ext_dims(M: Rep, N: Rep, up_to: int, bound: int = 24) -> List[int]:
-    """dim Ext^j(M, N) for j = 0..up_to, from a minimal resolution of M."""
+    """dim Ext^j(M, N) for j = 0..up_to, from a minimal resolution of M
+    truncated at ``bound``: Ext^j needs P_{j+1} unless the resolution is
+    complete, so a degree past reach raises ``TruncationError``."""
     if M.is_zero() or N.is_zero():
         return [0] * (up_to + 1)
-    res = minimal_resolution(M, bound)
-    if not res.complete:
-        raise TruncationError("resolution exceeded bound in ext_dims")
-    return _ext_dims(res, N, up_to)
+    return _ext_dims(minimal_resolution(M, bound), N, up_to)
 
 
 def _ext_dims(res: Resolution, N: Rep, up_to: int) -> List[int]:
-    """dim Ext^j(M, N) for j = 0..up_to, from a complete resolution of M."""
-    if res.module.is_zero() or N.is_zero():
-        return [0] * (up_to + 1)
-    terms = res.terms
-    bases = [HomBasis(P, N) for P in terms]
-    mats = []
-    for j in range(len(terms) - 1):
-        maps = [g @ res.maps[j] for g in bases[j].basis]
-        mats.append(bases[j + 1].coords_matrix(maps))
-    out = []
-    for j in range(up_to + 1):
-        if j >= len(terms):
-            out.append(0)
-            continue
-        zdim = mats[j].cols - mats[j].rank() if j < len(mats) \
-            else bases[j].dim
-        bdim = mats[j - 1].rank() if j >= 1 else 0
-        out.append(zdim - bdim)
-    return out
+    """dim Ext^j(M, N) for j = 0..up_to, from a resolution of M."""
+    ext = ExtCochains(res, N)
+    return [ext.dim(j) for j in range(up_to + 1)]
 
 
 def ext_sum_check(ctx: DerivedContext, M: Rep, N: Rep) -> dict:

@@ -14,13 +14,13 @@ formula).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .common import PreconditionError, Trunc, TruncationError
 from .families import enveloping
 from .linalg import Mat
 from .quiver import FinDimAlgebra
-from .rep import HomBasis, Resolution, global_dimension, minimal_resolution
+from .rep import ExtCochains, Resolution, global_dimension, minimal_resolution
 
 
 def bimodule_resolution(alg: FinDimAlgebra, bound: int) -> Resolution:
@@ -31,69 +31,23 @@ def bimodule_resolution(alg: FinDimAlgebra, bound: int) -> Resolution:
 
 
 class HochschildContext:
-    """Caches the bimodule resolution and the induced cochain complex."""
+    """Caches the bimodule resolution F and its cochain complex
+    Hom(F, A) (``rep.ExtCochains``)."""
 
     def __init__(self, alg: FinDimAlgebra, bound: int = 12):
         self.algebra = alg
         self.bound = bound
         self.res = bimodule_resolution(alg, bound)
-        self._bases: Dict[int, HomBasis] = {}
-        self._mats: Dict[int, Mat] = {}
+        self.cochains = ExtCochains(self.res, self.res.module)
 
     def smooth_dimension(self) -> Trunc:
         if self.res.complete:
             return Trunc(self.res.length)
         return Trunc(self.bound, exact=False)
 
-    def cochain_basis(self, j: int) -> HomBasis:
-        got = self._bases.get(j)
-        if got is None:
-            if j >= len(self.res.terms):
-                raise TruncationError("cochain degree beyond resolution")
-            got = HomBasis(self.res.terms[j], self.res.module)
-            self._bases[j] = got
-        return got
-
-    def cochain_dim(self, j: int) -> int:
-        if j < 0:
-            return 0
-        if j >= len(self.res.terms):
-            if self.res.complete:
-                return 0
-            raise TruncationError("cochain degree beyond truncation")
-        return self.cochain_basis(j).dim
-
-    def cochain_matrix(self, j: int) -> Mat:
-        """Matrix of Hom(F_j, A) -> Hom(F_{j+1}, A), f -> f o d_{j+1}."""
-        got = self._mats.get(j)
-        if got is not None:
-            return got
-        field = self.algebra.field
-        if j < 0:
-            got = Mat.zeros(field, self.cochain_dim(0), 0)
-        elif j + 1 >= len(self.res.terms):
-            if not self.res.complete:
-                raise TruncationError("differential beyond truncation")
-            got = Mat.zeros(field, 0, self.cochain_dim(j))
-        else:
-            src = self.cochain_basis(j)
-            tgt = self.cochain_basis(j + 1)
-            got = tgt.coords_matrix([g @ self.res.maps[j] for g in src.basis])
-        self._mats[j] = got
-        return got
-
     def hh(self, p: int) -> int:
         """dim HH^p of the algebra with coefficients in itself."""
-        if p < 0:
-            raise PreconditionError("negative cohomological degree")
-        if p >= len(self.res.terms):
-            if self.res.complete:
-                return 0
-            raise TruncationError(
-                f"HH^{p} not reachable: resolution truncated at {self.bound}")
-        d = self.cochain_matrix(p)
-        b = self.cochain_matrix(p - 1).rank() if p >= 1 else 0
-        return d.cols - d.rank() - b
+        return self.cochains.dim(p)
 
 
 class LaurentSetup:

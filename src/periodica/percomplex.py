@@ -551,32 +551,24 @@ class PeriodicHomComplex:
         return mat
 
     def homotopy_classes(self, p: int) -> Tuple[int, List[GradedMorphism]]:
-        """H^p of the Hom complex: (dimension, representative closed maps)."""
+        """H^p of the Hom complex: (dimension, representative closed maps).
+
+        The kernel vectors of d^p are reduced modulo the rref R of d^{p-1}'s
+        transpose, whose row space is the coboundaries (an rref is unique,
+        so no image basis is formed).  The representatives are the reduced
+        vectors at the pivot columns of one rref of them: each is
+        independent of the vectors before it."""
         field = self.V.algebra.field
-        d_here = self.diff_matrix(p)
-        d_prev = self.diff_matrix(p - 1)
-        Z = d_here.kernel_basis()
-        rank_b = d_prev.rank()
-        dim = Z.cols - rank_b
-        # reduce kernel vectors modulo the image to pick class representatives
-        B = d_prev.image_basis()
-        if B.cols:
-            R, piv = B.transpose().rref()
-            reps = []
-            seen = Mat.zeros(field, d_here.cols, 0)
-            for c in range(Z.cols):
-                vec = reduce_mod_rowspace(R, piv, Z.col_list(c), field)
-                cand = Mat.column(field, vec)
-                trial = seen.hstack(cand)
-                if trial.rank() > seen.rank():
-                    seen = trial
-                    reps.append(self.unflatten(p, vec))
-                if len(reps) == dim:
-                    break
-        else:
-            reps = [self.unflatten(p, Z.col_list(c)) for c in range(Z.cols)]
-        assert len(reps) == dim
-        return dim, reps
+        Z = self.diff_matrix(p).kernel_basis()
+        R, piv = self.diff_matrix(p - 1).transpose().rref()
+        dim = Z.cols - len(piv)
+        vecs = [reduce_mod_rowspace(R, piv, Z.col_list(c), field)
+                for c in range(Z.cols)]
+        keep = Mat(field, Z.rows, Z.cols,
+                   [v[i] for i in range(Z.rows) for v in vecs]).rref()[1]
+        if len(keep) != dim:
+            raise CheckFailed("homotopy classes miscounted (d^2 != 0?)")
+        return dim, [self.unflatten(p, vecs[c]) for c in keep]
 
     def contraction(self) -> Optional[GradedMorphism]:
         """A degree -1 map h with d(h) = id, when one exists."""

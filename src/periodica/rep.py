@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .common import PreconditionError, Trunc
+from .common import PreconditionError, Trunc, TruncationError
 from .fields import Field
 from .linalg import Mat, _free_cols, _offsets
 from .quiver import FinDimAlgebra, Walk
@@ -135,7 +135,6 @@ class Rep:
 
     def rho(self, w: Walk) -> Mat:
         """Action matrix of a walk: M_target -> M_source."""
-        q = self.algebra.quiver
         if len(w) == 1:
             return Mat.identity(self.field, self.dims[w[0] - 1])
         m = self.act[w[1]]
@@ -263,7 +262,7 @@ def block_sum(parts: Sequence[Rep]) -> Rep:
     one block per part in order.  For callers that need no injections or
     projections."""
     if not parts:
-        raise PreconditionError("direct_sum needs at least one part")
+        raise PreconditionError("block_sum needs at least one part")
     alg = parts[0].algebra
     f = alg.field
     q = alg.quiver
@@ -294,18 +293,6 @@ def block_map(source: Rep, target: Rep, rows: Sequence[Rep],
                   [c.dims[v] for c in cols],
                   {k: g.blocks[v] for k, g in blocks.items()})
         for v in range(len(source.dims))])
-
-
-def direct_sum(parts: Sequence[Rep]) -> Tuple[Rep, List[Morphism], List[Morphism]]:
-    """Direct sum (``block_sum``) with its canonical injections and
-    projections."""
-    S = block_sum(parts)
-    ids = [Morphism.identity(p) for p in parts]
-    injs = [block_map(p, S, parts, [p], {(k, 0): ids[k]})
-            for k, p in enumerate(parts)]
-    projs = [block_map(S, p, [p], parts, {(0, k): ids[k]})
-             for k, p in enumerate(parts)]
-    return S, injs, projs
 
 
 # -- hom spaces -------------------------------------------------------------
@@ -408,24 +395,6 @@ class HomBasis:
 # -- sub / quotient machinery --------------------------------------------------
 
 
-def sub_rep(M: Rep, bases: Sequence[Mat]) -> Tuple[Rep, Morphism]:
-    """Subrepresentation spanned columnwise by ``bases`` (must be invariant)."""
-    alg = M.algebra
-    q = alg.quiver
-    dims = [b.cols for b in bases]
-    act = []
-    for ai, a in enumerate(q.arrows):
-        u, v = a.source - 1, a.target - 1
-        rhs = M.act[ai] @ bases[v]
-        X = bases[u].solve_matrix(rhs)
-        if X is None:
-            raise PreconditionError("subspaces are not arrow-invariant")
-        act.append(X)
-    K = Rep(alg, dims, act)
-    incl = Morphism(K, M, list(bases))
-    return K, incl
-
-
 def quotient_rep(M: Rep, bases: Sequence[Mat]) -> Tuple[Rep, Morphism]:
     """Quotient of M by the invariant subspaces spanned by the columns of
     ``bases`` (any spanning columns: only their span is read, through the
@@ -465,8 +434,22 @@ def kernel_of(f: Morphism) -> Tuple[Rep, Morphism]:
 
 
 def image_of(f: Morphism) -> Tuple[Rep, Morphism]:
-    bases = [b.image_basis() for b in f.blocks]
-    return sub_rep(f.target, bases)
+    """The image of f, included by the pivot columns B_v of its blocks.
+    With R_v the rref of f_v, f_v = B_v R_v, so arrow a: u -> v acts on the
+    image by R_u @ (the source's act[a] at the pivot columns of f_v), with
+    no solve; ``act[a] @ B_v == B_u @ X`` certifies it."""
+    M, N = f.source, f.target
+    rrefs = [b.rref() for b in f.blocks]
+    bases = [b.take_cols(piv) for b, (_, piv) in zip(f.blocks, rrefs)]
+    act = []
+    for ai, a in enumerate(M.algebra.quiver.arrows):
+        u, v = a.source - 1, a.target - 1
+        X = rrefs[u][0] @ M.act[ai].take_cols(rrefs[v][1])
+        if N.act[ai] @ bases[v] != bases[u] @ X:
+            raise PreconditionError("subspaces are not arrow-invariant")
+        act.append(X)
+    I = Rep(M.algebra, [b.cols for b in bases], act)
+    return I, Morphism(I, N, bases)
 
 
 def cokernel_of(f: Morphism) -> Tuple[Rep, Morphism]:
@@ -714,6 +697,46 @@ class Resolution:
         return True
 
 
+class ExtCochains:
+    """The cochain complex C^j = Hom(P_j, N) of a resolution P of M, so
+    H^p = Ext^p(M, N) (HH^p(A) for A over A^e with N = A).  Each C^j is a
+    ``HomBasis`` and d^j: C^j -> C^{j+1}, f -> f o d_{j+1}, a coordinate
+    matrix, both built once, on demand.  The one truncation rule: Ext^p
+    reads d^p, so it needs P_{p+1}, unless the resolution is complete and
+    C^j = 0 past its length; otherwise ``TruncationError``."""
+
+    def __init__(self, res: Resolution, N: Rep):
+        self.res, self.N = res, N
+        self._bases: Dict[int, HomBasis] = {}
+        self._diffs: Dict[int, Mat] = {}
+
+    def _basis(self, j: int) -> HomBasis:
+        if j not in self._bases:
+            self._bases[j] = HomBasis(self.res.terms[j], self.N)
+        return self._bases[j]
+
+    def _diff(self, j: int) -> Mat:
+        if j not in self._diffs:
+            n = len(self.res.terms)
+            if j + 1 < n:
+                self._diffs[j] = self._basis(j + 1).coords_matrix(
+                    [g @ self.res.maps[j] for g in self._basis(j).basis])
+            elif self.res.complete:
+                self._diffs[j] = Mat.zeros(self.N.field, 0,
+                                           self._basis(j).dim if j < n else 0)
+            else:
+                raise TruncationError(f"Ext^{j} needs P_{j + 1}: resolution "
+                                      f"truncated at length {n - 1}")
+        return self._diffs[j]
+
+    def dim(self, p: int) -> int:
+        """dim H^p = dim C^p - rank d^p - rank d^{p-1}."""
+        if p < 0:
+            raise PreconditionError("negative cohomological degree")
+        d = self._diff(p)
+        return d.cols - d.rank() - (self._diff(p - 1).rank() if p else 0)
+
+
 def minimal_resolution(M: Rep, bound: int) -> Resolution:
     """P_0, ..., P_bound of :func:`syzygies` at most; complete when the last
     syzygy taken is zero."""
@@ -746,16 +769,9 @@ def global_dimension(alg: FinDimAlgebra, bound: int) -> Trunc:
 
 def _block_diagonal(f: Morphism) -> Mat:
     """Block-diagonal matrix of an endomorphism on the total space."""
-    field = f.source.field
-    n = f.source.total_dim
-    m = Mat.zeros(field, n, n)
-    off = 0
-    for b in f.blocks:
-        for i in range(b.rows):
-            base = (off + i) * n + off
-            m.data[base:base + b.cols] = b.row_list(i)
-        off += b.rows
-    return m
+    dims = f.source.dims
+    return Mat.block(f.source.field, dims, dims,
+                     {(v, v): b for v, b in enumerate(f.blocks)})
 
 
 def find_iso(M: Rep, N: Rep) -> Optional[Morphism]:
@@ -815,23 +831,16 @@ def _minimal_poly_roots(A: Mat, seed: int) -> List:
     rng = random.Random(seed)
     v = Mat.column(field, [field.coerce(rng.randint(-3, 3) or 1)
                            for _ in range(n)])
-    krylov = [v]
-    cur = v
+    krylov = [v.data]
     for _ in range(n):
-        cur = A @ cur
-        krylov.append(cur)
-    B = krylov[0]
-    for w in krylov[1:]:
-        B = B.hstack(w)
-    # first dependence gives a monic annihilating polynomial of the vector
-    for deg in range(1, n + 1):
-        sub = B.take_cols(list(range(deg)))
-        sol = sub.solve_matrix(B.take_cols([deg]))
-        if sol is not None:
-            coeffs = [sol.get(i, 0) for i in range(deg)]  # x^deg = sum c_i x^i
-            break
-    else:
-        return []
+        v = A @ v
+        krylov.append(v.data)
+    # the first dependence x^deg = sum c_i x^i of v, Av, ..., A^n v: the
+    # rref's pivots are the columns 0..deg-1, and its column deg holds c
+    R, piv = Mat(field, n, n + 1,
+                 [x for row in zip(*krylov) for x in row]).rref()
+    deg = len(piv)
+    coeffs = [R.get(i, deg) for i in range(deg)]
     if field.p:
         p = field.p
         return _roots_mod_p([-c % p for c in coeffs] + [1], p, rng)

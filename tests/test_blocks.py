@@ -18,7 +18,9 @@ from periodica.percomplex import (K_of, PeriodicComplex, complex_direct_sum,
                                   cone, fold, hom_complex, shift)
 from periodica.randomcx import (random_bounded_projectives,
                                 random_periodic_complex)
-from periodica.rep import Morphism, Rep, direct_sum
+from periodica.rep import Morphism, Rep
+
+from oracles import direct_sum
 
 FIELDS = [QQ, Field.gf(2), Field.gf(4294967311)]
 SEEDS = range(3)

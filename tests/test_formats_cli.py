@@ -611,6 +611,30 @@ def test_cli_rejects_bad_bounds(monkeypatch, capsys, argv, env):
     assert err.startswith("parse error:") and err.count("\n") == 1
 
 
+_A2 = ["--algebra", sample("a2.alg")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra", "show"] + _A2,
+    ["complex", "cohomology", "--complex", sample("v.cpx")],
+    ["complex", "cone", "--map", sample("acyclic_id.map")] + _A2,
+    ["complex", "shift", "--complex", sample("acyclic.cpx"), "--by", "1"] + _A2,
+    ["cohomology", "--complex", sample("v.cpx")],
+    ["hom", "-M", "P(2)", "-N", "S(2)"] + _A2,
+    ["derived-hom", "-M", "S(2)", "-N", "S(1)", "--m", "2"] + _A2,
+    ["ext-sum-check", "-M", "S(2)", "-N", "S(1)", "--m", "2"] + _A2,
+    ["hochschild", "table", "--m", "2", "--pmax", "2"] + _A2,
+    ["hochschild", "formality", "--name", "dual", "--m", "2"],
+    ["hochschild", "smooth-dim", "--name", "kA3"],
+])
+def test_cli_seed_only_where_the_report_prints_it(capsys, argv):
+    # these reports print no seed and nothing they run draws from one
+    code, out = run_cli(argv + ["--seed", "3"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err == "parse error: unrecognized arguments: --seed 3\n"
+
+
 _DERIVED_HOM_A2 = ["derived-hom", "--algebra", sample("a2.alg"), "-M", "S(2)",
                    "-N", "S(1)", "--m", "2"]
 _HH_TABLE_A2 = ["hochschild", "table", "--algebra", sample("a2.alg"),

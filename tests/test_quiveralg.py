@@ -19,11 +19,12 @@ from periodica.quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
                               build_algebra, enveloping_algebra,
                               tensor_op_presentation)
 from periodica.rep import (HomBasis, Morphism, Rep, _roots_mod_p, cokernel_of,
-                           decompose, direct_sum, find_iso, global_dimension,
-                           hom_space, indecomposable_q, injective_envelope,
+                           decompose, find_iso, global_dimension, hom_space,
+                           image_of, indecomposable_q, injective_envelope,
                            iso_q, kernel_of, projective_cover, quotient_rep,
-                           radical_subspaces, socle_subspaces, sub_rep,
-                           syzygy)
+                           radical_subspaces, socle_subspaces, syzygy)
+
+from oracles import direct_sum, sub_rep
 
 
 def test_build_ka2_dimension(a2):
@@ -598,8 +599,8 @@ def _solved_quotient_rep(M, bases):
 
 @pytest.mark.parametrize("p", [0, 2, 4294967311])
 def test_kernels_and_quotients_match_the_solved_construction(p):
-    # kernels through sub_rep's solves, quotients through solved sections:
-    # the same bytes as reading both off the echelon forms
+    # kernels and images through sub_rep's solves, quotients through solved
+    # sections: the same bytes as reading them off the echelon forms
     rng = random.Random(p)
     for M in _oracle_modules(Field(p)):
         phi, iota = projective_cover(M)[1], injective_envelope(M)[1]
@@ -610,6 +611,8 @@ def test_kernels_and_quotients_match_the_solved_construction(p):
         for h in (phi, iota, iota @ phi, g):
             assert kernel_of(h) == sub_rep(
                 h.source, [b.kernel_basis() for b in h.blocks])
+            assert image_of(h) == sub_rep(
+                h.target, [b.image_basis() for b in h.blocks])
             assert cokernel_of(h) == _solved_quotient_rep(
                 h.target, [b.image_basis() for b in h.blocks])
         for bases in (radical_subspaces(M), socle_subspaces(M)):
@@ -707,6 +710,15 @@ def test_kernel_of_a_non_map_is_refused(a2):
     f = Morphism(P2, P2, [Mat.identity(QQ, 1), Mat.zeros(QQ, 1, 1)])
     with pytest.raises(PreconditionError, match="not arrow-invariant"):
         kernel_of(f)
+
+
+def test_image_of_a_non_map_is_refused(a2):
+    # [0, I] on P(2): the image k at vertex 2 is not invariant, and the
+    # action read off the echelon forms fails its certificate
+    P2 = Rep.projective(a2, 2)
+    f = Morphism(P2, P2, [Mat.zeros(QQ, 1, 1), Mat.identity(QQ, 1)])
+    with pytest.raises(PreconditionError, match="not arrow-invariant"):
+        image_of(f)
 
 
 def _count_products(monkeypatch, fn, *args):

@@ -52,3 +52,59 @@ def test_every_module_is_checked():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
         assert _unused_imports(fh.read()) == []
+
+
+# -- orphaned private helpers ---------------------------------------------------
+
+
+def _private_defs(tree: ast.Module) -> list:
+    """The private top-level functions and classes of a module and the
+    private methods of its top-level classes (``_name``, not ``__name__``)."""
+    out = []
+    for node in tree.body:
+        scope = [node]
+        if isinstance(node, ast.ClassDef):
+            scope += node.body
+        out += [d for d in scope
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                and d.name.startswith("_") and not d.name.endswith("__")]
+    return out
+
+
+def _orphans(sources: dict) -> list:
+    """(file, line, name) of each private definition in ``sources`` (file
+    name -> text) that no name or attribute outside its own definition
+    mentions, in any of the files."""
+    trees = {f: ast.parse(text) for f, text in sources.items()}
+    uses = [(f, n.lineno, n.id if isinstance(n, ast.Name) else n.attr)
+            for f, tree in trees.items() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+    return sorted(
+        (f, d.lineno, d.name) for f, tree in trees.items()
+        for d in _private_defs(tree)
+        if not any(name == d.name and not (uf == f and d.lineno <= line
+                                           <= d.end_lineno)
+                   for uf, line, name in uses))
+
+
+def test_the_orphan_check_sees_unused_and_used_helpers():
+    a = ("def _used(): pass\n"
+         "def _unused(): pass\n"
+         "def _only_itself(n): return _only_itself(n - 1)\n"
+         "class _K:\n"
+         "    def _m(self): pass\n"
+         "    def _called(self): pass\n"
+         "    def __init__(self): self._called()\n"
+         "def f(): return _used(), _K()\n")
+    b = "from c import _elsewhere\nx = _elsewhere()\n"
+    c = "def _elsewhere(): pass\n"
+    assert _orphans({"a.py": a, "b.py": b, "c.py": c}) == [
+        ("a.py", 2, "_unused"), ("a.py", 3, "_only_itself"), ("a.py", 5, "_m")]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, "r", encoding="utf-8") as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert _orphans(sources) == []
