@@ -247,8 +247,6 @@ def parse_module_expr(alg: FinDimAlgebra, expr: str) -> Rep:
         parts.extend([M] * mult)
     if not parts:
         return Rep.zero(alg)
-    if len(parts) == 1:
-        return parts[0]
     return block_sum(parts)
 
 

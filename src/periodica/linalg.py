@@ -12,9 +12,13 @@ cols, data)`` trusts its data.  Arithmetic and elimination (``+``, ``-``,
 A ``kernel_basis`` is the identity on the free columns of the cached rref,
 so coordinates on it are read there, with no solve: ``kernel_coords`` for a
 map into a kernel, ``rep.HomBasis`` for Hom coordinates (a combination of
-basis maps is then one product with the kernel basis).  ``quotient`` reads
-only the span of its columns, through the canonical rref of the transpose,
-so any spanning columns give the same projection from one elimination.
+basis maps is then one product with the kernel basis).  ``rep.HomBasis``
+row-reduces its flat system with ``_echelon`` and reads the kernel basis
+and free columns off that one form with ``_null_space``, the routine
+behind ``kernel_basis``, building no ``Mat`` for the system.  ``quotient``
+reads only the span of its columns, through the canonical rref of the
+transpose, so any spanning columns give the same projection from one
+elimination.
 
 Row reduction and products run in the kernels of ``_kernels_py``, reached
 through the module alias ``_impl`` by attribute lookup, so a profiler can
@@ -229,15 +233,8 @@ class Mat:
     def rref(self) -> Tuple["Mat", Tuple[int, ...]]:
         """Reduced row echelon form; zero rows dropped.  Cached."""
         if self._rref is None:
-            p = self.field.p
-            if self.rows == 0 or self.cols == 0:
-                self._rref = (Mat(self.field, 0, self.cols, []), ())
-            else:
-                if p:
-                    flat, piv = _impl.fp_rref(self.data, self.rows, self.cols, p)
-                else:
-                    flat, piv = _impl.q_rref(self.data, self.rows, self.cols)
-                self._rref = (Mat(self.field, len(piv), self.cols, flat), tuple(piv))
+            flat, piv = _echelon(self.field, self.rows, self.cols, self.data)
+            self._rref = (Mat(self.field, len(piv), self.cols, flat), piv)
         return self._rref
 
     def rank(self) -> int:
@@ -246,15 +243,7 @@ class Mat:
     def kernel_basis(self) -> "Mat":
         """Columns form a basis of the null space {x : A x = 0}."""
         R, piv = self.rref()
-        free = _free_cols(self.cols, piv)
-        out = Mat.zeros(self.field, self.cols, len(free))
-        one = self.field.one()
-        neg = self.field.neg
-        for i, fc in enumerate(free):
-            out.data[fc * len(free) + i] = one
-            for k, pc in enumerate(piv):
-                out.data[pc * len(free) + i] = neg(R.get(k, fc))
-        return out
+        return _null_space(self.field, self.cols, R.data, piv)[0]
 
     def kernel_coords(self, Y: "Mat") -> Optional["Mat"]:
         """X with ``self.kernel_basis() @ X == Y``, or None when a column of
@@ -316,6 +305,39 @@ def _free_cols(ncols: int, piv: Sequence[int]) -> List[int]:
     ``piv`` that hold no pivot."""
     pivots = set(piv)
     return [j for j in range(ncols) if j not in pivots]
+
+
+def _echelon(field: Field, rows: int, cols: int,
+             data: list) -> Tuple[list, Tuple[int, ...]]:
+    """The rref of the ``rows`` x ``cols`` row-major ``data`` (flat rows,
+    zero rows dropped) and its pivot columns, from the kernel for the field."""
+    if rows == 0 or cols == 0:
+        return [], ()
+    if field.p:
+        flat, piv = _impl.fp_rref(data, rows, cols, field.p)
+    else:
+        flat, piv = _impl.q_rref(data, rows, cols)
+    return flat, tuple(piv)
+
+
+def _null_space(field: Field, cols: int, flat: list,
+                piv: Sequence[int]) -> Tuple[Mat, List[int]]:
+    """The kernel basis of an rref with ``cols`` columns, flat rows ``flat``
+    and pivot columns ``piv``, and its free columns: column i is the unit
+    vector at the i-th free column fc minus R[k, fc] at the k-th pivot."""
+    free = _free_cols(cols, piv)
+    nf = len(free)
+    data = [field.zero()] * (cols * nf)
+    one, neg = field.one(), field.neg
+    for i, fc in enumerate(free):
+        data[fc * nf + i] = one
+    for k, pc in enumerate(piv):
+        base, out = k * cols, pc * nf
+        for i, fc in enumerate(free):
+            x = flat[base + fc]
+            if x:
+                data[out + i] = neg(x)
+    return Mat(field, cols, nf, data), free
 
 
 def reduce_mod_rowspace(R: Mat, piv: Sequence[int], vec: list,

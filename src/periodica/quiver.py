@@ -19,6 +19,7 @@ finitely many surviving walks; no Groebner machinery is needed.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .common import PreconditionError
@@ -201,6 +202,12 @@ class FinDimAlgebra:
     @property
     def label(self) -> str:
         return self.presentation.label
+
+    @cached_property
+    def projective_dims(self) -> Tuple[int, ...]:
+        """dim P(v) = dim e_v A, the basis walks ending at v, per vertex
+        (index v - 1)."""
+        return tuple(self.target.count(v) for v in range(1, self.quiver.n + 1))
 
     def e(self, v: int) -> int:
         return self.e_index[v]

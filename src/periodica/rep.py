@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .common import PreconditionError, Trunc, TruncationError
 from .fields import Field
-from .linalg import Mat, _free_cols, _offsets
+from .linalg import Mat, _echelon, _free_cols, _null_space, _offsets
 from .quiver import FinDimAlgebra, Walk
 
 
@@ -259,10 +259,12 @@ class Morphism:
 
 def block_sum(parts: Sequence[Rep]) -> Rep:
     """The direct sum of ``parts`` alone: each arrow acts block-diagonally,
-    one block per part in order.  For callers that need no injections or
-    projections."""
+    one block per part in order; one part is returned as it is.  For
+    callers that need no injections or projections."""
     if not parts:
         raise PreconditionError("block_sum needs at least one part")
+    if len(parts) == 1:
+        return parts[0]
     alg = parts[0].algebra
     f = alg.field
     q = alg.quiver
@@ -309,12 +311,14 @@ class HomBasis:
 
     The unknowns are the blocks f_v, row-major and vertex by vertex; arrow
     a: u -> v gives the rows N_a f_v - f_u M_a = 0, one per entry, written
-    into one flat list from the arrows' matrices.  The columns of ``K``, the
-    system's ``kernel_basis``, are the flattened basis maps, cut into blocks
-    as they stand.  K is the identity on the free unknowns ``free``, so a
-    map's coordinates are its entries there, with no solve; ``K @ X == B``
-    certifies them (also when Hom(M, N) = 0 and ``free`` is empty).  A
-    combination of basis maps is the one product ``K @ c``.
+    into one flat list from the arrows' matrices.  That list is row-reduced
+    once, and ``K``, the system's kernel basis, and the free unknowns
+    ``free`` are read off the one echelon form (``linalg._null_space``).
+    The columns of K are the flattened basis maps, cut into blocks as they
+    stand.  K is the identity on the free unknowns, so a map's coordinates
+    are its entries there, with no solve; ``K @ X == B`` certifies them
+    (also when Hom(M, N) = 0 and ``free`` is empty).  A combination of
+    basis maps is the one product ``K @ c``.
     """
 
     __slots__ = ("M", "N", "basis", "K", "free")
@@ -349,9 +353,8 @@ class HomBasis:
                             x = base + off[u] + i * mu + k
                             data[x] = sub(data[x], c)
                     base += nvars
-        system = Mat(f, nrows, nvars, data)
-        self.K = system.kernel_basis()
-        self.free = tuple(_free_cols(nvars, system.rref()[1]))
+        self.K, free = _null_space(f, nvars, *_echelon(f, nrows, nvars, data))
+        self.free = tuple(free)
         kc = self.K.cols
         self.basis = [self._morphism(self.K.data, kc, j, off)
                       for j in range(kc)]
@@ -561,15 +564,15 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
 def is_projective(M: Rep) -> bool:
     """Is M projective?  Exact and deterministic: M is projective iff its
     projective cover P(M) ->> M is injective, i.e. dim P(M) = dim M, where
-    dim P(M) = sum_v dim top(M)_v * dim P(v)."""
-    alg = M.algebra
+    dim P(M) = sum_v dim top(M)_v * dim P(v).  The cover has one P(v) per
+    top generator, so a nonzero M smaller than every P(v) is not projective,
+    with no radical formed."""
+    pdims = M.algebra.projective_dims
+    if 0 < M.total_dim < min(pdims):
+        return False
     rad = radical_subspaces(M)
-    cover_dim = 0
-    for v in range(alg.quiver.n):
-        top = M.dims[v] - rad[v].cols
-        if top:
-            cover_dim += top * alg.target.count(v + 1)
-    return cover_dim == M.total_dim
+    return M.total_dim == sum((d - r.cols) * pd
+                              for d, r, pd in zip(M.dims, rad, pdims))
 
 
 def syzygies(M: Rep) -> Iterator[Tuple[Rep, Morphism, Rep, Morphism]]:
@@ -673,29 +676,6 @@ class Resolution:
     def length(self) -> int:
         return len(self.terms) - 1
 
-    def check_minimal(self) -> bool:
-        """Every differential must land inside rad * (previous term)."""
-        for j, d in enumerate(self.maps):
-            rad = radical_subspaces(self.terms[j])
-            for v in range(len(rad)):
-                sub = rad[v]
-                if sub.solve_matrix(d.blocks[v]) is None:
-                    return False
-        return True
-
-    def check_exact(self) -> bool:
-        """d^2 = 0 and homology vanishes strictly below the truncation."""
-        seq = [self.aug] + self.maps
-        for j in range(len(seq) - 1):
-            if not (seq[j] @ seq[j + 1]).is_zero():
-                return False
-        for j in range(len(seq) - 1):
-            zdim = sum(b.cols - b.rank() for b in seq[j].blocks)
-            bdim = sum(b.rank() for b in seq[j + 1].blocks)
-            if zdim != bdim:
-                return False
-        return True
-
 
 class ExtCochains:
     """The cochain complex C^j = Hom(P_j, N) of a resolution P of M, so
@@ -796,13 +776,15 @@ def find_iso(M: Rep, N: Rep) -> Optional[Morphism]:
 def iso_q(M: Rep, N: Rep, seed: int = 0) -> bool:
     """Is M isomorphic to N?
 
-    An invertible basis element of Hom(M, N) settles it (:func:`find_iso`).
+    Equal modules (``Rep.__eq__``: the same algebra object, dims and action
+    matrices) are, with no Hom space built.  Otherwise an invertible basis
+    element of Hom(M, N) settles it (:func:`find_iso`).
     Without one, M is not N when ``decompose(M, seed)`` leaves M whole;
     otherwise the indecomposable summands of M and of N must match one to
     one by :func:`find_iso` (Krull-Schmidt).  ``seed`` reaches only
     ``decompose``.
     """
-    if find_iso(M, N) is not None:
+    if M == N or find_iso(M, N) is not None:
         return True
     if M.dims != N.dims:
         return False

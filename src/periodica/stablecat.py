@@ -87,12 +87,15 @@ class StableHom:
 class StableContext:
     """Cached stable-category data for one self-injective algebra.
 
-    One projective cover is built per stable-Hom target or syzygy input, and
-    one injective envelope per cone source, each held by the identity of its
-    ``Rep`` (equal but distinct objects are recomputed).  ``strip`` keeps a
-    non-projective indecomposable as the object it was given, and remembers
-    the summands of the module it returned last, so the tilting closure
-    reads the pieces of a cone from there: each cone is decomposed once.
+    One projective cover is built per stable-Hom target or syzygy input,
+    and one injective envelope per registry item of the tilting closure,
+    shared by its suspension and its cones (and per other cone source),
+    each held by the identity of its ``Rep`` (equal but distinct objects
+    are recomputed).  ``suspension_power`` builds its envelopes for the
+    call and holds none.  ``strip`` keeps a non-projective indecomposable
+    as the object it was given, and remembers the summands of the module it
+    returned last, so the tilting closure reads the pieces of a cone from
+    there: each cone is decomposed once.
     Suspensions are never decomposed (Heller's lemma): the suspension of a
     non-projective indecomposable is one.
     """
@@ -143,10 +146,7 @@ class StableContext:
         else:
             kept = [s for s in decompose(M, self.seed)
                     if not is_projective(s)]
-            if len(kept) == 1:
-                M = kept[0]
-            else:
-                M = block_sum(kept) if kept else Rep.zero(self.algebra)
+            M = block_sum(kept) if kept else Rep.zero(self.algebra)
         self._stripped = (M, kept)
         return M
 
@@ -160,7 +160,7 @@ class StableContext:
 
     def _shift(self, M: Rep, direction: int) -> Rep:
         """Sigma M (direction 1) or Omega M (-1) of an M without projective
-        summands, along its minimal envelope or cover."""
+        summands, along its minimal envelope (built for the call) or cover."""
         if M.is_zero():
             return M
         if direction > 0:
@@ -168,6 +168,11 @@ class StableContext:
             return cokernel_of(incl)[0]
         P, phi = self._cover(M)
         return kernel_of(phi)[0]
+
+    def _suspend(self, M: Rep) -> Rep:
+        """Sigma M of a nonzero M without projective summands, along the
+        envelope the context holds for M, which M's cones use too."""
+        return cokernel_of(self._envelope(M)[1])[0]
 
     def suspension_power(self, M: Rep, i: int) -> Rep:
         """Sigma^i M: M is stripped once, and by Heller's lemma no shift
@@ -259,6 +264,10 @@ def algebra_period(alg: FinDimAlgebra, bound: int, seed: int = 0) -> Trunc:
 
 
 class _Registry:
+    """The iso classes a closure has found, one module each, pairwise
+    non-isomorphic.  ``find`` scans the items of M's dims with ``iso_q``,
+    which answers an item equal to M with no Hom space built."""
+
     def __init__(self, seed: int):
         self.seed = seed
         self.items: List[Tuple[Rep, dict]] = []
@@ -313,9 +322,19 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
     if not clean:
         raise PreconditionError("candidate is stably zero")
 
+    # id(X) -> Sigma X, formed once: the clean parts and their suspensions
+    # enter the registry as these objects, and the rigidity check and the
+    # closure read Sigma from here (X is held by susp_parts or the registry)
+    sigma: Dict[int, Rep] = {}
+
+    def suspend(X: Rep) -> Rep:
+        if id(X) not in sigma:
+            sigma[id(X)] = ctx._suspend(X)
+        return sigma[id(X)]
+
     susp_parts = {0: clean}
     for s in range(1, m + 1):
-        susp_parts[s] = [ctx._shift(X, 1) for X in susp_parts[s - 1]]
+        susp_parts[s] = [suspend(X) for X in susp_parts[s - 1]]
 
     periodic_ok = all(
         X.dims == Y.dims and iso_q(X, Y, ctx.seed)
@@ -347,9 +366,9 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
             for direction in (1, -1):
                 # registry items are non-projective indecomposables, and so
                 # are their shifts (Heller's lemma)
-                _, new = reg.add(ctx._shift(X, direction),
-                                 {"op": "suspension", "of": idx,
-                                  "direction": direction})
+                Y = suspend(X) if direction > 0 else ctx._shift(X, -1)
+                _, new = reg.add(Y, {"op": "suspension", "of": idx,
+                                     "direction": direction})
                 frontier = frontier or new
         suspended = count
         count = len(reg.items)

@@ -3,14 +3,16 @@
 ``direct_sum`` builds a sum of modules with its canonical injections and
 projections; ``sub_rep`` reads a submodule's action through one solve per
 arrow.  The library reads both off block placements and echelon forms, and
-the tests compare the two.
+the tests compare the two.  ``check_minimal`` and ``check_exact`` test a
+``Resolution`` against the definitions.
 """
 
 from typing import List, Sequence, Tuple
 
 from periodica.common import PreconditionError
 from periodica.linalg import Mat
-from periodica.rep import Morphism, Rep, block_map, block_sum
+from periodica.rep import (Morphism, Rep, Resolution, block_map, block_sum,
+                           radical_subspaces)
 
 
 def direct_sum(parts: Sequence[Rep]) -> Tuple[Rep, List[Morphism],
@@ -37,3 +39,27 @@ def sub_rep(M: Rep, bases: Sequence[Mat]) -> Tuple[Rep, Morphism]:
         act.append(X)
     K = Rep(M.algebra, [b.cols for b in bases], act)
     return K, Morphism(K, M, list(bases))
+
+
+def check_minimal(res: Resolution) -> bool:
+    """Every differential must land inside rad * (previous term)."""
+    for j, d in enumerate(res.maps):
+        rad = radical_subspaces(res.terms[j])
+        for v in range(len(rad)):
+            if rad[v].solve_matrix(d.blocks[v]) is None:
+                return False
+    return True
+
+
+def check_exact(res: Resolution) -> bool:
+    """d^2 = 0 and homology vanishes strictly below the truncation."""
+    seq = [res.aug] + res.maps
+    for j in range(len(seq) - 1):
+        if not (seq[j] @ seq[j + 1]).is_zero():
+            return False
+    for j in range(len(seq) - 1):
+        zdim = sum(b.cols - b.rank() for b in seq[j].blocks)
+        bdim = sum(b.rank() for b in seq[j + 1].blocks)
+        if zdim != bdim:
+            return False
+    return True

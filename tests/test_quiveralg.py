@@ -21,8 +21,9 @@ from periodica.quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
 from periodica.rep import (HomBasis, Morphism, Rep, _roots_mod_p, cokernel_of,
                            decompose, find_iso, global_dimension, hom_space,
                            image_of, indecomposable_q, injective_envelope,
-                           iso_q, kernel_of, projective_cover, quotient_rep,
-                           radical_subspaces, socle_subspaces, syzygy)
+                           is_projective, iso_q, kernel_of, projective_cover,
+                           quotient_rep, radical_subspaces, socle_subspaces,
+                           syzygies, syzygy)
 
 from oracles import direct_sum, sub_rep
 
@@ -801,3 +802,172 @@ def test_roots_mod_p_match_the_scan(pf, seed):
     scan = [t for t in range(p)
             if sum(c * pow(t, i, p) for i, c in enumerate(f)) % p == 0]
     assert _roots_mod_p(f, p, random.Random(seed)) == scan
+
+
+# -- shortcuts must give the answers of the work they skip -----------------
+
+
+FIELDS = [QQ, Field.gf(2), Field.gf(4294967311)]
+FIELD_IDS = ["Q", "GF2", "GFbig"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_iso_q_of_equal_modules_builds_no_hom_space(field, monkeypatch):
+    import periodica.rep as rep_mod
+
+    def refuse(M, N):
+        raise AssertionError("find_iso called on equal modules")
+    monkeypatch.setattr(rep_mod, "find_iso", refuse)
+    alg = nakayama(4, 4, field)
+    for a in range(1, 5):
+        for l in range(1, 5):
+            M, N = serial_module(alg, a, l), serial_module(alg, a, l)
+            assert M is not N and M == N and iso_q(M, N)
+    parts = [serial_module(alg, 1, 2), serial_module(alg, 3, 1)]
+    assert iso_q(direct_sum(parts)[0], direct_sum(parts)[0])
+    assert iso_q(Rep.zero(alg), Rep.zero(alg))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_iso_q_of_unequal_isomorphic_modules_goes_through_find_iso(
+        field, monkeypatch):
+    import periodica.rep as rep_mod
+    calls = []
+    real = rep_mod.find_iso
+
+    def counted(M, N):
+        calls.append((M, N))
+        return real(M, N)
+    monkeypatch.setattr(rep_mod, "find_iso", counted)
+    rng = random.Random(field.p)
+    alg = nakayama(4, 4, field)
+    # sums with a 2-dimensional vertex: over GF(2) a base change of a
+    # module with 1-dimensional vertices changes nothing
+    mods = [direct_sum([serial_module(alg, a, l), serial_module(alg, b, k)])[0]
+            for a, l, b, k in ((1, 2, 2, 3), (1, 4, 1, 4), (1, 3, 3, 2),
+                               (2, 1, 1, 2), (1, 3, 1, 1))]
+    for M in mods:
+        N = next(N for N in (_base_changed(M, rng) for _ in range(50))
+                 if N != M)
+        calls.clear()
+        assert iso_q(M, N) and iso_q(N, M)
+        assert calls
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_iso_q_of_same_dims_nonisomorphic_modules_is_false(field):
+    alg = nakayama(4, 4, field)
+    M = serial_module
+    simples = [M(alg, v, 1) for v in range(1, 5)]
+    pairs = [
+        (M(alg, 1, 4), direct_sum(simples)[0]),
+        (direct_sum([M(alg, 1, 2), M(alg, 3, 1)])[0],
+         direct_sum([M(alg, 1, 1), M(alg, 2, 2)])[0]),
+        (direct_sum([M(alg, 1, 3), M(alg, 2, 1)])[0],
+         direct_sum([M(alg, 1, 2), M(alg, 2, 2)])[0]),
+    ]
+    a2 = linear_a(2, field)
+    pairs.append((Rep.projective(a2, 2),
+                  direct_sum([Rep.simple(a2, 1), Rep.simple(a2, 2)])[0]))
+    for X, Y in pairs:
+        assert X.dims == Y.dims
+        assert not iso_q(X, Y) and not iso_q(Y, X)
+
+
+def _projective_by_radicals(M):
+    """The radical route alone: dim P(M) = sum_v dim top(M)_v * dim P(v)."""
+    alg = M.algebra
+    rad = radical_subspaces(M)
+    return M.total_dim == sum((M.dims[v] - rad[v].cols)
+                              * alg.target.count(v + 1)
+                              for v in range(alg.quiver.n))
+
+
+def _projectivity_cases():
+    here = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
+    for field in FIELDS:
+        for n in (3, 4, 5):
+            alg = nakayama(n, n, field)
+            yield Rep.zero(alg)
+            yield from (Rep.projective(alg, v) for v in range(1, n + 1))
+            yield from (serial_module(alg, a, l) for a in range(1, n + 1)
+                        for l in range(1, n + 1))
+        yield from (M for _, M in all_intervals(linear_a(3, field)))
+    ext = load_algebra(os.path.join(here, "exterior2.alg"))
+    S = Rep.simple(ext, 1)
+    yield S
+    for _, (_, _, K, _) in zip(range(4), syzygies(S)):
+        yield K
+    for name in ("ratsquare.alg", "commsquare.alg"):
+        alg = load_algebra(os.path.join(here, name))
+        for v in range(1, 5):
+            for M in (Rep.simple(alg, v), Rep.projective(alg, v),
+                      Rep.injective(alg, v)):
+                yield M
+                yield syzygy(M)
+
+
+def test_is_projective_agrees_with_the_radical_route(monkeypatch):
+    import periodica.rep as rep_mod
+    radicals = []
+    real = rep_mod.radical_subspaces
+
+    def counted(M):
+        radicals.append(M)
+        return real(M)
+    verdicts = []
+    for M in _projectivity_cases():
+        want = _projective_by_radicals(M)
+        monkeypatch.setattr(rep_mod, "radical_subspaces", counted)
+        radicals.clear()
+        assert is_projective(M) == want
+        monkeypatch.undo()
+        alg = M.algebra
+        small = 0 < M.total_dim < min(alg.target.count(v)
+                                      for v in range(1, alg.quiver.n + 1))
+        assert not (small and want)
+        # the size test decides the small modules, the radicals the rest
+        assert bool(radicals) != small
+        verdicts.append((want, small))
+    assert {(True, False), (False, True), (False, False)} <= set(verdicts)
+
+
+@pytest.mark.parametrize("p", [0, 2, 4294967311])
+def test_hom_basis_matches_the_kernel_of_a_reference_system(p):
+    # the system rebuilt column by column, the residual of each unit block
+    # tuple: its kernel basis and free columns are those of HomBasis
+    f = Field(p)
+    for M, N in _hom_pairs(_oracle_modules(f)):
+        if sum(m * n for m, n in zip(M.dims, N.dims)) > 300:
+            continue        # one block tuple per unknown: skip the largest
+        arrows = M.algebra.quiver.arrows
+        units = []
+        for v, (m, n) in enumerate(zip(M.dims, N.dims)):
+            for r in range(n):
+                for c in range(m):
+                    blocks = [Mat.zeros(f, N.dims[w], M.dims[w])
+                              for w in range(len(M.dims))]
+                    blocks[v].data[r * m + c] = f.one()
+                    units.append(blocks)
+        cols = []
+        for blocks in units:
+            col = []
+            for ai, a in enumerate(arrows):
+                u, v = a.source - 1, a.target - 1
+                col += (N.act[ai] @ blocks[v] - blocks[u] @ M.act[ai]).data
+            cols.append(col)
+        nrows = len(cols[0]) if cols else 0
+        system = Mat(f, nrows, len(cols),
+                     [col[i] for i in range(nrows) for col in cols])
+        hb = HomBasis(M, N)
+        K = system.kernel_basis()
+        piv = system.rref()[1]
+        assert hb.K == K
+        assert hb.free == tuple(j for j in range(len(cols)) if j not in piv)
+        assert [g.flatten() for g in hb.basis] == [
+            K.col_list(j) for j in range(K.cols)]
+        assert (system @ K).is_zero() and K.cols == len(cols) - len(piv)
+        # unit vectors at the free rows: with system @ K = 0 this fixes K
+        # apart from the elimination that built it
+        assert [hb.K.row_list(i) for i in hb.free] == Mat.identity(
+            f, len(hb.free)).tolist()

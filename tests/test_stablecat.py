@@ -454,18 +454,93 @@ def _closure_n5(monkeypatch, name, wrap):
 
 
 def test_closure_builds_one_envelope_per_cone_source(monkeypatch):
-    envelopes = []
+    # one envelope per registry item, shared by its suspension and its
+    # cones, counted over the whole closure call; and no registry lookup
+    # builds a Hom space: distinct serial modules of N(5,5) have distinct
+    # dims, so every hit is an equal module
+    import periodica.rep as rep_mod
+    envelopes, isos = [], []
 
     def wrap(real, log):
         def envelope(M):
-            if log["in_cone"]:
-                envelopes.append(M)
+            envelopes.append(M)
             return real(M)
         return envelope
+    real_find_iso = rep_mod.find_iso
+
+    def find_iso(M, N):
+        isos.append((M, N))
+        return real_find_iso(M, N)
+    monkeypatch.setattr(rep_mod, "find_iso", find_iso)
     log = _closure_n5(monkeypatch, "injective_envelope", wrap)
-    # the lists hold every argument, so no id is recycled while counting
-    assert envelopes
-    assert len(envelopes) <= len({id(M) for M in log["sources"]})
+    # the lists hold every argument, so no id is recycled while counting;
+    # the suspensions build every source's envelope before its cones
+    assert log["sources"]
+    assert {id(M) for M in log["sources"]} <= {id(M) for M in envelopes}
+    assert len(envelopes) == len({id(M) for M in envelopes})
+    assert not isos
+
+
+def test_closure_takes_each_suspension_once(monkeypatch):
+    # Sigma of a candidate's part is read by the rigidity check and by the
+    # closure's first pass: one cokernel of its envelope serves both
+    maps = []
+
+    def wrap(real, log):
+        def cokernel_of(f):
+            maps.append(f)
+            return real(f)
+        return cokernel_of
+    _closure_n5(monkeypatch, "cokernel_of", wrap)
+    # the list holds every argument, so no id is recycled while counting
+    assert maps
+    assert len(maps) == len({id(f) for f in maps})
+
+
+def test_suspension_power_holds_no_envelope():
+    alg = nakayama(4, 4, Field.gf(2))
+    ctx = StableContext(alg)
+    for a in range(1, 5):
+        for l in range(1, 4):
+            M = serial_module(alg, a, l)
+            ctx.suspension_power(M, 1)
+            ctx.suspension_power(M, 2)
+    assert not ctx._envelopes
+    parts = [serial_module(alg, 1, l) for l in range(1, 4)]
+    check_periodic_tilting_stable(ctx, parts, 2)
+    held = dict(ctx._envelopes)
+    assert held
+    for M in parts:
+        ctx.suspension_power(M, 2)
+    assert ctx._envelopes == held
+
+
+@pytest.mark.parametrize("field", [QQ, Field.gf(2), Field.gf(4294967311)],
+                         ids=["Q", "GF2", "GFbig"])
+def test_registry_finds_the_index_of_the_plain_iso_scan(field):
+    from periodica.stablecat import _Registry
+    rng = random.Random(field.p)
+    alg = nakayama(4, 4, field)
+    mods = [serial_module(alg, a, l) for a in range(1, 5)
+            for l in range(1, 5)]
+    # each vertex space of M(a, l) is a line: rescale it by a random unit
+    # (over GF(2) this leaves M as it is)
+    changed = []
+    for M in mods:
+        c = [field.coerce(rng.choice((1, 3, 5, 7))) for _ in M.dims]
+        changed.append(Rep(alg, M.dims, [
+            M.act[i].scale(field.div(c[a.target - 1], c[a.source - 1]))
+            for i, a in enumerate(alg.quiver.arrows)], check=True))
+    reg = _Registry(0)
+    for k, M in enumerate(mods):
+        if k % 3:
+            reg.add(changed[k] if k % 2 else M, {"k": k})
+    for M in mods + changed:
+        # serial modules are indecomposable, so find_iso decides each pair
+        plain = next((i for i, (X, _) in enumerate(reg.items)
+                      if find_iso(X, M) is not None), None)
+        assert reg.find(M) == plain
+    assert any(X != Y for X, Y in zip(mods, changed)) == (field.p != 2)
 
 
 def test_closure_decomposes_no_cone_again(monkeypatch):
