@@ -280,9 +280,9 @@ def cmd_tilting(args) -> int:
         body = check_periodic_tilting_stable(sctx, parts, args.m,
                                              budget=budget)
         if args.end_target:
-            clean = [parse_module_expr(alg, t) for t in args.summand]
+            # the parts themselves, so the context's stable Hom spaces serve
             body["stable_end"] = stable_end_algebra(
-                sctx, clean, target_linear_a=args.end_target)
+                sctx, parts, target_linear_a=args.end_target)
         claim = "stable periodic tilting candidate"
     report = build_report(f"tilting {args.verb}",
                           {"m": args.m}, body, inputs=inputs, seed=args.seed,
@@ -325,7 +325,7 @@ def cmd_reproduce(args) -> int:
     if target == "ex5.6":
         field = field_from_string(args.field) if args.field else Field.rationals()
         m = _period_arg(args)
-        body = reproduce_ex5_6(args.n, m, field)
+        body = reproduce_ex5_6(args.n, m, field, seed)
         params.update({"n": args.n, "m": m, "field": repr(field)})
     elif target == "ex5.8":
         body = reproduce_ex5_8(args.n, seed)

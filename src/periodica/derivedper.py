@@ -30,20 +30,18 @@ from .families import all_intervals, is_linear_a, dual_numbers
 from .fields import Field
 from .linalg import Mat
 from .percomplex import (BoundedComplex, GradedMorphism, PeriodicComplex,
-                         _cohom_data, _unsplit, cohomology_dims,
-                         complex_direct_sum, fold, homotopy_hom, is_quasi_iso,
-                         shift, shift_map, stalk_complex, sum_complex, sum_map,
-                         zero_complex)
+                         _cohom_data, _unsplit, cohomology_dim_vectors,
+                         cohomology_dims, complex_direct_sum, fold,
+                         homotopy_hom, is_quasi_iso, shift, stalk_complex,
+                         sum_complex, sum_map, zero_complex)
 from .quiver import FinDimAlgebra
 from .rep import (ExtCochains, HomBasis, Morphism, Rep, Resolution,
                   block_map, decompose, global_dimension, hom_space,
                   is_projective, kernel_of, minimal_resolution, quotient_rep)
 
 
-def _retarget(f: GradedMorphism, source: Optional[PeriodicComplex] = None,
-              target: Optional[PeriodicComplex] = None) -> GradedMorphism:
-    return GradedMorphism(source or f.source, target or f.target,
-                          f.degree, f.comps)
+def _retarget(f: GradedMorphism, target: PeriodicComplex) -> GradedMorphism:
+    return GradedMorphism(f.source, target, f.degree, f.comps)
 
 
 def _lift(g: Morphism, q: Morphism) -> Morphism:
@@ -67,12 +65,17 @@ def resolution_to_bounded(res: Resolution) -> BoundedComplex:
 class DerivedContext:
     """Replacement and Hom computations for one (algebra, period).
 
-    Stalks, resolutions and replacements are cached by object identity: reusing
-    the same ``Rep`` object reuses its stalk complex, its minimal resolution
-    and the K-projective replacement of its stalk (and with it the Hom complex
-    between two replacements).  Equal but distinct objects are recomputed.
-    Cached values hold their keys, so no id is recycled while it is cached.
-    The intermediate pieces a replacement peels off are not cached.
+    The context holds the stalk complex of a module per position, its
+    minimal resolution and the K-projective replacement of a complex, each
+    by the identity of the object: derived Hom and the Ext-sum check ask for
+    the same stalks and replacements again and again, so each is built
+    once.  Equal but distinct objects are recomputed, and cached values hold
+    their keys, so no id is recycled while it is cached.  The pieces a
+    replacement peels off are fresh objects, resolved and replaced uncached.
+
+    A module at position p is replaced by folding its minimal resolution,
+    with P0 in degree p, onto the stalk at p: the augmentation maps the
+    summand P0 of the fold's component p onto the module.
     """
 
     def __init__(self, algebra: FinDimAlgebra, m: int, bound: int = 24):
@@ -124,23 +127,22 @@ class DerivedContext:
     def _fold(self, M: Rep, position: int,
               resolve: Callable[[Rep], Resolution]
               ) -> Tuple[PeriodicComplex, GradedMorphism]:
-        target = stalk_complex(M, self.m, position)
+        m = self.m
+        target = stalk_complex(M, m, position)
         if M.is_zero():
-            Z = zero_complex(self.algebra, self.m)
+            Z = zero_complex(self.algebra, m)
             return Z, GradedMorphism.zero(Z, target)
         res = resolve(M)
-        B = resolution_to_bounded(res)
-        F, layout = fold(B, self.m)
-        stalk0 = stalk_complex(M, self.m, 0)
-        comps = [Morphism.zero(F.comps[i], stalk0.comps[i])
-                 for i in range(self.m)]
-        # the augmentation on the degree-0 summand P0 of F^0
-        comps[0] = block_map(F.comps[0], M, [M], [B.comps[j] for j in layout[0]],
-                             {(0, layout[0].index(0)): res.aug})
-        phi = GradedMorphism(F, stalk0, 0, comps)
-        if position % self.m:
-            phi = _retarget(shift_map(phi, -position),
-                            target=stalk_complex(M, self.m, position))
+        # the resolution with P0 in degree ``position``
+        B = resolution_to_bounded(res).shifted(-position)
+        F, layout = fold(B, m)
+        comps = [Morphism.zero(F.comps[i], target.comps[i]) for i in range(m)]
+        # the augmentation on the summand P0 of F at the position
+        i = position % m
+        comps[i] = block_map(F.comps[i], M, [M],
+                             [B.comps[j] for j in layout[i]],
+                             {(0, layout[i].index(position)): res.aug})
+        phi = GradedMorphism(F, target, 0, comps)
         if not phi.is_closed():
             raise CheckFailed("folded resolution map fails to be a chain map")
         return phi.source, phi
@@ -299,10 +301,10 @@ class DerivedContext:
                             check=(m <= 2))
         pW = self._replacement(W)
         if Z.is_zero():
-            PU, pU = pW[0], _retarget(pW[1], target=U)
+            PU, pU = pW[0], _retarget(pW[1], U)
         else:
-            S = stalk_complex(Z, m, i0)
-            PS, pS = self._fold(Z, i0, self._resolve)
+            pS = self._fold(Z, i0, self._resolve)[1]
+            S = pS.target
             incl_su = GradedMorphism(
                 S, U, 0,
                 [Morphism.identity(Z) if i == i0
@@ -314,9 +316,10 @@ class DerivedContext:
             PU, pU = self._glue(incl_su, proj_uw, pS, pW[1])
         if Z.total_dim == V.comps[i0].total_dim:
             # no quotient stalk: U was V itself
-            return PU, _retarget(pU, target=V)
+            return PU, _retarget(pU, V)
         Tq, projq = quotient_rep(V.comps[i0], inclZ.blocks)
-        T = stalk_complex(Tq, m, i0)
+        pT = self._fold(Tq, i0, self._resolve)[1]
+        T = pT.target
         incl_uv = GradedMorphism(
             U, V, 0,
             [inclZ if i == i0 else Morphism.identity(V.comps[i])
@@ -325,8 +328,6 @@ class DerivedContext:
             V, T, 0,
             [projq if i == i0 else Morphism.zero(V.comps[i], T.comps[i])
              for i in range(m)])
-        PT, pT = self._fold(Tq, i0, self._resolve)
-        pT = _retarget(pT, target=T)
         return self._glue(incl_uv, proj_vt, pU, pT)
 
     # -- derived Hom ---------------------------------------------------------------
@@ -448,12 +449,17 @@ def list_indecomposables_hereditary(alg: FinDimAlgebra, m: int) -> dict:
     if not is_linear_a(alg):
         raise PreconditionError("only linear A_n quivers are supported here")
     objs = []
+    seen = set()
     for (a, b), M in all_intervals(alg):
         for s in range(m):
             objs.append({"interval": [a, b], "shift": s,
                          "dims": list(M.dims)})
+            # M[s] is the stalk of M at -s; cohomology descends to D_m, so
+            # distinct dimension vectors certify non-isomorphic objects
+            H = cohomology_dim_vectors(stalk_complex(M, m, -s))
+            seen.add(tuple(map(tuple, H)))
     return {"count": len(objs), "objects": objs,
-            "pairwise_distinct": True}
+            "pairwise_distinct": len(seen) == len(objs)}
 
 
 # -- stalk tilting -----------------------------------------------------------------

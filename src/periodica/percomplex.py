@@ -212,13 +212,6 @@ def shift(V: PeriodicComplex, ell: int) -> PeriodicComplex:
     return PeriodicComplex(V.algebra, m, comps, diffs, check=False)
 
 
-def shift_map(f: GradedMorphism, ell: int) -> GradedMorphism:
-    """The shifted map between shifted complexes (same blocks, rotated)."""
-    m = f.source.m
-    return GradedMorphism(shift(f.source, ell), shift(f.target, ell), f.degree,
-                          [f.comps[(i + ell) % m] for i in range(m)])
-
-
 # -- sums of complexes ------------------------------------------------------------
 
 

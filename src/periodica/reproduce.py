@@ -54,11 +54,12 @@ def builtin_algebra(name: str, field: Optional[Field] = None) -> FinDimAlgebra:
     raise PreconditionError(f"unknown builtin algebra {name!r}")
 
 
-def reproduce_ex5_6(n: int, m: int, field: Field, bound: int = 16) -> dict:
+def reproduce_ex5_6(n: int, m: int, field: Field, seed: int) -> dict:
     """Bimodule syzygy period of the cyclic Nakayama algebra vs the closed
-    formula (2 lcm(n,m)/m, except n odd over characteristic 2 with m = 2)."""
+    formula (2 lcm(n,m)/m, except n odd over characteristic 2 with m = 2),
+    searched up to 16."""
     alg = nakayama(n, m, field)
-    period = algebra_period(alg, bound)
+    period = algebra_period(alg, 16, seed)
     excluded = (field.characteristic == 2 and m == 2 and n % 2 == 1)
     expected = n if excluded else 2 * math.lcm(n, m) // m
     return {
@@ -112,10 +113,12 @@ def reproduce_ex5_8(n: int, seed: int = 0) -> dict:
     }
 
 
-def reproduce_ex5_9(field: Optional[Field] = None, q_max: int = 8) -> dict:
+def reproduce_ex5_9() -> dict:
     """Distinct stalk objects over the dual numbers at period 2, plus the
-    matching formality failure of its Laurent extension."""
-    field = field or Field.rationals()
+    matching formality failure of its Laurent extension (rows q <= 8),
+    over Q."""
+    field = Field.rationals()
+    q_max = 8
     stalks = distinct_stalks_d2_dual_numbers(field)
     hctx = HochschildContext(dual_numbers(field), bound=q_max + 2)
     setup = LaurentSetup(hctx, 2)
@@ -130,16 +133,15 @@ def reproduce_ex5_9(field: Optional[Field] = None, q_max: int = 8) -> dict:
     }
 
 
-def reproduce_lemma4_1(alg: FinDimAlgebra, m: int, pmax: Optional[int] = None,
-                       qspan: Optional[int] = None, bound: int = 12) -> dict:
+def reproduce_lemma4_1(alg: FinDimAlgebra, m: int, bound: int = 12) -> dict:
     """The vanishing pattern of the graded Hochschild table of the Laurent
-    extension, plus the formality verdict when the tail closes."""
+    extension, plus the formality verdict when the tail closes.  The table
+    runs to 4 past the smooth dimension (or ``bound``) in p and over
+    |q| <= 3m."""
     hctx = HochschildContext(alg, bound)
     d = hctx.smooth_dimension()
-    if pmax is None:
-        pmax = (d.value if d.exact else bound) + 4
-    if qspan is None:
-        qspan = 3 * m
+    pmax = (d.value if d.exact else bound) + 4
+    qspan = 3 * m
     table = hh_table(LaurentSetup(hctx, m), pmax, range(-qspan, qspan + 1))
     vanish = vanishing_pattern_ok(table)
     form = formality_criterion(LaurentSetup(hctx, m),

@@ -20,7 +20,8 @@ from .linalg import Mat, _free_cols, reduce_mod_rowspace
 from .quiver import FinDimAlgebra
 from .rep import (HomBasis, Morphism, Rep, block_sum, cokernel_of, decompose,
                   hom_space, injective_envelope, is_projective, iso_q,
-                  kernel_of, projective_cover, socle_subspaces, syzygies)
+                  kernel_of, projective_cover, socle_subspaces, syzygies,
+                  syzygy)
 
 
 def is_self_injective(alg: FinDimAlgebra) -> bool:
@@ -53,15 +54,14 @@ class StableHom:
     When Hom(M, N) = 0 nothing else is built: no cover composites, no rref.
     """
 
-    def __init__(self, M: Rep, N: Rep,
-                 cover: Optional[Tuple[Rep, Morphism]] = None):
-        """``cover`` is ``projective_cover(N)`` when the caller has it."""
+    def __init__(self, M: Rep, N: Rep, cover: Tuple[Rep, Morphism]):
+        """``cover`` is ``projective_cover(N)``."""
         self.M = M
         self.N = N
         self.full = HomBasis(M, N)
         through: List[Morphism] = []
         if self.full.dim:
-            P_N, pi = cover or projective_cover(N)
+            P_N, pi = cover
             through = [pi @ g for g in hom_space(M, P_N)]
         if through:
             coords = self.full.coords_matrix(through)
@@ -87,17 +87,19 @@ class StableHom:
 class StableContext:
     """Cached stable-category data for one self-injective algebra.
 
-    One projective cover is built per stable-Hom target or syzygy input,
-    and one injective envelope per registry item of the tilting closure,
-    shared by its suspension and its cones (and per other cone source),
-    each held by the identity of its ``Rep`` (equal but distinct objects
-    are recomputed).  ``suspension_power`` builds its envelopes for the
-    call and holds none.  ``strip`` keeps a non-projective indecomposable
-    as the object it was given, and remembers the summands of the module it
-    returned last, so the tilting closure reads the pieces of a cone from
-    there: each cone is decomposed once.
-    Suspensions are never decomposed (Heller's lemma): the suspension of a
-    non-projective indecomposable is one.
+    The context holds one projective cover per stable-Hom target and one
+    injective envelope per cone source, each by the identity of its ``Rep``
+    (the entry holds the module, so no id is recycled; equal but distinct
+    objects are recomputed).  The tilting closure asks for the stable Hom
+    spaces and cones of the same registry items again and again, and shifts
+    those items along the same covers and envelopes, so each is built once.
+    ``suspension_power`` builds its envelopes and covers for the call and
+    holds none: its intermediate modules are never asked for again.
+
+    ``summands`` and ``strip`` hold nothing; ``cone_summands`` returns the
+    pieces of a cone, so the closure registers them without decomposing the
+    cone again.  Suspensions are never decomposed (Heller's lemma): a shift
+    of a non-projective indecomposable is one.
     """
 
     def __init__(self, alg: FinDimAlgebra, seed: int = 0):
@@ -110,8 +112,6 @@ class StableContext:
         self._covers: Dict[int, Tuple[Rep, Tuple[Rep, Morphism]]] = {}
         # id(M) -> (M, injective_envelope(M)), the same way
         self._envelopes: Dict[int, Tuple[Rep, Tuple[Rep, Morphism]]] = {}
-        # the module strip returned last and its indecomposable summands
-        self._stripped: Tuple[Optional[Rep], List[Rep]] = (None, [])
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -137,49 +137,29 @@ class StableContext:
             self._envelopes[id(M)] = got
         return got[1]
 
-    def strip(self, M: Rep) -> Rep:
-        """M without its projective summands: M itself when it is zero or a
-        non-projective indecomposable, its one non-projective summand, or
-        the block sum of those summands."""
-        if M.is_zero():
-            kept: List[Rep] = []
-        else:
-            kept = [s for s in decompose(M, self.seed)
-                    if not is_projective(s)]
-            M = block_sum(kept) if kept else Rep.zero(self.algebra)
-        self._stripped = (M, kept)
-        return M
-
     def summands(self, M: Rep) -> List[Rep]:
-        """Indecomposable summands of M; no work when ``strip`` returned M
-        last."""
-        last, kept = self._stripped
-        return kept if last is M else decompose(M, self.seed)
+        """The non-projective indecomposable summands of M: ``[M]`` itself
+        for a non-projective indecomposable M."""
+        return [s for s in decompose(M, self.seed) if not is_projective(s)]
+
+    def strip(self, M: Rep) -> Rep:
+        """M without its projective summands: the block sum of ``summands``,
+        so M itself for a non-projective indecomposable."""
+        return self._sum(self.summands(M))
+
+    def _sum(self, parts: List[Rep]) -> Rep:
+        return block_sum(parts) if parts else Rep.zero(self.algebra)
 
     # -- suspension -------------------------------------------------------------
 
-    def _shift(self, M: Rep, direction: int) -> Rep:
-        """Sigma M (direction 1) or Omega M (-1) of an M without projective
-        summands, along its minimal envelope (built for the call) or cover."""
-        if M.is_zero():
-            return M
-        if direction > 0:
-            I, incl = injective_envelope(M)
-            return cokernel_of(incl)[0]
-        P, phi = self._cover(M)
-        return kernel_of(phi)[0]
-
-    def _suspend(self, M: Rep) -> Rep:
-        """Sigma M of a nonzero M without projective summands, along the
-        envelope the context holds for M, which M's cones use too."""
-        return cokernel_of(self._envelope(M)[1])[0]
-
     def suspension_power(self, M: Rep, i: int) -> Rep:
-        """Sigma^i M: M is stripped once, and by Heller's lemma no shift
-        after that has a projective summand to strip."""
+        """Sigma^i M along minimal envelopes (i > 0) or covers (i < 0): M is
+        stripped once, and by Heller's lemma no shift after that has a
+        projective summand to strip."""
         M = self.strip(M)
         for _ in range(abs(i)):
-            M = self._shift(M, 1 if i > 0 else -1)
+            M = (cokernel_of(injective_envelope(M)[1])[0] if i > 0
+                 else syzygy(M))
         return M
 
     def module_period(self, M: Rep, bound: int) -> Trunc:
@@ -191,15 +171,20 @@ class StableContext:
 
     # -- triangles ---------------------------------------------------------------
 
-    def stable_cone(self, f: Morphism) -> Rep:
-        """Cone of a stable map: coker of (f, envelope): M -> N + I(M)."""
+    def cone_summands(self, f: Morphism) -> List[Rep]:
+        """The non-projective indecomposable summands of the cone of a
+        stable map f: M -> N, the cokernel of (f, envelope): M -> N + I(M)."""
         M, N = f.source, f.target
         if M.is_zero():
-            return self.strip(N)
+            return self.summands(N)
         I, incl = self._envelope(M)
         g = Morphism(M, block_sum([N, I]),
                      [b.vstack(e) for b, e in zip(f.blocks, incl.blocks)])
-        return self.strip(cokernel_of(g)[0])
+        return self.summands(cokernel_of(g)[0])
+
+    def stable_cone(self, f: Morphism) -> Rep:
+        """Cone of a stable map: the block sum of ``cone_summands``."""
+        return self._sum(self.cone_summands(f))
 
     # -- families ----------------------------------------------------------------
 
@@ -315,21 +300,22 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
     warnings = []
     clean: List[Rep] = []
     for i, T in enumerate(parts):
-        rest = ctx.strip(T)
-        if rest.total_dim < T.total_dim:
+        kept = ctx.summands(T)
+        if sum(X.total_dim for X in kept) < T.total_dim:
             warnings.append(f"summand {i}: dropped projective summand(s)")
-        clean.extend(ctx.summands(rest))
+        clean.extend(kept)
     if not clean:
         raise PreconditionError("candidate is stably zero")
 
-    # id(X) -> Sigma X, formed once: the clean parts and their suspensions
-    # enter the registry as these objects, and the rigidity check and the
-    # closure read Sigma from here (X is held by susp_parts or the registry)
+    # id(X) -> Sigma X, formed once along the envelope the context holds for
+    # X's cones: the clean parts and their suspensions enter the registry as
+    # these objects, and the rigidity check and the closure read Sigma from
+    # here (X is held by susp_parts or the registry)
     sigma: Dict[int, Rep] = {}
 
     def suspend(X: Rep) -> Rep:
         if id(X) not in sigma:
-            sigma[id(X)] = ctx._suspend(X)
+            sigma[id(X)] = cokernel_of(ctx._envelope(X)[1])[0]
         return sigma[id(X)]
 
     susp_parts = {0: clean}
@@ -365,8 +351,10 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
             X = reg.items[idx][0]
             for direction in (1, -1):
                 # registry items are non-projective indecomposables, and so
-                # are their shifts (Heller's lemma)
-                Y = suspend(X) if direction > 0 else ctx._shift(X, -1)
+                # are their shifts (Heller's lemma); X's cover is the one its
+                # stable Hom spaces use
+                Y = (suspend(X) if direction > 0
+                     else kernel_of(ctx._cover(X)[1])[0])
                 _, new = reg.add(Y, {"op": "suspension", "of": idx,
                                      "direction": direction})
                 frontier = frontier or new
@@ -376,7 +364,7 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
             for j in range(0 if i >= coned else coned, count):
                 sh = ctx.stable_hom(reg.items[i][0], reg.items[j][0])
                 for c, f in enumerate(sh.classes):
-                    for piece in ctx.summands(ctx.stable_cone(f)):
+                    for piece in ctx.cone_summands(f):
                         _, new = reg.add(piece, {"op": "cone", "from": i,
                                                  "to": j, "class": c})
                         frontier = frontier or new

@@ -9,7 +9,7 @@ from periodica.derivedper import (DerivedContext, distinct_stalks_d2_dual_number
                                   list_indecomposables_hereditary,
                                   stalk_tilting_check)
 from periodica.families import all_intervals, linear_a, serial_module
-from periodica.fields import QQ
+from periodica.fields import Field, QQ
 from periodica.linalg import Mat
 from periodica.percomplex import (GradedMorphism, cohomology,
                                   cohomology_dim_vectors, cohomology_dims,
@@ -54,6 +54,22 @@ def test_fold_resolution_positions(a3):
         F, phi = ctx.fold_resolution(S3, pos)
         assert is_quasi_iso(phi)
         assert cohomology(F, pos).dims == S3.dims
+
+
+@pytest.mark.parametrize("field", [QQ, Field.gf(2)], ids=["Q", "GF2"])
+def test_fold_at_a_position_is_the_shifted_degree_zero_fold(field):
+    # strictly: equal complexes (signs included) and equal map components
+    alg = linear_a(3, field)
+    for m in (1, 2, 3):
+        ctx = DerivedContext(alg, m)
+        for _, M in all_intervals(alg):
+            F0, phi0 = ctx.fold_resolution(M, 0)
+            for p in range(-m, 2 * m + 1):
+                F, phi = ctx.fold_resolution(M, p)
+                assert F == shift(F0, -p) and phi.source is F
+                assert phi.target == stalk_complex(M, m, p)
+                assert phi.comps == tuple(phi0.comps[(i - p) % m]
+                                          for i in range(m))
 
 
 def test_replacement_idempotent_on_projective_complexes(a2):
@@ -255,6 +271,14 @@ def test_list_indecomposables(a2, a3):
     assert list_indecomposables_hereditary(a3, 2)["count"] == 12
     from periodica.families import linear_a
     assert list_indecomposables_hereditary(linear_a(1, QQ), 2)["count"] == 2
+
+
+def test_list_indecomposables_distinctness_is_computed(a3, monkeypatch):
+    assert list_indecomposables_hereditary(a3, 3)["pairwise_distinct"]
+    # one cohomology for every stalk tells none apart
+    monkeypatch.setattr(derivedper, "cohomology_dim_vectors",
+                        lambda V: [[0] * 3] * V.m)
+    assert not list_indecomposables_hereditary(a3, 3)["pairwise_distinct"]
 
 
 def test_stalk_tilting(a2, a3, kxk):

@@ -332,6 +332,32 @@ def test_cli_tilting_stable():
     assert doc["result"]["stable_end"]["iso_found"]
 
 
+def test_cli_end_algebra_reuses_the_closure_stable_homs(monkeypatch):
+    # the end algebra reads the Hom spaces the closure built between the
+    # same part objects: it builds none of its own
+    import periodica.cli as cli
+    import periodica.stablecat as sc
+    built, at_closure_end = [], []
+    real_init = sc.StableHom.__init__
+    real_check = cli.check_periodic_tilting_stable
+
+    def init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    def check(*args, **kwargs):
+        body = real_check(*args, **kwargs)
+        at_closure_end.append(len(built))
+        return body
+    monkeypatch.setattr(sc.StableHom, "__init__", init)
+    monkeypatch.setattr(cli, "check_periodic_tilting_stable", check)
+    code, out = run_cli(["tilting", "stable", "--name", "N(4,4)",
+                         "-T", "M(1,1)", "-T", "M(1,2)", "-T", "M(1,3)",
+                         "--m", "2", "--end-target", "3"])
+    assert code == 0 and json.loads(out)["result"]["stable_end"]["iso_found"]
+    assert at_closure_end == [len(built)] and built
+
+
 def test_cli_markdown_output():
     code, out = run_cli(["reproduce", "ex5.6", "--n", "2", "--m", "2",
                          "--format", "markdown"])

@@ -347,7 +347,7 @@ def test_closure_covers_each_target_once_and_cones_each_class_once(
     ctx = StableContext(alg)
     targets, covered, coned = [], [], []
     real_cover, real_init = sc.projective_cover, sc.StableHom.__init__
-    real_cone = StableContext.stable_cone
+    real_cone = StableContext.cone_summands
 
     def cover(N):
         covered.append(N)
@@ -362,7 +362,7 @@ def test_closure_covers_each_target_once_and_cones_each_class_once(
         return real_cone(self, f)
     monkeypatch.setattr(sc, "projective_cover", cover)
     monkeypatch.setattr(sc.StableHom, "__init__", init)
-    monkeypatch.setattr(StableContext, "stable_cone", cone)
+    monkeypatch.setattr(StableContext, "cone_summands", cone)
     rep = check_periodic_tilting_stable(
         ctx, [serial_module(alg, 1, l) for l in range(1, 5)], 2)
     assert rep["pass"] and rep["closure_size"] == 20
@@ -429,23 +429,19 @@ def test_strip_keeps_a_nonprojective_indecomposable(field):
 def _closure_n5(monkeypatch, name, wrap):
     """Run the N(5,5) closure over GF(4294967311) with ``name`` in
     periodica.stablecat replaced by ``wrap(original, log)``; ``log`` records
-    every stable_cone source and result."""
+    the source of every cone and the pieces ``cone_summands`` returns."""
     import periodica.stablecat as sc
     alg = nakayama(5, 5, Field.gf(4294967311))
     ctx = StableContext(alg)
-    log = {"in_cone": False, "sources": [], "cones": []}
-    real_cone = StableContext.stable_cone
+    log = {"sources": [], "pieces": []}
+    real_cone = StableContext.cone_summands
 
     def cone(self, f):
         log["sources"].append(f.source)
-        log["in_cone"] = True
-        try:
-            C = real_cone(self, f)
-        finally:
-            log["in_cone"] = False
-        log["cones"].append(C)
-        return C
-    monkeypatch.setattr(StableContext, "stable_cone", cone)
+        pieces = real_cone(self, f)
+        log["pieces"].extend(pieces)
+        return pieces
+    monkeypatch.setattr(StableContext, "cone_summands", cone)
     monkeypatch.setattr(sc, name, wrap(getattr(sc, name), log))
     rep = check_periodic_tilting_stable(
         ctx, [serial_module(alg, 1, l) for l in range(1, 5)], 2)
@@ -515,6 +511,22 @@ def test_suspension_power_holds_no_envelope():
     assert ctx._envelopes == held
 
 
+def test_suspension_power_leaves_the_context_caches_alone():
+    # both directions build their covers and envelopes for the call, also
+    # on a context whose closure filled its caches
+    alg = nakayama(4, 4, Field.gf(2))
+    ctx = StableContext(alg)
+    mods = [serial_module(alg, a, l) for a in range(1, 5) for l in range(1, 4)]
+    check_periodic_tilting_stable(ctx, mods[:3], 2)
+    covers, envelopes = dict(ctx._covers), dict(ctx._envelopes)
+    assert covers and envelopes
+    for _ in range(3):
+        for M in mods:
+            for i in (2, -2):
+                ctx.suspension_power(M, i)
+    assert ctx._covers == covers and ctx._envelopes == envelopes
+
+
 @pytest.mark.parametrize("field", [QQ, Field.gf(2), Field.gf(4294967311)],
                          ids=["Q", "GF2", "GFbig"])
 def test_registry_finds_the_index_of_the_plain_iso_scan(field):
@@ -544,17 +556,17 @@ def test_registry_finds_the_index_of_the_plain_iso_scan(field):
 
 
 def test_closure_decomposes_no_cone_again(monkeypatch):
-    # strip decomposes each cokernel once, inside stable_cone; the closure
-    # reads the pieces of the cone it returns from there
+    # cone_summands decomposes each cokernel once; the closure registers
+    # the pieces it returns and decomposes none of them again
     late = []
 
     def wrap(real, log):
         def decompose(M, seed=0):
-            late.extend(C for C in log["cones"] if C is M)
+            late.extend(C for C in log["pieces"] if C is M)
             return real(M, seed)
         return decompose
     log = _closure_n5(monkeypatch, "decompose", wrap)
-    assert log["cones"] and not late
+    assert log["pieces"] and not late
 
 
 def _suspension_stripping_every_step(M, i):

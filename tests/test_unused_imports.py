@@ -3,11 +3,16 @@
 ``__init__.py`` is left out: it imports names to re-export them.  The check
 reads each module's syntax tree (stdlib ``ast``): a name bound by an import
 must occur as a name somewhere in the module.
+
+The orphan checks read the same trees: every private helper of ``periodica``
+is mentioned outside its own definition, and so is every public function,
+class and method, somewhere in ``src/``, ``tests/`` or ``perfbench/``.
 """
 
 import ast
 import glob
 import os
+import re
 
 import pytest
 
@@ -54,12 +59,13 @@ def test_no_unused_imports(module):
         assert _unused_imports(fh.read()) == []
 
 
-# -- orphaned private helpers ---------------------------------------------------
+# -- orphaned definitions ------------------------------------------------------
 
 
-def _private_defs(tree: ast.Module) -> list:
-    """The private top-level functions and classes of a module and the
-    private methods of its top-level classes (``_name``, not ``__name__``)."""
+def _defs(tree: ast.Module, private: bool) -> list:
+    """The top-level functions and classes of a module and the methods of
+    its top-level classes, either the private ones (``_name``, not
+    ``__name__``) or the public ones."""
     out = []
     for node in tree.body:
         scope = [node]
@@ -67,21 +73,49 @@ def _private_defs(tree: ast.Module) -> list:
             scope += node.body
         out += [d for d in scope
                 if isinstance(d, (ast.FunctionDef, ast.ClassDef))
-                and d.name.startswith("_") and not d.name.endswith("__")]
+                and not d.name.endswith("__")
+                and d.name.startswith("_") == private]
     return out
 
 
-def _orphans(sources: dict) -> list:
-    """(file, line, name) of each private definition in ``sources`` (file
-    name -> text) that no name or attribute outside its own definition
-    mentions, in any of the files."""
+def _private_defs(file: str, tree: ast.Module) -> list:
+    return _defs(tree, True)
+
+
+def _public_src_defs(file: str, tree: ast.Module) -> list:
+    return _defs(tree, False) if file.startswith("src/") else []
+
+
+def _mentions(tree: ast.Module, strings: bool) -> list:
+    """(line, name) of each name and attribute in ``tree`` and, with
+    ``strings``, of each word of a string that is not a docstring."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.append((n.lineno, n.id))
+        elif isinstance(n, ast.Attribute):
+            out.append((n.lineno, n.attr))
+        elif (strings and isinstance(n, ast.Constant)
+              and isinstance(n.value, str) and id(n) not in docs):
+            out += [(n.lineno, w) for w in re.findall(r"\w+", n.value)]
+    return out
+
+
+def _orphans(sources: dict, defs, strings: bool = False) -> list:
+    """(file, line, name) of each definition ``defs(file, tree)`` picks in
+    ``sources`` (file name -> text) that no name or attribute outside its
+    own definition mentions, in any of the files; with ``strings`` a word of
+    a string that is not a docstring counts as a mention too."""
     trees = {f: ast.parse(text) for f, text in sources.items()}
-    uses = [(f, n.lineno, n.id if isinstance(n, ast.Name) else n.attr)
-            for f, tree in trees.items() for n in ast.walk(tree)
-            if isinstance(n, (ast.Name, ast.Attribute))]
+    uses = [(f, line, name) for f, tree in trees.items()
+            for line, name in _mentions(tree, strings)]
     return sorted(
         (f, d.lineno, d.name) for f, tree in trees.items()
-        for d in _private_defs(tree)
+        for d in defs(f, tree)
         if not any(name == d.name and not (uf == f and d.lineno <= line
                                            <= d.end_lineno)
                    for uf, line, name in uses))
@@ -98,7 +132,7 @@ def test_the_orphan_check_sees_unused_and_used_helpers():
          "def f(): return _used(), _K()\n")
     b = "from c import _elsewhere\nx = _elsewhere()\n"
     c = "def _elsewhere(): pass\n"
-    assert _orphans({"a.py": a, "b.py": b, "c.py": c}) == [
+    assert _orphans({"a.py": a, "b.py": b, "c.py": c}, _private_defs) == [
         ("a.py", 2, "_unused"), ("a.py", 3, "_only_itself"), ("a.py", 5, "_m")]
 
 
@@ -107,4 +141,34 @@ def test_no_orphaned_private_helpers():
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path, "r", encoding="utf-8") as fh:
             sources[os.path.basename(path)] = fh.read()
-    assert _orphans(sources) == []
+    assert _orphans(sources, _private_defs) == []
+
+
+def test_the_orphan_check_sees_unused_and_used_public_names():
+    a = ("def used(): pass\n"
+         "def unused(): pass\n"
+         "def only_itself(n): return only_itself(n - 1)\n"
+         "def documented(): pass\n"
+         "class K:\n"
+         "    \"\"\"Not a use of documented.\"\"\"\n"
+         "    def m(self): pass\n"
+         "    def named(self): pass\n"
+         "    def __init__(self): pass\n"
+         "x = used(), K()\n")
+    b = "NAMES = ['a.K.named']\ndef helper(): pass\n"
+    assert _orphans({"src/a.py": a, "tests/b.py": b}, _public_src_defs,
+                    strings=True) == [
+        ("src/a.py", 2, "unused"), ("src/a.py", 3, "only_itself"),
+        ("src/a.py", 4, "documented"), ("src/a.py", 7, "m")]
+
+
+def test_no_orphaned_public_names():
+    # a name in a string counts: perfbench's tracer wraps methods by name
+    root = os.path.join(SRC, "..", "..")
+    sources = {}
+    for pattern in ("src/periodica/*.py", "tests/*.py", "perfbench/*.py"):
+        for path in sorted(glob.glob(os.path.join(root, pattern))):
+            with open(path, "r", encoding="utf-8") as fh:
+                sources[os.path.relpath(path, root)] = fh.read()
+    assert any(f.startswith("perfbench/") for f in sources)
+    assert _orphans(sources, _public_src_defs, strings=True) == []
