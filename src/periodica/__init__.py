@@ -17,7 +17,7 @@ from .quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
                      build_algebra, tensor_op_presentation)
 from .families import (dual_numbers, enveloping, interval_module, linear_a,
                        nakayama, semisimple_product, serial_module)
-from .rep import (Morphism, Rep, decompose, find_iso, global_dimension,
+from .rep import (Morphism, Rep, decompose, dual, find_iso, global_dimension,
                   hom_space, indecomposable_q, injective_envelope, iso_q,
                   minimal_resolution, projective_cover, syzygy)
 from .percomplex import (BoundedComplex, ConeDiagram, GradedMorphism,

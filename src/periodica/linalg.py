@@ -5,8 +5,8 @@ rationals in normal form (an ``int`` when the denominator is 1, a reduced
 ``Fraction`` otherwise).  ``from_rows``, ``column`` and ``scale`` pass every
 entry through ``Field.coerce``, which refuses floats; ``Mat(field, rows,
 cols, data)`` trusts its data.  Arithmetic and elimination (``+``, ``-``,
-``@``, ``scale``, ``rref``, ``kernel_basis``, ``solve_matrix``, ``inverse``,
-``quotient``) return normal forms even from entries that are not, such as
+``@``, ``scale``, ``rref``, ``kernel_basis``, ``solve_matrix``, ``inverse``)
+return normal forms even from entries that are not, such as
 ``Fraction(4, 2)``; transposes, slices and blocks copy entries as they are.
 
 A ``kernel_basis`` is the identity on the free columns of the cached rref,
@@ -15,10 +15,7 @@ map into a kernel, ``rep.HomBasis`` for Hom coordinates (a combination of
 basis maps is then one product with the kernel basis).  ``rep.HomBasis``
 row-reduces its flat system with ``_echelon`` and reads the kernel basis
 and free columns off that one form with ``_null_space``, the routine
-behind ``kernel_basis``, building no ``Mat`` for the system.  ``quotient``
-reads only the span of its columns, through the canonical rref of the
-transpose, so any spanning columns give the same projection from one
-elimination.
+behind ``kernel_basis``, building no ``Mat`` for the system.
 
 Row reduction and products run in the kernels of ``_kernels_py``, reached
 through the module alias ``_impl`` by attribute lookup, so a profiler can
@@ -168,12 +165,9 @@ class Mat:
         return Mat(self.field, n, m, data)
 
     def transpose(self) -> "Mat":
-        out = Mat.zeros(self.field, self.cols, self.rows)
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(self.cols):
-                out.data[j * self.rows + i] = self.data[base + j]
-        return out
+        c = self.cols
+        return Mat(self.field, c, self.rows,
+                   [x for j in range(c) for x in self.data[j::c]])
 
     # -- block assembly ---------------------------------------------------------
 
@@ -353,17 +347,3 @@ def reduce_mod_rowspace(R: Mat, piv: Sequence[int], vec: list,
                 out[j] = sub(out[j], mul(c, R.data[base + j]))
     return out
 
-
-def quotient(ambient_dim: int, sub: Mat) -> Tuple[int, Mat]:
-    """Quotient of k^n by the column span of ``sub``.
-
-    Returns ``(dim, projection)`` with ``projection @ sub == 0``; the
-    projection is onto the coordinates fc that are not pivots of the rref R
-    of ``sub``'s transpose, read straight off R: it is the identity on those
-    columns and -R[k, fc] at the k-th pivot column, i.e. the transpose of
-    that rref's kernel basis.
-    """
-    if sub.rows != ambient_dim:
-        raise ValueError("subspace columns must live in the ambient space")
-    K = sub.transpose().kernel_basis()
-    return K.cols, K.transpose()

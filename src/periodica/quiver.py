@@ -193,6 +193,7 @@ class FinDimAlgebra:
                             for i, a in enumerate(q.arrows)]
         self._table: Dict[Tuple[int, int], tuple] = {}
         self._rad = None
+        self._opposite: Optional[FinDimAlgebra] = None
         self.validate()
 
     @property
@@ -384,20 +385,25 @@ class FinDimAlgebra:
         return [self.quiver.walk_name(w) for w in self.basis]
 
     def opposite(self) -> "FinDimAlgebra":
-        """The opposite algebra, presented on the reversed quiver."""
-        q = self.quiver
-        rev = Quiver(q.n, [(a.name, a.target, a.source) for a in q.arrows])
-        rels = []
-        for terms, _, _ in self.presentation.relations:
-            new_terms = []
-            for coeff, w in terms:
-                names = [q.arrows[i].name for i in w[1:]]
-                # reversing the walk reverses the composition order
-                new_terms.append((coeff, names))
-            rels.append(new_terms)
-        pres = AlgebraPresentation(rev, self.field, rels, self.nilpotency,
-                                   label=self.label + "^op" if self.label else "")
-        return build_algebra(pres)
+        """The opposite algebra A^op, by ``build_algebra`` on the reversed
+        quiver and relations.  Built once and linked both ways, so
+        ``A.opposite().opposite() is A``.  Arrow i of A^op is arrow i of A
+        reversed, under the same name, so a module's arrow matrices carry
+        over to its dual (``rep.dual``)."""
+        if self._opposite is None:
+            q = self.quiver
+            rev = Quiver(q.n, [(a.name, a.target, a.source) for a in q.arrows])
+            # reversing a walk reverses the composition order: the walk's
+            # arrow names, read as a product, are the reversed walk
+            rels = [[(coeff, [q.arrows[i].name for i in w[1:]])
+                     for coeff, w in terms]
+                    for terms, _, _ in self.presentation.relations]
+            pres = AlgebraPresentation(
+                rev, self.field, rels, self.nilpotency,
+                label=self.label + "^op" if self.label else "")
+            self._opposite = build_algebra(pres)
+            self._opposite._opposite = self
+        return self._opposite
 
     def __repr__(self):
         lab = self.label or "algebra"

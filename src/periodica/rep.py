@@ -2,8 +2,11 @@
 
 A ``Rep`` stores one dimension per vertex and one matrix per arrow; the arrow
 ``a: u -> v`` acts by ``act[a]: M_v -> M_u`` (right modules, function-order
-composition).  Submodules, quotients, covers, envelopes, syzygies and the
-Krull-Schmidt machinery all reduce to exact linear algebra on these blocks.
+composition).  Submodules, quotients, covers, syzygies and the Krull-Schmidt
+machinery all reduce to exact linear algebra on these blocks.  The injective
+side is the projective side of the opposite algebra: ``dual`` is D =
+Hom_k(-, k), so I(v) = D(e_v A^op) and an injective envelope is the dual of a
+projective cover.
 """
 
 from __future__ import annotations
@@ -89,28 +92,9 @@ class Rep:
 
     @classmethod
     def injective(cls, algebra: FinDimAlgebra, v: int) -> "Rep":
-        """I(v) = D(A e_v): dual basis to walks starting at v."""
-        q = algebra.quiver
-        f = algebra.field
-        local: Dict[int, List[int]] = {u: [] for u in range(1, q.n + 1)}
-        for i in range(algebra.dim):
-            if algebra.source[i] == v:
-                local[algebra.target[i]].append(i)
-        pos = {}
-        for u, lst in local.items():
-            for r, bi in enumerate(lst):
-                pos[bi] = r
-        dims = [len(local[u]) for u in range(1, q.n + 1)]
-        act = []
-        for ai, a in enumerate(q.arrows):
-            # left multiplication by the arrow, then transpose
-            lam = Mat.zeros(f, dims[a.target - 1], dims[a.source - 1])
-            arrow_b = algebra.arrow_index[ai]
-            for c, bi in enumerate(local[a.source]):
-                for k, coeff in algebra.mult(arrow_b, bi):
-                    lam.data[pos[k] * lam.cols + c] = coeff
-            act.append(lam.transpose())
-        return cls(algebra, dims, act)
+        """I(v) = D(A e_v) = D(e_v A^op): the dual of the projective at v
+        over the opposite algebra."""
+        return dual(cls.projective(algebra.opposite(), v))
 
     @classmethod
     def regular(cls, algebra: FinDimAlgebra) -> "Rep":
@@ -402,10 +386,11 @@ def quotient_rep(M: Rep, bases: Sequence[Mat]) -> Tuple[Rep, Morphism]:
     """Quotient of M by the invariant subspaces spanned by the columns of
     ``bases`` (any spanning columns: only their span is read, through the
     canonical rref of the transpose, one elimination per vertex).  Returns
-    the projection, at each vertex ``linalg.quotient``'s.  It is the
-    identity on its free coordinates, so their unit vectors are the section
-    the action is read through (any section gives the same action, the
-    subspace being invariant)."""
+    the projection, at each vertex the transpose of that rref's kernel
+    basis: the identity on the rref's free columns and -R[k, fc] at its
+    k-th pivot.  So their unit vectors are the section the action is read
+    through (any section gives the same action, the subspace being
+    invariant)."""
     q = M.algebra.quiver
     projs, free = [], []
     for v in range(q.n):
@@ -471,28 +456,19 @@ def _span(f: Field, dim: int, pieces: Sequence[Mat]) -> Mat:
     return m.image_basis()
 
 
-def radical_subspaces(M: Rep) -> List[Mat]:
-    """(M rad)_v = sum of images of arrows starting at v."""
+def _top_cols(M: Rep) -> List[List[int]]:
+    """Per vertex v (index v - 1), the free columns of the rref whose rows
+    are the image vectors of the arrows from v, which span rad(M)_v: the
+    unit vectors there span a complement, so they are M's top generators."""
     q = M.algebra.quiver
-    return [_span(M.field, M.dims[v - 1],
-                  [M.act[ai] for ai in q.arrows_from[v]])
-            for v in range(1, q.n + 1)]
-
-
-def socle_subspaces(M: Rep) -> List[Mat]:
-    """soc(M)_v: intersection of kernels of arrows ending at v."""
-    q = M.algebra.quiver
-    f = M.field
     out = []
     for v in range(1, q.n + 1):
-        pieces = [M.act[ai] for ai in q.arrows_to[v]]
-        if not pieces:
-            out.append(Mat.identity(f, M.dims[v - 1]))
-            continue
-        m = pieces[0]
-        for p in pieces[1:]:
-            m = m.vstack(p)
-        out.append(m.kernel_basis())
+        ms = [M.act[ai] for ai in q.arrows_from[v]]
+        d = M.dims[v - 1]
+        rows = [x for m in ms for j in range(m.cols)
+                for x in m.data[j::m.cols]]
+        piv = _echelon(M.field, sum(m.cols for m in ms), d, rows)[1]
+        out.append(_free_cols(d, piv))
     return out
 
 
@@ -502,14 +478,15 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
     P(M) has one summand P(v) = e_v A per top generator at v, ordered by
     vertex and then generator; P(v) is built once per vertex and the sum
     by ``block_sum``.  The generators g_1..g_t at v are the unit vectors
-    at the free columns of the rref of rad(M)_v (one row per image vector
-    of an arrow): with its rows they form a unit-triangular basis, so they
-    span a complement.  The basis walk w (ending at v) of the r-th P(v)
-    maps to rho(w) g_r.  No rho(w) is formed: the images rho(s) g of the
-    arrow suffixes s of the walks are memoised for the call, image((a,))
-    a column selection of act[a] and image((a,) + s) = act[a] @ image(s),
-    one d x t product per longer suffix, and each block of the map is read
-    off column r of those images, basis elements in algebra order.
+    at ``_top_cols``, the free columns of the rref of rad(M)_v (one row per
+    image vector of an arrow): with its rows they form a unit-triangular
+    basis, so they span a complement.  The basis walk w (ending at v) of
+    the r-th P(v) maps to rho(w) g_r.  No rho(w) is formed: the images
+    rho(s) g of the arrow suffixes s of the walks are memoised for the
+    call, image((a,)) a column selection of act[a] and image((a,) + s) =
+    act[a] @ image(s), one d x t product per longer suffix, and each block
+    of the map is read off column r of those images, basis elements in
+    algebra order.
     """
     alg = M.algebra
     q = alg.quiver
@@ -532,11 +509,7 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
     # cols[w]: the columns of the block at vertex w, in the order of
     # P(M)'s basis there
     cols: List[list] = [[] for _ in range(q.n)]
-    for v in range(q.n):
-        rad = Mat.zeros(f, 0, M.dims[v])
-        for ai in q.arrows_from[v + 1]:
-            rad = rad.vstack(M.act[ai].transpose())
-        gens = _free_cols(M.dims[v], rad.rref()[1])
+    for v, gens in enumerate(_top_cols(M)):
         t = len(gens)
         if not t:
             continue
@@ -565,14 +538,13 @@ def is_projective(M: Rep) -> bool:
     """Is M projective?  Exact and deterministic: M is projective iff its
     projective cover P(M) ->> M is injective, i.e. dim P(M) = dim M, where
     dim P(M) = sum_v dim top(M)_v * dim P(v).  The cover has one P(v) per
-    top generator, so a nonzero M smaller than every P(v) is not projective,
-    with no radical formed."""
+    top generator (``_top_cols``), so a nonzero M smaller than every P(v)
+    is not projective, with no top formed."""
     pdims = M.algebra.projective_dims
     if 0 < M.total_dim < min(pdims):
         return False
-    rad = radical_subspaces(M)
-    return M.total_dim == sum((d - r.cols) * pd
-                              for d, r, pd in zip(M.dims, rad, pdims))
+    return M.total_dim == sum(len(t) * pd
+                              for t, pd in zip(_top_cols(M), pdims))
 
 
 def syzygies(M: Rep) -> Iterator[Tuple[Rep, Morphism, Rep, Morphism]]:
@@ -594,68 +566,22 @@ def syzygy(M: Rep) -> Rep:
     return next(syzygies(M))[2]
 
 
+def dual(M: Rep) -> Rep:
+    """D(M) = Hom_k(M, k) over ``M.algebra.opposite()``, in the dual bases:
+    arrow a: u -> v of A is v -> u in A^op and acts on D(M) by the transpose
+    of its matrix in M.  ``dual(dual(M)) == M``."""
+    return Rep(M.algebra.opposite(), M.dims, [m.transpose() for m in M.act])
+
+
 def injective_envelope(M: Rep) -> Tuple[Rep, Morphism]:
-    """The minimal embedding M >-> I(M), built from socle-dual functionals.
-
-    I(M) has one summand I(v) = D(A e_v) per socle functional at v,
-    ordered by vertex and then functional; I(v) is built once per vertex
-    and the sum by ``block_sum``.  The rows f_1..f_s of F_v (with
-    F_v @ soc(M)_v = identity) are the functionals, and the dual of the
-    basis walk w (starting at v) in the r-th I(v) takes x to f_r rho(w) x.
-    No rho(w) is formed: the images F_v rho(s) of the arrow prefixes s of
-    the walks are memoised for the call, image(()) = F_v and
-    image(s + (a,)) = image(s) @ act[a], one s x d product per distinct
-    prefix, and each block of the map is read off row r of those images,
-    basis elements in algebra order.
-    """
-    alg = M.algebra
-    q = alg.quiver
-    f = alg.field
-    if M.is_zero():
-        Z = Rep.zero(alg)
-        return Z, Morphism.zero(M, Z)
-    soc = socle_subspaces(M)
-    # nonempty prefixes start at their vertex v, so one memo serves every v
-    # once image(()) is reset to F_v
-    images: Dict[Walk, Mat] = {}
-
-    def image(s: Walk) -> Mat:
-        m = images.get(s)
-        if m is None:
-            m = images[s] = image(s[:-1]) @ M.act[s[-1]]
-        return m
-
-    parts: List[Rep] = []
-    # rows[w]: the rows of the block at vertex w, in the order of I(M)'s
-    # basis there
-    rows: List[list] = [[] for _ in range(q.n)]
-    for v in range(q.n):
-        k = soc[v].cols
-        if k == 0:
-            continue
-        # rows F with F @ soc_basis = identity: dual functionals on the socle
-        Ft = soc[v].transpose().solve_matrix(Mat.identity(f, k))
-        assert Ft is not None
-        images[()] = Ft.transpose()
-        walks: List[list] = [[] for _ in range(q.n)]
-        for i in range(alg.dim):
-            if alg.source[i] == v + 1:
-                walks[alg.target[i] - 1].append(image(alg.basis[i][1:]))
-        parts.extend([Rep.injective(alg, v + 1)] * k)
-        for r in range(k):
-            for w in range(q.n):
-                rows[w].extend(m.row_list(r) for m in walks[w])
-    if not parts:
-        raise PreconditionError("nonzero module with zero socle")
-    images.clear()      # image() refers to itself: free the memo now
-    I = block_sum(parts)
-    phi = Morphism(M, I, [
-        Mat(f, len(rw), M.dims[w], [x for row in rw for x in row])
-        for w, rw in enumerate(rows)])
-    for v in range(q.n):
-        if phi.blocks[v].rank() != M.dims[v]:
-            raise PreconditionError("injective envelope failed to embed")
-    return I, phi
+    """The minimal embedding M >-> I(M), the dual of the projective cover
+    P ->> D(M) over A^op: I(M) = D(P), a sum of I(v) = D(e_v A^op), and
+    the embedding's block at v is the transpose of the cover's.  The top
+    generators of D(M) at v are M's socle functionals: the unit functionals
+    at the free columns of the stacked matrices of the arrows into v."""
+    P, phi = projective_cover(dual(M))
+    I = dual(P)
+    return I, Morphism(M, I, [b.transpose() for b in phi.blocks])
 
 
 # -- resolutions ------------------------------------------------------------

@@ -19,27 +19,16 @@ from .families import enveloping, is_cyclic_nakayama, serial_module
 from .linalg import Mat, _free_cols, reduce_mod_rowspace
 from .quiver import FinDimAlgebra
 from .rep import (HomBasis, Morphism, Rep, block_sum, cokernel_of, decompose,
-                  hom_space, injective_envelope, is_projective, iso_q,
-                  kernel_of, projective_cover, socle_subspaces, syzygies,
-                  syzygy)
+                  dual, hom_space, injective_envelope, is_projective, iso_q,
+                  kernel_of, projective_cover, syzygies, syzygy)
 
 
 def is_self_injective(alg: FinDimAlgebra) -> bool:
-    """Is each indecomposable projective P(v) isomorphic to some I(w)?
-
-    P(v) is I(w) iff soc P(v) is the one simple S(w) and dim P(v) =
-    dim I(w): P(v) then embeds in I(w), the injective envelope of its
-    socle, and the dimensions make the embedding onto.  So the socles
-    decide, and no isomorphism is searched for.  No two P(v) can be the
-    same I(w), having different tops, so each I(w) is used at most once.
-    """
-    for v in range(1, alg.quiver.n + 1):
-        P = Rep.projective(alg, v)
-        soc = [b.cols for b in socle_subspaces(P)]
-        # dim I(w) counts the basis walks starting at w
-        if sum(soc) != 1 or P.total_dim != alg.source.count(soc.index(1) + 1):
-            return False
-    return True
+    """Is every indecomposable projective P(v) injective?  P is injective
+    over A iff its dual D(P) is projective over A^op, which
+    ``is_projective`` decides exactly."""
+    return all(is_projective(dual(Rep.projective(alg, v)))
+               for v in range(1, alg.quiver.n + 1))
 
 
 class StableHom:

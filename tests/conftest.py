@@ -1,6 +1,6 @@
 import pytest
 
-from periodica.fields import Field, QQ
+from periodica.fields import QQ
 from periodica.families import (dual_numbers, linear_a, nakayama,
                                 semisimple_product)
 

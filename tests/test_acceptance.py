@@ -8,8 +8,6 @@ where the criterion states one.
 import random
 import time
 
-import pytest
-
 from periodica.derivedper import DerivedContext, ext_sum_check, \
     hereditary_decompose, stalk_tilting_check
 from periodica.families import all_intervals, linear_a, nakayama
@@ -17,17 +15,15 @@ from periodica.fields import Field, QQ
 from periodica.hochschild import (HochschildContext, LaurentSetup,
                                   bar_hh_oracle, formality_criterion,
                                   hh_table, vanishing_pattern_ok)
-from periodica.percomplex import (GradedMorphism, K_of, PeriodicComplex,
-                                  bounded_homotopy_hom_dim, cohomology_dims,
-                                  complex_direct_sum, cone,
-                                  decompose_acyclic_projective, fold,
+from periodica.percomplex import (GradedMorphism, K_of,
+                                  bounded_homotopy_hom_dim, complex_direct_sum,
+                                  cone, decompose_acyclic_projective, fold,
                                   homotopy_hom, is_acyclic, is_contractible,
-                                  shift, stalk_complex)
+                                  shift)
 from periodica.randomcx import random_bounded_projectives, \
     random_periodic_complex
-from periodica.rep import Morphism, Rep, hom_space, iso_q
-from periodica.reproduce import (reproduce_ex5_6, reproduce_ex5_8,
-                                 reproduce_ex5_9)
+from periodica.rep import Morphism, Rep, hom_space
+from periodica.reproduce import reproduce_ex5_8, reproduce_ex5_9
 from periodica.stablecat import algebra_period
 
 

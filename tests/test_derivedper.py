@@ -8,13 +8,11 @@ from periodica.derivedper import (DerivedContext, distinct_stalks_d2_dual_number
                                   ext_dims, ext_sum_check, hereditary_decompose,
                                   list_indecomposables_hereditary,
                                   stalk_tilting_check)
-from periodica.families import all_intervals, linear_a, serial_module
+from periodica.families import all_intervals, linear_a
 from periodica.fields import Field, QQ
-from periodica.linalg import Mat
-from periodica.percomplex import (GradedMorphism, cohomology,
-                                  cohomology_dim_vectors, cohomology_dims,
-                                  cone, homotopy_hom, is_acyclic, is_quasi_iso,
-                                  shift, stalk_complex)
+from periodica.percomplex import (cohomology, cohomology_dim_vectors,
+                                  cohomology_dims, cone, is_acyclic,
+                                  is_quasi_iso, shift, stalk_complex)
 from periodica.randomcx import random_periodic_complex
 from periodica.rep import Morphism, Rep, hom_space, iso_q
 

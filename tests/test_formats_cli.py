@@ -8,7 +8,7 @@ import time
 import pytest
 
 from periodica.common import ParseError
-from periodica.fields import PRIME_LIMIT, Field, QQ, _is_prime
+from periodica.fields import PRIME_LIMIT, Field, _is_prime
 from periodica.formats import (load_algebra, load_chain_map_file,
                                load_complex, load_complex_file,
                                parse_algebra_text, parse_module_expr,

@@ -1,8 +1,7 @@
 import pytest
 
 from periodica.common import PreconditionError, TruncationError
-from periodica.families import linear_a, nakayama, serial_module
-from periodica.fields import QQ
+from periodica.families import serial_module
 from periodica.hochschild import (HochschildContext, LaurentSetup,
                                   bar_hh_oracle, bimodule_resolution,
                                   formality_criterion, hh_table,

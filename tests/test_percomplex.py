@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from periodica.families import linear_a, nakayama, serial_module
+from periodica.families import linear_a, nakayama
 from periodica.fields import QQ, Field
 from periodica.linalg import Mat, reduce_mod_rowspace
 from periodica.percomplex import (BoundedComplex, GradedMorphism,

@@ -2,7 +2,6 @@ import glob
 import os
 import random
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 import pytest
@@ -11,21 +10,22 @@ from hypothesis import given, settings, strategies as st
 from periodica.common import PreconditionError
 from periodica.families import (all_intervals, dual_numbers, enveloping,
                                 interval_module, is_linear_a, linear_a,
-                                nakayama, semisimple_product, serial_module)
+                                nakayama, serial_module)
 from periodica.fields import Field, QQ
 from periodica.formats import load_algebra
-from periodica.linalg import Mat, quotient
+from periodica.linalg import Mat
 from periodica.quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
                               build_algebra, enveloping_algebra,
                               tensor_op_presentation)
 from periodica.rep import (HomBasis, Morphism, Rep, _roots_mod_p, cokernel_of,
-                           decompose, find_iso, global_dimension, hom_space,
-                           image_of, indecomposable_q, injective_envelope,
-                           is_projective, iso_q, kernel_of, projective_cover,
-                           quotient_rep, radical_subspaces, socle_subspaces,
+                           decompose, dual, find_iso, global_dimension,
+                           hom_space, image_of, indecomposable_q,
+                           injective_envelope, is_projective, iso_q,
+                           kernel_of, projective_cover, quotient_rep,
                            syzygies, syzygy)
 
-from oracles import direct_sum, sub_rep
+from oracles import (SAMPLE_ALGEBRAS, direct_sum, quotient, radical_subspaces,
+                     sample_algebra, socle_subspaces, sub_rep, table_injective)
 
 
 def test_build_ka2_dimension(a2):
@@ -518,18 +518,20 @@ def _oracle_cover(M):
 
 def _oracle_envelope(M):
     """I(M) and iota from the full products f_r @ rho(w), one summand per
-    socle functional, the blocks of iota stacked row by row."""
+    socle functional, the blocks of iota stacked row by row.  The
+    functionals at v are the unit functionals at the columns that hold no
+    pivot of the rref of the arrows into v, stacked: soc(M)_v is that
+    stack's kernel, whose basis is the identity there."""
     alg, f, n = M.algebra, M.field, M.algebra.quiver.n
-    soc = socle_subspaces(M)
+    q = alg.quiver
     parts, rows = [], [[] for _ in range(n)]
     for v in range(n):
-        k = soc[v].cols
-        if not k:
-            continue
-        F = soc[v].transpose().solve_matrix(Mat.identity(f, k)).transpose()
-        for r in range(k):
+        into = _stack(Mat.zeros(f, 0, M.dims[v]),
+                      [M.act[ai] for ai in q.arrows_to[v + 1]], Mat.vstack)
+        piv = into.rref()[1]
+        for j in (j for j in range(M.dims[v]) if j not in piv):
             parts.append(Rep.injective(alg, v + 1))
-            fr = Mat(f, 1, M.dims[v], F.row_list(r))
+            fr = Mat.identity(f, M.dims[v]).take_rows([j])
             for i in range(alg.dim):
                 if alg.source[i] == v + 1:
                     rows[alg.target[i] - 1].append(fr @ M.rho(alg.basis[i]))
@@ -583,8 +585,25 @@ def test_cover_and_envelope_match_rho_rebuild(p):
         I, iota = injective_envelope(M)
         want_I, want_iota = _oracle_envelope(M)
         assert I == want_I and list(iota.blocks) == want_iota
+        # one I(v) per dimension of soc(M)_v
+        assert I == direct_sum([Rep.injective(M.algebra, v + 1)
+                                for v, b in enumerate(socle_subspaces(M))
+                                for _ in range(b.cols)])[0]
         assert iota.source is M and iota.target is I
         assert iota.is_intertwiner()
+
+
+@pytest.mark.parametrize("p", [0, 2, 4294967311])
+def test_opposite_is_built_once_and_dual_is_an_involution(p):
+    # A^op is linked back to A, so D(D(M)) is over A itself and equals M
+    for M in _oracle_modules(Field(p)):
+        A = M.algebra
+        op = A.opposite()
+        assert A.opposite() is op and op.opposite() is A
+        D = dual(M)
+        assert D.algebra is op and D.dims == M.dims
+        D.check_relations()
+        assert dual(D) == M
 
 
 def _solved_quotient_rep(M, bases):
@@ -910,7 +929,7 @@ def _projectivity_cases():
 def test_is_projective_agrees_with_the_radical_route(monkeypatch):
     import periodica.rep as rep_mod
     radicals = []
-    real = rep_mod.radical_subspaces
+    real = rep_mod._top_cols
 
     def counted(M):
         radicals.append(M)
@@ -918,7 +937,7 @@ def test_is_projective_agrees_with_the_radical_route(monkeypatch):
     verdicts = []
     for M in _projectivity_cases():
         want = _projective_by_radicals(M)
-        monkeypatch.setattr(rep_mod, "radical_subspaces", counted)
+        monkeypatch.setattr(rep_mod, "_top_cols", counted)
         radicals.clear()
         assert is_projective(M) == want
         monkeypatch.undo()
@@ -971,3 +990,22 @@ def test_hom_basis_matches_the_kernel_of_a_reference_system(p):
         # apart from the elimination that built it
         assert [hb.K.row_list(i) for i in hb.free] == Mat.identity(
             f, len(hb.free)).tolist()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_injective_is_the_dual_of_the_opposite_projective(field):
+    # equal to the table construction D(A e_v) where the opposite keeps A's
+    # basis walks reversed; isomorphic to it on every sample algebra (on
+    # exterior2 the opposite's basis walk x*y is -x*y of A)
+    algs = [nakayama(n, m, field) for n in range(1, 5) for m in range(2, 5)]
+    algs += [linear_a(n, field) for n in range(1, 5)]
+    algs.append(enveloping(nakayama(3, 3, field))[0])
+    for alg in algs:
+        for v in range(1, alg.quiver.n + 1):
+            assert Rep.injective(alg, v) == table_injective(alg, v)
+    for name in SAMPLE_ALGEBRAS:
+        alg = sample_algebra(name, field)
+        for v in range(1, alg.quiver.n + 1):
+            I = Rep.injective(alg, v)
+            I.check_relations()
+            assert find_iso(I, table_injective(alg, v)) is not None

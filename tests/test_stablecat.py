@@ -16,7 +16,8 @@ from periodica.stablecat import (NotPeriodic, StableContext, algebra_period,
                                  check_periodic_tilting_stable,
                                  is_self_injective, stable_end_algebra)
 
-from oracles import direct_sum
+from oracles import (SAMPLE_ALGEBRAS, direct_sum, sample_algebra,
+                     self_injective_by_socles)
 
 
 def test_self_injectivity(a2, kxk, n33, n44):
@@ -48,8 +49,12 @@ def _self_injectivity_cases():
     here = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
     for path in sorted(glob.glob(os.path.join(here, "*.alg"))):
         yield os.path.basename(path), lambda path=path: load_algebra(path)
-    for field in (QQ, Field.gf(2)):
-        for n in range(1, 5):
+    for field in (Field.gf(2), Field.gf(4294967311)):
+        for name in SAMPLE_ALGEBRAS:
+            yield (f"{name} {field}",
+                   lambda name=name, field=field: sample_algebra(name, field))
+    for field in (QQ, Field.gf(2), Field.gf(4294967311)):
+        for n in range(1, 6):
             for l in range(2, 6):
                 yield (f"N({n},{l}) {field}",
                        lambda n=n, l=l, field=field: nakayama(n, l, field))
@@ -61,7 +66,8 @@ def _self_injectivity_cases():
                                    _self_injectivity_cases()])
 def test_self_injectivity_by_socles_matches_isos(build):
     alg = build()
-    assert is_self_injective(alg) == _self_injective_by_isos(alg)
+    assert (is_self_injective(alg) == self_injective_by_socles(alg)
+            == _self_injective_by_isos(alg))
 
 
 def test_context_rejects_non_self_injective(a2):

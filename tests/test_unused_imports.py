@@ -1,8 +1,8 @@
-"""Every name a ``periodica`` module imports is used in that module.
+"""Every name a ``periodica`` module or a test file imports is used there.
 
 ``__init__.py`` is left out: it imports names to re-export them.  The check
-reads each module's syntax tree (stdlib ``ast``): a name bound by an import
-must occur as a name somewhere in the module.
+reads each file's syntax tree (stdlib ``ast``): a name bound by an import
+must occur as a name somewhere in the file.
 
 The orphan checks read the same trees: every private helper of ``periodica``
 is mentioned outside its own definition, and so is every public function,
@@ -20,6 +20,9 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "periodica")
 MODULES = sorted(os.path.basename(p)
                  for p in glob.glob(os.path.join(SRC, "*.py"))
                  if not p.endswith("__init__.py"))
+TESTS = os.path.dirname(os.path.abspath(__file__))
+TEST_FILES = sorted(os.path.basename(p)
+                    for p in glob.glob(os.path.join(TESTS, "*.py")))
 
 
 def _unused_imports(source: str) -> list:
@@ -56,6 +59,17 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module), "r", encoding="utf-8") as fh:
+        assert _unused_imports(fh.read()) == []
+
+
+def test_every_test_file_is_checked():
+    assert {"conftest.py", "oracles.py", "test_acceptance.py",
+            "test_unused_imports.py"} <= set(TEST_FILES)
+
+
+@pytest.mark.parametrize("test_file", TEST_FILES)
+def test_no_unused_imports_in_tests(test_file):
+    with open(os.path.join(TESTS, test_file), "r", encoding="utf-8") as fh:
         assert _unused_imports(fh.read()) == []
 
 
