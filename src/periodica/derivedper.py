@@ -2,12 +2,14 @@
 
 Morphism spaces are computed through K-projective replacements: every
 periodic complex receives a surjective quasi-isomorphism from a complex with
-projective components, built by peeling one degree at a time into stalk
-pieces (each resolved and folded) and gluing the pieces back along
-componentwise-exact sequences.  The gluing step lifts the extension through
-the replacement of the sub, which is a finite linear solve here: its system
-is assembled blockwise from Hom coordinates per (piece, term), and the glued
-replacement is the twisted sum PA + PC of ``percomplex.sum_complex``.
+projective components.  It is one twisted complex (Bondal-Kapranov) on the
+sum of the components' minimal resolutions: the j-th term P^i_j of the
+resolution of V^i sits in degree i - j, and besides the resolution maps the
+differential has blocks delta_k: P^i_j -> P^{i+k}_{j+k-1} of weight k >= 1.
+They are solved weight by weight so that the differential squares to zero
+and the augmentations form a chain map; each is a lift through a
+resolution map out of a projective.  With a zero differential no lift is
+needed and the replacement is the sum of the folded resolutions.
 
 Over a hereditary algebra a complex splits into its cohomology without being
 replaced (Prop. 3.25): the minimal resolution 0 -> P1 -> P0 -> H^t(V) -> 0
@@ -23,25 +25,20 @@ cohomology-level certificates are offered (see
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .common import CheckFailed, PreconditionError, TruncationError
 from .families import all_intervals, is_linear_a, dual_numbers
 from .fields import Field
-from .linalg import Mat
 from .percomplex import (BoundedComplex, GradedMorphism, PeriodicComplex,
                          _cohom_data, _unsplit, cohomology_dim_vectors,
-                         cohomology_dims, complex_direct_sum, fold,
-                         homotopy_hom, is_quasi_iso, shift, stalk_complex,
-                         sum_complex, sum_map, zero_complex)
+                         cohomology_dims, fold, homotopy_hom, is_quasi_iso,
+                         shift, stalk_complex, sum_complex, sum_map,
+                         zero_complex)
 from .quiver import FinDimAlgebra
 from .rep import (ExtCochains, HomBasis, Morphism, Rep, Resolution,
                   block_map, decompose, global_dimension, hom_space,
-                  is_projective, kernel_of, minimal_resolution, quotient_rep)
-
-
-def _retarget(f: GradedMorphism, target: PeriodicComplex) -> GradedMorphism:
-    return GradedMorphism(f.source, target, f.degree, f.comps)
+                  is_projective, minimal_resolution)
 
 
 def _lift(g: Morphism, q: Morphism) -> Morphism:
@@ -70,12 +67,15 @@ class DerivedContext:
     by the identity of the object: derived Hom and the Ext-sum check ask for
     the same stalks and replacements again and again, so each is built
     once.  Equal but distinct objects are recomputed, and cached values hold
-    their keys, so no id is recycled while it is cached.  The pieces a
-    replacement peels off are fresh objects, resolved and replaced uncached.
+    their keys, so no id is recycled while it is cached.  A replacement
+    resolves the components of its complex and nothing else.
 
     A module at position p is replaced by folding its minimal resolution,
     with P0 in degree p, onto the stalk at p: the augmentation maps the
-    summand P0 of the fold's component p onto the module.
+    summand P0 of the fold's component p onto the module.  The replacement
+    of a complex is the twisted sum of the folds of its components (see the
+    module docstring); it is the complex itself when every component is
+    projective.
     """
 
     def __init__(self, algebra: FinDimAlgebra, m: int, bound: int = 24):
@@ -122,17 +122,12 @@ class DerivedContext:
     def fold_resolution(self, M: Rep, position: int = 0
                         ) -> Tuple[PeriodicComplex, GradedMorphism]:
         """Fold a minimal resolution of M onto the stalk of M at a position."""
-        return self._fold(M, position, self.resolution)
-
-    def _fold(self, M: Rep, position: int,
-              resolve: Callable[[Rep], Resolution]
-              ) -> Tuple[PeriodicComplex, GradedMorphism]:
         m = self.m
         target = stalk_complex(M, m, position)
         if M.is_zero():
             Z = zero_complex(self.algebra, m)
             return Z, GradedMorphism.zero(Z, target)
-        res = resolve(M)
+        res = self.resolution(M)
         # the resolution with P0 in degree ``position``
         B = resolution_to_bounded(res).shifted(-position)
         F, layout = fold(B, m)
@@ -147,87 +142,6 @@ class DerivedContext:
             raise CheckFailed("folded resolution map fails to be a chain map")
         return phi.source, phi
 
-    # -- the gluing step ----------------------------------------------------------
-
-    def _glue(self, incl: GradedMorphism, proj: GradedMorphism,
-              pA: GradedMorphism, pC: GradedMorphism
-              ) -> Tuple[PeriodicComplex, GradedMorphism]:
-        """Given 0 -> A -> B -> C -> 0 componentwise exact and replacements
-        pA: PA ->> A, pC: PC ->> C, produce a replacement PB ->> B."""
-        m = self.m
-        field = self.algebra.field
-        A, B = incl.source, incl.target
-        PA, PC = pA.source, pC.source
-
-        # componentwise lifts h^i with proj o h = pC
-        h = [_lift(pC.comps[i], proj.comps[i]) for i in range(m)]
-
-        # the defect lands in A; corestrict it
-        defect: List[Morphism] = []
-        for i in range(m):
-            d = (B.diffs[i] @ h[i]) - (h[(i + 1) % m] @ PC.diffs[i])
-            blocks = []
-            for v in range(len(A.comps[(i + 1) % m].dims)):
-                X = incl.comps[(i + 1) % m].blocks[v].solve_matrix(d.blocks[v])
-                if X is None:
-                    raise CheckFailed("defect escapes the subcomplex")
-                blocks.append(X)
-            defect.append(Morphism(PC.comps[i], A.comps[(i + 1) % m], blocks))
-
-        # solve for sigma (degree 1 into PA, closed) and g (degree 0 into A):
-        #   pA o sigma + d_A o g - g o d_PC = defect,  d_PA o sigma + sigma o d_PC = 0
-        # unknowns: the sigma^i, then the g^i; equations: the first family
-        # in degrees 0..m-1, then the second
-        sig_bases = [HomBasis(PC.comps[i], PA.comps[(i + 1) % m])
-                     for i in range(m)]
-        g_bases = [HomBasis(PC.comps[i], A.comps[i]) for i in range(m)]
-        eqA = [HomBasis(PC.comps[i], A.comps[(i + 1) % m]) for i in range(m)]
-        eqB = [HomBasis(PC.comps[i], PA.comps[(i + 2) % m]) for i in range(m)]
-        cells: Dict[Tuple[int, int], Mat] = {}
-
-        def put(r: int, c: int, eq: HomBasis, maps: List[Morphism]) -> None:
-            # at m = 1 two terms share a block and add up
-            X = eq.coords_matrix(maps)
-            cells[(r, c)] = cells[(r, c)] + X if (r, c) in cells else X
-
-        for i in range(m):
-            k = (i - 1) % m
-            sig, g = sig_bases[i].basis, g_bases[i].basis
-            put(i, i, eqA[i], [pA.comps[(i + 1) % m] @ x for x in sig])
-            put(m + i, i, eqB[i], [PA.diffs[(i + 1) % m] @ x for x in sig])
-            put(m + k, i, eqB[k], [x @ PC.diffs[k] for x in sig])
-            put(i, m + i, eqA[i], [A.diffs[i] @ x for x in g])
-            put(k, m + i, eqA[k], [-(x @ PC.diffs[k]) for x in g])
-        system = Mat.block(field, [e.dim for e in eqA + eqB],
-                           [b.dim for b in sig_bases + g_bases], cells)
-        rhs = [c for i in range(m) for c in eqA[i].coords_of(defect[i])]
-        rhs += [field.zero()] * (system.rows - len(rhs))
-        sol = system.solve(rhs)
-        if sol is None:
-            raise CheckFailed("extension lifting system is inconsistent")
-        found = []
-        for hb in sig_bases + g_bases:
-            found.append(hb.from_coords(sol[:hb.dim]))
-            sol = sol[hb.dim:]
-        sigma, corr = found[:m], found[m:]
-        h = [h[i] - (incl.comps[i] @ corr[i]) for i in range(m)]
-
-        # PB = PA + PC with twisted differential [[d, sigma],[0, d]]
-        parts = [[PA.comps[i], PC.comps[i]] for i in range(m)]
-        PB = sum_complex(self.algebra, parts,
-                         [{(0, 0): PA.diffs[i], (0, 1): sigma[i],
-                           (1, 1): PC.diffs[i]} for i in range(m)])
-        pB = sum_map(PB, B, _unsplit(B), parts,
-                     [{(0, 0): incl.comps[i] @ pA.comps[i], (0, 1): h[i]}
-                      for i in range(m)])
-        if not pB.is_closed():
-            raise CheckFailed("glued replacement map is not a chain map")
-        for i in range(m):
-            for v in range(len(B.comps[i].dims)):
-                if pB.comps[i].blocks[v].rank() != B.comps[i].dims[v]:
-                    raise CheckFailed("glued replacement is not surjective")
-        return PB, pB
-
     # -- replacement --------------------------------------------------------------
 
     def replacement(self, V: PeriodicComplex
@@ -241,94 +155,63 @@ class DerivedContext:
 
     def _replacement(self, V: PeriodicComplex
                      ) -> Tuple[PeriodicComplex, GradedMorphism]:
-        # The peeled remainder W, the cocycles Z and the quotient Tq are fresh
-        # objects never looked up again: replace and resolve them uncached.
         m = self.m
-        if V.is_zero_complex():
-            Z = zero_complex(self.algebra, m)
-            return Z, GradedMorphism.zero(Z, V)
         if all(is_projective(c) for c in V.comps):
             return V, GradedMorphism.identity(V)
-        if all(d.is_zero() for d in V.diffs):
-            # the sum of the folded resolutions of the components, each
-            # mapping to its component only
-            parts: List[PeriodicComplex] = []
-            blocks: List[Dict[Tuple[int, int], Morphism]] = [{} for _ in range(m)]
-            for i in V.support():
-                Pi, phi = self.fold_resolution(V.comps[i], i)
-                blocks[i][(0, len(parts))] = phi.comps[i]
-                parts.append(Pi)
-            total = complex_direct_sum(parts)
-            p = sum_map(total, V, _unsplit(V),
-                        [[P.comps[t] for P in parts] for t in range(m)], blocks)
-            assert p.is_closed()
-            return total, p
-        # peel at the first position with a nonzero component
-        i0 = V.support()[0]
-        Z, inclZ = kernel_of(V.diffs[i0])
-        # U: V with Z at position i0 and no outgoing differential there
-        u_comps = list(V.comps)
-        u_comps[i0] = Z
-        u_diffs = []
+        field = self.algebra.field
+        # P[i][j]: the j-th term of V^i's resolution, in degree i - j;
+        # down[i][j]: its map to P[i][j-1], the augmentation onto V^i at j = 0
+        P: List[List[Rep]] = [[] for _ in range(m)]
+        down: List[List[Morphism]] = [[] for _ in range(m)]
+        for i, c in enumerate(V.comps):
+            if not c.is_zero():
+                res = self.resolution(c)
+                sign = field.sign_pow(i)
+                P[i] = res.terms
+                down[i] = [res.aug] + [f.scale(sign) for f in res.maps]
+        # delta[(k, i, j)]: P[i][j] -> P[i+k][j+k-1], with V^i as P[i][-1]
+        # and delta_1 = -d_V on it.  By weight k, then term j, each is the
+        # lift through ``down`` of R = -delta_k o down - sum_b delta_{k-b} o
+        # delta_b, so that down + sum of the delta squares to zero on V + T
+        delta = {(1, i, -1): -V.diffs[i] for i in range(m)
+                 if not V.diffs[i].is_zero()}
+        for k in range(1, self.gd + 2):
+            for j in range(self.gd + 1):
+                for i in range(m):
+                    t = (i + k) % m
+                    if j >= len(P[i]) or j + k - 1 >= len(P[t]):
+                        continue
+                    terms = [delta[(k - b, (i + b) % m, j + b - 1)]
+                             @ delta[(b, i, j)] for b in range(1, k)
+                             if (b, i, j) in delta
+                             and (k - b, (i + b) % m, j + b - 1) in delta]
+                    if (k, i, j - 1) in delta:
+                        terms.append(delta[(k, i, j - 1)] @ down[i][j])
+                    if terms:
+                        R = -sum(terms[1:], terms[0])
+                        if not R.is_zero():
+                            delta[(k, i, j)] = _lift(R, down[t][j + k - 1])
+        # the summands of each degree, by i and then by decreasing j
+        parts: List[List[Rep]] = [[] for _ in range(m)]
+        place: Dict[Tuple[int, int], int] = {}
         for i in range(m):
-            if i == i0:
-                u_diffs.append(Morphism.zero(Z, u_comps[(i0 + 1) % m]))
-            elif (i + 1) % m == i0:
-                blocks = []
-                for here, prev in zip(V.diffs[i0].blocks, V.diffs[i].blocks):
-                    X = here.kernel_coords(prev)
-                    if X is None:
-                        raise CheckFailed("differential misses the cocycles")
-                    blocks.append(X)
-                u_diffs.append(Morphism(V.comps[i], Z, blocks))
-            else:
-                u_diffs.append(V.diffs[i])
-        U = PeriodicComplex(self.algebra, m, u_comps, u_diffs)
-
-        # W: U with position i0 removed entirely
-        w_comps = list(u_comps)
-        w_comps[i0] = Rep.zero(self.algebra)
-        w_diffs = []
-        for i in range(m):
-            if i == i0:
-                w_diffs.append(Morphism.zero(w_comps[i0],
-                                             w_comps[(i0 + 1) % m]))
-            elif (i + 1) % m == i0:
-                w_diffs.append(Morphism.zero(w_comps[i], w_comps[i0]))
-            else:
-                w_diffs.append(u_diffs[i])
-        W = PeriodicComplex(self.algebra, m, w_comps, w_diffs,
-                            check=(m <= 2))
-        pW = self._replacement(W)
-        if Z.is_zero():
-            PU, pU = pW[0], _retarget(pW[1], U)
-        else:
-            pS = self._fold(Z, i0, self._resolve)[1]
-            S = pS.target
-            incl_su = GradedMorphism(
-                S, U, 0,
-                [Morphism.identity(Z) if i == i0
-                 else Morphism.zero(S.comps[i], U.comps[i]) for i in range(m)])
-            proj_uw = GradedMorphism(
-                U, W, 0,
-                [Morphism.zero(Z, w_comps[i0]) if i == i0
-                 else Morphism.identity(u_comps[i]) for i in range(m)])
-            PU, pU = self._glue(incl_su, proj_uw, pS, pW[1])
-        if Z.total_dim == V.comps[i0].total_dim:
-            # no quotient stalk: U was V itself
-            return PU, _retarget(pU, V)
-        Tq, projq = quotient_rep(V.comps[i0], inclZ.blocks)
-        pT = self._fold(Tq, i0, self._resolve)[1]
-        T = pT.target
-        incl_uv = GradedMorphism(
-            U, V, 0,
-            [inclZ if i == i0 else Morphism.identity(V.comps[i])
-             for i in range(m)])
-        proj_vt = GradedMorphism(
-            V, T, 0,
-            [projq if i == i0 else Morphism.zero(V.comps[i], T.comps[i])
-             for i in range(m)])
-        return self._glue(incl_uv, proj_vt, pU, pT)
+            for j in reversed(range(len(P[i]))):
+                place[(i, j)] = len(parts[(i - j) % m])
+                parts[(i - j) % m].append(P[i][j])
+        blocks: List[Dict[Tuple[int, int], Morphism]] = [{} for _ in range(m)]
+        arrows = [((i, j), (i, j - 1), down[i][j])
+                  for i in range(m) for j in range(1, len(P[i]))]
+        arrows += [((i, j), ((i + k) % m, j + k - 1), f)
+                   for (k, i, j), f in delta.items() if j >= 0]
+        for (i, j), target, f in arrows:
+            blocks[(i - j) % m][(place[target], place[(i, j)])] = f
+        T = sum_complex(self.algebra, parts, blocks)
+        p = sum_map(T, V, _unsplit(V), parts,
+                    [{(0, place[(i, 0)]): down[i][0]} if P[i] else {}
+                     for i in range(m)])
+        if not p.is_closed():
+            raise CheckFailed("twisted replacement map is not a chain map")
+        return T, p
 
     # -- derived Hom ---------------------------------------------------------------
 
@@ -488,29 +371,36 @@ def stalk_tilting_check(ctx: DerivedContext) -> dict:
     for v in range(1, alg.quiver.n + 1):
         S = Rep.simple(alg, v)
         res = ctx.resolution(S)
-        B = resolution_to_bounded(res)
         steps = []
-        # X_k = fold of the truncation to degrees -k..0; each step extends by
-        # the stalk of P_k placed at position -k, componentwise split exact
+        # X_k = fold of the truncation to degrees -k..0; each step extends
+        # X_{k-1} by the stalk of P_k at position -k: the summand inclusion
+        # X_{k-1} -> X_k and the projection X_k -> P_k[k] are chain maps
         prev = None
-        for k in range(len(res.terms)):
-            comps = {-j: res.terms[j] for j in range(k + 1)}
-            diffs = {-j: res.maps[j - 1] for j in range(1, k + 1)}
-            Xk, _ = fold(BoundedComplex(alg, comps, diffs, check=False), m)
+        for k, Pk in enumerate(res.terms):
+            Bk = BoundedComplex(alg, {-j: res.terms[j] for j in range(k + 1)},
+                                {-j: res.maps[j - 1] for j in range(1, k + 1)},
+                                check=False)
+            Xk, layout = fold(Bk, m)
+            parts = [[Bk.comps[j] for j in js] for js in layout]
             split_ok = True
             if prev is not None:
-                for i in range(m):
-                    extra = res.terms[k].total_dim if (-k) % m == i else 0
-                    if Xk.comps[i].total_dim != prev.comps[i].total_dim + extra:
-                        split_ok = False
+                X, prev_layout, prev_parts = prev
+                incl = sum_map(X, Xk, parts, prev_parts, [
+                    {(layout[i].index(j), c): Morphism.identity(Bk.comps[j])
+                     for c, j in enumerate(prev_layout[i])} for i in range(m)])
+                S_k = stalk_complex(Pk, m, -k)
+                proj = sum_map(Xk, S_k, _unsplit(S_k), parts, [
+                    {(0, layout[i].index(-k)): Morphism.identity(Pk)}
+                    if i == (-k) % m else {} for i in range(m)])
+                split_ok = incl.is_closed() and proj.is_closed()
             steps.append({
                 "step": k,
-                "added_projective_dims": list(res.terms[k].dims),
+                "added_projective_dims": list(Pk.dims),
                 "at_shift": (-k) % m,
                 "graded_split": split_ok,
             })
             gen_ok = gen_ok and split_ok
-            prev = Xk
+            prev = Xk, layout, parts
         PS, phi = ctx.fold_resolution(S, 0)
         qis_ok = is_quasi_iso(phi)
         gen_ok = gen_ok and qis_ok

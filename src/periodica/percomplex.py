@@ -12,10 +12,11 @@ underlying component spaces only depend on p mod m but the sign (-1)^p does
 not, which is exactly the source of the period-2m phenomenon for odd m.
 
 Sums of complexes with block upper-triangular differentials (cones, folds,
-direct sums and the glued replacements of ``derivedper``; twisted complexes
-in the sense of Bondal-Kapranov) are all built by :func:`sum_complex`, and
-maps into or out of them are block rows and columns (:func:`sum_map`): no
-canonical injection or projection is formed on the way.
+direct sums and the twisted replacements of ``derivedper``; twisted
+complexes in the sense of Bondal-Kapranov) are all built by
+:func:`sum_complex`, and maps into or out of them are block rows and columns
+(:func:`sum_map`): no canonical injection or projection is formed on the
+way.
 """
 
 from __future__ import annotations
@@ -72,9 +73,6 @@ class PeriodicComplex:
 
     def is_zero_complex(self) -> bool:
         return all(c.is_zero() for c in self.comps)
-
-    def support(self) -> List[int]:
-        return [i for i in range(self.m) if not self.comps[i].is_zero()]
 
     def __eq__(self, other):
         """Strict equality: same components and the same matrices."""
@@ -136,12 +134,11 @@ class GradedMorphism:
         """The DG differential d(f) = d_W o f - (-1)^p f o d_V."""
         m = self.source.m
         p = self.degree
-        sign = self.source.algebra.field.sign_pow(p)
         comps = []
         for i in range(m):
             a = self.target.diffs[(i + p) % m] @ self.comps[i]
-            b = (self.comps[(i + 1) % m] @ self.source.diffs[i]).scale(sign)
-            comps.append(a - b)
+            b = self.comps[(i + 1) % m] @ self.source.diffs[i]
+            comps.append(a + b if p % 2 else a - b)
         return GradedMorphism(self.source, self.target, p + 1, comps)
 
     def is_closed(self) -> bool:
@@ -188,14 +185,6 @@ def chain_map(source: PeriodicComplex, target: PeriodicComplex,
     return f
 
 
-def is_homotopy(f: GradedMorphism, g: GradedMorphism,
-                h: GradedMorphism) -> bool:
-    """Does h (degree -1) witness f ~ g, i.e. f - g = d(h)?"""
-    if h.degree != -1:
-        raise PreconditionError("a homotopy has degree -1")
-    return (f - g - h.dmap()).is_zero()
-
-
 # -- shift and cone ---------------------------------------------------------------
 
 
@@ -222,7 +211,7 @@ def sum_complex(alg: FinDimAlgebra, parts: Sequence[Sequence[Rep]],
     and d^i the block matrix ``blocks[i]``: ``blocks[i][(r, c)]`` maps
     ``parts[i][c]`` to ``parts[i+1][r]``, and missing blocks are zero.
 
-    Cones, folds and glued replacements are all sums of this kind (twisted
+    Cones, folds and twisted replacements are all sums of this kind (twisted
     complexes), so this is the one place their differentials are assembled.
     """
     m = len(parts)
@@ -414,30 +403,6 @@ def cohomology_dims(V: PeriodicComplex) -> List[int]:
     return [sum(dims) for dims in cohomology_dim_vectors(V)]
 
 
-def induced_map_on_cohomology(f: GradedMorphism, i: int) -> Morphism:
-    """H^i(f): H^i(V) -> H^{i+p}(W) for a closed map f of degree p."""
-    V, W = f.source, f.target
-    p = f.degree
-    dv = _cohom_data(V, i)
-    dw = _cohom_data(W, i + p)
-    field = V.algebra.field
-    blocks = []
-    for v in range(len(dv.H.dims)):
-        hdim = dv.H.dims[v]
-        if hdim == 0:
-            blocks.append(Mat.zeros(field, dw.H.dims[v], 0))
-            continue
-        # pick cocycle representatives of the H-basis, push them forward
-        section = dv.projH.blocks[v].solve_matrix(Mat.identity(field, hdim))
-        assert section is not None
-        carried = f.comps[i % V.m].blocks[v] @ dv.inclZ.blocks[v] @ section
-        X = W.diffs[(i + p) % W.m].blocks[v].kernel_coords(carried)
-        if X is None:
-            raise PreconditionError("closed map does not preserve cocycles")
-        blocks.append(dw.projH.blocks[v] @ X)
-    return Morphism(dv.H, dw.H, blocks)
-
-
 def is_acyclic(V: PeriodicComplex) -> bool:
     return not any(cohomology_dims(V))
 
@@ -451,15 +416,6 @@ def is_quasi_iso(f: GradedMorphism) -> bool:
     if f.degree != 0 or not f.is_closed():
         raise PreconditionError("need a chain map")
     return is_acyclic(_cone(f, check=False))
-
-
-def is_quasi_iso_via_cohomology(f: GradedMorphism) -> bool:
-    """Independent oracle: every induced map on cohomology is invertible."""
-    for i in range(f.source.m):
-        g = induced_map_on_cohomology(f, i)
-        if g.source.dims != g.target.dims or not g.is_iso():
-            return False
-    return True
 
 
 # -- the Hom complex ---------------------------------------------------------------

@@ -11,7 +11,10 @@ self-injectivity from the socles of the projectives; the library reads tops
 off one echelon form per vertex, and injectives, envelopes and
 self-injectivity off the projective side of the opposite algebra.
 ``check_minimal`` and ``check_exact`` test a ``Resolution`` against the
-definitions.
+definitions.  ``is_quasi_iso_via_cohomology`` decides a quasi-isomorphism
+by inverting every induced map on cohomology
+(``induced_map_on_cohomology``), where the library asks whether the cone
+is acyclic; ``is_homotopy`` checks a witness f - g = d(h).
 ``sample_algebra`` loads a sample presentation over any field.
 """
 
@@ -23,6 +26,7 @@ from periodica.common import PreconditionError
 from periodica.fields import Field
 from periodica.formats import parse_algebra_text
 from periodica.linalg import Mat
+from periodica.percomplex import GradedMorphism, _cohom_data
 from periodica.quiver import FinDimAlgebra, build_algebra
 from periodica.rep import Morphism, Rep, Resolution, block_map, block_sum
 
@@ -143,6 +147,47 @@ def self_injective_by_socles(alg: FinDimAlgebra) -> bool:
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
 SAMPLE_ALGEBRAS = sorted(os.path.basename(p)
                          for p in glob.glob(os.path.join(SAMPLES, "*.alg")))
+
+
+def induced_map_on_cohomology(f: GradedMorphism, i: int) -> Morphism:
+    """H^i(f): H^i(V) -> H^{i+p}(W) for a closed map f of degree p."""
+    V, W = f.source, f.target
+    p = f.degree
+    dv = _cohom_data(V, i)
+    dw = _cohom_data(W, i + p)
+    field = V.algebra.field
+    blocks = []
+    for v in range(len(dv.H.dims)):
+        hdim = dv.H.dims[v]
+        if hdim == 0:
+            blocks.append(Mat.zeros(field, dw.H.dims[v], 0))
+            continue
+        # pick cocycle representatives of the H-basis, push them forward
+        section = dv.projH.blocks[v].solve_matrix(Mat.identity(field, hdim))
+        assert section is not None
+        carried = f.comps[i % V.m].blocks[v] @ dv.inclZ.blocks[v] @ section
+        X = W.diffs[(i + p) % W.m].blocks[v].kernel_coords(carried)
+        if X is None:
+            raise PreconditionError("closed map does not preserve cocycles")
+        blocks.append(dw.projH.blocks[v] @ X)
+    return Morphism(dv.H, dw.H, blocks)
+
+
+def is_quasi_iso_via_cohomology(f: GradedMorphism) -> bool:
+    """Every induced map on cohomology is invertible."""
+    for i in range(f.source.m):
+        g = induced_map_on_cohomology(f, i)
+        if g.source.dims != g.target.dims or not g.is_iso():
+            return False
+    return True
+
+
+def is_homotopy(f: GradedMorphism, g: GradedMorphism,
+                h: GradedMorphism) -> bool:
+    """Does h (degree -1) witness f ~ g, i.e. f - g = d(h)?"""
+    if h.degree != -1:
+        raise PreconditionError("a homotopy has degree -1")
+    return (f - g - h.dmap()).is_zero()
 
 
 def sample_algebra(name: str, field: Field) -> FinDimAlgebra:

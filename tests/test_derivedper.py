@@ -10,11 +10,16 @@ from periodica.derivedper import (DerivedContext, distinct_stalks_d2_dual_number
                                   stalk_tilting_check)
 from periodica.families import all_intervals, linear_a
 from periodica.fields import Field, QQ
-from periodica.percomplex import (cohomology, cohomology_dim_vectors,
-                                  cohomology_dims, cone, is_acyclic,
-                                  is_quasi_iso, shift, stalk_complex)
+from periodica.percomplex import (BoundedComplex, PeriodicComplex, cohomology,
+                                  cohomology_dim_vectors, cohomology_dims,
+                                  complex_direct_sum, cone, homotopy_hom,
+                                  is_acyclic, is_quasi_iso, shift,
+                                  stalk_complex)
 from periodica.randomcx import random_periodic_complex
-from periodica.rep import Morphism, Rep, hom_space, iso_q
+from periodica.rep import (Morphism, Rep, block_map, block_sum, hom_space,
+                           is_projective, iso_q)
+
+from oracles import sample_algebra
 
 
 def test_context_rejects_infinite_gd(dual):
@@ -80,7 +85,8 @@ def test_replacement_idempotent_on_projective_complexes(a2):
 
 def test_replacement_random_postcondition(a2, a3):
     rng = random.Random(13)
-    for alg, m in ((a2, 2), (a2, 3), (a3, 2), (a2, 1)):
+    square = sample_algebra("commsquare.alg", QQ)
+    for alg, m in ((a2, 2), (a2, 3), (a3, 2), (a2, 1), (square, 2)):
         ctx = DerivedContext(alg, m)
         for _ in range(4):
             V = random_periodic_complex(alg, m, rng)
@@ -97,6 +103,114 @@ def test_replacement_random_postcondition(a2, a3):
                     assert PP.total_dim == C.total_dim
                 for v in range(len(C.dims)):
                     assert p.comps[i].blocks[v].rank() == V.comps[i].dims[v]
+
+
+def _zero_differential_complex(alg, m, pool, rng):
+    """Random components (a non-projective one at position 0, zeros
+    allowed elsewhere) with every differential zero."""
+    comps = [rng.choice([M for M in pool if not is_projective(M)])]
+    for _ in range(1, m):
+        k = rng.randint(0, 2)
+        comps.append(block_sum([rng.choice(pool) for _ in range(k)])
+                     if k else Rep.zero(alg))
+    return PeriodicComplex(alg, m, comps,
+                           [Morphism.zero(comps[i], comps[(i + 1) % m])
+                            for i in range(m)])
+
+
+def test_zero_differential_replacement_is_the_sum_of_folds(a3, monkeypatch):
+    # the one path stalks take: no lift, and exactly the folded resolutions
+    lifts = []
+    real_lift = derivedper._lift
+
+    def counted(g, q):
+        lifts.append(g)
+        return real_lift(g, q)
+    monkeypatch.setattr(derivedper, "_lift", counted)
+    square = sample_algebra("commsquare.alg", QQ)
+    pools = [(a3, [M for _, M in all_intervals(a3)]),
+             (square, [Rep.projective(square, v) for v in range(1, 5)]
+              + [Rep.simple(square, v) for v in range(1, 5)]
+              + [Rep.injective(square, v) for v in range(1, 5)])]
+    rng = random.Random(29)
+    for alg, pool in pools:
+        for m in (1, 2, 3, 4):
+            ctx = DerivedContext(alg, m)
+            for _ in range(4):
+                V = _zero_differential_complex(alg, m, pool, rng)
+                P, p = ctx.replacement(V)
+                assert P == complex_direct_sum(
+                    [ctx.fold_resolution(V.comps[i], i)[0] for i in range(m)
+                     if not V.comps[i].is_zero()])
+                assert p.is_closed() and is_quasi_iso(p)
+    assert lifts == []
+
+
+@pytest.mark.parametrize("name", ["commsquare.alg", "ratsquare.alg"])
+def test_replacement_is_k_projective_at_gd_2(name):
+    # Hom out of PV sees W and its replacement alike: homotopy classes into
+    # W equal those into PW, degree by degree
+    alg = sample_algebra(name, QQ)
+    rng = random.Random(47)
+    for m in (1, 2, 3):
+        ctx = DerivedContext(alg, m)
+        for _ in range(3):
+            V = random_periodic_complex(alg, m, rng)
+            W = random_periodic_complex(alg, m, rng)
+            PV, PW = ctx.replacement(V)[0], ctx.replacement(W)[0]
+            for p in range(2 * m):
+                assert homotopy_hom(PV, W, p)[0] == homotopy_hom(PV, PW, p)[0]
+
+
+def _twisted_weights(ctx, V, T):
+    """The weights k of the nonzero blocks P^i_j -> P^{i+k}_{j+k-1} of the
+    replacement T of V; T's degree t holds the terms P^i_j of V^i's
+    resolution with i - j = t mod m, by i and then by decreasing j."""
+    m = V.m
+    terms = [[] if c.is_zero() else ctx.resolution(c).terms for c in V.comps]
+    order = [[(i, j) for i in range(m) for j in reversed(range(len(terms[i])))
+              if (i - j) % m == t] for t in range(m)]
+
+    def spans(t, v):
+        out, at = {}, 0
+        for i, j in order[t]:
+            out[(i, j)] = range(at, at + terms[i][j].dims[v])
+            at += terms[i][j].dims[v]
+        return out
+    found = set()
+    for t in range(m):
+        for v in range(len(T.comps[t].dims)):
+            cols, rows = spans(t, v), spans((t + 1) % m, v)
+            D = T.diffs[t].blocks[v]
+            for (i, j), c in cols.items():
+                for k in range(1, ctx.gd + 2):
+                    r = rows.get(((i + k) % m, j + k - 1))
+                    if r and c and not D.take_rows(r).take_cols(c).is_zero():
+                        found.add(k)
+    return found
+
+
+def test_replacement_reaches_weights_2_and_3():
+    square = sample_algebra("commsquare.alg", QQ)
+    # seeded: a weight-2 block
+    ctx = DerivedContext(square, 2)
+    V = random_periodic_complex(square, 2, random.Random(25))
+    T, p = ctx.replacement(V)
+    assert _twisted_weights(ctx, V, T) == {1, 2}
+    assert is_quasi_iso(p)
+    # by hand: P1 + I2 -> P2 + S4 -> P1 + I2, with d^0 = P1 >-> P2 plus
+    # I2 ->> S4 and d^1 = P2 -> S2 >-> I2, needs a weight-3 block
+    P1, P2 = Rep.projective(square, 1), Rep.projective(square, 2)
+    I2, S4 = Rep.injective(square, 2), Rep.simple(square, 4)
+    V0, V1 = block_sum([P1, I2]), block_sum([P2, S4])
+    d0 = block_map(V0, V1, [P2, S4], [P1, I2],
+                   {(0, 0): hom_space(P1, P2)[0], (1, 1): hom_space(I2, S4)[0]})
+    d1 = block_map(V1, V0, [P1, I2], [P2, S4],
+                   {(1, 0): hom_space(P2, I2)[0]})
+    V = PeriodicComplex(square, 2, [V0, V1], [d0, d1])
+    T, p = ctx.replacement(V)
+    assert _twisted_weights(ctx, V, T) == {1, 2, 3}
+    assert is_quasi_iso(p)
 
 
 def test_derived_hom_regular_stalk(a2):
@@ -231,8 +345,8 @@ def test_hereditary_decompose_catches_a_wrong_lift(a3, monkeypatch):
 
 
 def test_replacement_caches_only_top_level_complexes(a3):
-    # the pieces a replacement peels off are fresh objects: only the
-    # complexes handed in, and their components, may be cached
+    # a replacement resolves the components of its complex and nothing
+    # else: only the complexes handed in, and their components, are cached
     ctx = DerivedContext(a3, 3)
     rng = random.Random(23)
     Vs = [random_periodic_complex(a3, 3, rng) for _ in range(12)]
@@ -289,6 +403,30 @@ def test_stalk_tilting(a2, a3, kxk):
     # semisimple: trivially passes
     rep = stalk_tilting_check(DerivedContext(kxk, 2))
     assert rep["pass"]
+
+
+def test_stalk_tilting_split_check_catches_a_corrupted_block(monkeypatch):
+    # S(4) over the commutative square has a resolution of length 2; with
+    # the block out of the lowest term of every fold zeroed, X_1 and X_2
+    # disagree on P_1 -> P_0, so the inclusion X_1 -> X_2 is no chain map
+    square = sample_algebra("commsquare.alg", QQ)
+    rep = stalk_tilting_check(DerivedContext(square, 2))
+    assert rep["pass"]
+    assert all(s["graded_split"] for w in rep["generation"]
+               for s in w["steps"])
+    real_fold = derivedper.fold
+
+    def corrupted(C, m):
+        lo = min(C.comps)
+        diffs = {j: d if j != lo else Morphism.zero(d.source, d.target)
+                 for j, d in C.diffs.items()}
+        return real_fold(BoundedComplex(C.algebra, C.comps, diffs,
+                                        check=False), m)
+    monkeypatch.setattr(derivedper, "fold", corrupted)
+    rep = stalk_tilting_check(DerivedContext(square, 2))
+    steps = rep["generation"][3]["steps"]
+    assert [s["graded_split"] for s in steps] == [True, True, False]
+    assert not rep["generation_ok"] and not rep["pass"]
 
 
 def test_distinct_stalks_dual_numbers():

@@ -11,16 +11,15 @@ from periodica.percomplex import (BoundedComplex, GradedMorphism,
                                   cohomology_dims,
                                   complex_direct_sum, cone,
                                   decompose_acyclic_projective, fold,
-                                  hom_complex, homotopy_hom,
-                                  induced_map_on_cohomology, is_acyclic,
-                                  is_contractible, is_quasi_iso,
-                                  is_quasi_iso_via_cohomology, shift,
+                                  hom_complex, homotopy_hom, is_acyclic,
+                                  is_contractible, is_quasi_iso, shift,
                                   stalk_complex, unroll)
 from periodica.randomcx import random_bounded_projectives, random_periodic_complex
 from periodica.rep import Morphism, Rep, hom_space, iso_q
 from periodica.common import PreconditionError
 
-from oracles import direct_sum
+from oracles import (direct_sum, induced_map_on_cohomology, is_homotopy,
+                     is_quasi_iso_via_cohomology)
 
 
 def arrow_map(a2):
@@ -537,7 +536,6 @@ def test_induced_map_on_cohomology(a2):
 def test_homotopy_witness(a2):
     # two chain maps differing by an exact map are homotopic, and the
     # witness identity f - g = d(h) is checked exactly
-    from periodica.percomplex import is_homotopy
     rng = random.Random(55)
     V = random_periodic_complex(a2, 2, rng)
     W = random_periodic_complex(a2, 2, rng)
