@@ -9,6 +9,7 @@ algebra``: the algebra is not periodic, a syzygy of it vanished);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -521,6 +522,13 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``make_parser()``, built once per process: ``parse_args`` starts each
+    call from a fresh namespace and changes nothing in the parser."""
+    return make_parser()
+
+
 def _merge_negative_ranges(argv):
     """Let range flags take values starting with '-' (e.g. --qrange -6..6)."""
     out = []
@@ -538,12 +546,13 @@ def _merge_negative_ranges(argv):
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = ap.parse_args(_merge_negative_ranges(list(argv)))
+    args = _parser().parse_args(_merge_negative_ranges(list(argv)))
     try:
-        return args.func(args)
+        # the parser outlives this call: run the command this module binds
+        # now, not the one it bound when the parser was built
+        return globals()[args.func.__name__](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

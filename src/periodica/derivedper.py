@@ -59,6 +59,25 @@ def resolution_to_bounded(res: Resolution) -> BoundedComplex:
     return BoundedComplex(res.module.algebra, comps, diffs, check=False)
 
 
+def _augmentation(res: Resolution, B: BoundedComplex, F: PeriodicComplex,
+                  layout: List[List[int]], target: PeriodicComplex,
+                  position: int) -> GradedMorphism:
+    """The chain map from F, the fold of the resolution ``res`` placed as B
+    with P0 in degree ``position``, onto the stalk ``target`` of the
+    resolved module at that position: the augmentation on the summand P0 of
+    F at the position, zero elsewhere."""
+    M = res.module
+    comps = [Morphism.zero(F.comps[i], target.comps[i])
+             for i in range(target.m)]
+    i = position % target.m
+    comps[i] = block_map(F.comps[i], M, [M], [B.comps[j] for j in layout[i]],
+                         {(0, layout[i].index(position)): res.aug})
+    phi = GradedMorphism(F, target, 0, comps)
+    if not phi.is_closed():
+        raise CheckFailed("folded resolution map fails to be a chain map")
+    return phi
+
+
 class DerivedContext:
     """Replacement and Hom computations for one (algebra, period).
 
@@ -131,16 +150,7 @@ class DerivedContext:
         # the resolution with P0 in degree ``position``
         B = resolution_to_bounded(res).shifted(-position)
         F, layout = fold(B, m)
-        comps = [Morphism.zero(F.comps[i], target.comps[i]) for i in range(m)]
-        # the augmentation on the summand P0 of F at the position
-        i = position % m
-        comps[i] = block_map(F.comps[i], M, [M],
-                             [B.comps[j] for j in layout[i]],
-                             {(0, layout[i].index(position)): res.aug})
-        phi = GradedMorphism(F, target, 0, comps)
-        if not phi.is_closed():
-            raise CheckFailed("folded resolution map fails to be a chain map")
-        return phi.source, phi
+        return F, _augmentation(res, B, F, layout, target, position)
 
     # -- replacement --------------------------------------------------------------
 
@@ -401,8 +411,9 @@ def stalk_tilting_check(ctx: DerivedContext) -> dict:
             })
             gen_ok = gen_ok and split_ok
             prev = Xk, layout, parts
-        PS, phi = ctx.fold_resolution(S, 0)
-        qis_ok = is_quasi_iso(phi)
+        # the last X_k is the fold of the whole resolution
+        qis_ok = is_quasi_iso(_augmentation(res, Bk, Xk, layout,
+                                            stalk_complex(S, m, 0), 0))
         gen_ok = gen_ok and qis_ok
         witnesses.append({
             "simple": v,

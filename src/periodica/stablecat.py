@@ -12,7 +12,7 @@ only a cone's cokernel is.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .common import PreconditionError, Trunc
 from .families import enveloping, is_cyclic_nakayama, serial_module
@@ -260,6 +260,49 @@ class _Registry:
         return len(self.items) - 1, True
 
 
+def _closure_candidates(ctx: StableContext, clean: List[Rep],
+                        items: List[Tuple[Rep, dict]],
+                        suspend: Callable[[Rep], Rep],
+                        budget: int) -> Iterator[Tuple[Rep, dict]]:
+    """The modules the tilting closure registers, with their provenance:
+    the clean summands, then pass by pass the shifts of the items added
+    since the previous pass and the cone pieces of every pair involving such
+    an item.  ``items`` is the registry's list, which the consumer extends
+    between yields.  The passes stop when one adds nothing or when the
+    registry holds more than ``budget`` items at a pass boundary; redoing
+    earlier work could only re-find iso classes already in the registry."""
+    for i, T in enumerate(clean):
+        yield T, {"op": "summand", "of": i}
+    suspended = coned = 0       # items suspended; prefix with pairs coned
+    while len(items) <= budget:
+        count = len(items)
+        for idx in range(suspended, count):
+            X = items[idx][0]
+            # registry items are non-projective indecomposables, and so are
+            # their shifts (Heller's lemma); X's cover is the one its stable
+            # Hom spaces use
+            yield suspend(X), {"op": "suspension", "of": idx, "direction": 1}
+            yield (kernel_of(ctx._cover(X)[1])[0],
+                   {"op": "suspension", "of": idx, "direction": -1})
+        suspended = count
+        count = len(items)
+        for i in range(count):
+            for j in range(0 if i >= coned else coned, count):
+                sh = ctx.stable_hom(items[i][0], items[j][0])
+                for c, f in enumerate(sh.classes):
+                    for piece in ctx.cone_summands(f):
+                        yield piece, {"op": "cone", "from": i, "to": j,
+                                      "class": c}
+        coned = count
+        if len(items) == suspended:     # the pass added nothing
+            return
+
+
+def _missing_targets(reg: _Registry, targets) -> List[List[int]]:
+    """The (a, l) of the targets M(a, l) with no isomorphic registry item."""
+    return [[a, l] for (a, l), M in targets if reg.find(M) is None]
+
+
 def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
                                   m: int, budget: int = 64) -> dict:
     """Rigidity and cone-closure generation for a candidate periodic tilting
@@ -282,6 +325,19 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
     Each pass suspends only the items added since the previous pass and
     cones only the pairs involving such an item: redoing earlier work could
     only re-find iso classes already in the registry.
+
+    For a cyclic Nakayama algebra the closure also stops as soon as its
+    registry holds every indecomposable.  Every indecomposable module over
+    a Nakayama algebra is uniserial, so the non-projective ones are exactly
+    the n(L - 1) targets M(a, l), l < L, where L is the Loewy length.  The
+    registry's items are pairwise non-isomorphic non-projective
+    indecomposables, so once it holds as many items as there are targets
+    and finds each target, every item is one target up to isomorphism;
+    every later candidate, a non-projective indecomposable too, is then
+    isomorphic to an item and could only be re-found.  The report is the
+    one the full loop gives: the same items in the same order, no target
+    missing, and ``budget_exhausted`` as the full loop sets it at its next
+    pass boundary, where the item count is still the final one.
     """
     if m < 1:
         raise PreconditionError(f"period must be >= 1, got {m}")
@@ -324,43 +380,21 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
                 rigidity.append({"from": i, "to": j, "shift": s, "dim": d})
                 rig_ok = rig_ok and d == 0
 
+    nakayama = is_cyclic_nakayama(alg)
+    # outside the cyclic Nakayama family no count of items proves the
+    # closure complete, and it runs to the end of its passes
+    targets = ctx.nakayama_indecomposables() if nakayama else []
     reg = _Registry(ctx.seed)
-    for i, T in enumerate(clean):
-        reg.add(T, {"op": "summand", "of": i})
-    frontier = True
-    exhausted = False
-    suspended = coned = 0       # items suspended; prefix with pairs coned
-    while frontier:
-        frontier = False
-        if len(reg.items) > budget:
-            exhausted = True
-            break
-        count = len(reg.items)
-        for idx in range(suspended, count):
-            X = reg.items[idx][0]
-            for direction in (1, -1):
-                # registry items are non-projective indecomposables, and so
-                # are their shifts (Heller's lemma); X's cover is the one its
-                # stable Hom spaces use
-                Y = (suspend(X) if direction > 0
-                     else kernel_of(ctx._cover(X)[1])[0])
-                _, new = reg.add(Y, {"op": "suspension", "of": idx,
-                                     "direction": direction})
-                frontier = frontier or new
-        suspended = count
-        count = len(reg.items)
-        for i in range(count):
-            for j in range(0 if i >= coned else coned, count):
-                sh = ctx.stable_hom(reg.items[i][0], reg.items[j][0])
-                for c, f in enumerate(sh.classes):
-                    for piece in ctx.cone_summands(f):
-                        _, new = reg.add(piece, {"op": "cone", "from": i,
-                                                 "to": j, "class": c})
-                        frontier = frontier or new
-        coned = count
-        if len(reg.items) > budget:
-            exhausted = True
-            break
+    for Y, provenance in _closure_candidates(ctx, clean, reg.items, suspend,
+                                             budget):
+        _, new = reg.add(Y, provenance)
+        if new and len(reg.items) == len(targets):
+            missing = _missing_targets(reg, targets)
+            if not missing:
+                break
+    else:
+        missing = _missing_targets(reg, targets)
+    exhausted = len(reg.items) > budget
 
     result = {
         "periodicity_ok": bool(periodic_ok),
@@ -372,12 +406,7 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
         "warnings": warnings,
         "budget_exhausted": exhausted,
     }
-    if is_cyclic_nakayama(alg):
-        targets = ctx.nakayama_indecomposables()
-        missing = []
-        for (a, l), M in targets:
-            if reg.find(M) is None:
-                missing.append([a, l])
+    if nakayama:
         result["target_count"] = len(targets)
         result["missing"] = missing
         result["generation_ok"] = None if exhausted and missing else not missing
@@ -387,17 +416,17 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
         # stmod is the thick closure of the simples, and no stable map
         # crosses blocks: a simple of a block without a summand of T is out
         simples = [Rep.simple(alg, v) for v in range(1, alg.quiver.n + 1)]
-        missing = [v for v, S in enumerate(simples, 1)
-                   if not is_projective(S) and reg.find(S) is None]
+        missing_simples = [v for v, S in enumerate(simples, 1)
+                           if not is_projective(S) and reg.find(S) is None]
         block = _blocks(alg)
         covered = {block[v] for X in clean
                    for v, d in enumerate(X.dims) if d}
-        result["missing_simples"] = missing
+        result["missing_simples"] = missing_simples
         # the closure only holds objects of thick(T), so every simple in it
         # certifies generation, budget exhausted or not
-        if any(block[v - 1] not in covered for v in missing):
+        if any(block[v - 1] not in covered for v in missing_simples):
             generation = False
-        elif missing:
+        elif missing_simples:
             generation = None
         else:
             generation = True

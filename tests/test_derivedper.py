@@ -429,6 +429,26 @@ def test_stalk_tilting_split_check_catches_a_corrupted_block(monkeypatch):
     assert not rep["generation_ok"] and not rep["pass"]
 
 
+def test_stalk_tilting_folds_each_truncation_once(monkeypatch):
+    # one fold per truncation X_0, ..., X_k of each simple's resolution; the
+    # last is the whole resolution's fold, which the quasi-isomorphism
+    # check reads instead of folding it again
+    folded = []
+    real_fold = derivedper.fold
+
+    def fold(C, m):
+        folded.append(sorted(C.comps))
+        return real_fold(C, m)
+    monkeypatch.setattr(derivedper, "fold", fold)
+    a4 = linear_a(4, QQ)
+    ctx = DerivedContext(a4, 3)
+    rep = stalk_tilting_check(ctx)
+    assert rep["pass"]
+    lengths = [len(ctx.resolution(Rep.simple(a4, v)).terms)
+               for v in range(1, 5)]
+    assert folded == [list(range(-k, 1)) for n in lengths for k in range(n)]
+
+
 def test_distinct_stalks_dual_numbers():
     rep = distinct_stalks_d2_dual_numbers()
     assert rep["pass"]

@@ -885,3 +885,34 @@ def test_cli_relation_denominator_exit_code(tmp_path, capsys):
     code, _ = run_cli(["algebra", "show", "--algebra", str(bad)])
     assert code == 2
     assert "line 5, column 10" in capsys.readouterr().err
+
+
+def test_cli_parser_built_once_keeps_no_state_between_calls(capsys):
+    # main parses with one parser per process; a run of different
+    # subcommands, -T repeated or given once, defaults and rejections,
+    # prints what each call prints on a parser of its own
+    from periodica import cli
+    runs = [
+        ["tilting", "stable", "--name", "N(3,3)", "-T", "M(1,1)",
+         "-T", "M(1,2)", "--m", "2"],
+        ["algebra", "show", "--algebra", sample("a2.alg")],
+        ["tilting", "stable", "--name", "N(3,3)", "-T", "M(1,1)", "--m", "2",
+         "--budget", "3"],
+        ["period", "module", "--name", "N(3,3)", "--module", "S(1)"],
+        ["tilting", "stable", "--name", "N(3,3)", "--m", "2"],
+        ["tilting", "stable", "--name", "N(2,2)", "-T", "S(1)", "--m", "1",
+         "--seed", "3"],
+    ]
+
+    def outputs(fresh):
+        got = []
+        for argv in runs:
+            if fresh:
+                cli._parser.cache_clear()
+            code, out = run_cli(argv)
+            got.append((code, out, capsys.readouterr().err))
+        return got
+    shared = outputs(False)
+    assert cli._parser() is cli._parser()
+    assert [code for code, _, _ in shared] == [0, 0, 5, 0, 2, 5]
+    assert shared == outputs(True)

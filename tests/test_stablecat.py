@@ -738,3 +738,125 @@ def test_ext_dims_reads_a_truncated_resolution_up_to_its_reach(n33):
     assert ext_dims(M, M, 2, bound=3) == [1, 0, 1]
     with pytest.raises(TruncationError, match="Ext\\^3 needs P_4"):
         ext_dims(M, M, 3, bound=3)
+
+
+def _closure_grid():
+    """(key, report) of the pinned closure grid.  Over four fields and four
+    shapes N(n, l): the Ex. 5.8 candidate M(1,1) + ... + M(1,l-1) at m = 2,
+    the simple M(1,1) at m = 1 and M(1,1) + M(2,l-1) at m = 3, each with the
+    budgets 1, n(l-1) - 1, n(l-1) and 64, on both sides of the n(l-1)
+    targets; one context per algebra, as one CLI run holds.  Then two
+    closures outside the cyclic Nakayama family: exterior2.alg to its
+    budget and twoblocks.alg to saturation."""
+    fields = [("GF2", Field.gf(2)), ("GF3", Field.gf(3)),
+              ("GFbig", Field.gf(4294967311)), ("Q", QQ)]
+    for fname, field in fields:
+        for n, l in ((3, 3), (4, 2), (2, 4), (4, 3)):
+            alg = nakayama(n, l, field)
+            ctx = StableContext(alg)
+            count = n * (l - 1)
+            candidates = [
+                ("ex5.8", 2, [serial_module(alg, 1, k) for k in range(1, l)]),
+                ("simple", 1, [serial_module(alg, 1, 1)]),
+                ("pair", 3, [serial_module(alg, 1, 1),
+                             serial_module(alg, 2, l - 1)])]
+            for cname, m, parts in candidates:
+                for budget in (1, count - 1, count, 64):
+                    yield (f"{fname} N({n},{l}) {cname} m={m} "
+                           f"budget={budget}",
+                           check_periodic_tilting_stable(ctx, parts, m,
+                                                         budget))
+    here = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
+    ext2 = load_algebra(os.path.join(here, "exterior2.alg"))
+    yield ("exterior2 S(1) m=2 budget=6",
+           check_periodic_tilting_stable(StableContext(ext2),
+                                         [Rep.simple(ext2, 1)], 2, 6))
+    two = load_algebra(os.path.join(here, "twoblocks.alg"))
+    yield ("twoblocks simples m=2 budget=64",
+           check_periodic_tilting_stable(
+               StableContext(two), [Rep.simple(two, v) for v in range(1, 6)],
+               2))
+
+
+def closure_grid_text() -> str:
+    """The grid's reports as a JSON object, one closure per line."""
+    import json
+    lines = [f"{json.dumps(key)}: {json.dumps(rep, sort_keys=True)}"
+             for key, rep in _closure_grid()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def test_closure_grid_pinned():
+    # the stop once the registry holds every indecomposable leaves every
+    # report as the full loop gave it, budget_exhausted and generation_ok
+    # included
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        "closure_grid.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        assert closure_grid_text() == fh.read()
+
+
+def test_closure_stops_once_the_registry_is_complete(monkeypatch):
+    # N(5,5) has 20 non-projective indecomposables: after the registry
+    # lookup that adds the 20th, no shift is taken and no cone formed
+    import periodica.stablecat as sc
+    alg = nakayama(5, 5, Field.gf(4294967311))
+    events = []
+    real_add, real_cone = sc._Registry.add, StableContext.cone_summands
+
+    def add(self, M, provenance):
+        got = real_add(self, M, provenance)
+        events.append(("add", len(self.items)))
+        return got
+
+    def cone(self, f):
+        events.append(("cone",))
+        return real_cone(self, f)
+
+    def logged(name):
+        real = getattr(sc, name)
+
+        def wrapper(f):
+            events.append((name,))
+            return real(f)
+        return wrapper
+    monkeypatch.setattr(sc._Registry, "add", add)
+    monkeypatch.setattr(StableContext, "cone_summands", cone)
+    for name in ("cokernel_of", "kernel_of"):
+        monkeypatch.setattr(sc, name, logged(name))
+    rep = check_periodic_tilting_stable(
+        StableContext(alg), [serial_module(alg, 1, l) for l in range(1, 5)],
+        2)
+    assert rep["pass"] and rep["closure_size"] == 20 and not rep["missing"]
+    complete = events.index(("add", 20))
+    assert {e[0] for e in events[:complete]} == {
+        "add", "cone", "cokernel_of", "kernel_of"}
+    assert events[complete + 1:] == []
+
+
+def test_closure_outside_nakayama_runs_its_full_loop(monkeypatch):
+    # no stop outside the cyclic Nakayama family: exterior2.alg registers
+    # its summand, the two shifts and the 16 cone pieces of the first pass
+    # before the budget ends it, and twoblocks.alg, whose closure of the
+    # simples holds all 8 non-projective indecomposables, still makes the
+    # pass that adds nothing; the grid golden pins both reports
+    import periodica.stablecat as sc
+    here = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
+    adds = []
+    real_add = sc._Registry.add
+
+    def add(self, M, provenance):
+        adds.append(provenance)
+        return real_add(self, M, provenance)
+    monkeypatch.setattr(sc._Registry, "add", add)
+    ext2 = load_algebra(os.path.join(here, "exterior2.alg"))
+    rep = check_periodic_tilting_stable(StableContext(ext2),
+                                        [Rep.simple(ext2, 1)], 2, budget=6)
+    assert rep["budget_exhausted"] and rep["closure_size"] == 7
+    assert len(adds) == 19
+    adds.clear()
+    two = load_algebra(os.path.join(here, "twoblocks.alg"))
+    rep = check_periodic_tilting_stable(
+        StableContext(two), [Rep.simple(two, v) for v in range(1, 6)], 2)
+    assert not rep["budget_exhausted"] and rep["closure_size"] == 8
+    assert len(adds) == 27
