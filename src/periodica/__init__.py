@@ -10,27 +10,24 @@ self-injective algebras with periodic tilting checks.
 """
 
 from .common import (CheckFailed, ParseError, PeriodicaError,
-                     PreconditionError, Trunc, TruncationError)
+                     PreconditionError, TruncationError)
 from .fields import Field, QQ
 from .linalg import Mat, backend
-from .quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
-                     build_algebra, tensor_op_presentation)
-from .families import (dual_numbers, enveloping, interval_module, linear_a,
-                       nakayama, semisimple_product, serial_module)
+from .quiver import AlgebraPresentation, FinDimAlgebra, Quiver, build_algebra
+from .families import (dual_numbers, enveloping, linear_a, nakayama,
+                       semisimple_product, serial_module)
 from .rep import (Morphism, Rep, decompose, dual, find_iso, global_dimension,
-                  hom_space, indecomposable_q, injective_envelope, iso_q,
-                  minimal_resolution, projective_cover, syzygy)
-from .percomplex import (BoundedComplex, ConeDiagram, GradedMorphism,
-                         PeriodicComplex, K_of, chain_map, cohomology, cone,
-                         decompose_acyclic_projective, fold, hom_complex,
-                         homotopy_hom, is_acyclic, is_contractible,
-                         is_quasi_iso, shift, stalk_complex, unroll)
+                  hom_space, injective_envelope, iso_q, minimal_resolution,
+                  projective_cover, syzygy)
+from .percomplex import (BoundedComplex, GradedMorphism, PeriodicComplex,
+                         K_of, cohomology, cone, decompose_acyclic_projective,
+                         fold, hom_complex, homotopy_hom, is_contractible,
+                         shift, unroll)
 from .derivedper import (DerivedContext, distinct_stalks_d2_dual_numbers,
                          ext_dims, ext_sum_check, hereditary_decompose,
                          list_indecomposables_hereditary, stalk_tilting_check)
-from .hochschild import (HochschildContext, LaurentSetup, bar_hh_oracle,
-                         bimodule_resolution, formality_criterion, hh_table,
-                         smooth_dimension)
+from .hochschild import (HochschildContext, LaurentSetup, bimodule_resolution,
+                         formality_criterion, hh_table, smooth_dimension)
 from .stablecat import (NotPeriodic, StableContext, algebra_period,
                         check_periodic_tilting_stable, is_self_injective,
                         stable_end_algebra)

@@ -276,14 +276,16 @@ def cmd_tilting(args) -> int:
         claim = "the regular stalk is a periodic tilting object"
     else:
         budget = _positive("--budget", str(args.budget))
+        end_target = (None if args.end_target is None
+                      else _positive("--end-target", str(args.end_target)))
         sctx = StableContext(alg, args.seed)
         parts = [parse_module_expr(alg, t) for t in args.summand]
         body = check_periodic_tilting_stable(sctx, parts, args.m,
                                              budget=budget)
-        if args.end_target:
+        if end_target is not None:
             # the parts themselves, so the context's stable Hom spaces serve
             body["stable_end"] = stable_end_algebra(
-                sctx, parts, target_linear_a=args.end_target)
+                sctx, parts, target_linear_a=end_target)
         claim = "stable periodic tilting candidate"
     report = build_report(f"tilting {args.verb}",
                           {"m": args.m}, body, inputs=inputs, seed=args.seed,

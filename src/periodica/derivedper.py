@@ -33,30 +33,11 @@ from .fields import Field
 from .percomplex import (BoundedComplex, GradedMorphism, PeriodicComplex,
                          _cohom_data, _unsplit, cohomology_dim_vectors,
                          cohomology_dims, fold, homotopy_hom, is_quasi_iso,
-                         shift, stalk_complex, sum_complex, sum_map,
-                         zero_complex)
+                         shift, stalk_complex, sum_complex, sum_map)
 from .quiver import FinDimAlgebra
-from .rep import (ExtCochains, HomBasis, Morphism, Rep, Resolution,
-                  block_map, decompose, global_dimension, hom_space,
-                  is_projective, minimal_resolution)
-
-
-def _lift(g: Morphism, q: Morphism) -> Morphism:
-    """h with q o h = g, for g out of a projective into the image of q."""
-    basis = HomBasis(g.source, q.source)
-    coords = HomBasis(g.source, q.target)
-    sol = coords.coords_matrix([q @ b for b in basis.basis]).solve(
-        coords.coords_of(g))
-    if sol is None:
-        raise CheckFailed("projective lift failed (map not into the image?)")
-    return basis.from_coords(sol)
-
-
-def resolution_to_bounded(res: Resolution) -> BoundedComplex:
-    """A minimal resolution as a complex in degrees -length..0."""
-    comps = {-j: P for j, P in enumerate(res.terms)}
-    diffs = {-j: res.maps[j - 1] for j in range(1, len(res.terms))}
-    return BoundedComplex(res.module.algebra, comps, diffs, check=False)
+from .rep import (ExtCochains, Morphism, Rep, Resolution, _lift, block_map,
+                  decompose, global_dimension, hom_space, is_projective,
+                  minimal_resolution)
 
 
 def _augmentation(res: Resolution, B: BoundedComplex, F: PeriodicComplex,
@@ -89,12 +70,12 @@ class DerivedContext:
     their keys, so no id is recycled while it is cached.  A replacement
     resolves the components of its complex and nothing else.
 
-    A module at position p is replaced by folding its minimal resolution,
-    with P0 in degree p, onto the stalk at p: the augmentation maps the
-    summand P0 of the fold's component p onto the module.  The replacement
-    of a complex is the twisted sum of the folds of its components (see the
-    module docstring); it is the complex itself when every component is
-    projective.
+    The replacement of a complex is the twisted sum of the folds of its
+    components' minimal resolutions (see the module docstring); it is the
+    complex itself when every component is projective.  For the stalk of a
+    module at position i, 0 <= i < m, it is the fold of the resolution
+    with P0 in degree i and its maps times (-1)^i, and the augmentation
+    maps the summand P0 of the fold's component i onto the module.
     """
 
     def __init__(self, algebra: FinDimAlgebra, m: int, bound: int = 24):
@@ -137,20 +118,6 @@ class DerivedContext:
         if not res.complete:
             raise TruncationError("projective resolution exceeded bound")
         return res
-
-    def fold_resolution(self, M: Rep, position: int = 0
-                        ) -> Tuple[PeriodicComplex, GradedMorphism]:
-        """Fold a minimal resolution of M onto the stalk of M at a position."""
-        m = self.m
-        target = stalk_complex(M, m, position)
-        if M.is_zero():
-            Z = zero_complex(self.algebra, m)
-            return Z, GradedMorphism.zero(Z, target)
-        res = self.resolution(M)
-        # the resolution with P0 in degree ``position``
-        B = resolution_to_bounded(res).shifted(-position)
-        F, layout = fold(B, m)
-        return F, _augmentation(res, B, F, layout, target, position)
 
     # -- replacement --------------------------------------------------------------
 

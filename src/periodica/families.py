@@ -90,27 +90,23 @@ def serial_module(alg: FinDimAlgebra, a: int, l: int) -> Rep:
     """M(a, l): the uniserial of length l with socle S_a (cyclic Nakayama).
 
     Realized as the quotient of the projective with top S_{a+l-1} by its
-    l-th radical layer.
+    l-th radical layer, so l is at most that projective's length, which is
+    its dimension (it is uniserial).
     """
     if not is_cyclic_nakayama(alg):
         raise PreconditionError("serial modules need a cyclic Nakayama algebra")
     n = alg.quiver.n
-    m = alg.nilpotency
-    if not (1 <= l <= m):
-        raise PreconditionError(f"length must be in 1..{m}")
     a = (a - 1) % n + 1
     top = (a + l - 2) % n + 1
+    length = alg.projective_dims[top - 1]
+    if not (1 <= l <= length):
+        raise PreconditionError(f"length must be in 1..{length}")
     P = Rep.projective(alg, top)
     # walks of length >= l ending at the top vertex span the radical layer
     f = alg.field
-    q = alg.quiver
-    local: Dict[int, List[int]] = {u: [] for u in range(1, q.n + 1)}
-    for i in range(alg.dim):
-        if alg.target[i] == top:
-            local[alg.source[i]].append(i)
     bases = []
-    for u in range(1, q.n + 1):
-        cols = [r for r, bi in enumerate(local[u]) if alg.length[bi] >= l]
+    for u, lst in enumerate(alg.projective_basis[top - 1], 1):
+        cols = [r for r, bi in enumerate(lst) if alg.length[bi] >= l]
         mat = Mat.zeros(f, P.dims[u - 1], len(cols))
         for c, r in enumerate(cols):
             mat.data[r * len(cols) + c] = f.one()

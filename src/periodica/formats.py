@@ -243,7 +243,14 @@ def parse_module_expr(alg: FinDimAlgebra, expr: str) -> Rep:
                 raise ParseError("M(a,l) needs two arguments")
             if not is_cyclic_nakayama(alg):
                 raise ParseError("M(a,l) needs a cyclic Nakayama algebra")
-            M = serial_module(alg, args[0], args[1])
+            a, l = args
+            if not 1 <= a <= alg.quiver.n:
+                raise ParseError(f"M(a,l) needs 1 <= a <= {alg.quiver.n}, "
+                                 f"got M({a},{l})")
+            try:
+                M = serial_module(alg, a, l)
+            except PreconditionError as exc:    # no uniserial of length l
+                raise ParseError(f"M({a},{l}): {exc}") from None
         parts.extend([M] * mult)
     if not parts:
         return Rep.zero(alg)

@@ -1,24 +1,23 @@
 """Hochschild cohomology via minimal bimodule resolutions, and the graded
 cohomology of the Laurent extension with generator degree m.
 
-The main path resolves the algebra over its enveloping algebra by iterated
-projective covers; the bar complex is kept only as an independent oracle.
-Graded Hom spaces over the Laurent enveloping algebra are never materialized:
-a graded map out of a shifted free summand is determined on its generator, so
-every bigraded cell reduces to finitely many ordinary bimodule Hom spaces
-indexed by a degree congruence.  A cell HH^{p,q} with m | q is exactly
-HH^p + HH^{p-1} of the base algebra: t is central, so t(x)1 - 1(x)t acts by
-zero on Hom(F, A[t, t^-1]) and the total complex splits (the Kuenneth
-formula).
+The algebra is resolved over its enveloping algebra by iterated projective
+covers; the bar complex, an independent route to HH^p, is a test oracle
+(``tests/oracles.py``) and not part of the library.  Graded Hom spaces over
+the Laurent enveloping algebra are never materialized: a graded map out of a
+shifted free summand is determined on its generator, so every bigraded cell
+reduces to finitely many ordinary bimodule Hom spaces indexed by a degree
+congruence.  A cell HH^{p,q} with m | q is exactly HH^p + HH^{p-1} of the
+base algebra: t is central, so t(x)1 - 1(x)t acts by zero on
+Hom(F, A[t, t^-1]) and the total complex splits (the Kuenneth formula).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from .common import PreconditionError, Trunc, TruncationError
 from .families import enveloping
-from .linalg import Mat
 from .quiver import FinDimAlgebra
 from .rep import ExtCochains, Resolution, global_dimension, minimal_resolution
 
@@ -161,82 +160,6 @@ def formality_criterion(setup: LaurentSetup, q_max: int) -> dict:
         "verdict": verdict,
         "nonzero_cell": witness,
     }
-
-
-# -- the bar-complex oracle -----------------------------------------------------
-
-
-def bar_hh_oracle(alg: FinDimAlgebra, p: int,
-                  size_guard: int = 300000) -> int:
-    """dim HH^p computed from the (reduced-to-k) bar complex.
-
-    Completely independent of the minimal-resolution path: cochains are
-    k-linear maps from tensor powers of the algebra, with the standard
-    alternating differential.
-    """
-    if p < 0:
-        raise PreconditionError("negative cohomological degree")
-    n = alg.dim
-    if (n ** (p + 1)) * n > size_guard:
-        raise PreconditionError("bar complex too large for the oracle guard")
-
-    def delta(q: int) -> Mat:
-        """Matrix of C^q -> C^{q+1} on functional coordinates."""
-        field = alg.field
-        rows_n = (n ** (q + 1)) * n
-        cols_n = (n ** q) * n
-        out = Mat.zeros(field, rows_n, cols_n)
-
-        def add(row: int, col: int, val):
-            out.data[row * cols_n + col] = field.add(
-                out.data[row * cols_n + col], val)
-
-        tuples: List[Tuple[int, ...]] = [()]
-        for _ in range(q + 1):
-            tuples = [t + (b,) for t in tuples for b in range(n)]
-        stride = [n ** (q - 1 - i) for i in range(q)]
-        for u in tuples:
-            urow = 0
-            for b in u:
-                urow = urow * n + b
-            # term 1: -a_1 * phi(a_2..)
-            tcol = 0
-            for b in u[1:]:
-                tcol = tcol * n + b
-            for k in range(n):
-                for out_idx, coeff in alg.mult(u[0], k):
-                    add(urow * n + out_idx, tcol * n + k, field.neg(coeff))
-            # term 2: merge a_j a_{j+1}, sign (-1)^{j+1}
-            for j in range(1, q + 1):
-                sign = field.sign_pow(j + 1)
-                merged = alg.mult(u[j - 1], u[j])
-                rest = u[:j - 1] + u[j + 1:]
-                base = 0
-                for pos, b in enumerate(rest):
-                    base = base * n + b
-                for mid_idx, coeff in merged:
-                    # insert the merged element at slot j-1
-                    tcol2 = 0
-                    inserted = rest[:j - 1] + (mid_idx,) + rest[j - 1:]
-                    for b in inserted:
-                        tcol2 = tcol2 * n + b
-                    val = field.mul(sign, coeff)
-                    for k in range(n):
-                        add(urow * n + k, tcol2 * n + k, val)
-            # term 3: (-1)^{q+2} phi(a_1..a_q) * a_{q+1}
-            sign = alg.field.sign_pow(q + 2)
-            tcol3 = 0
-            for b in u[:q]:
-                tcol3 = tcol3 * n + b
-            for k in range(n):
-                for out_idx, coeff in alg.mult(k, u[q]):
-                    add(urow * n + out_idx, tcol3 * n + k,
-                        field.mul(sign, coeff))
-        return out
-
-    z = delta(p).kernel_basis().cols
-    b = delta(p - 1).rank() if p >= 1 else 0
-    return z - b
 
 
 def smooth_dimension(alg: FinDimAlgebra, bound: int = 12,

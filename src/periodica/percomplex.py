@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .common import CheckFailed, PreconditionError
 from .linalg import Mat, reduce_mod_rowspace
 from .quiver import FinDimAlgebra
-from .rep import (HomBasis, Morphism, Rep, block_map, block_sum,
+from .rep import (HomBasis, Morphism, Rep, _lift, block_map, block_sum,
                   is_projective, kernel_of, quotient_rep)
 
 
@@ -71,9 +71,6 @@ class PeriodicComplex:
     def dim_vector(self) -> List[int]:
         return [c.total_dim for c in self.comps]
 
-    def is_zero_complex(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
-
     def __eq__(self, other):
         """Strict equality: same components and the same matrices."""
         return (isinstance(other, PeriodicComplex) and self.m == other.m
@@ -91,10 +88,6 @@ def stalk_complex(M: Rep, m: int, position: int = 0) -> PeriodicComplex:
     comps[position % m] = M
     diffs = [Morphism.zero(comps[i], comps[(i + 1) % m]) for i in range(m)]
     return PeriodicComplex(alg, m, comps, diffs, check=False)
-
-
-def zero_complex(alg: FinDimAlgebra, m: int) -> PeriodicComplex:
-    return stalk_complex(Rep.zero(alg), m, 0)
 
 
 class GradedMorphism:
@@ -174,15 +167,6 @@ class GradedMorphism:
 
     def __repr__(self):
         return f"GradedMorphism(degree={self.degree})"
-
-
-def chain_map(source: PeriodicComplex, target: PeriodicComplex,
-              comps: Sequence[Morphism]) -> GradedMorphism:
-    """A degree-0 map that is checked to commute with the differentials."""
-    f = GradedMorphism(source, target, 0, comps)
-    if not f.is_closed():
-        raise PreconditionError("not a chain map: fails to commute with d")
-    return f
 
 
 # -- shift and cone ---------------------------------------------------------------
@@ -593,12 +577,6 @@ class BoundedComplex:
     def hi(self) -> int:
         return max(self.comps) if self.comps else 0
 
-    def shifted(self, ell: int) -> "BoundedComplex":
-        sign = self.algebra.field.sign_pow(ell)
-        comps = {j - ell: c for j, c in self.comps.items()}
-        diffs = {j - ell: d.scale(sign) for j, d in self.diffs.items()}
-        return BoundedComplex(self.algebra, comps, diffs, check=False)
-
     def __repr__(self):
         return f"BoundedComplex(degrees {sorted(self.comps)})"
 
@@ -710,7 +688,7 @@ def decompose_acyclic_projective(V: PeriodicComplex
             raise PreconditionError(
                 f"cocycle Z^{i} is not projective; decomposition impossible")
         cocycles.append((Z, inclZ))
-    # sections of V^i ->> Z^{i+1}: solve D o s = id inside the hom space
+    # sections of V^i ->> Z^{i+1}: lifts of the identity of Z^{i+1}
     out = []
     summands = []
     for i in range(m):
@@ -720,14 +698,7 @@ def decompose_acyclic_projective(V: PeriodicComplex
         D = Morphism(V.comps[i], Z, [
             d.kernel_coords(b) for d, b in
             zip(V.diffs[(i + 1) % m].blocks, V.diffs[i].blocks)])
-        cands = HomBasis(Z, V.comps[i])
-        comp = HomBasis(Z, Z)
-        mat = comp.coords_matrix([D @ h for h in cands.basis])
-        idc = comp.coords_of(Morphism.identity(Z))
-        sol = mat.solve(idc)
-        if sol is None:
-            raise PreconditionError("splitting section does not exist")
-        summands.append((i, Z, inclZ, cands.from_coords(sol)))
+        summands.append((i, Z, inclZ, _lift(Morphism.identity(Z), D)))
     # assemble the isomorphism sum K_{Z^{i+1}}[-(i+1)] -> V and verify it;
     # blocks[t][(0, k)] is the map from the k-th block's component t to V^t
     parts = []

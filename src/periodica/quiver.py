@@ -205,10 +205,23 @@ class FinDimAlgebra:
         return self.presentation.label
 
     @cached_property
+    def projective_basis(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """The basis of each P(v) = e_v A: ``projective_basis[v - 1][u - 1]``
+        lists the basis indices of the walks u -> v, in algebra order.  They
+        span P(v) at vertex u, and this is the one place their order is
+        fixed."""
+        n = self.quiver.n
+        walks: List[List[List[int]]] = [[[] for _ in range(n)]
+                                        for _ in range(n)]
+        for i, (u, v) in enumerate(zip(self.source, self.target)):
+            walks[v - 1][u - 1].append(i)
+        return tuple(tuple(map(tuple, row)) for row in walks)
+
+    @cached_property
     def projective_dims(self) -> Tuple[int, ...]:
         """dim P(v) = dim e_v A, the basis walks ending at v, per vertex
         (index v - 1)."""
-        return tuple(self.target.count(v) for v in range(1, self.quiver.n + 1))
+        return tuple(sum(map(len, row)) for row in self.projective_basis)
 
     def e(self, v: int) -> int:
         return self.e_index[v]

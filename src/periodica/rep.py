@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .common import PreconditionError, Trunc, TruncationError
+from .common import CheckFailed, PreconditionError, Trunc, TruncationError
 from .fields import Field
 from .linalg import Mat, _echelon, _free_cols, _null_space, _offsets
 from .quiver import FinDimAlgebra, Walk
@@ -67,24 +67,18 @@ class Rep:
 
     @classmethod
     def projective(cls, algebra: FinDimAlgebra, v: int) -> "Rep":
-        """P(v) = e_v A: walks ending at v, acted on by precomposition."""
+        """P(v) = e_v A: walks ending at v, acted on by precomposition, on
+        the basis ``algebra.projective_basis[v - 1]``."""
         q = algebra.quiver
         f = algebra.field
-        local: Dict[int, List[int]] = {u: [] for u in range(1, q.n + 1)}
-        for i in range(algebra.dim):
-            if algebra.target[i] == v:
-                local[algebra.source[i]].append(i)
-        pos = {}
-        for u, lst in local.items():
-            for r, bi in enumerate(lst):
-                pos[bi] = r
-        dims = [len(local[u]) for u in range(1, q.n + 1)]
+        local = algebra.projective_basis[v - 1]
+        pos = {bi: r for lst in local for r, bi in enumerate(lst)}
+        dims = [len(lst) for lst in local]
         act = []
         for ai, a in enumerate(q.arrows):
             m = Mat.zeros(f, dims[a.source - 1], dims[a.target - 1])
-            cols = local[a.target]
             arrow_b = algebra.arrow_index[ai]
-            for c, bi in enumerate(cols):
+            for c, bi in enumerate(local[a.target - 1]):
                 for k, coeff in algebra.mult(bi, arrow_b):
                     m.data[pos[k] * m.cols + c] = coeff
             act.append(m)
@@ -379,6 +373,18 @@ class HomBasis:
             [n * m for n, m in zip(self.N.dims, self.M.dims)]))
 
 
+def _lift(g: Morphism, q: Morphism) -> Morphism:
+    """h with q o h = g, for g out of a projective into the image of q: one
+    solve for the coordinates of h on a Hom(source g, source q) basis."""
+    basis = HomBasis(g.source, q.source)
+    coords = HomBasis(g.source, q.target)
+    sol = coords.coords_matrix([q @ b for b in basis.basis]).solve(
+        coords.coords_of(g))
+    if sol is None:
+        raise CheckFailed("projective lift failed (map not into the image?)")
+    return basis.from_coords(sol)
+
+
 # -- sub / quotient machinery --------------------------------------------------
 
 
@@ -485,8 +491,9 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
     rho(s) g of the arrow suffixes s of the walks are memoised for the
     call, image((a,)) a column selection of act[a] and image((a,) + s) =
     act[a] @ image(s), one d x t product per longer suffix, and each block
-    of the map is read off column r of those images, basis elements in
-    algebra order.
+    of the map is read off column r of those images, the walks in the order
+    of ``alg.projective_basis``, which is the order of P(v)'s basis in
+    ``Rep.projective``.
     """
     alg = M.algebra
     q = alg.quiver
@@ -514,10 +521,8 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
         if not t:
             continue
         images[()] = Mat.identity(f, M.dims[v]).take_cols(gens)
-        walks: List[list] = [[] for _ in range(q.n)]
-        for i in range(alg.dim):
-            if alg.target[i] == v + 1:
-                walks[alg.source[i] - 1].append(image(alg.basis[i][1:]))
+        walks = [[image(alg.basis[i][1:]) for i in lst]
+                 for lst in alg.projective_basis[v]]
         parts.extend([Rep.projective(alg, v + 1)] * t)
         for r in range(t):
             for w in range(q.n):
@@ -939,9 +944,3 @@ def decompose(M: Rep, seed: int = 0) -> List[Rep]:
             K, I = split
             return decompose(K, seed + 1) + decompose(I, seed + 1)
     return [M]
-
-
-def indecomposable_q(M: Rep, seed: int = 0) -> bool:
-    if M.is_zero():
-        return False
-    return len(decompose(M, seed)) == 1

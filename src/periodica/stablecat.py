@@ -134,9 +134,7 @@ class StableContext:
     def strip(self, M: Rep) -> Rep:
         """M without its projective summands: the block sum of ``summands``,
         so M itself for a non-projective indecomposable."""
-        return self._sum(self.summands(M))
-
-    def _sum(self, parts: List[Rep]) -> Rep:
+        parts = self.summands(M)
         return block_sum(parts) if parts else Rep.zero(self.algebra)
 
     # -- suspension -------------------------------------------------------------
@@ -171,10 +169,6 @@ class StableContext:
                      [b.vstack(e) for b, e in zip(f.blocks, incl.blocks)])
         return self.summands(cokernel_of(g)[0])
 
-    def stable_cone(self, f: Morphism) -> Rep:
-        """Cone of a stable map: the block sum of ``cone_summands``."""
-        return self._sum(self.cone_summands(f))
-
     # -- families ----------------------------------------------------------------
 
     def nakayama_indecomposables(self) -> List[Tuple[Tuple[int, int], Rep]]:
@@ -182,12 +176,12 @@ class StableContext:
         if not is_cyclic_nakayama(alg):
             raise PreconditionError("indecomposable list known only for "
                                     "cyclic Nakayama algebras here")
-        n, m = alg.quiver.n, alg.nilpotency
-        out = []
-        for a in range(1, n + 1):
-            for l in range(1, m):
-                out.append(((a, l), serial_module(alg, a, l)))
-        return out
+        # M(a, l) is a quotient of P(a+l-1), uniserial of length dim P(a+l-1),
+        # and projective exactly when it is all of it
+        n, pdims = alg.quiver.n, alg.projective_dims
+        return [((a, l), serial_module(alg, a, l))
+                for a in range(1, n + 1) for l in range(1, max(pdims))
+                if l < pdims[(a + l - 2) % n]]
 
 
 class NotPeriodic(Trunc):

@@ -16,6 +16,14 @@ by inverting every induced map on cohomology
 (``induced_map_on_cohomology``), where the library asks whether the cone
 is acyclic; ``is_homotopy`` checks a witness f - g = d(h).
 ``sample_algebra`` loads a sample presentation over any field.
+
+``bar_hh_oracle`` computes dim HH^p from the bar complex, with no bimodule
+resolution; the library resolves A over A^e instead.  ``fold_resolution``
+folds a module's minimal resolution with P0 in any integer degree p
+(``resolution_to_bounded``, ``shifted``) onto the module's stalk at p; the
+library's replacement of a stalk folds at the residue r of p mod m, and
+each shift by m multiplies the differentials by (-1)^m, so the two differ
+in sign when m is odd and (p - r) / m is odd.
 """
 
 import glob
@@ -23,10 +31,13 @@ import os
 from typing import Dict, List, Sequence, Tuple
 
 from periodica.common import PreconditionError
+from periodica.derivedper import DerivedContext, _augmentation
 from periodica.fields import Field
 from periodica.formats import parse_algebra_text
 from periodica.linalg import Mat
-from periodica.percomplex import GradedMorphism, _cohom_data
+from periodica.percomplex import (BoundedComplex, GradedMorphism,
+                                  PeriodicComplex, _cohom_data, fold,
+                                  stalk_complex)
 from periodica.quiver import FinDimAlgebra, build_algebra
 from periodica.rep import Morphism, Rep, Resolution, block_map, block_sum
 
@@ -220,3 +231,102 @@ def check_exact(res: Resolution) -> bool:
         if zdim != bdim:
             return False
     return True
+
+
+def bar_hh_oracle(alg: FinDimAlgebra, p: int,
+                  size_guard: int = 300000) -> int:
+    """dim HH^p computed from the (reduced-to-k) bar complex.
+
+    Completely independent of the minimal-resolution path: cochains are
+    k-linear maps from tensor powers of the algebra, with the standard
+    alternating differential.
+    """
+    if p < 0:
+        raise PreconditionError("negative cohomological degree")
+    n = alg.dim
+    if (n ** (p + 1)) * n > size_guard:
+        raise PreconditionError("bar complex too large for the oracle guard")
+
+    def delta(q: int) -> Mat:
+        """Matrix of C^q -> C^{q+1} on functional coordinates."""
+        field = alg.field
+        rows_n = (n ** (q + 1)) * n
+        cols_n = (n ** q) * n
+        out = Mat.zeros(field, rows_n, cols_n)
+
+        def add(row: int, col: int, val):
+            out.data[row * cols_n + col] = field.add(
+                out.data[row * cols_n + col], val)
+
+        tuples: List[Tuple[int, ...]] = [()]
+        for _ in range(q + 1):
+            tuples = [t + (b,) for t in tuples for b in range(n)]
+        for u in tuples:
+            urow = 0
+            for b in u:
+                urow = urow * n + b
+            # term 1: -a_1 * phi(a_2..)
+            tcol = 0
+            for b in u[1:]:
+                tcol = tcol * n + b
+            for k in range(n):
+                for out_idx, coeff in alg.mult(u[0], k):
+                    add(urow * n + out_idx, tcol * n + k, field.neg(coeff))
+            # term 2: merge a_j a_{j+1}, sign (-1)^{j+1}
+            for j in range(1, q + 1):
+                sign = field.sign_pow(j + 1)
+                merged = alg.mult(u[j - 1], u[j])
+                rest = u[:j - 1] + u[j + 1:]
+                for mid_idx, coeff in merged:
+                    # insert the merged element at slot j-1
+                    tcol2 = 0
+                    inserted = rest[:j - 1] + (mid_idx,) + rest[j - 1:]
+                    for b in inserted:
+                        tcol2 = tcol2 * n + b
+                    val = field.mul(sign, coeff)
+                    for k in range(n):
+                        add(urow * n + k, tcol2 * n + k, val)
+            # term 3: (-1)^{q+2} phi(a_1..a_q) * a_{q+1}
+            sign = alg.field.sign_pow(q + 2)
+            tcol3 = 0
+            for b in u[:q]:
+                tcol3 = tcol3 * n + b
+            for k in range(n):
+                for out_idx, coeff in alg.mult(k, u[q]):
+                    add(urow * n + out_idx, tcol3 * n + k,
+                        field.mul(sign, coeff))
+        return out
+
+    z = delta(p).kernel_basis().cols
+    b = delta(p - 1).rank() if p >= 1 else 0
+    return z - b
+
+
+def resolution_to_bounded(res: Resolution) -> BoundedComplex:
+    """A minimal resolution as a complex in degrees -length..0."""
+    comps = {-j: P for j, P in enumerate(res.terms)}
+    diffs = {-j: res.maps[j - 1] for j in range(1, len(res.terms))}
+    return BoundedComplex(res.module.algebra, comps, diffs, check=False)
+
+
+def shifted(B: BoundedComplex, ell: int) -> BoundedComplex:
+    """B[ell]: degree j moves to j - ell, the differentials times (-1)^ell."""
+    sign = B.algebra.field.sign_pow(ell)
+    comps = {j - ell: c for j, c in B.comps.items()}
+    diffs = {j - ell: d.scale(sign) for j, d in B.diffs.items()}
+    return BoundedComplex(B.algebra, comps, diffs, check=False)
+
+
+def fold_resolution(ctx: DerivedContext, M: Rep, position: int = 0
+                    ) -> Tuple[PeriodicComplex, GradedMorphism]:
+    """Fold a minimal resolution of M, with P0 in degree ``position``, onto
+    the stalk of M at that position."""
+    m = ctx.m
+    target = stalk_complex(M, m, position)
+    if M.is_zero():
+        Z = stalk_complex(Rep.zero(ctx.algebra), m)
+        return Z, GradedMorphism.zero(Z, target)
+    res = ctx.resolution(M)
+    B = shifted(resolution_to_bounded(res), -position)
+    F, layout = fold(B, m)
+    return F, _augmentation(res, B, F, layout, target, position)

@@ -13,8 +13,8 @@ from periodica.derivedper import DerivedContext, ext_sum_check, \
 from periodica.families import all_intervals, linear_a, nakayama
 from periodica.fields import Field, QQ
 from periodica.hochschild import (HochschildContext, LaurentSetup,
-                                  bar_hh_oracle, formality_criterion,
-                                  hh_table, vanishing_pattern_ok)
+                                  formality_criterion, hh_table,
+                                  vanishing_pattern_ok)
 from periodica.percomplex import (GradedMorphism, K_of,
                                   bounded_homotopy_hom_dim, complex_direct_sum,
                                   cone, decompose_acyclic_projective, fold,
@@ -25,6 +25,8 @@ from periodica.randomcx import random_bounded_projectives, \
 from periodica.rep import Morphism, Rep, hom_space
 from periodica.reproduce import reproduce_ex5_8, reproduce_ex5_9
 from periodica.stablecat import algebra_period
+
+from oracles import bar_hh_oracle
 
 
 def verdict(num: int, ok: bool, text: str):

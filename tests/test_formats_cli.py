@@ -98,6 +98,10 @@ def test_parse_errors_without_a_place_carry_none():
      "in 'x'\n"),
     (["algebra", "show", "--name", "kA2", "--field", "fp 4"],
      "parse error: characteristic must be prime, got 4\n"),
+    (["period", "module", "--name", "N(3,3)", "-M", "M(0,1)"],
+     "parse error: M(a,l) needs 1 <= a <= 3, got M(0,1)\n"),
+    (["period", "module", "--name", "N(3,3)", "-M", "M(1,4)"],
+     "parse error: M(1,4): length must be in 1..3\n"),
 ])
 def test_cli_value_errors_name_no_location(capsys, argv, err):
     code, out = run_cli(argv)
@@ -145,7 +149,7 @@ def test_default_field_env(monkeypatch):
     assert pres.field == Field.gf(3)
 
 
-def test_module_expressions(a2):
+def test_module_expressions(a2, n33):
     assert parse_module_expr(a2, "P(1) + 2*S(2)").dims == (1, 2)
     assert parse_module_expr(a2, "R").dims == (2, 1)
     assert parse_module_expr(a2, "0").is_zero()
@@ -155,6 +159,19 @@ def test_module_expressions(a2):
         parse_module_expr(a2, "P(9)")
     with pytest.raises(ParseError):
         parse_module_expr(a2, "M(1,1)")   # not Nakayama
+    # socle vertex in 1..n, length in 1..the Loewy length, as for P(v)
+    assert parse_module_expr(n33, "M(3,3)").dims == (1, 1, 1)
+    for expr in ("M(1,0)", "M(1,4)", "M(1,5)", "M(0,1)", "M(4,1)", "P(0)"):
+        with pytest.raises(ParseError):
+            parse_module_expr(n33, expr)
+    # with unequal projectives the bound is the length of P(a+l-1)
+    cyc = build_algebra(parse_algebra_text(
+        "field rationals\nvertices 3\narrow a1: 1 -> 2\narrow a2: 2 -> 3\n"
+        "arrow a3: 3 -> 1\nrelation a3*a2*a1\nnilpotency 5"))
+    assert cyc.projective_dims == (3, 4, 5)
+    assert parse_module_expr(cyc, "M(2,4)").dims == (1, 2, 1)
+    with pytest.raises(ParseError):
+        parse_module_expr(cyc, "M(1,4)")
 
 
 # -- complex files -------------------------------------------------------------
@@ -627,6 +644,10 @@ def test_cli_non_periodic_algebra_is_a_definite_verdict(argv, projdim):
       "--budget", "0"], None),
     (["tilting", "stable", "--name", "N(3,3)", "-T", "M(1,1)", "--m", "2",
       "--budget", "-2"], None),
+    (["tilting", "stable", "--name", "N(3,3)", "-T", "M(1,1)", "--m", "2",
+      "--end-target", "0"], None),
+    (["tilting", "stable", "--name", "N(3,3)", "-T", "M(1,1)", "--m", "2",
+      "--end-target", "-1"], None),
 ])
 def test_cli_rejects_bad_bounds(monkeypatch, capsys, argv, env):
     if env is not None:

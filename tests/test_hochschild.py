@@ -3,13 +3,13 @@ import pytest
 from periodica.common import PreconditionError, TruncationError
 from periodica.families import serial_module
 from periodica.hochschild import (HochschildContext, LaurentSetup,
-                                  bar_hh_oracle, bimodule_resolution,
-                                  formality_criterion, hh_table,
-                                  vanishing_pattern_ok, smooth_dimension)
+                                  bimodule_resolution, formality_criterion,
+                                  hh_table, vanishing_pattern_ok,
+                                  smooth_dimension)
 from periodica.rep import Morphism, Rep, Resolution, hom_space, \
     minimal_resolution
 
-from oracles import check_exact, check_minimal
+from oracles import bar_hh_oracle, check_exact, check_minimal
 
 
 def test_resolution_lengths(a2, kxk, dual):

@@ -19,10 +19,9 @@ from periodica.quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
                               tensor_op_presentation)
 from periodica.rep import (HomBasis, Morphism, Rep, _roots_mod_p, cokernel_of,
                            decompose, dual, find_iso, global_dimension,
-                           hom_space, image_of, indecomposable_q,
-                           injective_envelope, is_projective, iso_q,
-                           kernel_of, projective_cover, quotient_rep,
-                           syzygies, syzygy)
+                           hom_space, image_of, injective_envelope,
+                           is_projective, iso_q, kernel_of, projective_cover,
+                           quotient_rep, syzygies, syzygy)
 
 from oracles import (SAMPLE_ALGEBRAS, direct_sum, quotient, radical_subspaces,
                      sample_algebra, socle_subspaces, sub_rep, table_injective)
@@ -204,12 +203,12 @@ def test_iso_and_decompose(a2):
     assert iso_q(M, M)
     parts = decompose(M)
     assert len(parts) == 2
-    assert all(indecomposable_q(p) for p in parts)
+    assert all(len(decompose(p)) == 1 for p in parts)
     S = direct_sum(parts)[0]
     assert iso_q(S, M)
     assert not iso_q(P1, S2)
     P2 = Rep.projective(a2, 2)
-    assert indecomposable_q(P2)
+    assert len(decompose(P2)) == 1
     # non-isomorphic with equal dimension vectors
     two = direct_sum([Rep.simple(a2, 1), Rep.simple(a2, 2)])[0]
     assert two.dims == P2.dims and not iso_q(two, P2)
@@ -335,7 +334,7 @@ def test_iso_q_counts_summands(a2):
 def test_serial_indecomposable(n33):
     for a in range(1, 4):
         for l in range(1, 4):
-            assert indecomposable_q(serial_module(n33, a, l))
+            assert len(decompose(serial_module(n33, a, l))) == 1
 
 
 def test_relations_hold_on_reps(n33, dual):

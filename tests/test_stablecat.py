@@ -9,9 +9,11 @@ from periodica.derivedper import ext_dims
 from periodica.families import (dual_numbers, linear_a, nakayama,
                                 semisimple_product, serial_module)
 from periodica.fields import Field, QQ
-from periodica.formats import load_algebra
-from periodica.rep import (HomBasis, Morphism, Rep, find_iso, hom_space,
-                           injective_envelope, iso_q, projective_cover)
+from periodica.formats import load_algebra, parse_algebra_text
+from periodica.quiver import build_algebra
+from periodica.rep import (HomBasis, Morphism, Rep, block_sum, find_iso,
+                           hom_space, injective_envelope, iso_q,
+                           projective_cover)
 from periodica.stablecat import (NotPeriodic, StableContext, algebra_period,
                                  check_periodic_tilting_stable,
                                  is_self_injective, stable_end_algebra)
@@ -104,6 +106,23 @@ def test_suspension_square_identity(n33, n44):
             assert iso_q(ctx.suspension_power(M, 2), M)
 
 
+def test_nakayama_lengths_come_from_the_projectives(n33):
+    # N(3,3) with rad^3 = 0 as relations under the looser nilpotency bound
+    # 5: its uniserials have length at most 3, the length of its projectives
+    loose = build_algebra(parse_algebra_text(
+        "field rationals\nvertices 3\narrow a1: 1 -> 2\narrow a2: 2 -> 3\n"
+        "arrow a3: 3 -> 1\nrelation a3*a2*a1\nrelation a1*a3*a2\n"
+        "relation a2*a1*a3\nnilpotency 5"))
+    ctx = StableContext(loose)
+    assert [key for key, _ in ctx.nakayama_indecomposables()] == \
+        [key for key, _ in StableContext(n33).nakayama_indecomposables()]
+    with pytest.raises(PreconditionError):
+        serial_module(loose, 1, 4)
+    parts = [serial_module(loose, 1, 1), serial_module(loose, 1, 2)]
+    report = check_periodic_tilting_stable(ctx, parts, 2)
+    assert report["pass"] and report["missing"] == []
+
+
 def test_stable_hom_values(n33):
     ctx = StableContext(n33)
     m11 = serial_module(n33, 1, 1)
@@ -147,12 +166,12 @@ def test_stable_cone_examples(n33):
     m11 = serial_module(n33, 1, 1)
     m12 = serial_module(n33, 1, 2)
     m21 = serial_module(n33, 2, 1)
-    assert ctx.stable_cone(Morphism.identity(m12)).is_zero()
-    C0 = ctx.stable_cone(Morphism.zero(m11, m21))
+    assert ctx.cone_summands(Morphism.identity(m12)) == []
+    C0 = block_sum(ctx.cone_summands(Morphism.zero(m11, m21)))
     expect = direct_sum([m21, ctx.suspension_power(m11, 1)])[0]
     assert C0.dims == expect.dims and iso_q(C0, expect)
     f = ctx.stable_hom(m11, m12).classes[0]
-    C = ctx.stable_cone(f)
+    C = block_sum(ctx.cone_summands(f))
     assert iso_q(C, m21)
 
 
@@ -162,7 +181,7 @@ def test_stable_cone_rotation(n33):
     m11 = serial_module(n33, 1, 1)
     m12 = serial_module(n33, 1, 2)
     f = ctx.stable_hom(m11, m12).classes[0]
-    C = ctx.stable_cone(f)
+    C = block_sum(ctx.cone_summands(f))
     # the natural map N -> C from the cone construction
     from periodica.rep import injective_envelope, cokernel_of
     I, incl = injective_envelope(m11)
@@ -171,7 +190,7 @@ def test_stable_cone_rotation(n33):
     Q, proj = cokernel_of(g)
     n_to_q = proj @ injs[0]
     SigmaM = ctx.suspension_power(m11, 1)
-    C2 = ctx.stable_cone(n_to_q)
+    C2 = block_sum(ctx.cone_summands(n_to_q))
     assert C2.total_dim == SigmaM.total_dim
     assert iso_q(C2, SigmaM)
 

@@ -7,6 +7,12 @@ must occur as a name somewhere in the file.
 The orphan checks read the same trees: every private helper of ``periodica``
 is mentioned outside its own definition, and so is every public function,
 class and method, somewhere in ``src/``, ``tests/`` or ``perfbench/``.
+
+The surface check is stricter: tests do not count.  Every public function,
+class and method is mentioned in ``src/`` or ``perfbench/`` or named in
+README's "Library sketch", and every name ``periodica`` exports is
+mentioned by the command-line modules or ``perfbench/`` or named there.
+A construction only the tests use belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -21,6 +27,7 @@ MODULES = sorted(os.path.basename(p)
                  for p in glob.glob(os.path.join(SRC, "*.py"))
                  if not p.endswith("__init__.py"))
 TESTS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.join(TESTS, "..")
 TEST_FILES = sorted(os.path.basename(p)
                     for p in glob.glob(os.path.join(TESTS, "*.py")))
 
@@ -176,13 +183,80 @@ def test_the_orphan_check_sees_unused_and_used_public_names():
         ("src/a.py", 4, "documented"), ("src/a.py", 7, "m")]
 
 
+def _read(*patterns: str) -> dict:
+    """File name relative to the repository root -> text, for each file
+    that matches one of ``patterns``."""
+    sources = {}
+    for pattern in patterns:
+        for path in sorted(glob.glob(os.path.join(ROOT, pattern))):
+            with open(path, "r", encoding="utf-8") as fh:
+                sources[os.path.relpath(path, ROOT)] = fh.read()
+    return sources
+
+
 def test_no_orphaned_public_names():
     # a name in a string counts: perfbench's tracer wraps methods by name
-    root = os.path.join(SRC, "..", "..")
-    sources = {}
-    for pattern in ("src/periodica/*.py", "tests/*.py", "perfbench/*.py"):
-        for path in sorted(glob.glob(os.path.join(root, pattern))):
-            with open(path, "r", encoding="utf-8") as fh:
-                sources[os.path.relpath(path, root)] = fh.read()
+    sources = _read("src/periodica/*.py", "tests/*.py", "perfbench/*.py")
     assert any(f.startswith("perfbench/") for f in sources)
     assert _orphans(sources, _public_src_defs, strings=True) == []
+
+
+# -- the public surface ------------------------------------------------------------
+
+CLI_MODULES = ("cli.py", "reproduce.py", "formats.py", "reports.py")
+
+
+def _sketch_names(readme: str) -> set:
+    """The words of the code spans in README's "Library sketch" section."""
+    sketch = readme.split("\n## Library sketch\n", 1)[1].split("\n## ", 1)[0]
+    return {w for span in re.findall(r"`([^`]+)`", sketch)
+            for w in re.findall(r"\w+", span)}
+
+
+def _surface_gaps(sources: dict, readme: str) -> list:
+    """The public names of ``sources`` (``src/`` and ``perfbench/`` files)
+    that nothing outside the tests reaches: (file, line, name) of each
+    public definition that no ``src/`` or ``perfbench/`` file mentions
+    (strings count), then ("export", 0, name) of each name
+    ``src/periodica/__init__.py`` imports that neither a command-line module
+    nor a ``perfbench/`` file mentions; a name in the Library sketch counts
+    as reached."""
+    named = _sketch_names(readme)
+    gaps = [o for o in _orphans(sources, _public_src_defs, strings=True)
+            if o[2] not in named]
+    init = ast.parse(sources["src/periodica/__init__.py"])
+    exports = [a.asname or a.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for a in node.names]
+    used = {name for f, text in sources.items()
+            if f.startswith("perfbench/") or os.path.basename(f) in CLI_MODULES
+            for _, name in _mentions(ast.parse(text), strings=True)}
+    return gaps + [("export", 0, e) for e in exports
+                   if e not in used and e not in named]
+
+
+def test_the_surface_check_sees_unreached_names():
+    init = ("from .rep import Rep, named, unused\n"
+            "from .cli import main\n")
+    rep = ("class Rep:\n"
+           "    def only_tested(self): pass\n"
+           "def named(): pass\n"
+           "def unused(): pass\n"
+           "def helper(): pass\n")
+    cli = "from .rep import Rep, helper\ndef main(): return Rep, helper()\n"
+    readme = ("# x\n\n## Library sketch\n\n| `rep` | `named()` |\n\n"
+              "## Later\n\n`unused` `only_tested`\n")
+    sources = {"src/periodica/__init__.py": init, "src/periodica/rep.py": rep,
+               "src/periodica/cli.py": cli,
+               "perfbench/run.py": "from periodica.cli import main\nmain()\n"}
+    assert _surface_gaps(sources, readme) == [
+        ("src/periodica/rep.py", 2, "only_tested"),
+        ("src/periodica/rep.py", 4, "unused"), ("export", 0, "unused")]
+
+
+def test_public_surface_is_reached_outside_the_tests():
+    with open(os.path.join(ROOT, "README.md"), "r", encoding="utf-8") as fh:
+        readme = fh.read()
+    sources = _read("src/periodica/*.py", "perfbench/*.py")
+    assert {"src/periodica/__init__.py", "src/periodica/cli.py",
+            "perfbench/workloads.py"} <= set(sources)
+    assert _surface_gaps(sources, readme) == []
