@@ -11,6 +11,9 @@ and the augmentations form a chain map; each is a lift through a
 resolution map out of a projective.  With a zero differential no lift is
 needed and the replacement is the sum of the folded resolutions.
 
+Ext^p(M, N), the other side of the lacunary sum formula, is H^p of the
+bounded Hom complex from M's resolution into N in degree 0.
+
 Over a hereditary algebra a complex splits into its cohomology without being
 replaced (Prop. 3.25): the minimal resolution 0 -> P1 -> P0 -> H^t(V) -> 0
 of each cohomology module lifts into V (P0 through the cocycles, P1 through
@@ -30,13 +33,14 @@ from typing import Dict, List, Optional, Tuple
 from .common import CheckFailed, PreconditionError, TruncationError
 from .families import all_intervals, is_linear_a, dual_numbers
 from .fields import Field
-from .percomplex import (BoundedComplex, GradedMorphism, PeriodicComplex,
-                         _cohom_data, _unsplit, cohomology_dim_vectors,
-                         cohomology_dims, fold, homotopy_hom, is_quasi_iso,
+from .percomplex import (BoundedComplex, BoundedHomComplex, GradedMorphism,
+                         PeriodicComplex, _cohom_data, _unsplit,
+                         cohomology_dim_vectors, cohomology_dims, fold,
+                         homotopy_hom, is_quasi_iso, resolution_complex,
                          shift, stalk_complex, sum_complex, sum_map)
 from .quiver import FinDimAlgebra
-from .rep import (ExtCochains, Morphism, Rep, Resolution, _lift, block_map,
-                  decompose, global_dimension, hom_space, is_projective,
+from .rep import (Morphism, Rep, Resolution, _lift, block_map, decompose,
+                  global_dimension, hom_space, is_projective,
                   minimal_resolution)
 
 
@@ -216,8 +220,13 @@ def ext_dims(M: Rep, N: Rep, up_to: int, bound: int = 24) -> List[int]:
 
 def _ext_dims(res: Resolution, N: Rep, up_to: int) -> List[int]:
     """dim Ext^j(M, N) for j = 0..up_to, from a resolution of M."""
-    ext = ExtCochains(res, N)
-    return [ext.dim(j) for j in range(up_to + 1)]
+    H = BoundedHomComplex(resolution_complex(res),
+                          BoundedComplex(N.algebra, {0: N}, {}))
+    dims = []
+    for j in range(up_to + 1):
+        res.check_reach(j)
+        dims.append(H.homotopy_dim(j))
+    return dims
 
 
 def ext_sum_check(ctx: DerivedContext, M: Rep, N: Rep) -> dict:
@@ -354,9 +363,7 @@ def stalk_tilting_check(ctx: DerivedContext) -> dict:
         # X_{k-1} -> X_k and the projection X_k -> P_k[k] are chain maps
         prev = None
         for k, Pk in enumerate(res.terms):
-            Bk = BoundedComplex(alg, {-j: res.terms[j] for j in range(k + 1)},
-                                {-j: res.maps[j - 1] for j in range(1, k + 1)},
-                                check=False)
+            Bk = resolution_complex(res, k)
             Xk, layout = fold(Bk, m)
             parts = [[Bk.comps[j] for j in js] for js in layout]
             split_ok = True
@@ -384,7 +391,7 @@ def stalk_tilting_check(ctx: DerivedContext) -> dict:
         gen_ok = gen_ok and qis_ok
         witnesses.append({
             "simple": v,
-            "resolution_length": len(res.terms) - 1,
+            "resolution_length": res.length,
             "steps": steps,
             "reaches_simple": qis_ok,
         })

@@ -160,23 +160,13 @@ def enveloping(alg: FinDimAlgebra) -> Tuple[FinDimAlgebra, Rep]:
             pos[bi] = r
     dims = [len(local[w]) for w in range(1, n * n + 1)]
     act = []
-    for ar_idx, ar in enumerate(E.quiver.arrows):
+    for ar, (leg, ai) in zip(E.quiver.arrows, E.arrow_legs):
         m = Mat.zeros(f, dims[ar.source - 1], dims[ar.target - 1])
-        name = ar.name
-        if "^o@" in name:
-            aname = name.split("^o@")[0]
-            ai = alg.quiver.by_name[aname]
-            abasis = alg.arrow_index[ai]
-            for c, bi in enumerate(local[ar.target]):
-                for k, coeff in alg.mult(abasis, bi):     # left multiply
-                    m.data[pos[k] * m.cols + c] = coeff
-        else:
-            bname = name.split("@", 1)[1]
-            bi_arrow = alg.quiver.by_name[bname]
-            abasis = alg.arrow_index[bi_arrow]
-            for c, bi in enumerate(local[ar.target]):
-                for k, coeff in alg.mult(bi, abasis):     # right multiply
-                    m.data[pos[k] * m.cols + c] = coeff
+        a = alg.arrow_index[ai]
+        for c, bi in enumerate(local[ar.target]):
+            # the A^op leg multiplies on the left, the A leg on the right
+            for k, coeff in (alg.mult(a, bi) if leg == 0 else alg.mult(bi, a)):
+                m.data[pos[k] * m.cols + c] = coeff
         act.append(m)
     B = Rep(E, dims, act, check=True)
     return E, B

@@ -285,6 +285,24 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
+def _morphism_from_blocks(alg: FinDimAlgebra, raw, src: Rep, tgt: Rep,
+                          what: str) -> Morphism:
+    """A map src -> tgt as a list of one matrix per vertex (target rows,
+    source columns, null for 0), or null for the zero map."""
+    if raw is None:
+        return Morphism.zero(src, tgt)
+    if not isinstance(raw, list):
+        raise ParseError(f"{what}: need a list of blocks")
+    if len(raw) != alg.quiver.n:
+        raise ParseError(f"{what}: need one block per vertex "
+                         f"({alg.quiver.n}), got {len(raw)}")
+    return Morphism(src, tgt, [
+        Mat.zeros(alg.field, tgt.dims[v], src.dims[v]) if entry is None else
+        _parse_matrix(alg.field, entry, tgt.dims[v], src.dims[v],
+                      f"{what}, vertex {v + 1}")
+        for v, entry in enumerate(raw)])
+
+
 def _module_from_spec(alg: FinDimAlgebra, spec) -> Rep:
     if isinstance(spec, str):
         return parse_module_expr(alg, spec)
@@ -333,23 +351,9 @@ def load_complex(alg: FinDimAlgebra, doc: dict) -> PeriodicComplex:
         raw_diffs = [None] * m
     if not isinstance(raw_diffs, list) or len(raw_diffs) != m:
         raise ParseError(f"need exactly {m} differentials")
-    diffs = []
-    for i, d in enumerate(raw_diffs):
-        src, tgt = comps[i], comps[(i + 1) % m]
-        if d is None:
-            diffs.append(Morphism.zero(src, tgt))
-            continue
-        if not isinstance(d, list) or len(d) != alg.quiver.n:
-            raise ParseError(f"differential {i}: need one block per vertex")
-        blocks = []
-        for v in range(alg.quiver.n):
-            nr, nc = tgt.dims[v], src.dims[v]
-            if d[v] is None:
-                blocks.append(Mat.zeros(alg.field, nr, nc))
-            else:
-                blocks.append(_parse_matrix(alg.field, d[v], nr, nc,
-                                            f"differential {i}, vertex {v+1}"))
-        diffs.append(Morphism(src, tgt, blocks))
+    diffs = [_morphism_from_blocks(alg, d, comps[i], comps[(i + 1) % m],
+                                   f"differential {i}")
+             for i, d in enumerate(raw_diffs)]
     try:
         return PeriodicComplex(alg, m, comps, diffs)
     except PreconditionError as exc:
@@ -392,22 +396,8 @@ def load_chain_map_file(alg: FinDimAlgebra, path: str
         raise ParseError(f"need exactly {V.m} components")
     comps = []
     for i, blocks_raw in enumerate(raw):
-        src, tgt = V.comps[i], W.comps[i]
-        if blocks_raw is None:
-            comps.append(Morphism.zero(src, tgt))
-            continue
-        if not isinstance(blocks_raw, list):
-            raise ParseError(f"component {i}: need a list of blocks")
-        if len(blocks_raw) != alg.quiver.n:
-            raise ParseError(f"component {i}: need one block per vertex "
-                             f"({alg.quiver.n}), got {len(blocks_raw)}")
-        blocks = []
-        for v, entry in enumerate(blocks_raw):
-            nr, nc = tgt.dims[v], src.dims[v]
-            blocks.append(Mat.zeros(alg.field, nr, nc) if entry is None else
-                          _parse_matrix(alg.field, entry, nr, nc,
-                                        f"component {i}, vertex {v+1}"))
-        g = Morphism(src, tgt, blocks)
+        g = _morphism_from_blocks(alg, blocks_raw, V.comps[i], W.comps[i],
+                                  f"component {i}")
         if not g.is_intertwiner():
             raise ParseError(f"component {i} is not a module map")
         comps.append(g)

@@ -2,7 +2,9 @@
 cohomology of the Laurent extension with generator degree m.
 
 The algebra is resolved over its enveloping algebra by iterated projective
-covers; the bar complex, an independent route to HH^p, is a test oracle
+covers, and HH^p is H^p of the bounded Hom complex from that resolution into
+A in degree 0, the complex that gives Ext in ``derivedper``.  The bar
+complex, an independent route to HH^p, is a test oracle
 (``tests/oracles.py``) and not part of the library.  Graded Hom spaces over
 the Laurent enveloping algebra are never materialized: a graded map out of a
 shifted free summand is determined on its generator, so every bigraded cell
@@ -19,7 +21,8 @@ from typing import Sequence
 from .common import PreconditionError, Trunc, TruncationError
 from .families import enveloping
 from .quiver import FinDimAlgebra
-from .rep import ExtCochains, Resolution, global_dimension, minimal_resolution
+from .percomplex import BoundedComplex, BoundedHomComplex, resolution_complex
+from .rep import Resolution, global_dimension, minimal_resolution
 
 
 def bimodule_resolution(alg: FinDimAlgebra, bound: int) -> Resolution:
@@ -30,14 +33,15 @@ def bimodule_resolution(alg: FinDimAlgebra, bound: int) -> Resolution:
 
 
 class HochschildContext:
-    """Caches the bimodule resolution F and its cochain complex
-    Hom(F, A) (``rep.ExtCochains``)."""
+    """Caches the bimodule resolution F and its cochain complex Hom(F, A)."""
 
     def __init__(self, alg: FinDimAlgebra, bound: int = 12):
         self.algebra = alg
         self.bound = bound
         self.res = bimodule_resolution(alg, bound)
-        self.cochains = ExtCochains(self.res, self.res.module)
+        A = self.res.module
+        self.cochains = BoundedHomComplex(resolution_complex(self.res),
+                                          BoundedComplex(A.algebra, {0: A}, {}))
 
     def smooth_dimension(self) -> Trunc:
         if self.res.complete:
@@ -46,7 +50,8 @@ class HochschildContext:
 
     def hh(self, p: int) -> int:
         """dim HH^p of the algebra with coefficients in itself."""
-        return self.cochains.dim(p)
+        self.res.check_reach(p)
+        return self.cochains.homotopy_dim(p)
 
 
 class LaurentSetup:

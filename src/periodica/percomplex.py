@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .common import CheckFailed, PreconditionError
 from .linalg import Mat, reduce_mod_rowspace
 from .quiver import FinDimAlgebra
-from .rep import (HomBasis, Morphism, Rep, _lift, block_map, block_sum,
-                  is_projective, kernel_of, quotient_rep)
+from .rep import (HomBasis, Morphism, Rep, Resolution, _lift, block_map,
+                  block_sum, is_projective, kernel_of, quotient_rep)
 
 
 class PeriodicComplex:
@@ -465,18 +465,18 @@ class PeriodicHomComplex:
             # Hom^p = 0: no columns, cheaper to rebuild than to keep
             return Mat.zeros(field, sum(tgt_dims), 0)
         m = self.m
-        neg_sign = field.neg(field.sign_pow(p))
         blocks: Dict[Tuple[int, int], Mat] = {}
         for i in range(m):
             basis = self.piece(i, i + p).basis
             if not basis:
                 continue
-            # d_W o f lands in target piece i; -(+-1) f o d_V in piece i-1
+            # d_W o f lands in target piece i; -(-1)^p f o d_V in piece i-1
             k = (i - 1) % m
             blocks[(i, i)] = self.piece(i, i + p + 1).coords_matrix(
                 [self.W.diffs[(i + p) % m] @ g for g in basis])
             dn = self.piece(k, i + p).coords_matrix(
-                [(g @ self.V.diffs[k]).scale(neg_sign) for g in basis])
+                [g @ self.V.diffs[k] for g in basis])
+            dn = dn if p % 2 else -dn
             # at m = 1 (k = i) both terms land in one block
             blocks[(k, i)] = blocks[(k, i)] + dn if (k, i) in blocks else dn
         mat = Mat.block(field, tgt_dims, src_dims, blocks)
@@ -545,14 +545,13 @@ class BoundedComplex:
                  diffs: Dict[int, Morphism], check: bool = True):
         self.algebra = algebra
         self.comps = {j: c for j, c in comps.items() if not c.is_zero()}
-        self.diffs = {}
-        for j, d in diffs.items():
-            if not d.is_zero():
-                self.diffs[j] = d
+        self.diffs = {j: d for j, d in diffs.items() if not d.is_zero()}
         if check:
+            for j, d in diffs.items():
+                if d.source.dims != self.component(j).dims or \
+                        d.target.dims != self.component(j + 1).dims:
+                    raise PreconditionError(f"differential {j} has wrong ends")
             for j, d in self.diffs.items():
-                if j in self.comps and d.source.dims != self.comps[j].dims:
-                    raise PreconditionError("differential source mismatch")
                 nxt = self.diffs.get(j + 1)
                 if nxt is not None and not (nxt @ d).is_zero():
                     raise PreconditionError(f"d^2 != 0 at {j}")
@@ -609,53 +608,81 @@ def unroll(V: PeriodicComplex, lo: int, hi: int) -> BoundedComplex:
     return BoundedComplex(V.algebra, comps, diffs, check=False)
 
 
+def resolution_complex(res: Resolution, upto: Optional[int] = None
+                       ) -> BoundedComplex:
+    """A resolution as a bounded complex: P_j in degree -j, for j <= upto
+    (every term by default), with d^{-j} = d_j: P_j -> P_{j-1}."""
+    terms = res.terms if upto is None else res.terms[:upto + 1]
+    return BoundedComplex(res.module.algebra,
+                          {-j: P for j, P in enumerate(terms)},
+                          {-j: res.maps[j - 1] for j in range(1, len(terms))},
+                          check=False)
+
+
 class BoundedHomComplex:
-    """The Hom complex of two bounded complexes (for the folding checks)."""
+    """The Hom complex of two bounded complexes: Hom^s is the sum of the
+    Hom(X^j, Y^{j+s}), each built once and only where X^j and Y^{j+s} are
+    nonzero, and d(f) = d_Y o f - (-1)^s f o d_X.  With X a resolution
+    (:func:`resolution_complex`) and Y a module in degree 0, H^s is Ext^s."""
 
     def __init__(self, X: BoundedComplex, Y: BoundedComplex):
         self.X = X
         self.Y = Y
         self.field = X.algebra.field
         self._pieces: Dict[Tuple[int, int], HomBasis] = {}
+        self._layouts: Dict[int, List[int]] = {}
+        self._dmat: Dict[int, Mat] = {}
 
     def piece(self, j: int, jj: int) -> HomBasis:
-        key = (j, jj)
-        got = self._pieces.get(key)
+        got = self._pieces.get((j, jj))
         if got is None:
-            got = HomBasis(self.X.component(j), self.Y.component(jj))
-            self._pieces[key] = got
+            got = self._pieces[j, jj] = HomBasis(self.X.component(j),
+                                                 self.Y.component(jj))
         return got
 
     def degree_layout(self, s: int) -> List[int]:
-        if not self.X.comps or not self.Y.comps:
-            return []
-        return [j for j in range(self.X.lo, self.X.hi + 1)
-                if self.piece(j, j + s).dim > 0]
+        """The degrees j, increasing, of the nonzero pieces of Hom^s."""
+        got = self._layouts.get(s)
+        if got is None:
+            got = self._layouts[s] = [
+                j for j in sorted(self.X.comps)
+                if j + s in self.Y.comps and self.piece(j, j + s).dim]
+        return got
 
     def diff_matrix(self, s: int) -> Mat:
-        sign = self.field.neg(self.field.sign_pow(s))
+        """Matrix of d: Hom^s -> Hom^{s+1} in the piece bases."""
+        got = self._dmat.get(s)
+        if got is not None:
+            return got
         src = self.degree_layout(s)
         tgt = {j: r for r, j in enumerate(self.degree_layout(s + 1))}
         blocks: Dict[Tuple[int, int], Mat] = {}
         for c, j in enumerate(src):
             basis = self.piece(j, j + s).basis
-            # d_Y o g lands in target piece j, -(+-1) g o d_X in piece j-1
-            if j in tgt:
+            # d_Y o g lands in target piece j, -(-1)^s g o d_X in piece j-1;
+            # a zero differential leaves its block zero
+            d_Y, d_X = self.Y.diffs.get(j + s), self.X.diffs.get(j - 1)
+            if j in tgt and d_Y is not None:
                 blocks[(tgt[j], c)] = self.piece(j, j + s + 1).coords_matrix(
-                    [self.Y.differential(j + s) @ g for g in basis])
-            if j - 1 in tgt:
-                dn = [(g @ self.X.differential(j - 1)).scale(sign)
-                      for g in basis]
-                blocks[(tgt[j - 1], c)] = \
-                    self.piece(j - 1, j + s).coords_matrix(dn)
-        return Mat.block(self.field,
-                         [self.piece(j, j + s + 1).dim for j in tgt],
-                         [self.piece(j, j + s).dim for j in src], blocks)
+                    [d_Y @ g for g in basis])
+            if j - 1 in tgt and d_X is not None:
+                dn = self.piece(j - 1, j + s).coords_matrix(
+                    [g @ d_X for g in basis])
+                blocks[(tgt[j - 1], c)] = dn if s % 2 else -dn
+        got = self._dmat[s] = Mat.block(
+            self.field, [self.piece(j, j + s + 1).dim for j in tgt],
+            [self.piece(j, j + s).dim for j in src], blocks)
+        return got
 
     def homotopy_dim(self, s: int) -> int:
-        d_here = self.diff_matrix(s)
-        d_prev = self.diff_matrix(s - 1)
-        return d_here.cols - d_here.rank() - d_prev.rank()
+        """dim H^s = dim Hom^s - rank d^s - rank d^{s-1}; a d^t from or to
+        a zero Hom^t or Hom^{t+1} is zero and is not formed."""
+        here = self.degree_layout(s)
+        if not here:
+            return 0
+        return (sum(self.piece(j, j + s).dim for j in here)
+                - sum(self.diff_matrix(t).rank() for t in (s, s - 1)
+                      if self.degree_layout(t) and self.degree_layout(t + 1)))
 
 
 def bounded_homotopy_hom_dim(X: BoundedComplex, Y: BoundedComplex, s: int) -> int:

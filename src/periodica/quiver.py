@@ -614,14 +614,18 @@ class _EnvelopingAlgebra(FinDimAlgebra):
     """A^op (x) A whose table is the tensor product of its legs' tables.
 
     Built only by :func:`enveloping_algebra`; ``pairs[i]`` is the pair
-    (x, y) of leg basis indices behind ``basis[i]``.
+    (x, y) of leg basis indices behind ``basis[i]``; ``arrow_legs[t]`` is
+    (0, i) for tensor arrow t = ``a^o@v`` and (1, i) for t = ``u@a``, with
+    i the index of a in A's quiver.
     """
 
     def __init__(self, presentation: AlgebraPresentation, basis: List[Walk],
                  op: FinDimAlgebra, alg: FinDimAlgebra,
-                 pairs: List[Tuple[int, int]]):
+                 pairs: List[Tuple[int, int]],
+                 arrow_legs: Sequence[Tuple[int, int]]):
         self._legs = (op, alg)
         self._pairs = pairs
+        self.arrow_legs = tuple(arrow_legs)
         self._pair_index = {pair: i for i, pair in enumerate(pairs)}
         super().__init__(presentation, basis, self._tensor_product)
 
@@ -695,6 +699,8 @@ def enveloping_algebra(alg: FinDimAlgebra) -> FinDimAlgebra:
             for ai, a in enumerate(q.arrows) for v in range(1, n + 1)}
     right = {(u, bi): tq.by_name[f"{u}@{b.name}"]
              for u in range(1, n + 1) for bi, b in enumerate(q.arrows)}
+    legs = {t: (0, ai) for (ai, _), t in left.items()}
+    legs.update({t: (1, bi) for (_, bi), t in right.items()})
     keyed = []
     for x, xw in enumerate(op.basis):
         u = op.source[x]
@@ -707,4 +713,5 @@ def enveloping_algebra(alg: FinDimAlgebra) -> FinDimAlgebra:
     keyed.sort()
     basis = [key[1] for key, _, _ in keyed]
     pairs = [(x, y) for _, x, y in keyed]
-    return _EnvelopingAlgebra(pres, basis, op, alg, pairs)
+    return _EnvelopingAlgebra(pres, basis, op, alg, pairs,
+                              [legs[t] for t in range(len(tq.arrows))])

@@ -310,6 +310,9 @@ class HomBasis:
         q = M.algebra.quiver
         off = _offsets([n * m for n, m in zip(N.dims, M.dims)])
         nvars = off[-1]
+        if not nvars:           # no unknowns: Hom(M, N) = 0, no system
+            self.K, self.free, self.basis = Mat.zeros(f, 0, 0), (), []
+            return
         shapes = [(a.source - 1, a.target - 1) for a in q.arrows]
         nrows = sum(N.dims[u] * M.dims[v] for u, v in shapes)
         sub = f.sub
@@ -607,45 +610,15 @@ class Resolution:
     def length(self) -> int:
         return len(self.terms) - 1
 
-
-class ExtCochains:
-    """The cochain complex C^j = Hom(P_j, N) of a resolution P of M, so
-    H^p = Ext^p(M, N) (HH^p(A) for A over A^e with N = A).  Each C^j is a
-    ``HomBasis`` and d^j: C^j -> C^{j+1}, f -> f o d_{j+1}, a coordinate
-    matrix, both built once, on demand.  The one truncation rule: Ext^p
-    reads d^p, so it needs P_{p+1}, unless the resolution is complete and
-    C^j = 0 past its length; otherwise ``TruncationError``."""
-
-    def __init__(self, res: Resolution, N: Rep):
-        self.res, self.N = res, N
-        self._bases: Dict[int, HomBasis] = {}
-        self._diffs: Dict[int, Mat] = {}
-
-    def _basis(self, j: int) -> HomBasis:
-        if j not in self._bases:
-            self._bases[j] = HomBasis(self.res.terms[j], self.N)
-        return self._bases[j]
-
-    def _diff(self, j: int) -> Mat:
-        if j not in self._diffs:
-            n = len(self.res.terms)
-            if j + 1 < n:
-                self._diffs[j] = self._basis(j + 1).coords_matrix(
-                    [g @ self.res.maps[j] for g in self._basis(j).basis])
-            elif self.res.complete:
-                self._diffs[j] = Mat.zeros(self.N.field, 0,
-                                           self._basis(j).dim if j < n else 0)
-            else:
-                raise TruncationError(f"Ext^{j} needs P_{j + 1}: resolution "
-                                      f"truncated at length {n - 1}")
-        return self._diffs[j]
-
-    def dim(self, p: int) -> int:
-        """dim H^p = dim C^p - rank d^p - rank d^{p-1}."""
+    def check_reach(self, p: int) -> None:
+        """The one truncation rule for Ext^p = H^p Hom(P_., N): it reads
+        d^p, so it needs P_{p+1} unless the resolution is complete;
+        otherwise ``TruncationError``."""
         if p < 0:
             raise PreconditionError("negative cohomological degree")
-        d = self._diff(p)
-        return d.cols - d.rank() - (self._diff(p - 1).rank() if p else 0)
+        if not self.complete and p >= self.length:
+            raise TruncationError(f"Ext^{p} needs P_{p + 1}: resolution "
+                                  f"truncated at length {self.length}")
 
 
 def minimal_resolution(M: Rep, bound: int) -> Resolution:

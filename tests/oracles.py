@@ -18,10 +18,11 @@ is acyclic; ``is_homotopy`` checks a witness f - g = d(h).
 ``sample_algebra`` loads a sample presentation over any field.
 
 ``bar_hh_oracle`` computes dim HH^p from the bar complex, with no bimodule
-resolution; the library resolves A over A^e instead.  ``fold_resolution``
-folds a module's minimal resolution with P0 in any integer degree p
-(``resolution_to_bounded``, ``shifted``) onto the module's stalk at p; the
-library's replacement of a stalk folds at the residue r of p mod m, and
+resolution; the library resolves A over A^e instead and reads HH^p off the
+bounded Hom complex of that resolution into A.  ``fold_resolution`` folds a
+module's minimal resolution with P0 in any integer degree p (the library's
+``resolution_complex``, moved by ``shifted``) onto the module's stalk at p;
+the library's replacement of a stalk folds at the residue r of p mod m, and
 each shift by m multiplies the differentials by (-1)^m, so the two differ
 in sign when m is odd and (p - r) / m is odd.
 """
@@ -37,7 +38,7 @@ from periodica.formats import parse_algebra_text
 from periodica.linalg import Mat
 from periodica.percomplex import (BoundedComplex, GradedMorphism,
                                   PeriodicComplex, _cohom_data, fold,
-                                  stalk_complex)
+                                  resolution_complex, stalk_complex)
 from periodica.quiver import FinDimAlgebra, build_algebra
 from periodica.rep import Morphism, Rep, Resolution, block_map, block_sum
 
@@ -302,13 +303,6 @@ def bar_hh_oracle(alg: FinDimAlgebra, p: int,
     return z - b
 
 
-def resolution_to_bounded(res: Resolution) -> BoundedComplex:
-    """A minimal resolution as a complex in degrees -length..0."""
-    comps = {-j: P for j, P in enumerate(res.terms)}
-    diffs = {-j: res.maps[j - 1] for j in range(1, len(res.terms))}
-    return BoundedComplex(res.module.algebra, comps, diffs, check=False)
-
-
 def shifted(B: BoundedComplex, ell: int) -> BoundedComplex:
     """B[ell]: degree j moves to j - ell, the differentials times (-1)^ell."""
     sign = B.algebra.field.sign_pow(ell)
@@ -327,6 +321,6 @@ def fold_resolution(ctx: DerivedContext, M: Rep, position: int = 0
         Z = stalk_complex(Rep.zero(ctx.algebra), m)
         return Z, GradedMorphism.zero(Z, target)
     res = ctx.resolution(M)
-    B = shifted(resolution_to_bounded(res), -position)
+    B = shifted(resolution_complex(res), -position)
     F, layout = fold(B, m)
     return F, _augmentation(res, B, F, layout, target, position)

@@ -197,8 +197,14 @@ def test_load_complex_file_and_validation(tmp_path):
     listed.write_text("[1, 2]")
     with pytest.raises(ParseError, match="JSON object"):
         load_complex_file(alg, str(listed))
-    # a chain-map component lists exactly one block (matrix or null) per
-    # vertex: neither extra entries nor missing ones are read as zero
+    # a differential or a chain-map component lists exactly one block
+    # (matrix or null) per vertex: neither extra entries nor missing ones
+    # are read as zero
+    for d, msg in (([None], "need one block per vertex \\(2\\), got 1"),
+                   ({"1": None}, "need a list of blocks")):
+        with pytest.raises(ParseError, match="differential 1: " + msg):
+            load_complex(alg, {"period": 2, "modules": ["P(2)", "P(2)"],
+                               "differentials": [None, d]})
     ends = {"period": 1, "modules": ["P(1)"]}
     for blocks in ([[["1"]], None, [["7"]], "junk"], [[["1"]]]):
         mp = tmp_path / "blocks.map"

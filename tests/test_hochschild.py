@@ -72,6 +72,19 @@ def test_hh_ungraded_values(a2, kxk, dual):
         ctx3.hh(50)
 
 
+def test_truncation_rule_at_its_boundary(dual):
+    # F is cut at F_10: HH^9 reads d_10 and is known, HH^10 needs F_11
+    ctx = HochschildContext(dual, 10)
+    assert not ctx.res.complete and ctx.res.length == 10
+    assert ctx.hh(9) == 1
+    with pytest.raises(TruncationError, match="Ext\\^10 needs P_11: "
+                                              "resolution truncated at "
+                                              "length 10"):
+        ctx.hh(10)
+    with pytest.raises(PreconditionError):
+        ctx.hh(-1)
+
+
 def test_center_of_nakayama(n33):
     # the center of N(3,3) is spanned by 1 and the full cycle classes
     ctx = HochschildContext(n33, 4)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from periodica import percomplex
+from periodica.derivedper import ext_dims
 from periodica.families import linear_a, nakayama
 from periodica.fields import QQ, Field
 from periodica.linalg import Mat, reduce_mod_rowspace
@@ -183,6 +185,16 @@ def test_cohomology_of_shift(a2):
             A = cohomology(W, i)
             B = cohomology(V, i + ell)
             assert A.dims == B.dims and (A.is_zero() or iso_q(A, B))
+
+
+def test_bounded_complex_checks_both_ends_of_each_differential(a2):
+    P2, S1, S2 = Rep.projective(a2, 2), Rep.simple(a2, 1), Rep.simple(a2, 2)
+    g = hom_space(P2, S2)[0]                    # P(2) ->> S(2), nonzero
+    BoundedComplex(a2, {0: P2, 1: S2}, {0: g})
+    for comps in ({0: P2, 1: S1}, {1: S2}, {0: P2}):
+        with pytest.raises(PreconditionError, match="differential 0 has "
+                                                    "wrong ends"):
+            BoundedComplex(a2, comps, {0: g})
 
 
 def test_fold_cohomology(a2):
@@ -374,6 +386,31 @@ def test_homotopy_hom_fold_formula(a2):
         rhs = sum(bounded_homotopy_hom_dim(X, Y, mi)
                   for mi in range(-10, 11, 2))
         assert lhs == rhs
+
+
+def test_bounded_hom_complex_builds_no_basis_on_a_zero_component(
+        a2, monkeypatch):
+    # Hom(X^j, Y^{j+s}) = 0 when either end is 0: no Hom system is solved
+    # there, on a Prop. 3.10 pair or on the Ext cochains of a resolution
+    rng = random.Random(77)
+    X = random_bounded_projectives(a2, rng)
+    Y = random_bounded_projectives(a2, rng)
+    lhs = homotopy_hom(fold(X, 2)[0], fold(Y, 2)[0], 0)[0]
+    built = []
+
+    class CountingHomBasis(percomplex.HomBasis):
+        def __init__(self, M, N):
+            built.append((M.total_dim, N.total_dim))
+            super().__init__(M, N)
+
+    monkeypatch.setattr(percomplex, "HomBasis", CountingHomBasis)
+    assert lhs == sum(bounded_homotopy_hom_dim(X, Y, mi)
+                      for mi in range(-10, 11, 2))
+    assert built and all(m and n for m, n in built)
+    built.clear()
+    S1, S2 = Rep.simple(a2, 1), Rep.simple(a2, 2)
+    assert ext_dims(S2, S1, 3) == [0, 1, 0, 0]
+    assert built and all(m and n for m, n in built)
 
 
 def test_hom_complex_graded_piece_formula(a2):

@@ -197,6 +197,21 @@ def test_enveloping_dimensions(a2, dual):
     assert B3.total_dim == 2
 
 
+def test_enveloping_arrows_record_their_legs(n33):
+    # a^o@v acts by a on the A^op leg (0), u@b by b on the A leg (1); the
+    # bimodule A over A^e reads these records, not the names
+    E, _ = enveloping(n33)
+    q = n33.quiver
+    assert len(E.arrow_legs) == len(E.quiver.arrows) == 2 * q.n * len(q.arrows)
+    for ar, (leg, ai) in zip(E.quiver.arrows, E.arrow_legs):
+        name = q.arrows[ai].name
+        if leg == 0:
+            assert ar.name.startswith(name + "^o@")
+        else:
+            u, b = ar.name.split("@")
+            assert leg == 1 and u.isdigit() and b == name
+
+
 def test_iso_and_decompose(a2):
     P1, S2 = Rep.projective(a2, 1), Rep.simple(a2, 2)
     M = direct_sum([P1, S2])[0]
@@ -443,7 +458,8 @@ def test_enveloping_matches_tensor_presentation(case):
 def _rebuilt_envelope(E, pairs):
     """A^e rebuilt by the class enveloping_algebra uses, on other pairs."""
     op, alg = E._legs
-    return type(E)(E.presentation, list(E.basis), op, alg, pairs)
+    return type(E)(E.presentation, list(E.basis), op, alg, pairs,
+                   E.arrow_legs)
 
 
 def test_enveloping_check_rejects_a_broken_tensor_map():
