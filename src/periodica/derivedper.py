@@ -36,12 +36,12 @@ from .fields import Field
 from .percomplex import (BoundedComplex, BoundedHomComplex, GradedMorphism,
                          PeriodicComplex, _cohom_data, _unsplit,
                          cohomology_dim_vectors, cohomology_dims, fold,
-                         homotopy_hom, is_quasi_iso, resolution_complex,
-                         shift, stalk_complex, sum_complex, sum_map)
+                         hom_complex, homotopy_hom, is_quasi_iso,
+                         resolution_complex, shift, stalk_complex,
+                         sum_complex, sum_map)
 from .quiver import FinDimAlgebra
 from .rep import (Morphism, Rep, Resolution, _lift, block_map, decompose,
-                  global_dimension, hom_space, is_projective,
-                  minimal_resolution)
+                  global_dimension, hom_space, minimal_resolution)
 
 
 def _augmentation(res: Resolution, B: BoundedComplex, F: PeriodicComplex,
@@ -72,11 +72,16 @@ class DerivedContext:
     the same stalks and replacements again and again, so each is built
     once.  Equal but distinct objects are recomputed, and cached values hold
     their keys, so no id is recycled while it is cached.  A replacement
-    resolves the components of its complex and nothing else.
+    resolves the components of its complex and nothing else.  Beside each
+    resolution the Ext side keeps its bounded complex
+    (``resolution_complex``), built once however many targets it meets.
 
     The replacement of a complex is the twisted sum of the folds of its
     components' minimal resolutions (see the module docstring); it is the
-    complex itself when every component is projective.  For the stalk of a
+    complex itself when every component carries its ``tops`` (a sum of
+    projectives in the standard basis).  A projective component built any
+    other way is resolved by its cover, so every piece of a Hom complex out
+    of a replacement is read by Yoneda.  For the stalk of a
     module at position i, 0 <= i < m, it is the fold of the resolution
     with P0 in degree i and its maps times (-1)^i, and the augmentation
     maps the summand P0 of the fold's component i onto the module.
@@ -96,6 +101,7 @@ class DerivedContext:
         self.gd = gd.value
         self._repl: Dict[int, Tuple[PeriodicComplex, GradedMorphism]] = {}
         self._res: Dict[int, Resolution] = {}
+        self._res_cx: Dict[int, BoundedComplex] = {}
         self._stalks: Dict[Tuple[int, int], PeriodicComplex] = {}
 
     # -- stalks and their resolutions --------------------------------------------
@@ -115,6 +121,14 @@ class DerivedContext:
             res = self._resolve(M)
             self._res[id(M)] = res
         return res
+
+    def _resolution_complex(self, M: Rep) -> BoundedComplex:
+        """``resolution_complex`` of M's cached resolution, built once (the
+        resolution's entry in ``_res`` holds M)."""
+        cx = self._res_cx.get(id(M))
+        if cx is None:
+            cx = self._res_cx[id(M)] = resolution_complex(self.resolution(M))
+        return cx
 
     def _resolve(self, M: Rep) -> Resolution:
         """A complete minimal resolution of M, not cached."""
@@ -137,7 +151,7 @@ class DerivedContext:
     def _replacement(self, V: PeriodicComplex
                      ) -> Tuple[PeriodicComplex, GradedMorphism]:
         m = self.m
-        if all(is_projective(c) for c in V.comps):
+        if all(c.tops is not None for c in V.comps):
             return V, GradedMorphism.identity(V)
         field = self.algebra.field
         # P[i][j]: the j-th term of V^i's resolution, in degree i - j;
@@ -203,7 +217,10 @@ class DerivedContext:
         return homotopy_hom(PV, PW, p)
 
     def derived_hom_modules(self, M: Rep, N: Rep, p: int) -> int:
-        return self.derived_hom(self.stalk(M), self.stalk(N), p)[0]
+        """dim Hom_{D_m}(M, N[p]), with no representatives formed."""
+        PV, _ = self.replacement(self.stalk(M))
+        PW, _ = self.replacement(self.stalk(N))
+        return hom_complex(PV, PW).homotopy_dim(p)
 
 
 # -- module-level Ext (the independent side of the sum formula) ---------------------
@@ -215,13 +232,15 @@ def ext_dims(M: Rep, N: Rep, up_to: int, bound: int = 24) -> List[int]:
     complete, so a degree past reach raises ``TruncationError``."""
     if M.is_zero() or N.is_zero():
         return [0] * (up_to + 1)
-    return _ext_dims(minimal_resolution(M, bound), N, up_to)
+    res = minimal_resolution(M, bound)
+    return _ext_dims(res, resolution_complex(res), N, up_to)
 
 
-def _ext_dims(res: Resolution, N: Rep, up_to: int) -> List[int]:
-    """dim Ext^j(M, N) for j = 0..up_to, from a resolution of M."""
-    H = BoundedHomComplex(resolution_complex(res),
-                          BoundedComplex(N.algebra, {0: N}, {}))
+def _ext_dims(res: Resolution, X: BoundedComplex, N: Rep,
+              up_to: int) -> List[int]:
+    """dim Ext^j(M, N) for j = 0..up_to, from a resolution of M and its
+    bounded complex X."""
+    H = BoundedHomComplex(X, BoundedComplex(N.algebra, {0: N}, {}))
     dims = []
     for j in range(up_to + 1):
         res.check_reach(j)
@@ -233,7 +252,7 @@ def ext_sum_check(ctx: DerivedContext, M: Rep, N: Rep) -> dict:
     """Compare derived Hom of stalks against the lacunary Ext sum, degreewise."""
     m = ctx.m
     res = ctx.resolution(M)
-    exts = _ext_dims(res, N, max(res.length, m))
+    exts = _ext_dims(res, ctx._resolution_complex(M), N, max(res.length, m))
     rows = []
     ok = True
     for p in range(m):
@@ -348,7 +367,7 @@ def stalk_tilting_check(ctx: DerivedContext) -> dict:
     rig = []
     rig_ok = True
     for i in range(m):
-        d, _ = homotopy_hom(LS, LS, i)
+        d = hom_complex(LS, LS).homotopy_dim(i)
         expect = Lam.total_dim if i % m == 0 else 0
         rig.append({"shift": i, "dim": d, "expected": expect})
         rig_ok = rig_ok and d == expect

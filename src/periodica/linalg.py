@@ -11,11 +11,14 @@ return normal forms even from entries that are not, such as
 
 A ``kernel_basis`` is the identity on the free columns of the cached rref,
 so coordinates on it are read there, with no solve: ``kernel_coords`` for a
-map into a kernel, ``rep.HomBasis`` for Hom coordinates (a combination of
+map into a kernel, ``rep.HomBasis`` for the coordinates of Hom spaces out
+of a module that does not carry its projective tops (a combination of
 basis maps is then one product with the kernel basis).  ``rep.HomBasis``
 row-reduces its flat system with ``_echelon`` and reads the kernel basis
 and free columns off that one form with ``_null_space``, the routine
-behind ``kernel_basis``, building no ``Mat`` for the system.
+behind ``kernel_basis``, building no ``Mat`` for the system.  Hom out of a
+sum of projectives that carries its tops is ``rep.YonedaHom``, which
+solves no system at all (see ``rep.hom_coords``).
 
 Row reduction and products run in the kernels of ``_kernels_py``, reached
 through the module alias ``_impl`` by attribute lookup, so a profiler can

@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .common import CheckFailed, PreconditionError
 from .linalg import Mat, reduce_mod_rowspace
 from .quiver import FinDimAlgebra
-from .rep import (HomBasis, Morphism, Rep, Resolution, _lift, block_map,
-                  block_sum, is_projective, kernel_of, quotient_rep)
+from .rep import (HomBasis, Morphism, Rep, Resolution, YonedaHom, _lift,
+                  block_map, block_sum, hom_coords, is_projective, kernel_of,
+                  quotient_rep)
 
 
 class PeriodicComplex:
@@ -409,7 +410,11 @@ class PeriodicHomComplex:
     """The m-periodic DG Hom complex of a pair of periodic complexes.
 
     Spaces in degree p only depend on p mod m; differential matrices depend on
-    p through (p mod m, p mod 2).
+    p through (p mod m, p mod 2).  Each piece Hom(V^i, W^j) is
+    ``rep.hom_coords``: read by Yoneda when V^i carries its tops (a
+    K-projective replacement, a fold of projectives), a ``HomBasis``
+    otherwise, and the differential's blocks are the pieces' post- and
+    pre-composition matrices.
     """
 
     def __init__(self, V: PeriodicComplex, W: PeriodicComplex):
@@ -420,14 +425,14 @@ class PeriodicHomComplex:
         self.V = V
         self.W = W
         self.m = V.m
-        self._pieces: Dict[Tuple[int, int], HomBasis] = {}
+        self._pieces: Dict[Tuple[int, int], HomBasis | YonedaHom] = {}
         self._dmat: Dict[Tuple[int, int], Mat] = {}
 
-    def piece(self, i: int, j: int) -> HomBasis:
+    def piece(self, i: int, j: int) -> HomBasis | YonedaHom:
         key = (i % self.m, j % self.m)
         got = self._pieces.get(key)
         if got is None:
-            got = HomBasis(self.V.comps[key[0]], self.W.comps[key[1]])
+            got = hom_coords(self.V.comps[key[0]], self.W.comps[key[1]])
             self._pieces[key] = got
         return got
 
@@ -467,21 +472,30 @@ class PeriodicHomComplex:
         m = self.m
         blocks: Dict[Tuple[int, int], Mat] = {}
         for i in range(m):
-            basis = self.piece(i, i + p).basis
-            if not basis:
+            piece = self.piece(i, i + p)
+            if not piece.dim:
                 continue
             # d_W o f lands in target piece i; -(-1)^p f o d_V in piece i-1
             k = (i - 1) % m
-            blocks[(i, i)] = self.piece(i, i + p + 1).coords_matrix(
-                [self.W.diffs[(i + p) % m] @ g for g in basis])
-            dn = self.piece(k, i + p).coords_matrix(
-                [g @ self.V.diffs[k] for g in basis])
+            blocks[(i, i)] = piece.post_matrix(self.W.diffs[(i + p) % m],
+                                               self.piece(i, i + p + 1))
+            dn = piece.pre_matrix(self.V.diffs[k], self.piece(k, i + p))
             dn = dn if p % 2 else -dn
             # at m = 1 (k = i) both terms land in one block
             blocks[(k, i)] = blocks[(k, i)] + dn if (k, i) in blocks else dn
         mat = Mat.block(field, tgt_dims, src_dims, blocks)
         self._dmat[key] = mat
         return mat
+
+    def homotopy_dim(self, p: int) -> int:
+        """dim H^p = dim Hom^p - rank d^p - rank d^{p-1}, with no
+        representatives formed; as in ``BoundedHomComplex.homotopy_dim``, a
+        d^t from or to a zero Hom^t or Hom^{t+1} is zero and is not formed."""
+        here = self.total_dim(p)
+        if not here:
+            return 0
+        return here - sum(self.diff_matrix(t).rank() for t in (p, p - 1)
+                          if self.total_dim(t) and self.total_dim(t + 1))
 
     def homotopy_classes(self, p: int) -> Tuple[int, List[GradedMorphism]]:
         """H^p of the Hom complex: (dimension, representative closed maps).
@@ -622,22 +636,23 @@ def resolution_complex(res: Resolution, upto: Optional[int] = None
 class BoundedHomComplex:
     """The Hom complex of two bounded complexes: Hom^s is the sum of the
     Hom(X^j, Y^{j+s}), each built once and only where X^j and Y^{j+s} are
-    nonzero, and d(f) = d_Y o f - (-1)^s f o d_X.  With X a resolution
+    nonzero (``rep.hom_coords``, as in :class:`PeriodicHomComplex`), and
+    d(f) = d_Y o f - (-1)^s f o d_X.  With X a resolution
     (:func:`resolution_complex`) and Y a module in degree 0, H^s is Ext^s."""
 
     def __init__(self, X: BoundedComplex, Y: BoundedComplex):
         self.X = X
         self.Y = Y
         self.field = X.algebra.field
-        self._pieces: Dict[Tuple[int, int], HomBasis] = {}
+        self._pieces: Dict[Tuple[int, int], HomBasis | YonedaHom] = {}
         self._layouts: Dict[int, List[int]] = {}
         self._dmat: Dict[int, Mat] = {}
 
-    def piece(self, j: int, jj: int) -> HomBasis:
+    def piece(self, j: int, jj: int) -> HomBasis | YonedaHom:
         got = self._pieces.get((j, jj))
         if got is None:
-            got = self._pieces[j, jj] = HomBasis(self.X.component(j),
-                                                 self.Y.component(jj))
+            got = self._pieces[j, jj] = hom_coords(self.X.component(j),
+                                                   self.Y.component(jj))
         return got
 
     def degree_layout(self, s: int) -> List[int]:
@@ -658,16 +673,15 @@ class BoundedHomComplex:
         tgt = {j: r for r, j in enumerate(self.degree_layout(s + 1))}
         blocks: Dict[Tuple[int, int], Mat] = {}
         for c, j in enumerate(src):
-            basis = self.piece(j, j + s).basis
+            piece = self.piece(j, j + s)
             # d_Y o g lands in target piece j, -(-1)^s g o d_X in piece j-1;
             # a zero differential leaves its block zero
             d_Y, d_X = self.Y.diffs.get(j + s), self.X.diffs.get(j - 1)
             if j in tgt and d_Y is not None:
-                blocks[(tgt[j], c)] = self.piece(j, j + s + 1).coords_matrix(
-                    [d_Y @ g for g in basis])
+                blocks[(tgt[j], c)] = piece.post_matrix(
+                    d_Y, self.piece(j, j + s + 1))
             if j - 1 in tgt and d_X is not None:
-                dn = self.piece(j - 1, j + s).coords_matrix(
-                    [g @ d_X for g in basis])
+                dn = piece.pre_matrix(d_X, self.piece(j - 1, j + s))
                 blocks[(tgt[j - 1], c)] = dn if s % 2 else -dn
         got = self._dmat[s] = Mat.block(
             self.field, [self.piece(j, j + s + 1).dim for j in tgt],

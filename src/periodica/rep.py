@@ -24,9 +24,17 @@ from .quiver import FinDimAlgebra, Walk
 
 
 class Rep:
-    """A finite-dimensional right module, presented vertexwise."""
+    """A finite-dimensional right module, presented vertexwise.
 
-    __slots__ = ("algebra", "dims", "act")
+    ``tops`` records, for a module built as a sum of projectives P(v_1) +
+    ... + P(v_t) in the standard basis (``Rep.projective`` and
+    ``block_sum`` of such parts; ``Rep.zero`` is the empty sum), the top
+    vertices v_1, ..., v_t in summand order; it is None for a module built
+    any other way.  Hom out of a module with tops is read by Yoneda
+    (:class:`YonedaHom`).
+    """
+
+    __slots__ = ("algebra", "dims", "act", "tops")
 
     def __init__(self, algebra: FinDimAlgebra, dims: Sequence[int],
                  act: Sequence[Mat], check: bool = False):
@@ -38,6 +46,7 @@ class Rep:
         self.algebra = algebra
         self.dims = tuple(dims)
         self.act = tuple(act)
+        self.tops: Optional[Tuple[int, ...]] = None
         for i, a in enumerate(q.arrows):
             m = self.act[i]
             if m.shape != (self.dims[a.source - 1], self.dims[a.target - 1]):
@@ -53,8 +62,9 @@ class Rep:
     def zero(cls, algebra: FinDimAlgebra) -> "Rep":
         q = algebra.quiver
         f = algebra.field
-        return cls(algebra, [0] * q.n,
-                   [Mat.zeros(f, 0, 0) for _ in q.arrows])
+        Z = cls(algebra, [0] * q.n, [Mat.zeros(f, 0, 0) for _ in q.arrows])
+        Z.tops = ()
+        return Z
 
     @classmethod
     def simple(cls, algebra: FinDimAlgebra, v: int) -> "Rep":
@@ -82,7 +92,9 @@ class Rep:
                 for k, coeff in algebra.mult(bi, arrow_b):
                     m.data[pos[k] * m.cols + c] = coeff
             act.append(m)
-        return cls(algebra, dims, act)
+        P = cls(algebra, dims, act)
+        P.tops = (v,)
+        return P
 
     @classmethod
     def injective(cls, algebra: FinDimAlgebra, v: int) -> "Rep":
@@ -238,7 +250,8 @@ class Morphism:
 def block_sum(parts: Sequence[Rep]) -> Rep:
     """The direct sum of ``parts`` alone: each arrow acts block-diagonally,
     one block per part in order; one part is returned as it is.  For
-    callers that need no injections or projections."""
+    callers that need no injections or projections.  The sum keeps the
+    parts' ``tops``, concatenated, when every part has them."""
     if not parts:
         raise PreconditionError("block_sum needs at least one part")
     if len(parts) == 1:
@@ -259,7 +272,10 @@ def block_sum(parts: Sequence[Rep]) -> Rep:
             ro += blk.rows
             co += blk.cols
         act.append(m)
-    return Rep(alg, dims, act)
+    S = Rep(alg, dims, act)
+    if all(p.tops is not None for p in parts):
+        S.tops = tuple(v for p in parts for v in p.tops)
+    return S
 
 
 def block_map(source: Rep, target: Rep, rows: Sequence[Rep],
@@ -284,7 +300,35 @@ def hom_space(M: Rep, N: Rep) -> List[Morphism]:
     return HomBasis(M, N).basis
 
 
-class HomBasis:
+def hom_coords(M: Rep, N: Rep) -> HomBasis | YonedaHom:
+    """Hom(M, N) with coordinates: by Yoneda (:class:`YonedaHom`) when M
+    carries its ``tops``, else as the kernel of the Hom system
+    (:class:`HomBasis`).  The two answer the same questions."""
+    if M.tops is not None:
+        return YonedaHom(M, N)
+    return HomBasis(M, N)
+
+
+class _HomCoords:
+    """What the Hom complexes ask of a Hom space with coordinates: the
+    matrices of post- and pre-composition with a fixed map.  Here both are
+    read off composites of the basis maps; :class:`YonedaHom` assembles
+    them from blocks."""
+
+    __slots__ = ()
+
+    def post_matrix(self, d: Morphism, into: "_HomCoords") -> Mat:
+        """The matrix of g -> d o g, from these coordinates to those of
+        ``into`` = Hom(M, target of d)."""
+        return into.coords_matrix([d @ g for g in self.basis])
+
+    def pre_matrix(self, d: Morphism, into: "_HomCoords") -> Mat:
+        """The matrix of g -> g o d, from these coordinates to those of
+        ``into`` = Hom(source of d, N)."""
+        return into.coords_matrix([g @ d for g in self.basis])
+
+
+class HomBasis(_HomCoords):
     """A basis of Hom(M, N) and coordinates on it, read off its kernel basis.
 
     The unknowns are the blocks f_v, row-major and vertex by vertex; arrow
@@ -376,16 +420,245 @@ class HomBasis:
             [n * m for n, m in zip(self.N.dims, self.M.dims)]))
 
 
+class YonedaHom(_HomCoords):
+    """Hom(P, N) out of P = P(v_1) + ... + P(v_t) in the standard basis
+    (``P.tops``), read by Yoneda: a map is fixed by its values at the top
+    generators e_{v_r}, and every tuple of values occurs, so Hom(P, N) is
+    N_{v_1} + ... + N_{v_t} and no system is solved.
+
+    The coordinates of g are its columns at the generators, summand by
+    summand (``coords_of``), certified by rebuilding g from them.  A map is
+    rebuilt from generator values by :func:`_map_from_tops`, the builder of
+    ``projective_cover``; the basis maps are the unit values.  Post- and
+    pre-composition are assembled from blocks (``post_matrix``,
+    ``pre_matrix``) with no composite formed.
+    """
+
+    __slots__ = ("M", "N", "dim", "_gens", "_basis")
+
+    def __init__(self, M: Rep, N: Rep):
+        if M.algebra is not N.algebra:
+            raise PreconditionError("modules over different algebras")
+        if M.tops is None:
+            raise PreconditionError("Yoneda Hom needs a sum of projectives")
+        self.M = M
+        self.N = N
+        self._gens = _generator_rows(M)
+        self.dim = sum(N.dims[v - 1] for v in M.tops)
+        self._basis: Optional[List[Morphism]] = None
+
+    @property
+    def basis(self) -> List[Morphism]:
+        if self._basis is None:
+            f = self.M.field
+            unit = [f.zero()] * self.dim
+            self._basis = []
+            for j in range(self.dim):
+                unit[j] = f.one()
+                self._basis.append(self.from_coords(unit))
+                unit[j] = f.zero()
+        return self._basis
+
+    def _values(self, coords: Sequence) -> Dict[int, Mat]:
+        """Per top vertex v, the values of the summands with top v as the
+        columns of one matrix, in summand order."""
+        f = self.M.field
+        cols: Dict[int, list] = {}
+        k = 0
+        for v in self.M.tops:
+            d = self.N.dims[v - 1]
+            cols.setdefault(v, []).append(coords[k:k + d])
+            k += d
+        return {v: Mat(f, self.N.dims[v - 1], len(cs),
+                       [c[i] for i in range(self.N.dims[v - 1]) for c in cs])
+                for v, cs in cols.items()}
+
+    def from_coords(self, coords: Sequence) -> Morphism:
+        f = self.M.field
+        return _map_from_tops(self.M, self.N, self._values(
+            [f.coerce(x) for x in coords]))
+
+    def coords_of(self, g: Morphism) -> list:
+        out = []
+        for v, r in zip(self.M.tops, self._gens):
+            out.extend(g.blocks[v - 1].col_list(r))
+        if self.from_coords(out) != g:
+            raise PreconditionError("map is not a module morphism")
+        return out
+
+    def coords_matrix(self, maps: Sequence[Morphism]) -> Mat:
+        """Columns: the coordinates of ``maps``."""
+        cols = [self.coords_of(g) for g in maps]
+        return Mat(self.M.field, self.dim, len(cols),
+                   [c[i] for i in range(self.dim) for c in cols])
+
+    def post_matrix(self, d: Morphism, into: _HomCoords) -> Mat:
+        """g -> d o g is block diagonal: d's block at v_r on summand r
+        (``into`` has the same source, so it is read by Yoneda too)."""
+        tops = self.M.tops
+        return Mat.block(self.M.field, [d.target.dims[v - 1] for v in tops],
+                         [self.N.dims[v - 1] for v in tops],
+                         {(r, r): d.blocks[v - 1] for r, v in enumerate(tops)})
+
+    def pre_matrix(self, d: Morphism, into: _HomCoords) -> Mat:
+        """g -> g o d for d: Q -> P, Q = P(u_1) + ... + P(u_s): block (r, s)
+        is sum_w c_w rho_N(w) over the basis walks w: u_r -> v_s of the s-th
+        summand of P, with c_w d's entry at w in the column of Q's r-th
+        generator, since g(d(e_{u_r})) = sum_{s, w} c_w rho_N(w) g(e_{v_s})."""
+        if not isinstance(into, YonedaHom):
+            return super().pre_matrix(d, into)
+        P, N = self.M, self.N
+        alg = P.algebra
+        f = alg.field
+        add, mul = f.add, f.mul
+        pbasis = alg.projective_basis
+        offsets = _summand_offsets(P)
+        rho: Dict[Walk, Mat] = {}
+
+        def action(s: Walk) -> Mat:
+            m = rho.get(s)
+            if m is None:
+                m = rho[s] = (N.act[s[0]] if len(s) == 1
+                              else N.act[s[0]] @ action(s[1:]))
+            return m
+        col_off = _offsets([N.dims[v - 1] for v in P.tops])
+        ncols = col_off[-1]
+        data = [f.zero()] * (into.dim * ncols)
+        row0 = 0
+        for u, gen in zip(into.M.tops, into._gens):
+            du = N.dims[u - 1]
+            D = d.blocks[u - 1]
+            for s, v in enumerate(P.tops):
+                dv = N.dims[v - 1]
+                if not (du and dv):
+                    continue
+                base = offsets[s][u - 1]
+                for idx, bi in enumerate(pbasis[v - 1][u - 1]):
+                    c = D.data[(base + idx) * D.cols + gen]
+                    if not c:
+                        continue
+                    w = alg.basis[bi]
+                    if len(w) == 1:         # e_v itself: c times identity
+                        for i in range(du):
+                            x = (row0 + i) * ncols + col_off[s] + i
+                            data[x] = add(data[x], c)
+                        continue
+                    R = action(w[1:]).data
+                    for i in range(du):
+                        x0 = (row0 + i) * ncols + col_off[s]
+                        for j in range(dv):
+                            y = R[i * dv + j]
+                            if y:
+                                data[x0 + j] = add(data[x0 + j], mul(c, y))
+            row0 += du
+        return Mat(f, into.dim, ncols, data)
+
+
+def _summand_offsets(P: Rep) -> List[List[int]]:
+    """For a module with ``tops``: per summand r, per vertex u (index
+    u - 1), the first basis index of the r-th summand at u."""
+    pdims = P.algebra.projective_basis
+    n = len(P.dims)
+    here = [0] * n
+    out = []
+    for v in P.tops:
+        out.append(list(here))
+        for u in range(n):
+            here[u] += len(pdims[v - 1][u])
+    return out
+
+
+def _generator_rows(P: Rep) -> List[int]:
+    """For a module with ``tops``: per summand r, the basis index of its
+    generator e_{v_r} at v_r."""
+    alg = P.algebra
+    return [off[v - 1] + alg.projective_basis[v - 1][v - 1].index(alg.e(v))
+            for v, off in zip(P.tops, _summand_offsets(P))]
+
+
+def _map_from_tops(P: Rep, N: Rep, values: Dict[int, object]) -> Morphism:
+    """The map P -> N out of P with ``tops`` that sends the generator of
+    the k-th summand with top v to column k of the values G at v: the
+    matrix ``values[v]``, or, for a list of column indices, the unit
+    columns of N_v there (a projective cover's generators).
+
+    The basis walk w of a summand P(v) maps to rho_N(w) times its value.
+    No rho(w) is formed: the images rho(s) G of the arrow suffixes s of the
+    walks are memoised for the call, image(()) = G and image((a,) + s) =
+    act[a] @ image(s), one product per suffix, except that a one-arrow
+    suffix on unit columns is a column selection of act[a].  Each block is
+    read off column k of those images, summand by summand in the order of
+    P's basis (``alg.projective_basis``).
+    """
+    alg = N.algebra
+    f = alg.field
+    n = len(N.dims)
+    # nonempty suffixes end at their vertex v, so one memo serves every v
+    # once image(()) and G are reset for v
+    images: Dict[Walk, Mat] = {}
+
+    def image(s: Walk) -> Mat:
+        m = images.get(s)
+        if m is None:
+            if len(s) > 1:
+                m = N.act[s[0]] @ image(s[1:])
+            elif unit:
+                m = N.act[s[0]].take_cols(G)
+            else:
+                m = N.act[s[0]] @ G
+            images[s] = m
+        return m
+
+    walks = {}
+    for v, G in values.items():
+        unit = not isinstance(G, Mat)
+        images[()] = (Mat.identity(f, N.dims[v - 1]).take_cols(G) if unit
+                      else G)
+        walks[v] = [[image(alg.basis[i][1:]) for i in lst]
+                    for lst in alg.projective_basis[v - 1]]
+    images.clear()      # image() refers to itself: free the memo now
+    seen = dict.fromkeys(values, 0)
+    cols: List[list] = [[] for _ in range(n)]
+    for v in P.tops:
+        k = seen[v]
+        seen[v] = k + 1
+        for cu, ms in zip(cols, walks[v]):
+            cu.extend(m.col_list(k) for m in ms)
+    return Morphism(P, N, [
+        Mat(f, N.dims[u], len(cu), [c[i] for i in range(N.dims[u]) for c in cu])
+        for u, cu in enumerate(cols)])
+
+
 def _lift(g: Morphism, q: Morphism) -> Morphism:
-    """h with q o h = g, for g out of a projective into the image of q: one
-    solve for the coordinates of h on a Hom(source g, source q) basis."""
-    basis = HomBasis(g.source, q.source)
-    coords = HomBasis(g.source, q.target)
-    sol = coords.coords_matrix([q @ b for b in basis.basis]).solve(
-        coords.coords_of(g))
-    if sol is None:
-        raise CheckFailed("projective lift failed (map not into the image?)")
-    return basis.from_coords(sol)
+    """h with q o h = g, for g out of a projective into the image of q.
+
+    Out of a module with ``tops``, h is fixed by its values at the
+    generators: one solve per top vertex v, q's block at v against g's
+    columns at the generators there, and ``q @ h == g`` certifies the
+    result.  Otherwise one solve for the coordinates of h on a
+    Hom(source g, source q) basis."""
+    failed = CheckFailed("projective lift failed (map not into the image?)")
+    P = g.source
+    if P.tops is None:
+        basis = HomBasis(P, q.source)
+        coords = HomBasis(P, q.target)
+        sol = coords.coords_matrix([q @ b for b in basis.basis]).solve(
+            coords.coords_of(g))
+        if sol is None:
+            raise failed
+        return basis.from_coords(sol)
+    cols: Dict[int, List[int]] = {}
+    for v, r in zip(P.tops, _generator_rows(P)):
+        cols.setdefault(v, []).append(r)
+    values = {}
+    for v, rs in cols.items():
+        values[v] = q.blocks[v - 1].solve_matrix(g.blocks[v - 1].take_cols(rs))
+        if values[v] is None:
+            raise failed
+    h = _map_from_tops(P, q.source, values)
+    if q @ h != g:
+        raise failed
+    return h
 
 
 # -- sub / quotient machinery --------------------------------------------------
@@ -489,65 +762,39 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
     by ``block_sum``.  The generators g_1..g_t at v are the unit vectors
     at ``_top_cols``, the free columns of the rref of rad(M)_v (one row per
     image vector of an arrow): with its rows they form a unit-triangular
-    basis, so they span a complement.  The basis walk w (ending at v) of
-    the r-th P(v) maps to rho(w) g_r.  No rho(w) is formed: the images
-    rho(s) g of the arrow suffixes s of the walks are memoised for the
-    call, image((a,)) a column selection of act[a] and image((a,) + s) =
-    act[a] @ image(s), one d x t product per longer suffix, and each block
-    of the map is read off column r of those images, the walks in the order
-    of ``alg.projective_basis``, which is the order of P(v)'s basis in
-    ``Rep.projective``.
+    basis, so they span a complement.  The map sends the generator of the
+    r-th P(v) to g_r: it is :func:`_map_from_tops` on those unit columns,
+    so the basis walk w of the r-th P(v) maps to rho(w) g_r with no rho(w)
+    formed (one product per arrow suffix, a one-arrow suffix a column
+    selection).
     """
     alg = M.algebra
-    q = alg.quiver
-    f = alg.field
     if M.is_zero():
         Z = Rep.zero(alg)
         return Z, Morphism.zero(Z, M)
-    # nonempty suffixes end at their vertex v, so one memo serves every v
-    # once image(()) and gens are reset for v
-    images: Dict[Walk, Mat] = {}
-
-    def image(s: Walk) -> Mat:
-        m = images.get(s)
-        if m is None:
-            m = images[s] = (M.act[s[0]] @ image(s[1:]) if len(s) > 1
-                             else M.act[s[0]].take_cols(gens))
-        return m
-
     parts: List[Rep] = []
-    # cols[w]: the columns of the block at vertex w, in the order of
-    # P(M)'s basis there
-    cols: List[list] = [[] for _ in range(q.n)]
-    for v, gens in enumerate(_top_cols(M)):
-        t = len(gens)
-        if not t:
-            continue
-        images[()] = Mat.identity(f, M.dims[v]).take_cols(gens)
-        walks = [[image(alg.basis[i][1:]) for i in lst]
-                 for lst in alg.projective_basis[v]]
-        parts.extend([Rep.projective(alg, v + 1)] * t)
-        for r in range(t):
-            for w in range(q.n):
-                cols[w].extend(m.col_list(r) for m in walks[w])
-    images.clear()      # image() refers to itself: free the memo now
+    values: Dict[int, List[int]] = {}
+    for v, gens in enumerate(_top_cols(M), start=1):
+        if gens:
+            values[v] = gens
+            parts.extend([Rep.projective(alg, v)] * len(gens))
     P = block_sum(parts)
-    phi = Morphism(P, M, [
-        Mat(f, M.dims[w], len(cw),
-            [c[i] for i in range(M.dims[w]) for c in cw])
-        for w, cw in enumerate(cols)])
-    for v in range(q.n):
+    phi = _map_from_tops(P, M, values)
+    for v in range(alg.quiver.n):
         if phi.blocks[v].rank() != M.dims[v]:
             raise PreconditionError("projective cover failed to surject")
     return P, phi
 
 
 def is_projective(M: Rep) -> bool:
-    """Is M projective?  Exact and deterministic: M is projective iff its
-    projective cover P(M) ->> M is injective, i.e. dim P(M) = dim M, where
+    """Is M projective?  A module with ``tops`` is, by construction.
+    Otherwise exact and deterministic: M is projective iff its projective
+    cover P(M) ->> M is injective, i.e. dim P(M) = dim M, where
     dim P(M) = sum_v dim top(M)_v * dim P(v).  The cover has one P(v) per
     top generator (``_top_cols``), so a nonzero M smaller than every P(v)
     is not projective, with no top formed."""
+    if M.tops is not None:
+        return True
     pdims = M.algebra.projective_dims
     if 0 < M.total_dim < min(pdims):
         return False

@@ -15,7 +15,7 @@ from .families import (dual_numbers, linear_a, nakayama, semisimple_product,
 from .fields import Field
 from .hochschild import (HochschildContext, LaurentSetup, formality_criterion,
                          hh_table, vanishing_pattern_ok)
-from .percomplex import bounded_homotopy_hom_dim, fold, homotopy_hom
+from .percomplex import bounded_homotopy_hom_dim, fold, hom_complex
 from .quiver import FinDimAlgebra
 from .randomcx import random_bounded_projectives, random_periodic_complex
 from .rep import iso_q
@@ -167,7 +167,7 @@ def reproduce_prop3_10(alg: FinDimAlgebra, m: int, seed: int, pairs: int
         Y = random_bounded_projectives(alg, rng)
         FX, _ = fold(X, m)
         FY, _ = fold(Y, m)
-        lhs = homotopy_hom(FX, FY, 0)[0]
+        lhs = hom_complex(FX, FY).homotopy_dim(0)
         span = (X.hi - X.lo) + (Y.hi - Y.lo) + 2 * m
         lo = -(span // m) * m
         rhs_terms = {}

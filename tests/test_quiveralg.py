@@ -960,8 +960,9 @@ def test_is_projective_agrees_with_the_radical_route(monkeypatch):
         small = 0 < M.total_dim < min(alg.target.count(v)
                                       for v in range(1, alg.quiver.n + 1))
         assert not (small and want)
-        # the size test decides the small modules, the radicals the rest
-        assert bool(radicals) != small
+        # the size test decides the small modules, the carried tops the
+        # sums of Rep.projective, the radicals the rest
+        assert bool(radicals) == (not small and M.tops is None)
         verdicts.append((want, small))
     assert {(True, False), (False, True), (False, False)} <= set(verdicts)
 
