@@ -10,6 +10,8 @@ Chain maps are the closed degree-0 maps; two chain maps are homotopic when
 their difference is exact.  Degrees of graded maps are genuine integers: the
 underlying component spaces only depend on p mod m but the sign (-1)^p does
 not, which is exactly the source of the period-2m phenomenon for odd m.
+The Hom complex of two bounded (Z-indexed) complexes is the same
+construction with degrees read in Z, and one implementation serves both.
 
 Sums of complexes with block upper-triangular differentials (cones, folds,
 direct sums and the twisted replacements of ``derivedper``; twisted
@@ -406,96 +408,126 @@ def is_quasi_iso(f: GradedMorphism) -> bool:
 # -- the Hom complex ---------------------------------------------------------------
 
 
-class PeriodicHomComplex:
-    """The m-periodic DG Hom complex of a pair of periodic complexes.
+class _HomComplex:
+    """The DG Hom complex of two complexes X, Y over one algebra: Hom^s is
+    the sum of the pieces Hom(X^j, Y^{j+s}), d(f) = d_Y o f - (-1)^s f o d_X.
+    Each piece is ``rep.hom_coords`` (read by Yoneda when X^j carries its
+    tops), built once and only where X^j and Y^{j+s} are both nonzero; the
+    differential's blocks are the pieces' post- and pre-composition matrices.
+    A subclass fixes the index set (Z or Z/m): ``_degree(j)`` keys degree j
+    and ``_nonzero(C)`` gives C's nonzero components and differentials as
+    dicts keyed by degree."""
 
-    Spaces in degree p only depend on p mod m; differential matrices depend on
-    p through (p mod m, p mod 2).  Each piece Hom(V^i, W^j) is
-    ``rep.hom_coords``: read by Yoneda when V^i carries its tops (a
-    K-projective replacement, a fold of projectives), a ``HomBasis``
-    otherwise, and the differential's blocks are the pieces' post- and
-    pre-composition matrices.
-    """
-
-    def __init__(self, V: PeriodicComplex, W: PeriodicComplex):
-        if V.m != W.m:
-            raise PreconditionError("period mismatch")
-        if V.algebra is not W.algebra:
+    def __init__(self, X, Y):
+        if X.algebra is not Y.algebra:
             raise PreconditionError("different base algebras")
-        self.V = V
-        self.W = W
-        self.m = V.m
+        self.X = X
+        self.Y = Y
+        self.field = X.algebra.field
+        self._xc, self._xd = self._nonzero(X)
+        self._yc, self._yd = self._nonzero(Y)
         self._pieces: Dict[Tuple[int, int], HomBasis | YonedaHom] = {}
+        self._layouts: Dict[int, List[int]] = {}
         self._dmat: Dict[Tuple[int, int], Mat] = {}
 
-    def piece(self, i: int, j: int) -> HomBasis | YonedaHom:
-        key = (i % self.m, j % self.m)
+    def piece(self, j: int, jj: int) -> HomBasis | YonedaHom:
+        key = (self._degree(j), self._degree(jj))
         got = self._pieces.get(key)
         if got is None:
-            got = hom_coords(self.V.comps[key[0]], self.W.comps[key[1]])
-            self._pieces[key] = got
+            got = self._pieces[key] = hom_coords(self.X.component(j),
+                                                 self.Y.component(jj))
         return got
 
-    def degree_dims(self, p: int) -> List[int]:
-        return [self.piece(i, i + p).dim for i in range(self.m)]
+    def degree_layout(self, s: int) -> List[int]:
+        """The degrees j, increasing, of the nonzero pieces of Hom^s."""
+        key = self._degree(s)
+        got = self._layouts.get(key)
+        if got is None:
+            got = self._layouts[key] = [
+                j for j in sorted(self._xc)
+                if self._degree(j + s) in self._yc and self.piece(j, j + s).dim]
+        return got
 
-    def total_dim(self, p: int) -> int:
-        return sum(self.degree_dims(p))
+    def total_dim(self, s: int) -> int:
+        return sum(self.piece(j, j + s).dim for j in self.degree_layout(s))
 
-    def flatten(self, f: GradedMorphism) -> list:
-        """Coordinates of a degree-p graded map in the piece bases."""
-        out = []
-        for i in range(self.m):
-            out.extend(self.piece(i, i + f.degree).coords_of(f.comps[i]))
-        return out
-
-    def unflatten(self, p: int, coords: Sequence) -> GradedMorphism:
-        comps = []
-        k = 0
-        for i in range(self.m):
-            piece = self.piece(i, i + p)
-            comps.append(piece.from_coords(coords[k:k + piece.dim]))
-            k += piece.dim
-        return GradedMorphism(self.V, self.W, p, comps)
-
-    def diff_matrix(self, p: int) -> Mat:
-        """Matrix of d: Hom^p -> Hom^{p+1} in the piece bases."""
-        key = (p % self.m, p % 2)
+    def diff_matrix(self, s: int) -> Mat:
+        """Matrix of d: Hom^s -> Hom^{s+1} in the piece bases; it depends on
+        s through its degree key and s mod 2."""
+        key = (self._degree(s), s % 2)
         got = self._dmat.get(key)
         if got is not None:
             return got
-        field = self.V.algebra.field
-        src_dims, tgt_dims = self.degree_dims(p), self.degree_dims(p + 1)
-        if not any(src_dims):
-            # Hom^p = 0: no columns, cheaper to rebuild than to keep
-            return Mat.zeros(field, sum(tgt_dims), 0)
-        m = self.m
+        src = self.degree_layout(s)
+        tgt = {j: r for r, j in enumerate(self.degree_layout(s + 1))}
         blocks: Dict[Tuple[int, int], Mat] = {}
-        for i in range(m):
-            piece = self.piece(i, i + p)
-            if not piece.dim:
-                continue
-            # d_W o f lands in target piece i; -(-1)^p f o d_V in piece i-1
-            k = (i - 1) % m
-            blocks[(i, i)] = piece.post_matrix(self.W.diffs[(i + p) % m],
-                                               self.piece(i, i + p + 1))
-            dn = piece.pre_matrix(self.V.diffs[k], self.piece(k, i + p))
-            dn = dn if p % 2 else -dn
-            # at m = 1 (k = i) both terms land in one block
-            blocks[(k, i)] = blocks[(k, i)] + dn if (k, i) in blocks else dn
-        mat = Mat.block(field, tgt_dims, src_dims, blocks)
-        self._dmat[key] = mat
-        return mat
+        for c, j in enumerate(src):
+            piece = self.piece(j, j + s)
+            # d_Y o g lands in target piece j, -(-1)^s g o d_X in piece j-1;
+            # a zero differential leaves its block zero
+            k = self._degree(j - 1)
+            d_Y, d_X = self._yd.get(self._degree(j + s)), self._xd.get(k)
+            if j in tgt and d_Y is not None:
+                blocks[(tgt[j], c)] = piece.post_matrix(
+                    d_Y, self.piece(j, j + s + 1))
+            if k in tgt and d_X is not None:
+                dn = piece.pre_matrix(d_X, self.piece(k, j + s))
+                dn = dn if s % 2 else -dn
+                # over Z/1 (k = j) both terms land in one block
+                r = tgt[k]
+                blocks[(r, c)] = blocks[(r, c)] + dn if (r, c) in blocks else dn
+        got = self._dmat[key] = Mat.block(
+            self.field, [self.piece(j, j + s + 1).dim for j in tgt],
+            [self.piece(j, j + s).dim for j in src], blocks)
+        return got
 
-    def homotopy_dim(self, p: int) -> int:
-        """dim H^p = dim Hom^p - rank d^p - rank d^{p-1}, with no
-        representatives formed; as in ``BoundedHomComplex.homotopy_dim``, a
-        d^t from or to a zero Hom^t or Hom^{t+1} is zero and is not formed."""
-        here = self.total_dim(p)
+    def homotopy_dim(self, s: int) -> int:
+        """dim H^s = dim Hom^s - rank d^s - rank d^{s-1}, with no
+        representatives formed; a d^t from or to a zero Hom^t or Hom^{t+1}
+        is zero and is not formed."""
+        here = self.total_dim(s)
         if not here:
             return 0
-        return here - sum(self.diff_matrix(t).rank() for t in (p, p - 1)
-                          if self.total_dim(t) and self.total_dim(t + 1))
+        return here - sum(self.diff_matrix(t).rank() for t in (s, s - 1)
+                          if self.degree_layout(t) and self.degree_layout(t + 1))
+
+
+class PeriodicHomComplex(_HomComplex):
+    """The m-periodic Hom complex: Hom^p depends on p mod m and d^p on
+    (p mod m, p mod 2); graded maps are read in and out of its coordinates."""
+
+    def __init__(self, X: PeriodicComplex, Y: PeriodicComplex):
+        if X.m != Y.m:
+            raise PreconditionError("period mismatch")
+        self.m = X.m
+        super().__init__(X, Y)
+
+    def _degree(self, j: int) -> int:
+        return j % self.m
+
+    @staticmethod
+    def _nonzero(V: PeriodicComplex):
+        return ({i: c for i, c in enumerate(V.comps) if not c.is_zero()},
+                {i: d for i, d in enumerate(V.diffs) if not d.is_zero()})
+
+    def flatten(self, f: GradedMorphism) -> list:
+        """Coordinates of a degree-p graded map in the piece bases; off the
+        nonzero pieces only a zero component is a module map."""
+        layout = self.degree_layout(f.degree)
+        if any(not g.is_zero() for i, g in enumerate(f.comps) if i not in layout):
+            raise PreconditionError("map is not a module morphism")
+        return [x for i in layout
+                for x in self.piece(i, i + f.degree).coords_of(f.comps[i])]
+
+    def unflatten(self, p: int, coords: Sequence) -> GradedMorphism:
+        comps = [Morphism.zero(c, self.Y.component(i + p))
+                 for i, c in enumerate(self.X.comps)]
+        k = 0
+        for i in self.degree_layout(p):
+            piece = self.piece(i, i + p)
+            comps[i] = piece.from_coords(coords[k:k + piece.dim])
+            k += piece.dim
+        return GradedMorphism(self.X, self.Y, p, comps)
 
     def homotopy_classes(self, p: int) -> Tuple[int, List[GradedMorphism]]:
         """H^p of the Hom complex: (dimension, representative closed maps).
@@ -505,7 +537,7 @@ class PeriodicHomComplex:
         so no image basis is formed).  The representatives are the reduced
         vectors at the pivot columns of one rref of them: each is
         independent of the vectors before it."""
-        field = self.V.algebra.field
+        field = self.field
         Z = self.diff_matrix(p).kernel_basis()
         R, piv = self.diff_matrix(p - 1).transpose().rref()
         dim = Z.cols - len(piv)
@@ -519,10 +551,9 @@ class PeriodicHomComplex:
 
     def contraction(self) -> Optional[GradedMorphism]:
         """A degree -1 map h with d(h) = id, when one exists."""
-        ident = GradedMorphism.identity(self.V)
-        if self.V is not self.W and self.V.dim_vector() != self.W.dim_vector():
+        if self.X is not self.Y and self.X != self.Y:
             raise PreconditionError("contraction needs V = W")
-        target = self.flatten(ident)
+        target = self.flatten(GradedMorphism.identity(self.X))
         sol = self.diff_matrix(-1).solve(target)
         if sol is None:
             return None
@@ -530,11 +561,9 @@ class PeriodicHomComplex:
 
 
 def hom_complex(V: PeriodicComplex, W: PeriodicComplex) -> PeriodicHomComplex:
-    key = ("homcx", id(W))
-    got = V._hom_cache.get(key)
+    got = V._hom_cache.get(id(W))
     if got is None:
-        got = PeriodicHomComplex(V, W)
-        V._hom_cache[key] = got
+        got = V._hom_cache[id(W)] = PeriodicHomComplex(V, W)
     return got
 
 
@@ -633,70 +662,17 @@ def resolution_complex(res: Resolution, upto: Optional[int] = None
                           check=False)
 
 
-class BoundedHomComplex:
-    """The Hom complex of two bounded complexes: Hom^s is the sum of the
-    Hom(X^j, Y^{j+s}), each built once and only where X^j and Y^{j+s} are
-    nonzero (``rep.hom_coords``, as in :class:`PeriodicHomComplex`), and
-    d(f) = d_Y o f - (-1)^s f o d_X.  With X a resolution
+class BoundedHomComplex(_HomComplex):
+    """The Hom complex of two bounded complexes.  With X a resolution
     (:func:`resolution_complex`) and Y a module in degree 0, H^s is Ext^s."""
 
-    def __init__(self, X: BoundedComplex, Y: BoundedComplex):
-        self.X = X
-        self.Y = Y
-        self.field = X.algebra.field
-        self._pieces: Dict[Tuple[int, int], HomBasis | YonedaHom] = {}
-        self._layouts: Dict[int, List[int]] = {}
-        self._dmat: Dict[int, Mat] = {}
+    @staticmethod
+    def _degree(j: int) -> int:
+        return j
 
-    def piece(self, j: int, jj: int) -> HomBasis | YonedaHom:
-        got = self._pieces.get((j, jj))
-        if got is None:
-            got = self._pieces[j, jj] = hom_coords(self.X.component(j),
-                                                   self.Y.component(jj))
-        return got
-
-    def degree_layout(self, s: int) -> List[int]:
-        """The degrees j, increasing, of the nonzero pieces of Hom^s."""
-        got = self._layouts.get(s)
-        if got is None:
-            got = self._layouts[s] = [
-                j for j in sorted(self.X.comps)
-                if j + s in self.Y.comps and self.piece(j, j + s).dim]
-        return got
-
-    def diff_matrix(self, s: int) -> Mat:
-        """Matrix of d: Hom^s -> Hom^{s+1} in the piece bases."""
-        got = self._dmat.get(s)
-        if got is not None:
-            return got
-        src = self.degree_layout(s)
-        tgt = {j: r for r, j in enumerate(self.degree_layout(s + 1))}
-        blocks: Dict[Tuple[int, int], Mat] = {}
-        for c, j in enumerate(src):
-            piece = self.piece(j, j + s)
-            # d_Y o g lands in target piece j, -(-1)^s g o d_X in piece j-1;
-            # a zero differential leaves its block zero
-            d_Y, d_X = self.Y.diffs.get(j + s), self.X.diffs.get(j - 1)
-            if j in tgt and d_Y is not None:
-                blocks[(tgt[j], c)] = piece.post_matrix(
-                    d_Y, self.piece(j, j + s + 1))
-            if j - 1 in tgt and d_X is not None:
-                dn = piece.pre_matrix(d_X, self.piece(j - 1, j + s))
-                blocks[(tgt[j - 1], c)] = dn if s % 2 else -dn
-        got = self._dmat[s] = Mat.block(
-            self.field, [self.piece(j, j + s + 1).dim for j in tgt],
-            [self.piece(j, j + s).dim for j in src], blocks)
-        return got
-
-    def homotopy_dim(self, s: int) -> int:
-        """dim H^s = dim Hom^s - rank d^s - rank d^{s-1}; a d^t from or to
-        a zero Hom^t or Hom^{t+1} is zero and is not formed."""
-        here = self.degree_layout(s)
-        if not here:
-            return 0
-        return (sum(self.piece(j, j + s).dim for j in here)
-                - sum(self.diff_matrix(t).rank() for t in (s, s - 1)
-                      if self.degree_layout(t) and self.degree_layout(t + 1)))
+    @staticmethod
+    def _nonzero(X: BoundedComplex):
+        return X.comps, X.diffs
 
 
 def bounded_homotopy_hom_dim(X: BoundedComplex, Y: BoundedComplex, s: int) -> int:

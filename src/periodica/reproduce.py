@@ -15,7 +15,7 @@ from .families import (dual_numbers, linear_a, nakayama, semisimple_product,
 from .fields import Field
 from .hochschild import (HochschildContext, LaurentSetup, formality_criterion,
                          hh_table, vanishing_pattern_ok)
-from .percomplex import bounded_homotopy_hom_dim, fold, hom_complex
+from .percomplex import BoundedHomComplex, fold, hom_complex
 from .quiver import FinDimAlgebra
 from .randomcx import random_bounded_projectives, random_periodic_complex
 from .rep import iso_q
@@ -168,12 +168,13 @@ def reproduce_prop3_10(alg: FinDimAlgebra, m: int, seed: int, pairs: int
         FX, _ = fold(X, m)
         FY, _ = fold(Y, m)
         lhs = hom_complex(FX, FY).homotopy_dim(0)
+        H = BoundedHomComplex(X, Y)
         span = (X.hi - X.lo) + (Y.hi - Y.lo) + 2 * m
         lo = -(span // m) * m
         rhs_terms = {}
         rhs = 0
         for mi in range(lo, span + 1, m):
-            dim = bounded_homotopy_hom_dim(X, Y, mi)
+            dim = H.homotopy_dim(mi)
             if dim:
                 rhs_terms[str(mi)] = dim
             rhs += dim

@@ -140,7 +140,7 @@ def test_direct_sum_and_cone_match_injection_products(field, seed, m):
 
 def _diff_matrix_by_columns(H, p: int) -> Mat:
     """d: Hom^p -> Hom^{p+1}, one column per basis map, through dmap."""
-    field = H.V.algebra.field
+    field = H.field
     n = H.total_dim(p)
     cols = []
     for c in range(n):

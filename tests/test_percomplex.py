@@ -3,7 +3,7 @@ import random
 import pytest
 
 from periodica import percomplex
-from periodica.derivedper import ext_dims
+from periodica.derivedper import DerivedContext, ext_dims
 from periodica.families import linear_a, nakayama
 from periodica.fields import QQ, Field
 from periodica.linalg import Mat, reduce_mod_rowspace
@@ -342,7 +342,7 @@ def _greedy_class_vectors(H, p):
     reduced modulo the coboundaries (the rref of d^{p-1}'s image basis,
     transposed), is kept when it raises the rank of the vectors kept.
     Returns the indices kept and the vectors."""
-    field = H.V.algebra.field
+    field = H.field
     Z = H.diff_matrix(p).kernel_basis()
     R, piv = H.diff_matrix(p - 1).image_basis().transpose().rref()
     cols, kept = [], []
@@ -391,8 +391,9 @@ def test_homotopy_hom_fold_formula(a2):
 def test_bounded_hom_complex_builds_no_basis_on_a_zero_component(
         a2, monkeypatch):
     # Hom(X^j, Y^{j+s}) = 0 when either end is 0: no Hom piece (Yoneda or
-    # HomBasis) is built there, on a Prop. 3.10 pair or on the Ext cochains
-    # of a resolution
+    # HomBasis) is built there, on a Prop. 3.10 pair, on the Ext cochains
+    # of a resolution or on the periodic Hom complex of two stalks'
+    # K-projective replacements, which have a zero component at m = 3
     rng = random.Random(77)
     X = random_bounded_projectives(a2, rng)
     Y = random_bounded_projectives(a2, rng)
@@ -412,6 +413,46 @@ def test_bounded_hom_complex_builds_no_basis_on_a_zero_component(
     S1, S2 = Rep.simple(a2, 1), Rep.simple(a2, 2)
     assert ext_dims(S2, S1, 3) == [0, 1, 0, 0]
     assert built and all(m and n for m, n in built)
+    built.clear()
+    ctx = DerivedContext(a2, 3)
+    assert [ctx.derived_hom_modules(S2, S1, p) for p in range(3)] == [0, 1, 0]
+    assert built and all(m and n for m, n in built)
+
+
+def test_hom_complexes_refuse_two_base_algebras(a2, n33):
+    # both index sets check the base algebra once; a Hom complex that built
+    # no piece in a degree would otherwise answer 0 there
+    X = BoundedComplex(a2, {0: Rep.projective(a2, 1)}, {})
+    Y = BoundedComplex(n33, {0: Rep.projective(n33, 1)}, {})
+    for s in (0, 5):
+        with pytest.raises(PreconditionError, match="different base algebras"):
+            bounded_homotopy_hom_dim(X, Y, s)
+    with pytest.raises(PreconditionError, match="different base algebras"):
+        hom_complex(stalk_complex(Rep.simple(a2, 1), 2),
+                    stalk_complex(Rep.simple(n33, 1), 2))
+
+
+def test_flatten_refuses_a_map_that_is_not_a_module_map(a2):
+    # Hom(S(2), P(2)) = 0 though both are nonzero at vertex 2: that piece is
+    # in no layout, and a nonzero map there is refused, not dropped
+    S2, P2 = Rep.simple(a2, 2), Rep.projective(a2, 2)
+    V, W = stalk_complex(S2, 2), stalk_complex(P2, 2)
+    g = Morphism(S2, P2, [Mat.zeros(QQ, 1, 0), Mat.identity(QQ, 1)])
+    f = GradedMorphism(V, W, 0, [g, Morphism.zero(V.comps[1], W.comps[1])])
+    H = hom_complex(V, W)
+    assert H.degree_layout(0) == []
+    with pytest.raises(PreconditionError, match="not a module morphism"):
+        H.flatten(f)
+
+
+def test_contraction_needs_equal_complexes(a2):
+    # the stalks of S(1) and S(2) have equal dimension vectors but are not
+    # equal, so there is no identity to contract
+    V, W = (stalk_complex(Rep.simple(a2, v), 2) for v in (1, 2))
+    assert V.dim_vector() == W.dim_vector()
+    with pytest.raises(PreconditionError, match="contraction needs V = W"):
+        hom_complex(V, W).contraction()
+    assert not is_contractible(V)
 
 
 def test_hom_complex_graded_piece_formula(a2):
@@ -469,7 +510,6 @@ def _assert_rank_route_matches(X):
 @pytest.mark.parametrize("field", [QQ, Field.gf(5), Field.gf(BIG_P)],
                          ids=["Q", "GF5", "GFbig"])
 def test_rank_route_matches_module_route(field):
-    from periodica.derivedper import DerivedContext
     rng = random.Random(41)
     for k in (2, 3):
         alg = linear_a(k, field)

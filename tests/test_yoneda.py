@@ -183,9 +183,9 @@ def _check_periodic(H, plain, degrees):
     """The Yoneda Hom complex H against ``plain``, the same complexes with
     no tops: dims, coboundary ranks, ``homotopy_dim`` and the class count;
     H's differential against its column-by-column rebuild through dmap."""
-    field = H.V.algebra.field
+    field = H.field
     for p in degrees:
-        assert H.degree_dims(p) == plain.degree_dims(p)
+        assert H.degree_layout(p) == plain.degree_layout(p)
         assert H.diff_matrix(p).rank() == plain.diff_matrix(p).rank()
         assert H.homotopy_dim(p) == plain.homotopy_dim(p) \
             == H.homotopy_classes(p)[0]
