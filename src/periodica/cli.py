@@ -23,7 +23,7 @@ from .formats import (complex_to_doc, field_from_string, load_chain_map_file,
                       load_complex_file, parse_algebra_file, parse_module_expr)
 from .hochschild import (HochschildContext, LaurentSetup, formality_criterion,
                          hh_table, vanishing_pattern_ok, smooth_dimension)
-from .percomplex import cohomology, cohomology_dim_vectors, cone, shift
+from .percomplex import cohomology_dim_vectors, cone, shift
 from .quiver import build_algebra
 from .rep import hom_space
 from .reports import build_report, file_sha256, text_sha256, to_json, to_markdown
@@ -132,8 +132,7 @@ def cmd_complex(args) -> int:
         diagram.verify()
         body = {
             "cone": complex_to_doc(diagram.cone),
-            "cohomology": [list(cohomology(diagram.cone, i).dims)
-                           for i in range(diagram.cone.m)],
+            "cohomology": cohomology_dim_vectors(diagram.cone),
             "identities_verified": True,
         }
     else:

@@ -23,7 +23,7 @@ way.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .common import CheckFailed, PreconditionError
 from .linalg import Mat, reduce_mod_rowspace
@@ -33,10 +33,20 @@ from .rep import (HomBasis, Morphism, Rep, Resolution, YonedaHom, _lift,
                   quotient_rep)
 
 
+def _check_differential(j: int, d: Morphism, source: Rep, target: Rep
+                        ) -> None:
+    """The checks on one differential d^j of a complex, periodic or bounded:
+    it runs from ``source`` to ``target`` and is a module map."""
+    if d.source.dims != source.dims or d.target.dims != target.dims:
+        raise PreconditionError(f"differential {j} has wrong ends")
+    if not d.is_intertwiner():
+        raise PreconditionError(f"differential {j} is not a module map")
+
+
 class PeriodicComplex:
     """Modules V^0..V^{m-1} with differentials d^i: V^i -> V^{i+1}, d^2 = 0."""
 
-    __slots__ = ("algebra", "m", "comps", "diffs", "_hom_cache", "_cohom_cache")
+    __slots__ = ("algebra", "m", "comps", "diffs", "_hom_cache")
 
     def __init__(self, algebra: FinDimAlgebra, m: int, comps: Sequence[Rep],
                  diffs: Sequence[Morphism], check: bool = True):
@@ -49,15 +59,10 @@ class PeriodicComplex:
         self.comps = tuple(comps)
         self.diffs = tuple(diffs)
         self._hom_cache: Dict = {}
-        self._cohom_cache: Dict = {}
         if check:
             for i in range(m):
-                d = self.diffs[i]
-                if d.source.dims != self.comps[i].dims or \
-                        d.target.dims != self.comps[(i + 1) % m].dims:
-                    raise PreconditionError(f"differential {i} has wrong ends")
-                if not d.is_intertwiner():
-                    raise PreconditionError(f"differential {i} is not a module map")
+                _check_differential(i, self.diffs[i], self.comps[i],
+                                    self.comps[(i + 1) % m])
             for i in range(m):
                 sq = self.diffs[(i + 1) % m] @ self.diffs[i]
                 if not sq.is_zero():
@@ -332,33 +337,26 @@ def complex_direct_sum(parts: Sequence[PeriodicComplex]) -> PeriodicComplex:
 # -- cohomology -------------------------------------------------------------------
 
 
-class _CohomData:
-    __slots__ = ("Z", "inclZ", "H", "projH")
-
-    def __init__(self, Z, inclZ, H, projH):
-        self.Z = Z
-        self.inclZ = inclZ
-        self.H = H
-        self.projH = projH
+class _CohomData(NamedTuple):
+    """The cocycles Z >-> V^i and the cohomology Z ->> H^i."""
+    Z: Rep
+    inclZ: Morphism
+    H: Rep
+    projH: Morphism
 
 
 def _cohom_data(V: PeriodicComplex, i: int) -> _CohomData:
     i = i % V.m
-    data = V._cohom_cache.get(i)
-    if data is None:
-        Z, inclZ = kernel_of(V.diffs[i])
-        # d^{i-1} corestricted to the cocycles spans the coboundaries there
-        inside = []
-        for here, prev in zip(V.diffs[i].blocks,
-                              V.diffs[(i - 1) % V.m].blocks):
-            X = here.kernel_coords(prev)
-            if X is None:
-                raise PreconditionError("image not inside kernel; d^2 != 0?")
-            inside.append(X)
-        H, projH = quotient_rep(Z, inside)
-        data = _CohomData(Z, inclZ, H, projH)
-        V._cohom_cache[i] = data
-    return data
+    Z, inclZ = kernel_of(V.diffs[i])
+    # d^{i-1} corestricted to the cocycles spans the coboundaries there
+    inside = []
+    for here, prev in zip(V.diffs[i].blocks, V.diffs[(i - 1) % V.m].blocks):
+        X = here.kernel_coords(prev)
+        if X is None:
+            raise PreconditionError("image not inside kernel; d^2 != 0?")
+        inside.append(X)
+    H, projH = quotient_rep(Z, inside)
+    return _CohomData(Z, inclZ, H, projH)
 
 
 def cohomology(V: PeriodicComplex, i: int) -> Rep:
@@ -591,9 +589,8 @@ class BoundedComplex:
         self.diffs = {j: d for j, d in diffs.items() if not d.is_zero()}
         if check:
             for j, d in diffs.items():
-                if d.source.dims != self.component(j).dims or \
-                        d.target.dims != self.component(j + 1).dims:
-                    raise PreconditionError(f"differential {j} has wrong ends")
+                _check_differential(j, d, self.component(j),
+                                    self.component(j + 1))
             for j, d in self.diffs.items():
                 nxt = self.diffs.get(j + 1)
                 if nxt is not None and not (nxt @ d).is_zero():

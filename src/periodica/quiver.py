@@ -128,7 +128,7 @@ def _normalize_relation(quiver: Quiver, terms, field: Field):
 
 
 class AlgebraPresentation:
-    """A quiverined with admissible relations and a nilpotency bound."""
+    """A quiver with admissible relations and a nilpotency bound."""
 
     def __init__(self, quiver: Quiver, field: Field, relations, nilpotency: int,
                  label: str = ""):

@@ -1,9 +1,14 @@
-"""Seeded random complexes for property checks and reproduction runs."""
+"""Seeded random complexes for property checks and reproduction runs.
+
+Both samplers draw their differentials by one rejection loop: one Hom basis
+per differential, all maps redrawn with coefficients in {-1, 0, 1} until
+every listed composite vanishes, zero maps once the caller's tries run out.
+"""
 
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import List, Sequence, Tuple
 
 from .families import all_intervals, is_linear_a
 from .percomplex import BoundedComplex, PeriodicComplex
@@ -11,10 +16,17 @@ from .quiver import FinDimAlgebra
 from .rep import HomBasis, Morphism, Rep, block_sum
 
 
-def _random_map(rng: random.Random, space: HomBasis) -> Morphism:
-    """The combination of ``space``'s basis maps with coefficients drawn
-    from -1, 0, 1."""
-    return space.from_coords([rng.randint(-1, 1) for _ in space.basis])
+def _draw_differentials(rng: random.Random, ends: Sequence[Tuple[Rep, Rep]],
+                        composites: Sequence[Tuple[int, int]],
+                        tries: int) -> List[Morphism]:
+    """Maps on ``ends`` with maps[b] @ maps[a] = 0 for (a, b) in composites."""
+    spaces = [HomBasis(M, N) for M, N in ends]
+    for _ in range(tries):
+        maps = [space.from_coords([rng.randint(-1, 1) for _ in space.basis])
+                for space in spaces]
+        if all((maps[b] @ maps[a]).is_zero() for a, b in composites):
+            return maps
+    return [Morphism.zero(M, N) for M, N in ends]
 
 
 def _indecomposable_pool(alg: FinDimAlgebra) -> List[Rep]:
@@ -34,13 +46,9 @@ def random_periodic_complex(alg: FinDimAlgebra, m: int, rng: random.Random,
         parts = [pool[rng.randrange(len(pool))]
                  for _ in range(rng.randint(1, max_summands))]
         comps.append(block_sum(parts))
-    spaces = [HomBasis(comps[i], comps[(i + 1) % m]) for i in range(m)]
-    for _ in range(60):
-        chosen = [_random_map(rng, space) for space in spaces]
-        if all((chosen[(i + 1) % m] @ chosen[i]).is_zero() for i in range(m)):
-            return PeriodicComplex(alg, m, comps, chosen)
-    zero = [Morphism.zero(comps[i], comps[(i + 1) % m]) for i in range(m)]
-    return PeriodicComplex(alg, m, comps, zero)
+    ends = [(comps[i], comps[(i + 1) % m]) for i in range(m)]
+    return PeriodicComplex(alg, m, comps, _draw_differentials(
+        rng, ends, [(i, (i + 1) % m) for i in range(m)], 60))
 
 
 def random_bounded_projectives(alg: FinDimAlgebra, rng: random.Random,
@@ -49,23 +57,13 @@ def random_bounded_projectives(alg: FinDimAlgebra, rng: random.Random,
     """A random bounded complex of projectives (for folding checks)."""
     projs = [Rep.projective(alg, v) for v in range(1, alg.quiver.n + 1)]
     lo = -rng.randint(0, span)
+    degs = range(lo, lo + rng.randint(1, span))
     comps = {}
-    for j in range(lo, lo + rng.randint(1, span)):
+    for j in degs:
         parts = [projs[rng.randrange(len(projs))]
                  for _ in range(rng.randint(1, max_summands))]
         comps[j] = block_sum(parts)
-    degs = sorted(comps)
-    for _ in range(80):
-        diffs = {}
-        for j in degs:
-            if j + 1 in comps:
-                diffs[j] = _random_map(rng, HomBasis(comps[j], comps[j + 1]))
-        ok = True
-        for j in degs:
-            if j in diffs and (j + 1) in diffs:
-                if not (diffs[j + 1] @ diffs[j]).is_zero():
-                    ok = False
-                    break
-        if ok:
-            return BoundedComplex(alg, comps, diffs)
-    return BoundedComplex(alg, comps, {})
+    ends = [(comps[j], comps[j + 1]) for j in degs[:-1]]
+    composites = [(k, k + 1) for k in range(len(ends) - 1)]
+    diffs = _draw_differentials(rng, ends, composites, 80)
+    return BoundedComplex(alg, comps, dict(zip(degs, diffs)))

@@ -19,8 +19,8 @@ from .families import enveloping, is_cyclic_nakayama, serial_module
 from .linalg import Mat, _free_cols, reduce_mod_rowspace
 from .quiver import FinDimAlgebra
 from .rep import (HomBasis, Morphism, Rep, block_sum, cokernel_of, decompose,
-                  dual, hom_space, injective_envelope, is_projective, iso_q,
-                  kernel_of, projective_cover, syzygies, syzygy)
+                  dual, injective_envelope, is_projective, iso_q, kernel_of,
+                  projective_cover, syzygies, syzygy)
 
 
 def is_self_injective(alg: FinDimAlgebra) -> bool:
@@ -48,15 +48,12 @@ class StableHom:
         self.M = M
         self.N = N
         self.full = HomBasis(M, N)
-        through: List[Morphism] = []
         if self.full.dim:
             P_N, pi = cover
-            through = [pi @ g for g in hom_space(M, P_N)]
-        if through:
-            coords = self.full.coords_matrix(through)
-            self._red, self._piv = coords.transpose().rref()
+            through = HomBasis(M, P_N).post_matrix(pi, self.full)
+            self._red, self._piv = through.transpose().rref()
         else:
-            self._red, self._piv = Mat.zeros(M.field, 0, self.full.dim), ()
+            self._red, self._piv = Mat.zeros(M.field, 0, 0), ()
         self._free = _free_cols(self.full.dim, self._piv)
         self.dim = len(self._free)
         self.classes: List[Morphism] = [self.full.basis[j]

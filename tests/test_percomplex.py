@@ -17,7 +17,7 @@ from periodica.percomplex import (BoundedComplex, GradedMorphism,
                                   is_contractible, is_quasi_iso, shift,
                                   stalk_complex, unroll)
 from periodica.randomcx import random_bounded_projectives, random_periodic_complex
-from periodica.rep import Morphism, Rep, hom_space, iso_q
+from periodica.rep import HomBasis, Morphism, Rep, hom_space, iso_q
 from periodica.common import PreconditionError
 
 from oracles import (direct_sum, induced_map_on_cohomology, is_homotopy,
@@ -195,6 +195,30 @@ def test_bounded_complex_checks_both_ends_of_each_differential(a2):
         with pytest.raises(PreconditionError, match="differential 0 has "
                                                     "wrong ends"):
             BoundedComplex(a2, comps, {0: g})
+    # right ends, but not a module map: identity at vertex 1, zero at 2;
+    # a periodic complex refuses the same map with the same message
+    bad = Morphism(P2, P2, [Mat(a2.field, 1, 1, [1]), Mat(a2.field, 1, 1, [0])])
+    with pytest.raises(PreconditionError, match="differential 0 is not a "
+                                                "module map"):
+        BoundedComplex(a2, {0: P2, 1: P2}, {0: bad})
+    with pytest.raises(PreconditionError, match="differential 0 is not a "
+                                                "module map"):
+        PeriodicComplex(a2, 2, [P2, P2], [bad, Morphism.zero(P2, P2)])
+
+
+def test_random_bounded_projectives_builds_one_hom_basis_per_differential(
+        a2, monkeypatch):
+    # seed 1 keeps degrees -1..1 (two differentials) and needs a second try
+    built = []
+    init = HomBasis.__init__
+
+    def counting_init(self, M, N):
+        built.append((M, N))
+        init(self, M, N)
+    monkeypatch.setattr(HomBasis, "__init__", counting_init)
+    X = random_bounded_projectives(a2, random.Random(1))
+    assert sorted(X.comps) == [-1, 0, 1]
+    assert len(built) == 2
 
 
 def test_fold_cohomology(a2):
