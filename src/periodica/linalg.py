@@ -27,6 +27,7 @@ wrap them in place.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _kernels_py as _impl
@@ -125,7 +126,9 @@ class Mat:
     # -- arithmetic -----------------------------------------------------------
 
     def _check_field(self, other: "Mat"):
-        if self.field != other.field:
+        # fields are compared by value, but a matrix almost always shares
+        # its operand's Field object
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("field mismatch")
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -199,17 +202,21 @@ class Mat:
         column c (sized ``row_sizes[r]`` by ``col_sizes[c]``), zero elsewhere."""
         roff, coff = _offsets(row_sizes), _offsets(col_sizes)
         ncols = coff[-1]
-        out = cls.zeros(field, roff[-1], ncols)
+        data = [field.zero()] * (roff[-1] * ncols)
         for (r, c), b in blocks.items():
-            if b.field != field:
-                raise ValueError("field mismatch")
-            if b.shape != (row_sizes[r], col_sizes[c]):
+            bc = b.cols
+            if b.rows != row_sizes[r] or bc != col_sizes[c]:
                 raise ValueError(f"block ({r}, {c}) has shape {b.shape}, "
                                  f"expected {(row_sizes[r], col_sizes[c])}")
-            for i in range(b.rows):
-                base = (roff[r] + i) * ncols + coff[c]
-                out.data[base:base + b.cols] = b.row_list(i)
-        return out
+            if b.field is not field and b.field != field:
+                raise ValueError("field mismatch")
+            if bc:
+                src = b.data
+                base = roff[r] * ncols + coff[c]
+                for k in range(0, len(src), bc):
+                    data[base:base + bc] = src[k:k + bc]
+                    base += ncols
+        return cls(field, roff[-1], ncols, data)
 
     def take_rows(self, js: Sequence[int]) -> "Mat":
         data = []
@@ -291,10 +298,7 @@ class Mat:
 
 def _offsets(sizes: Sequence[int]) -> List[int]:
     """Running sums 0, s_0, s_0 + s_1, ...; the last entry is the total."""
-    out = [0]
-    for s in sizes:
-        out.append(out[-1] + s)
-    return out
+    return list(accumulate(sizes, initial=0))
 
 
 def _free_cols(ncols: int, piv: Sequence[int]) -> List[int]:

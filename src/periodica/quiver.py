@@ -194,6 +194,8 @@ class FinDimAlgebra:
         self._table: Dict[Tuple[int, int], tuple] = {}
         self._rad = None
         self._opposite: Optional[FinDimAlgebra] = None
+        self._projectives: Dict[int, Tuple[Tuple[int, ...],
+                                           Tuple[Mat, ...]]] = {}
         self.validate()
 
     @property
@@ -222,6 +224,30 @@ class FinDimAlgebra:
         """dim P(v) = dim e_v A, the basis walks ending at v, per vertex
         (index v - 1)."""
         return tuple(sum(map(len, row)) for row in self.projective_basis)
+
+    def _projective_blocks(self, v: int
+                           ) -> Tuple[Tuple[int, ...], Tuple[Mat, ...]]:
+        """The dims and arrow matrices of P(v) = e_v A, built once per
+        vertex (``rep.Rep.projective`` wraps them): the walks ending at v on
+        the basis ``projective_basis[v - 1]``, acted on by precomposition.
+        Only dims and matrices are kept, so the cache holds no reference
+        back to the algebra and cannot keep it alive."""
+        got = self._projectives.get(v)
+        if got is None:
+            f = self.field
+            local = self.projective_basis[v - 1]
+            pos = {bi: r for lst in local for r, bi in enumerate(lst)}
+            dims = tuple(len(lst) for lst in local)
+            act = []
+            for ai, a in enumerate(self.quiver.arrows):
+                m = Mat.zeros(f, dims[a.source - 1], dims[a.target - 1])
+                arrow_b = self.arrow_index[ai]
+                for c, bi in enumerate(local[a.target - 1]):
+                    for k, coeff in self.mult(bi, arrow_b):
+                        m.data[pos[k] * m.cols + c] = coeff
+                act.append(m)
+            got = self._projectives[v] = (dims, tuple(act))
+        return got
 
     def e(self, v: int) -> int:
         return self.e_index[v]
@@ -626,18 +652,21 @@ class _EnvelopingAlgebra(FinDimAlgebra):
         self._legs = (op, alg)
         self._pairs = pairs
         self.arrow_legs = tuple(arrow_legs)
-        self._pair_index = {pair: i for i, pair in enumerate(pairs)}
-        super().__init__(presentation, basis, self._tensor_product)
+        index = {pair: i for i, pair in enumerate(pairs)}
+        mul = presentation.field.mul
 
-    def _tensor_product(self, i: int, j: int) -> tuple:
-        op, alg = self._legs
-        x1, y1 = self._pairs[i]
-        x2, y2 = self._pairs[j]
-        right_leg = alg.mult(y1, y2)
-        index, mul = self._pair_index, self.field.mul
-        return tuple((index[kx, ky], mul(cx, cy))
-                     for kx, cx in op.mult(x1, x2)
-                     for ky, cy in right_leg)
+        # the product closes over the legs' tables, not over self: a bound
+        # method stored on self would be a reference cycle, and A^e would
+        # outlive its last reference until the cyclic collector ran
+        def tensor_product(i: int, j: int) -> tuple:
+            x1, y1 = pairs[i]
+            x2, y2 = pairs[j]
+            right_leg = alg.mult(y1, y2)
+            return tuple((index[kx, ky], mul(cx, cy))
+                         for kx, cx in op.mult(x1, x2)
+                         for ky, cy in right_leg)
+
+        super().__init__(presentation, basis, tensor_product)
 
     def validate(self) -> None:
         """Exhaustive in O(n^2 + dim) products, associativity from the legs.

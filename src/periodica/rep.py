@@ -78,20 +78,9 @@ class Rep:
     @classmethod
     def projective(cls, algebra: FinDimAlgebra, v: int) -> "Rep":
         """P(v) = e_v A: walks ending at v, acted on by precomposition, on
-        the basis ``algebra.projective_basis[v - 1]``."""
-        q = algebra.quiver
-        f = algebra.field
-        local = algebra.projective_basis[v - 1]
-        pos = {bi: r for lst in local for r, bi in enumerate(lst)}
-        dims = [len(lst) for lst in local]
-        act = []
-        for ai, a in enumerate(q.arrows):
-            m = Mat.zeros(f, dims[a.source - 1], dims[a.target - 1])
-            arrow_b = algebra.arrow_index[ai]
-            for c, bi in enumerate(local[a.target - 1]):
-                for k, coeff in algebra.mult(bi, arrow_b):
-                    m.data[pos[k] * m.cols + c] = coeff
-            act.append(m)
+        the basis ``algebra.projective_basis[v - 1]``.  Its blocks are built
+        once per algebra and shared by every P(v) returned."""
+        dims, act = algebra._projective_blocks(v)
         P = cls(algebra, dims, act)
         P.tops = (v,)
         return P
@@ -104,8 +93,7 @@ class Rep:
 
     @classmethod
     def regular(cls, algebra: FinDimAlgebra) -> "Rep":
-        return block_sum([cls.projective(algebra, v)
-                          for v in range(1, algebra.quiver.n + 1)])
+        return _projective_sum(algebra, range(1, algebra.quiver.n + 1))
 
     # -- basics ----------------------------------------------------------------
 
@@ -257,25 +245,47 @@ def block_sum(parts: Sequence[Rep]) -> Rep:
     if len(parts) == 1:
         return parts[0]
     alg = parts[0].algebra
-    f = alg.field
-    q = alg.quiver
-    dims = [sum(p.dims[v] for p in parts) for v in range(q.n)]
-    act = []
-    for ai, a in enumerate(q.arrows):
-        m = Mat.zeros(f, dims[a.source - 1], dims[a.target - 1])
-        ro = co = 0
-        for p in parts:
-            blk = p.act[ai]
-            for i in range(blk.rows):
-                base = (ro + i) * m.cols + co
-                m.data[base:base + blk.cols] = blk.row_list(i)
-            ro += blk.rows
-            co += blk.cols
-        act.append(m)
-    S = Rep(alg, dims, act)
+    S = Rep(alg, [sum(dims) for dims in zip(*(p.dims for p in parts))],
+            [_diagonal(alg.field, mats)
+             for mats in zip(*(p.act for p in parts))])
     if all(p.tops is not None for p in parts):
         S.tops = tuple(v for p in parts for v in p.tops)
     return S
+
+
+def _projective_sum(alg: FinDimAlgebra, tops: Sequence[int]) -> Rep:
+    """P(v_1) + ... + P(v_t) for ``tops`` = v_1, ..., v_t (at least one),
+    equal to ``block_sum`` of the ``Rep.projective(alg, v_r)`` but
+    assembled in one pass from the algebra's cached blocks of each P(v),
+    with no module built per summand."""
+    blocks = [alg._projective_blocks(v) for v in tops]
+    S = Rep(alg, [sum(dims) for dims in zip(*(b[0] for b in blocks))],
+            [_diagonal(alg.field, mats)
+             for mats in zip(*(b[1] for b in blocks))])
+    S.tops = tuple(tops)
+    return S
+
+
+def _diagonal(f: Field, mats: Sequence[Mat]) -> Mat:
+    """The block-diagonal matrix with ``mats`` down its diagonal; one
+    matrix is returned as it is."""
+    if len(mats) == 1:
+        return mats[0]
+    nrows = ncols = 0
+    for m in mats:
+        nrows += m.rows
+        ncols += m.cols
+    data = [f.zero()] * (nrows * ncols)
+    base = 0            # the entry of the next block's top left corner
+    for m in mats:
+        c, src = m.cols, m.data
+        if c:
+            row = base
+            for k in range(0, len(src), c):
+                data[row:row + c] = src[k:k + c]
+                row += ncols
+        base += m.rows * ncols + c
+    return Mat(f, nrows, ncols, data)
 
 
 def block_map(source: Rep, target: Rep, rows: Sequence[Rep],
@@ -593,30 +603,25 @@ def _map_from_tops(P: Rep, N: Rep, values: Dict[int, object]) -> Morphism:
     alg = N.algebra
     f = alg.field
     n = len(N.dims)
-    # nonempty suffixes end at their vertex v, so one memo serves every v
-    # once image(()) and G are reset for v
-    images: Dict[Walk, Mat] = {}
-
-    def image(s: Walk) -> Mat:
-        m = images.get(s)
-        if m is None:
-            if len(s) > 1:
-                m = N.act[s[0]] @ image(s[1:])
-            elif unit:
-                m = N.act[s[0]].take_cols(G)
-            else:
-                m = N.act[s[0]] @ G
-            images[s] = m
-        return m
-
     walks = {}
     for v, G in values.items():
         unit = not isinstance(G, Mat)
-        images[()] = (Mat.identity(f, N.dims[v - 1]).take_cols(G) if unit
-                      else G)
-        walks[v] = [[image(alg.basis[i][1:]) for i in lst]
+        # nonempty suffixes end at v, so the memo is per v
+        images: Dict[Walk, Mat] = {
+            (): Mat.identity(f, N.dims[v - 1]).take_cols(G) if unit else G}
+        for lst in alg.projective_basis[v - 1]:
+            for i in lst:
+                w = alg.basis[i][1:]
+                j = 0
+                while w[j:] not in images:      # () always is
+                    j += 1
+                for j in range(j - 1, -1, -1):  # the missing suffixes
+                    s = w[j:]
+                    act = N.act[s[0]]
+                    images[s] = (act.take_cols(G) if unit and len(s) == 1
+                                 else act @ images[s[1:]])
+        walks[v] = [[images[alg.basis[i][1:]] for i in lst]
                     for lst in alg.projective_basis[v - 1]]
-    images.clear()      # image() refers to itself: free the memo now
     seen = dict.fromkeys(values, 0)
     cols: List[list] = [[] for _ in range(n)]
     for v in P.tops:
@@ -758,27 +763,25 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
     """The projective cover P(M) ->> M (zero module gets the zero cover).
 
     P(M) has one summand P(v) = e_v A per top generator at v, ordered by
-    vertex and then generator; P(v) is built once per vertex and the sum
-    by ``block_sum``.  The generators g_1..g_t at v are the unit vectors
-    at ``_top_cols``, the free columns of the rref of rad(M)_v (one row per
-    image vector of an arrow): with its rows they form a unit-triangular
-    basis, so they span a complement.  The map sends the generator of the
-    r-th P(v) to g_r: it is :func:`_map_from_tops` on those unit columns,
-    so the basis walk w of the r-th P(v) maps to rho(w) g_r with no rho(w)
-    formed (one product per arrow suffix, a one-arrow suffix a column
-    selection).
+    vertex and then generator, assembled in one pass from the blocks of
+    each P(v), which the algebra builds once (``_projective_sum``; equal to
+    ``block_sum`` of the ``Rep.projective``).  The generators g_1..g_t at v
+    are the unit vectors at ``_top_cols``, the free columns of the rref of
+    rad(M)_v (one row per image vector of an arrow): with its rows they
+    form a unit-triangular basis, so they span a complement.  The map
+    sends the generator of the r-th P(v) to g_r: it is
+    :func:`_map_from_tops` on those unit columns, so the basis walk w of
+    the r-th P(v) maps to rho(w) g_r with no rho(w) formed (one product per
+    arrow suffix, a one-arrow suffix a column selection).
     """
     alg = M.algebra
     if M.is_zero():
         Z = Rep.zero(alg)
         return Z, Morphism.zero(Z, M)
-    parts: List[Rep] = []
-    values: Dict[int, List[int]] = {}
-    for v, gens in enumerate(_top_cols(M), start=1):
-        if gens:
-            values[v] = gens
-            parts.extend([Rep.projective(alg, v)] * len(gens))
-    P = block_sum(parts)
+    values: Dict[int, List[int]] = {
+        v: gens for v, gens in enumerate(_top_cols(M), start=1) if gens}
+    P = _projective_sum(alg, [v for v, gens in values.items()
+                              for _ in gens])
     phi = _map_from_tops(P, M, values)
     for v in range(alg.quiver.n):
         if phi.blocks[v].rank() != M.dims[v]:
@@ -896,13 +899,6 @@ def global_dimension(alg: FinDimAlgebra, bound: int) -> Trunc:
 
 
 # -- isomorphism and decomposition ----------------------------------------------
-
-
-def _block_diagonal(f: Morphism) -> Mat:
-    """Block-diagonal matrix of an endomorphism on the total space."""
-    dims = f.source.dims
-    return Mat.block(f.source.field, dims, dims,
-                     {(v, v): b for v, b in enumerate(f.blocks)})
 
 
 def find_iso(M: Rep, N: Rep) -> Optional[Morphism]:
@@ -1153,7 +1149,7 @@ def decompose(M: Rep, seed: int = 0) -> List[Rep]:
     for f in _split_candidates(endos, seed):
         split = _fitting_split(M, f)
         if split is None:
-            for lam in _minimal_poly_roots(_block_diagonal(f), seed):
+            for lam in _minimal_poly_roots(_diagonal(M.field, f.blocks), seed):
                 if M.field.is_zero(lam):
                     continue
                 shifted = f - Morphism.identity(M).scale(lam)

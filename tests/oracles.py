@@ -16,6 +16,11 @@ by inverting every induced map on cohomology
 (``induced_map_on_cohomology``), where the library asks whether the cone
 is acyclic; ``is_homotopy`` checks a witness f - g = d(h).
 ``sample_algebra`` loads a sample presentation over any field.
+``projective_from_basis`` builds P(v) afresh from ``projective_basis`` and
+the multiplication table, where the library shares blocks the algebra
+builds once; ``cover_by_block_sum`` is a projective cover's source as
+``block_sum`` of one such P(v) per top generator, where the library
+assembles the sum in one pass.
 
 ``bar_hh_oracle`` computes dim HH^p from the bar complex, with no bimodule
 resolution; the library resolves A over A^e instead and reads HH^p off the
@@ -94,6 +99,37 @@ def radical_subspaces(M: Rep) -> List[Mat]:
             m = m.hstack(M.act[ai])
         out.append(m.image_basis())
     return out
+
+
+def projective_from_basis(algebra: FinDimAlgebra, v: int) -> Rep:
+    """P(v) = e_v A built from scratch: the walks ending at v, on the basis
+    ``algebra.projective_basis[v - 1]``, arrow a acting by precomposition
+    (``mult(walk, a)``)."""
+    q = algebra.quiver
+    local = algebra.projective_basis[v - 1]
+    pos = {bi: r for lst in local for r, bi in enumerate(lst)}
+    dims = [len(lst) for lst in local]
+    act = []
+    for ai, a in enumerate(q.arrows):
+        m = Mat.zeros(algebra.field, dims[a.source - 1], dims[a.target - 1])
+        for c, bi in enumerate(local[a.target - 1]):
+            for k, coeff in algebra.mult(bi, algebra.arrow_index[ai]):
+                m.data[pos[k] * m.cols + c] = coeff
+        act.append(m)
+    P = Rep(algebra, dims, act)
+    P.tops = (v,)
+    return P
+
+
+def cover_by_block_sum(M: Rep) -> Rep:
+    """The source of M's projective cover: ``block_sum`` of one
+    ``Rep.projective`` per top generator, by vertex, with dim top(M)_v =
+    dim M_v - dim rad(M)_v (``Rep.zero`` for M = 0)."""
+    alg = M.algebra
+    parts = [Rep.projective(alg, v + 1)
+             for v, rad in enumerate(radical_subspaces(M))
+             for _ in range(M.dims[v] - rad.cols)]
+    return block_sum(parts) if parts else Rep.zero(alg)
 
 
 def socle_subspaces(M: Rep) -> List[Mat]:

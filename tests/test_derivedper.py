@@ -10,9 +10,10 @@ from periodica.derivedper import (DerivedContext, distinct_stalks_d2_dual_number
                                   stalk_tilting_check)
 from periodica.families import all_intervals, linear_a
 from periodica.fields import Field, QQ
-from periodica.percomplex import (BoundedComplex, PeriodicComplex, cohomology,
+from periodica.percomplex import (BoundedComplex, GradedMorphism,
+                                  PeriodicComplex, cohomology,
                                   cohomology_dim_vectors, cohomology_dims,
-                                  complex_direct_sum, cone, homotopy_hom,
+                                  complex_direct_sum, cone, fold, homotopy_hom,
                                   is_acyclic, is_quasi_iso, shift,
                                   stalk_complex)
 from periodica.randomcx import random_periodic_complex
@@ -342,6 +343,69 @@ def test_hereditary_decompose_catches_a_wrong_lift(a3, monkeypatch):
                 assert not hereditary_decompose(ctx, V)["verified"]
             except CheckFailed:
                 pass
+
+
+def _folded_resolution_of_s2(a2):
+    """P1 -> P2 folded at m = 2: its one cohomology is S(2), whose
+    resolution has two terms, so the roof has a lift into V^1."""
+    P1, P2 = Rep.projective(a2, 1), Rep.projective(a2, 2)
+    return fold(BoundedComplex(a2, {-1: P1, 0: P2},
+                               {-1: hom_space(P1, P2)[0]}), 2)[0]
+
+
+def test_hereditary_decompose_refuses_a_roof_that_is_not_a_chain_map(
+        a2, monkeypatch):
+    # the lift of P1 into V replaced by zero: the roof's map to V is no
+    # chain map, and that is an error, not a False verdict
+    real, lifts = derivedper._lift, []
+
+    def second_lift_zero(g, q):
+        lifts.append(g)
+        h = real(g, q)
+        return h if len(lifts) == 1 else Morphism.zero(h.source, h.target)
+
+    monkeypatch.setattr(derivedper, "_lift", second_lift_zero)
+    with pytest.raises(CheckFailed, match="chain map"):
+        hereditary_decompose(DerivedContext(a2, 2),
+                             _folded_resolution_of_s2(a2))
+    assert len(lifts) == 2
+
+
+def test_hereditary_decompose_checks_each_roof_map_once(a2, monkeypatch):
+    # one dmap() per roof map (f and s), and `verified` is the cone test of
+    # both: with the cones reported cyclic, the verdict is False
+    dmaps, cones = [], []
+    real_dmap, real_acyclic = GradedMorphism.dmap, derivedper.is_acyclic
+
+    def counted_dmap(self):
+        dmaps.append(self)
+        return real_dmap(self)
+
+    def counted_acyclic(V):
+        cones.append(V)
+        return real_acyclic(V)
+
+    monkeypatch.setattr(GradedMorphism, "dmap", counted_dmap)
+    monkeypatch.setattr(derivedper, "is_acyclic", counted_acyclic)
+    V = _folded_resolution_of_s2(a2)
+    assert hereditary_decompose(DerivedContext(a2, 2), V)["verified"]
+    assert len(dmaps) == 2 and dmaps[0].target is V
+    assert len(cones) == 2
+    monkeypatch.setattr(derivedper, "is_acyclic", lambda V: False)
+    assert not hereditary_decompose(DerivedContext(a2, 2), V)["verified"]
+
+
+def test_is_quasi_iso_requires_a_chain_map(a2):
+    V = _folded_resolution_of_s2(a2)
+    with pytest.raises(PreconditionError):
+        # the identity at V^1 = P1 only: d o g - g o d is P1 -> P2, not 0
+        is_quasi_iso(GradedMorphism(V, V, 0, [
+            Morphism.zero(V.comps[0], V.comps[0]),
+            Morphism.identity(V.comps[1])]))
+    with pytest.raises(PreconditionError):
+        is_quasi_iso(GradedMorphism(V, V, 1, [
+            Morphism.zero(V.comps[i], V.comps[(i + 1) % 2])
+            for i in range(2)]))
 
 
 def test_replacement_caches_only_top_level_complexes(a3):

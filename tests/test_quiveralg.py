@@ -1,13 +1,16 @@
+import gc
 import glob
 import os
 import random
+import weakref
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodica.common import PreconditionError
+from periodica import stablecat
+from periodica.common import PreconditionError, Trunc
 from periodica.families import (all_intervals, dual_numbers, enveloping,
                                 interval_module, is_linear_a, linear_a,
                                 nakayama, serial_module)
@@ -23,7 +26,8 @@ from periodica.rep import (HomBasis, Morphism, Rep, _roots_mod_p, cokernel_of,
                            is_projective, iso_q, kernel_of, projective_cover,
                            quotient_rep, syzygies, syzygy)
 
-from oracles import (SAMPLE_ALGEBRAS, direct_sum, quotient, radical_subspaces,
+from oracles import (SAMPLE_ALGEBRAS, cover_by_block_sum, direct_sum,
+                     projective_from_basis, quotient, radical_subspaces,
                      sample_algebra, socle_subspaces, sub_rep, table_injective)
 
 
@@ -606,6 +610,69 @@ def test_cover_and_envelope_match_rho_rebuild(p):
                                 for _ in range(b.cols)])[0]
         assert iota.source is M and iota.target is I
         assert iota.is_intertwiner()
+
+
+@pytest.mark.parametrize("p", [0, 2, 4294967311])
+def test_one_pass_cover_is_the_block_sum_of_projectives(p):
+    # the cover's source, assembled in one pass from the cached blocks of
+    # each P(v), against block_sum of one Rep.projective per top generator;
+    # each Rep.projective against a fresh build from projective_basis
+    f = Field(p)
+    B = enveloping(nakayama(3, 3, f))[1]
+    omegas = [K for _, (_, _, K, _) in zip(range(3), syzygies(B))]
+    mods = _oracle_modules(f) + omegas
+    for M in mods:
+        P = projective_cover(M)[0]
+        want = cover_by_block_sum(M)
+        assert (P.dims, P.act, P.tops) == (want.dims, want.act, want.tops)
+    for alg in {id(M.algebra): M.algebra for M in mods}.values():
+        for v in range(1, alg.quiver.n + 1):
+            P = Rep.projective(alg, v)
+            assert P == projective_from_basis(alg, v) and P.tops == (v,)
+
+
+class _WeakRep(Rep):
+    """A module a weak reference can point at."""
+    __slots__ = ("__weakref__",)
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Only reference counting frees objects while the test runs."""
+    was = gc.isenabled()
+    gc.disable()
+    yield
+    if was:
+        gc.enable()
+
+
+def test_algebra_period_leaves_no_cycle_through_the_envelope(
+        no_cyclic_gc, monkeypatch):
+    # A^e, its cached P(v) and every syzygy over it are freed as soon as
+    # algebra_period returns
+    made = []
+
+    def watched(alg):
+        E, B = enveloping(alg)
+        made.append(weakref.ref(E))
+        return E, B
+
+    monkeypatch.setattr(stablecat, "enveloping", watched)
+    assert stablecat.algebra_period(nakayama(4, 3, QQ), 16) == Trunc(8)
+    assert len(made) == 1 and made[0]() is None
+
+
+def test_a_cover_leaves_no_cycle_through_its_target(no_cyclic_gc):
+    alg = nakayama(4, 3, QQ)
+    M = serial_module(alg, 1, 2)
+    N = _WeakRep(alg, M.dims, M.act)
+    target, algebra = weakref.ref(N), weakref.ref(alg)
+    P, phi = projective_cover(N)
+    assert phi.target is N
+    del M, alg, N
+    assert target() is not None
+    del P, phi
+    assert target() is None and algebra() is None
 
 
 @pytest.mark.parametrize("p", [0, 2, 4294967311])
