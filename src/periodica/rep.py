@@ -93,7 +93,8 @@ class Rep:
 
     @classmethod
     def regular(cls, algebra: FinDimAlgebra) -> "Rep":
-        return _projective_sum(algebra, range(1, algebra.quiver.n + 1))
+        return block_sum([cls.projective(algebra, v)
+                          for v in range(1, algebra.quiver.n + 1)])
 
     # -- basics ----------------------------------------------------------------
 
@@ -250,19 +251,6 @@ def block_sum(parts: Sequence[Rep]) -> Rep:
              for mats in zip(*(p.act for p in parts))])
     if all(p.tops is not None for p in parts):
         S.tops = tuple(v for p in parts for v in p.tops)
-    return S
-
-
-def _projective_sum(alg: FinDimAlgebra, tops: Sequence[int]) -> Rep:
-    """P(v_1) + ... + P(v_t) for ``tops`` = v_1, ..., v_t (at least one),
-    equal to ``block_sum`` of the ``Rep.projective(alg, v_r)`` but
-    assembled in one pass from the algebra's cached blocks of each P(v),
-    with no module built per summand."""
-    blocks = [alg._projective_blocks(v) for v in tops]
-    S = Rep(alg, [sum(dims) for dims in zip(*(b[0] for b in blocks))],
-            [_diagonal(alg.field, mats)
-             for mats in zip(*(b[1] for b in blocks))])
-    S.tops = tuple(tops)
     return S
 
 
@@ -763,12 +751,12 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
     """The projective cover P(M) ->> M (zero module gets the zero cover).
 
     P(M) has one summand P(v) = e_v A per top generator at v, ordered by
-    vertex and then generator, assembled in one pass from the blocks of
-    each P(v), which the algebra builds once (``_projective_sum``; equal to
-    ``block_sum`` of the ``Rep.projective``).  The generators g_1..g_t at v
-    are the unit vectors at ``_top_cols``, the free columns of the rref of
-    rad(M)_v (one row per image vector of an arrow): with its rows they
-    form a unit-triangular basis, so they span a complement.  The map
+    vertex and then generator: ``block_sum`` of ``Rep.projective`` copies,
+    which share the blocks of each P(v) the algebra builds once.  The
+    generators g_1..g_t at v are the unit vectors at ``_top_cols``, the
+    free columns of the rref of rad(M)_v (one row per image vector of an
+    arrow): with its rows they form a unit-triangular basis, so they span a
+    complement.  The map
     sends the generator of the r-th P(v) to g_r: it is
     :func:`_map_from_tops` on those unit columns, so the basis walk w of
     the r-th P(v) maps to rho(w) g_r with no rho(w) formed (one product per
@@ -780,8 +768,8 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
         return Z, Morphism.zero(Z, M)
     values: Dict[int, List[int]] = {
         v: gens for v, gens in enumerate(_top_cols(M), start=1) if gens}
-    P = _projective_sum(alg, [v for v, gens in values.items()
-                              for _ in gens])
+    P = block_sum([Rep.projective(alg, v) for v, gens in values.items()
+                   for _ in gens])
     phi = _map_from_tops(P, M, values)
     for v in range(alg.quiver.n):
         if phi.blocks[v].rank() != M.dims[v]:

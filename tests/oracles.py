@@ -18,9 +18,7 @@ is acyclic; ``is_homotopy`` checks a witness f - g = d(h).
 ``sample_algebra`` loads a sample presentation over any field.
 ``projective_from_basis`` builds P(v) afresh from ``projective_basis`` and
 the multiplication table, where the library shares blocks the algebra
-builds once; ``cover_by_block_sum`` is a projective cover's source as
-``block_sum`` of one such P(v) per top generator, where the library
-assembles the sum in one pass.
+builds once.
 
 ``bar_hh_oracle`` computes dim HH^p from the bar complex, with no bimodule
 resolution; the library resolves A over A^e instead and reads HH^p off the
@@ -119,17 +117,6 @@ def projective_from_basis(algebra: FinDimAlgebra, v: int) -> Rep:
     P = Rep(algebra, dims, act)
     P.tops = (v,)
     return P
-
-
-def cover_by_block_sum(M: Rep) -> Rep:
-    """The source of M's projective cover: ``block_sum`` of one
-    ``Rep.projective`` per top generator, by vertex, with dim top(M)_v =
-    dim M_v - dim rad(M)_v (``Rep.zero`` for M = 0)."""
-    alg = M.algebra
-    parts = [Rep.projective(alg, v + 1)
-             for v, rad in enumerate(radical_subspaces(M))
-             for _ in range(M.dims[v] - rad.cols)]
-    return block_sum(parts) if parts else Rep.zero(alg)
 
 
 def socle_subspaces(M: Rep) -> List[Mat]:

@@ -33,7 +33,7 @@ from periodica.rep import (HomBasis, Morphism, Rep, YonedaHom, _HomCoords,
                            _lift, block_map, block_sum, hom_space,
                            is_projective, projective_cover)
 
-from oracles import cover_by_block_sum, projective_from_basis, sample_algebra
+from oracles import sample_algebra
 
 FIELDS = [QQ, Field.gf(2), Field.gf(4294967311)]
 FIELD_IDS = ["Q", "GF2", "GFbig"]
@@ -403,21 +403,3 @@ def test_is_projective_reads_the_carried_tops(monkeypatch):
         for M in others:
             assert is_projective(M) == (
                 projective_cover(M)[0].total_dim == M.total_dim)
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-def test_one_pass_cover_is_the_block_sum_of_projectives(field):
-    # covers of this file's modules against block_sum of Rep.projective
-    # copies, and each Rep.projective against a fresh build from its basis
-    rng = random.Random(5)
-    for alg in _algebras(field):
-        for M in _targets(alg) + _sources(alg, rng):
-            P = projective_cover(M)[0]
-            want = cover_by_block_sum(M)
-            assert (P.dims, P.act, P.tops) == (want.dims, want.act,
-                                               want.tops)
-        for v in range(1, alg.quiver.n + 1):
-            P = Rep.projective(alg, v)
-            assert P == projective_from_basis(alg, v) and P.tops == (v,)
-        assert Rep.regular(alg) == block_sum([
-            projective_from_basis(alg, v) for v in range(1, alg.quiver.n + 1)])
