@@ -1,8 +1,10 @@
-"""Shared error types and the truncated-value wrapper."""
+"""Shared error types, the truncated-value wrapper and the identity memo."""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple, TypeVar
+
+T = TypeVar("T")
 
 
 class PeriodicaError(Exception):
@@ -67,3 +69,28 @@ class Trunc:
 
     def to_json(self):
         return self.value if self.exact else f">= {self.value}"
+
+
+class IdentityMemo:
+    """Values built once per identity of their key objects.  An entry is
+    keyed by the ``id`` of each of ``objs`` and by the ``plain`` values, and
+    holds ``objs``, so no id of a live entry is recycled; equal but distinct
+    objects get entries of their own.  Iteration gives ``(objs, value)``."""
+
+    def __init__(self):
+        self._entries: Dict[tuple, Tuple[tuple, object]] = {}
+
+    def get(self, objs: tuple, build: Callable[[], T], *plain: Hashable) -> T:
+        """The value for ``objs`` and ``plain``, from ``build()`` on the
+        first request."""
+        key = (*map(id, objs), *plain)
+        got = self._entries.get(key)
+        if got is None:
+            got = self._entries[key] = (objs, build())
+        return got[1]
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[Tuple[tuple, object]]:
+        return iter(self._entries.values())

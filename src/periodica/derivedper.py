@@ -30,15 +30,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .common import CheckFailed, PreconditionError, TruncationError
+from .common import (CheckFailed, IdentityMemo, PreconditionError,
+                     TruncationError)
 from .families import all_intervals, is_linear_a, dual_numbers
 from .fields import Field
 from .percomplex import (BoundedComplex, BoundedHomComplex, GradedMorphism,
-                         PeriodicComplex, _cohom_data, _cone, _unsplit,
-                         cohomology_dim_vectors, cohomology_dims, fold,
-                         hom_complex, homotopy_hom, is_acyclic, is_quasi_iso,
-                         resolution_complex, shift, stalk_complex,
-                         sum_complex, sum_map)
+                         PeriodicComplex, PeriodicHomComplex, _cohom_data,
+                         _cone, _unsplit, cohomology_dim_vectors,
+                         cohomology_dims, fold, hom_complex, homotopy_hom,
+                         is_acyclic, is_quasi_iso, resolution_complex, shift,
+                         stalk_complex, sum_complex, sum_map)
 from .quiver import FinDimAlgebra
 from .rep import (Morphism, Rep, Resolution, _lift, block_map, decompose,
                   global_dimension, hom_space, minimal_resolution)
@@ -66,25 +67,22 @@ def _augmentation(res: Resolution, B: BoundedComplex, F: PeriodicComplex,
 class DerivedContext:
     """Replacement and Hom computations for one (algebra, period).
 
-    The context holds the stalk complex of a module per position, its
-    minimal resolution and the K-projective replacement of a complex, each
-    by the identity of the object: derived Hom and the Ext-sum check ask for
-    the same stalks and replacements again and again, so each is built
-    once.  Equal but distinct objects are recomputed, and cached values hold
-    their keys, so no id is recycled while it is cached.  A replacement
-    resolves the components of its complex and nothing else.  Beside each
-    resolution the Ext side keeps its bounded complex
-    (``resolution_complex``), built once however many targets it meets.
+    Each stalk complex (per module and position), minimal resolution and
+    its bounded complex, K-projective replacement, and Hom complex between
+    the replacements of a pair, is built once and kept in an
+    ``IdentityMemo``: derived Hom and the Ext-sum check ask for the same
+    ones again and again.  A replacement resolves the components of its
+    complex and nothing else.
 
     The replacement of a complex is the twisted sum of the folds of its
     components' minimal resolutions (see the module docstring); it is the
     complex itself when every component carries its ``tops`` (a sum of
     projectives in the standard basis).  A projective component built any
     other way is resolved by its cover, so every piece of a Hom complex out
-    of a replacement is read by Yoneda.  For the stalk of a
-    module at position i, 0 <= i < m, it is the fold of the resolution
-    with P0 in degree i and its maps times (-1)^i, and the augmentation
-    maps the summand P0 of the fold's component i onto the module.
+    of a replacement is read by Yoneda.  For the stalk of a module at
+    position i, 0 <= i < m, it is the fold of the resolution with P0 in
+    degree i and its maps times (-1)^i, and the augmentation maps the
+    summand P0 of the fold's component i onto the module.
     """
 
     def __init__(self, algebra: FinDimAlgebra, m: int, bound: int = 24):
@@ -99,36 +97,22 @@ class DerivedContext:
                 "the derived layer needs finite global dimension; "
                 f"resolutions still grow at length {bound}")
         self.gd = gd.value
-        self._repl: Dict[int, Tuple[PeriodicComplex, GradedMorphism]] = {}
-        self._res: Dict[int, Resolution] = {}
-        self._res_cx: Dict[int, BoundedComplex] = {}
-        self._stalks: Dict[Tuple[int, int], PeriodicComplex] = {}
+        self._repl = IdentityMemo()
+        self._res = IdentityMemo()
+        self._res_cx = IdentityMemo()
+        self._stalks = IdentityMemo()
+        self._homs = IdentityMemo()
 
     # -- stalks and their resolutions --------------------------------------------
 
     def stalk(self, M: Rep, position: int = 0) -> PeriodicComplex:
         """The stalk complex of M at a position, one object per (M, position)."""
-        key = (id(M), position % self.m)
-        S = self._stalks.get(key)
-        if S is None:
-            S = stalk_complex(M, self.m, position)
-            self._stalks[key] = S
-        return S
+        m = self.m
+        return self._stalks.get((M,), lambda: stalk_complex(M, m, position),
+                                position % m)
 
     def resolution(self, M: Rep) -> Resolution:
-        res = self._res.get(id(M))
-        if res is None:
-            res = self._resolve(M)
-            self._res[id(M)] = res
-        return res
-
-    def _resolution_complex(self, M: Rep) -> BoundedComplex:
-        """``resolution_complex`` of M's cached resolution, built once (the
-        resolution's entry in ``_res`` holds M)."""
-        cx = self._res_cx.get(id(M))
-        if cx is None:
-            cx = self._res_cx[id(M)] = resolution_complex(self.resolution(M))
-        return cx
+        return self._res.get((M,), lambda: self._resolve(M))
 
     def _resolve(self, M: Rep) -> Resolution:
         """A complete minimal resolution of M, not cached."""
@@ -141,12 +125,7 @@ class DerivedContext:
 
     def replacement(self, V: PeriodicComplex
                     ) -> Tuple[PeriodicComplex, GradedMorphism]:
-        got = self._repl.get(id(V))
-        if got is not None:
-            return got
-        result = self._replacement(V)
-        self._repl[id(V)] = result
-        return result
+        return self._repl.get((V,), lambda: self._replacement(V))
 
     def _replacement(self, V: PeriodicComplex
                      ) -> Tuple[PeriodicComplex, GradedMorphism]:
@@ -210,17 +189,21 @@ class DerivedContext:
 
     # -- derived Hom ---------------------------------------------------------------
 
+    def _hom(self, V: PeriodicComplex, W: PeriodicComplex
+             ) -> PeriodicHomComplex:
+        """The Hom complex between the replacements of V and W, built once."""
+        return self._homs.get((V, W), lambda: hom_complex(
+            self.replacement(V)[0], self.replacement(W)[0]))
+
     def derived_hom(self, V: PeriodicComplex, W: PeriodicComplex, p: int
                     ) -> Tuple[int, List[GradedMorphism]]:
-        PV, _ = self.replacement(V)
-        PW, _ = self.replacement(W)
-        return homotopy_hom(PV, PW, p)
+        """Hom_{D_m}(V, W[p]) as (dimension, representatives): homotopy
+        classes of degree-p maps between the replacements."""
+        return self._hom(V, W).homotopy_classes(p)
 
     def derived_hom_modules(self, M: Rep, N: Rep, p: int) -> int:
         """dim Hom_{D_m}(M, N[p]), with no representatives formed."""
-        PV, _ = self.replacement(self.stalk(M))
-        PW, _ = self.replacement(self.stalk(N))
-        return hom_complex(PV, PW).homotopy_dim(p)
+        return self._hom(self.stalk(M), self.stalk(N)).homotopy_dim(p)
 
 
 # -- module-level Ext (the independent side of the sum formula) ---------------------
@@ -252,11 +235,13 @@ def ext_sum_check(ctx: DerivedContext, M: Rep, N: Rep) -> dict:
     """Compare derived Hom of stalks against the lacunary Ext sum, degreewise."""
     m = ctx.m
     res = ctx.resolution(M)
-    exts = _ext_dims(res, ctx._resolution_complex(M), N, max(res.length, m))
+    X = ctx._res_cx.get((M,), lambda: resolution_complex(res))
+    exts = _ext_dims(res, X, N, max(res.length, m))
+    H = ctx._hom(ctx.stalk(M), ctx.stalk(N))
     rows = []
     ok = True
     for p in range(m):
-        lhs = ctx.derived_hom_modules(M, N, p)
+        lhs = H.homotopy_dim(p)
         terms = [exts[j] for j in range(p, len(exts), m)]
         rhs = sum(terms)
         rows.append({"degree": p, "derived_dim": lhs,
@@ -362,6 +347,9 @@ def stalk_tilting_check(ctx: DerivedContext) -> dict:
     (a) rigidity: Hom to shifted copies vanishes away from multiples of m;
     (b) generation: every simple is reached from shifted projective stalks by
         the componentwise-split truncation triangles of its folded resolution.
+        Each truncation is ``resolution_complex(res, k)``; the last, the fold
+        of the whole resolution, maps onto the simple by its augmentation,
+        the quasi-isomorphism checked.
     """
     alg = ctx.algebra
     m = ctx.m
@@ -369,8 +357,9 @@ def stalk_tilting_check(ctx: DerivedContext) -> dict:
     LS = stalk_complex(Lam, m)
     rig = []
     rig_ok = True
+    H = hom_complex(LS, LS)
     for i in range(m):
-        d = hom_complex(LS, LS).homotopy_dim(i)
+        d = H.homotopy_dim(i)
         expect = Lam.total_dim if i % m == 0 else 0
         rig.append({"shift": i, "dim": d, "expected": expect})
         rig_ok = rig_ok and d == expect

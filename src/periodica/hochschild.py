@@ -79,6 +79,19 @@ class LaurentSetup:
         return self.ctx.hh(p) + (self.ctx.hh(p - 1) if p >= 1 else 0)
 
 
+def _cell(setup: LaurentSetup, p: int, q: int) -> dict:
+    """The ``dim`` and ``provenance`` of the cell HH^{p,q}: zero off the
+    degree congruence, otherwise computed, or unknown (``None``) past the
+    reach of the truncated resolution."""
+    if q % setup.m != 0:
+        return {"dim": 0, "provenance": "vanishes (graded degree)"}
+    try:
+        return {"dim": setup.hh_graded(p, q), "provenance": "computed"}
+    except TruncationError:
+        return {"dim": None,
+                "provenance": f"unknown (truncated at {setup.ctx.bound})"}
+
+
 def hh_table(setup: LaurentSetup, pmax: int, qrange: Sequence[int]) -> dict:
     """The (p, q) grid of graded Hochschild dimensions with provenance."""
     ctx = setup.ctx
@@ -86,21 +99,12 @@ def hh_table(setup: LaurentSetup, pmax: int, qrange: Sequence[int]) -> dict:
     cells = []
     for p in range(0, pmax + 1):
         for q in qrange:
-            cell = {"p": p, "q": q}
-            if q % setup.m != 0:
-                cell["dim"] = 0
-                cell["provenance"] = "vanishes (graded degree)"
-            elif d.exact and p >= d.value + 2:
-                cell["dim"] = setup.hh_graded(p, q)
-                cell["provenance"] = "vanishes (resolution length bound)"
+            if q % setup.m == 0 and d.exact and p >= d.value + 2:
+                cell = {"dim": setup.hh_graded(p, q),
+                        "provenance": "vanishes (resolution length bound)"}
             else:
-                try:
-                    cell["dim"] = setup.hh_graded(p, q)
-                    cell["provenance"] = "computed"
-                except TruncationError:
-                    cell["dim"] = None
-                    cell["provenance"] = f"unknown (truncated at {ctx.bound})"
-            cells.append(cell)
+                cell = _cell(setup, p, q)
+            cells.append({"p": p, "q": q, **cell})
     return {
         "algebra": ctx.algebra.label,
         "m": setup.m,
@@ -134,23 +138,9 @@ def formality_criterion(setup: LaurentSetup, q_max: int) -> dict:
         raise PreconditionError("q_max must be >= 3")
     ctx = setup.ctx
     d = ctx.smooth_dimension()
-    row = []
-    all_zero = True
-    for q in range(3, q_max + 1):
-        entry = {"q": q, "p": q, "internal_degree": 2 - q}
-        if (2 - q) % setup.m != 0:
-            entry["dim"] = 0
-            entry["provenance"] = "vanishes (graded degree)"
-        else:
-            try:
-                entry["dim"] = setup.hh_graded(q, 2 - q)
-                entry["provenance"] = "computed"
-            except TruncationError:
-                entry["dim"] = None
-                entry["provenance"] = f"unknown (truncated at {ctx.bound})"
-        if entry["dim"] != 0:
-            all_zero = False
-        row.append(entry)
+    row = [{"q": q, "p": q, "internal_degree": 2 - q, **_cell(setup, q, 2 - q)}
+           for q in range(3, q_max + 1)]
+    all_zero = all(e["dim"] == 0 for e in row)
     tail_closed = bool(d.exact and q_max >= d.value + 1)
     verdict = "PASS" if (all_zero and tail_closed) else "FAIL"
     witness = next((e for e in row if e["dim"] not in (0, None)), None)

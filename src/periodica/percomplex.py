@@ -46,7 +46,7 @@ def _check_differential(j: int, d: Morphism, source: Rep, target: Rep
 class PeriodicComplex:
     """Modules V^0..V^{m-1} with differentials d^i: V^i -> V^{i+1}, d^2 = 0."""
 
-    __slots__ = ("algebra", "m", "comps", "diffs", "_hom_cache")
+    __slots__ = ("algebra", "m", "comps", "diffs")
 
     def __init__(self, algebra: FinDimAlgebra, m: int, comps: Sequence[Rep],
                  diffs: Sequence[Morphism], check: bool = True):
@@ -58,7 +58,6 @@ class PeriodicComplex:
         self.m = m
         self.comps = tuple(comps)
         self.diffs = tuple(diffs)
-        self._hom_cache: Dict = {}
         if check:
             for i in range(m):
                 _check_differential(i, self.diffs[i], self.comps[i],
@@ -559,10 +558,9 @@ class PeriodicHomComplex(_HomComplex):
 
 
 def hom_complex(V: PeriodicComplex, W: PeriodicComplex) -> PeriodicHomComplex:
-    got = V._hom_cache.get(id(W))
-    if got is None:
-        got = V._hom_cache[id(W)] = PeriodicHomComplex(V, W)
-    return got
+    """The Hom complex from V to W, built afresh: neither complex holds it
+    (``DerivedContext`` keeps those of its replacements)."""
+    return PeriodicHomComplex(V, W)
 
 
 def homotopy_hom(V: PeriodicComplex, W: PeriodicComplex, p: int

@@ -19,6 +19,7 @@ finitely many surviving walks; no Groebner machinery is needed.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -194,6 +195,7 @@ class FinDimAlgebra:
         self._table: Dict[Tuple[int, int], tuple] = {}
         self._rad = None
         self._opposite: Optional[FinDimAlgebra] = None
+        self._opposite_of: Optional[weakref.ref] = None
         self._projectives: Dict[int, Tuple[Tuple[int, ...],
                                            Tuple[Mat, ...]]] = {}
         self.validate()
@@ -425,10 +427,14 @@ class FinDimAlgebra:
 
     def opposite(self) -> "FinDimAlgebra":
         """The opposite algebra A^op, by ``build_algebra`` on the reversed
-        quiver and relations.  Built once and linked both ways, so
-        ``A.opposite().opposite() is A``.  Arrow i of A^op is arrow i of A
-        reversed, under the same name, so a module's arrow matrices carry
-        over to its dual (``rep.dual``)."""
+        quiver and relations.  Built once; A holds A^op, which links back
+        weakly (no reference cycle), so ``A.opposite().opposite() is A``
+        while A lives.  Arrow i of A^op is arrow i of A reversed, under the
+        same name, so a module's arrow matrices carry over to its dual
+        (``rep.dual``)."""
+        back = self._opposite_of and self._opposite_of()
+        if back is not None:
+            return back
         if self._opposite is None:
             q = self.quiver
             rev = Quiver(q.n, [(a.name, a.target, a.source) for a in q.arrows])
@@ -441,7 +447,7 @@ class FinDimAlgebra:
                 rev, self.field, rels, self.nilpotency,
                 label=self.label + "^op" if self.label else "")
             self._opposite = build_algebra(pres)
-            self._opposite._opposite = self
+            self._opposite._opposite_of = weakref.ref(self)
         return self._opposite
 
     def __repr__(self):

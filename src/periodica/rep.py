@@ -338,7 +338,8 @@ class HomBasis(_HomCoords):
     stand.  K is the identity on the free unknowns, so a map's coordinates
     are its entries there, with no solve; ``K @ X == B`` certifies them
     (also when Hom(M, N) = 0 and ``free`` is empty).  A combination of
-    basis maps is the one product ``K @ c``.
+    basis maps is the one product ``K @ c``.  With no unknowns
+    (sum_v dim M_v * dim N_v = 0) no system is built: Hom(M, N) = 0.
     """
 
     __slots__ = ("M", "N", "basis", "K", "free")
@@ -797,7 +798,8 @@ def syzygies(M: Rep) -> Iterator[Tuple[Rep, Morphism, Rep, Morphism]]:
     """The syzygies of M along minimal covers, K_0 = M: for j = 0, 1, ...
     yields (P_j, P_j ->> K_j, K_{j+1}, K_{j+1} >-> P_j) and stops after the
     first zero kernel.  Each cover is built only when the next item is
-    asked for."""
+    asked for.  It is the one cover -> kernel loop: ``syzygy``,
+    ``minimal_resolution`` and the period searches iterate it."""
     K = M
     while True:
         P, phi = projective_cover(K)
@@ -851,7 +853,7 @@ class Resolution:
     def check_reach(self, p: int) -> None:
         """The one truncation rule for Ext^p = H^p Hom(P_., N): it reads
         d^p, so it needs P_{p+1} unless the resolution is complete;
-        otherwise ``TruncationError``."""
+        otherwise ``TruncationError`` (``PreconditionError`` for p < 0)."""
         if p < 0:
             raise PreconditionError("negative cohomological degree")
         if not self.complete and p >= self.length:

@@ -8,13 +8,16 @@ mutually inverse on modules without projective summands.  By Heller's lemma
 both keep a module without projective summands free of them, and keep it
 indecomposable when it is, so suspensions are never stripped or decomposed:
 only a cone's cokernel is.
+
+Every cache here, a ``StableContext``'s and the tilting closure's
+suspensions, is a ``common.IdentityMemo``, keyed by module identity.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .common import PreconditionError, Trunc
+from .common import IdentityMemo, PreconditionError, Trunc
 from .families import enveloping, is_cyclic_nakayama, serial_module
 from .linalg import Mat, _free_cols, reduce_mod_rowspace
 from .quiver import FinDimAlgebra
@@ -73,12 +76,11 @@ class StableHom:
 class StableContext:
     """Cached stable-category data for one self-injective algebra.
 
-    The context holds one projective cover per stable-Hom target and one
-    injective envelope per cone source, each by the identity of its ``Rep``
-    (the entry holds the module, so no id is recycled; equal but distinct
-    objects are recomputed).  The tilting closure asks for the stable Hom
-    spaces and cones of the same registry items again and again, and shifts
-    those items along the same covers and envelopes, so each is built once.
+    The stable Hom space of each pair, the projective cover of each
+    stable-Hom target and the injective envelope of each cone source are
+    built once and kept in an ``IdentityMemo``: the tilting closure asks for
+    the stable Hom spaces and cones of the same registry items again and
+    again, and shifts them along the same covers and envelopes.
     ``suspension_power`` builds its envelopes and covers for the call and
     holds none: its intermediate modules are never asked for again.
 
@@ -93,35 +95,20 @@ class StableContext:
             raise PreconditionError("algebra is not self-injective")
         self.algebra = alg
         self.seed = seed
-        self._shoms: Dict[Tuple[int, int], StableHom] = {}
-        # id(N) -> (N, projective_cover(N)); holding N keeps its id unique
-        self._covers: Dict[int, Tuple[Rep, Tuple[Rep, Morphism]]] = {}
-        # id(M) -> (M, injective_envelope(M)), the same way
-        self._envelopes: Dict[int, Tuple[Rep, Tuple[Rep, Morphism]]] = {}
+        self._shoms = IdentityMemo()
+        self._covers = IdentityMemo()
+        self._envelopes = IdentityMemo()
 
     # -- plumbing ---------------------------------------------------------------
 
     def stable_hom(self, M: Rep, N: Rep) -> StableHom:
-        key = (id(M), id(N))
-        got = self._shoms.get(key)
-        if got is None:
-            got = StableHom(M, N, self._cover(N))
-            self._shoms[key] = got
-        return got
+        return self._shoms.get((M, N), lambda: StableHom(M, N, self._cover(N)))
 
     def _cover(self, N: Rep) -> Tuple[Rep, Morphism]:
-        got = self._covers.get(id(N))
-        if got is None:
-            got = (N, projective_cover(N))
-            self._covers[id(N)] = got
-        return got[1]
+        return self._covers.get((N,), lambda: projective_cover(N))
 
     def _envelope(self, M: Rep) -> Tuple[Rep, Morphism]:
-        got = self._envelopes.get(id(M))
-        if got is None:
-            got = (M, injective_envelope(M))
-            self._envelopes[id(M)] = got
-        return got[1]
+        return self._envelopes.get((M,), lambda: injective_envelope(M))
 
     def summands(self, M: Rep) -> List[Rep]:
         """The non-projective indecomposable summands of M: ``[M]`` itself
@@ -343,16 +330,13 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
     if not clean:
         raise PreconditionError("candidate is stably zero")
 
-    # id(X) -> Sigma X, formed once along the envelope the context holds for
+    # Sigma X, formed once per call along the envelope the context holds for
     # X's cones: the clean parts and their suspensions enter the registry as
-    # these objects, and the rigidity check and the closure read Sigma from
-    # here (X is held by susp_parts or the registry)
-    sigma: Dict[int, Rep] = {}
+    # these objects, and the rigidity check and the closure read Sigma here
+    sigma = IdentityMemo()
 
     def suspend(X: Rep) -> Rep:
-        if id(X) not in sigma:
-            sigma[id(X)] = cokernel_of(ctx._envelope(X)[1])[0]
-        return sigma[id(X)]
+        return sigma.get((X,), lambda: cokernel_of(ctx._envelope(X)[1])[0])
 
     susp_parts = {0: clean}
     for s in range(1, m + 1):

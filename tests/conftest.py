@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from periodica.fields import QQ
@@ -33,3 +35,13 @@ def dual():
 @pytest.fixture(scope="session")
 def kxk():
     return semisimple_product(2, QQ)
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Only reference counting frees objects while the test runs."""
+    was = gc.isenabled()
+    gc.disable()
+    yield
+    if was:
+        gc.enable()

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from periodica import derivedper
+from periodica import derivedper, percomplex
 from periodica.common import CheckFailed, PreconditionError
 from periodica.derivedper import (DerivedContext, distinct_stalks_d2_dual_numbers,
                                   ext_dims, ext_sum_check, hereditary_decompose,
@@ -279,6 +279,27 @@ def test_shared_context_replaces_each_stalk_once(a3, m, monkeypatch):
     assert ctx.stalk(intervals[0]) is ctx.stalk(intervals[0], m)
 
 
+def test_ext_sum_check_builds_one_hom_complex_per_pair(a3, monkeypatch):
+    # every degree of every check, and every later check of the same pair,
+    # reads one Hom complex per ordered pair of replacements
+    intervals = [M for _, M in all_intervals(a3)]
+    built = []
+    original = percomplex.PeriodicHomComplex.__init__
+
+    def counted(self, X, Y):
+        built.append((id(X), id(Y)))
+        original(self, X, Y)
+    monkeypatch.setattr(percomplex.PeriodicHomComplex, "__init__", counted)
+    ctx = DerivedContext(a3, 3)
+    for _ in range(2):
+        for M in intervals:
+            for N in intervals:
+                ext_sum_check(ctx, M, N)
+    ends = [id(ctx.replacement(ctx.stalk(M))[0]) for M in intervals]
+    assert sorted(built) == sorted((a, b) for a in ends for b in ends)
+    assert len(set(built)) == len(intervals) ** 2
+
+
 def test_context_rejects_nonpositive_period(a2):
     for m in (0, -1):
         with pytest.raises(PreconditionError):
@@ -417,7 +438,8 @@ def test_replacement_caches_only_top_level_complexes(a3):
     for V in Vs + Vs[:4]:
         assert is_quasi_iso(ctx.replacement(V)[1])
     assert len(ctx._repl) == len({id(V) for V in Vs})
-    assert set(ctx._res) <= {id(c) for V in Vs for c in V.comps}
+    assert {id(M) for (M,), _ in ctx._res} <= {id(c) for V in Vs
+                                                for c in V.comps}
 
 
 def test_hereditary_decompose_rejects_nonhereditary(n33):

@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -477,6 +478,27 @@ def test_contraction_needs_equal_complexes(a2):
     with pytest.raises(PreconditionError, match="contraction needs V = W"):
         hom_complex(V, W).contraction()
     assert not is_contractible(V)
+
+
+class _WeakComplex(PeriodicComplex):
+    """A complex a weak reference can point at."""
+    __slots__ = ("__weakref__",)
+
+
+def test_a_hom_complex_leaves_no_cycle_through_its_complexes(
+        a2, no_cyclic_gc):
+    # a complex holds nothing about its Hom complexes, so both ends die with
+    # their last reference
+    rng = random.Random(5)
+    held = []
+    for _ in range(50):
+        V, W = [_WeakComplex(a2, 2, X.comps, X.diffs, check=False)
+                for X in (random_periodic_complex(a2, 2, rng),
+                          random_periodic_complex(a2, 2, rng))]
+        hom_complex(V, W).homotopy_dim(0)
+        held += [weakref.ref(V), weakref.ref(W)]
+        del V, W
+    assert held and all(r() is None for r in held)
 
 
 def test_hom_complex_graded_piece_formula(a2):

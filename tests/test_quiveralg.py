@@ -1,4 +1,3 @@
-import gc
 import glob
 import os
 import random
@@ -624,16 +623,6 @@ class _WeakRep(Rep):
     __slots__ = ("__weakref__",)
 
 
-@pytest.fixture
-def no_cyclic_gc():
-    """Only reference counting frees objects while the test runs."""
-    was = gc.isenabled()
-    gc.disable()
-    yield
-    if was:
-        gc.enable()
-
-
 def test_algebra_period_leaves_no_cycle_through_the_envelope(
         no_cyclic_gc, monkeypatch):
     # A^e, its cached P(v) and every syzygy over it are freed as soon as
@@ -661,6 +650,17 @@ def test_a_cover_leaves_no_cycle_through_its_target(no_cyclic_gc):
     assert target() is not None
     del P, phi
     assert target() is None and algebra() is None
+
+
+def test_the_opposite_link_leaves_no_cycle(no_cyclic_gc):
+    # A^e is built from A and A^op; A holds A^op, and A^op links back
+    # weakly, so A dies with its last reference
+    alg = nakayama(4, 3, QQ)
+    algebra = weakref.ref(alg)
+    assert stablecat.algebra_period(alg, 16) == Trunc(8)
+    assert alg.opposite().opposite() is alg
+    del alg
+    assert algebra() is None
 
 
 @pytest.mark.parametrize("p", [0, 2, 4294967311])

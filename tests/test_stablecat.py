@@ -529,11 +529,11 @@ def test_suspension_power_holds_no_envelope():
     assert not ctx._envelopes
     parts = [serial_module(alg, 1, l) for l in range(1, 4)]
     check_periodic_tilting_stable(ctx, parts, 2)
-    held = dict(ctx._envelopes)
+    held = list(ctx._envelopes)
     assert held
     for M in parts:
         ctx.suspension_power(M, 2)
-    assert ctx._envelopes == held
+    assert list(ctx._envelopes) == held
 
 
 def test_suspension_power_leaves_the_context_caches_alone():
@@ -543,13 +543,13 @@ def test_suspension_power_leaves_the_context_caches_alone():
     ctx = StableContext(alg)
     mods = [serial_module(alg, a, l) for a in range(1, 5) for l in range(1, 4)]
     check_periodic_tilting_stable(ctx, mods[:3], 2)
-    covers, envelopes = dict(ctx._covers), dict(ctx._envelopes)
+    covers, envelopes = list(ctx._covers), list(ctx._envelopes)
     assert covers and envelopes
     for _ in range(3):
         for M in mods:
             for i in (2, -2):
                 ctx.suspension_power(M, i)
-    assert ctx._covers == covers and ctx._envelopes == envelopes
+    assert list(ctx._covers) == covers and list(ctx._envelopes) == envelopes
 
 
 @pytest.mark.parametrize("field", [QQ, Field.gf(2), Field.gf(4294967311)],
