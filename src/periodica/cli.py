@@ -178,8 +178,8 @@ def cmd_derived_hom(args) -> int:
     N = parse_module_expr(alg, args.target)
     degrees = _parse_range("--prange", args.prange) if args.prange \
         else [args.p]
-    rows = [{"degree": p,
-             "dim": ctx.derived_hom_modules(M, N, p)} for p in degrees]
+    H = ctx.derived_hom_complex(ctx.stalk(M), ctx.stalk(N))
+    rows = [{"degree": p, "dim": H.homotopy_dim(p)} for p in degrees]
     body = {"rows": rows, "period": args.m}
     return _finish(args, build_report(
         "derived-hom",

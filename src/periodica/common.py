@@ -59,7 +59,7 @@ class Trunc:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.exact))
+        return hash(self.value) if self.exact else hash((self.value, False))
 
     def __str__(self):
         return str(self.value) if self.exact else f">= {self.value}"

@@ -68,11 +68,12 @@ class DerivedContext:
     """Replacement and Hom computations for one (algebra, period).
 
     Each stalk complex (per module and position), minimal resolution and
-    its bounded complex, K-projective replacement, and Hom complex between
-    the replacements of a pair, is built once and kept in an
-    ``IdentityMemo``: derived Hom and the Ext-sum check ask for the same
-    ones again and again.  A replacement resolves the components of its
-    complex and nothing else.
+    its bounded complex, and K-projective replacement is built once and
+    kept in an ``IdentityMemo``: derived Hom and the Ext-sum check ask for
+    the same ones again and again.  The Hom complex between two
+    replacements is built per call (:meth:`derived_hom_complex`) and kept
+    by nothing here: no caller asks for the same pair twice.  A replacement
+    resolves the components of its complex and nothing else.
 
     The replacement of a complex is the twisted sum of the folds of its
     components' minimal resolutions (see the module docstring); it is the
@@ -101,7 +102,6 @@ class DerivedContext:
         self._res = IdentityMemo()
         self._res_cx = IdentityMemo()
         self._stalks = IdentityMemo()
-        self._homs = IdentityMemo()
 
     # -- stalks and their resolutions --------------------------------------------
 
@@ -189,21 +189,22 @@ class DerivedContext:
 
     # -- derived Hom ---------------------------------------------------------------
 
-    def _hom(self, V: PeriodicComplex, W: PeriodicComplex
-             ) -> PeriodicHomComplex:
-        """The Hom complex between the replacements of V and W, built once."""
-        return self._homs.get((V, W), lambda: hom_complex(
-            self.replacement(V)[0], self.replacement(W)[0]))
+    def derived_hom_complex(self, V: PeriodicComplex, W: PeriodicComplex
+                            ) -> PeriodicHomComplex:
+        """The Hom complex between the replacements of V and W, built for
+        the call: its homotopy in degree p is Hom_{D_m}(V, W[p])."""
+        return hom_complex(self.replacement(V)[0], self.replacement(W)[0])
 
     def derived_hom(self, V: PeriodicComplex, W: PeriodicComplex, p: int
                     ) -> Tuple[int, List[GradedMorphism]]:
         """Hom_{D_m}(V, W[p]) as (dimension, representatives): homotopy
         classes of degree-p maps between the replacements."""
-        return self._hom(V, W).homotopy_classes(p)
+        return self.derived_hom_complex(V, W).homotopy_classes(p)
 
     def derived_hom_modules(self, M: Rep, N: Rep, p: int) -> int:
         """dim Hom_{D_m}(M, N[p]), with no representatives formed."""
-        return self._hom(self.stalk(M), self.stalk(N)).homotopy_dim(p)
+        return self.derived_hom_complex(self.stalk(M),
+                                        self.stalk(N)).homotopy_dim(p)
 
 
 # -- module-level Ext (the independent side of the sum formula) ---------------------
@@ -237,7 +238,7 @@ def ext_sum_check(ctx: DerivedContext, M: Rep, N: Rep) -> dict:
     res = ctx.resolution(M)
     X = ctx._res_cx.get((M,), lambda: resolution_complex(res))
     exts = _ext_dims(res, X, N, max(res.length, m))
-    H = ctx._hom(ctx.stalk(M), ctx.stalk(N))
+    H = ctx.derived_hom_complex(ctx.stalk(M), ctx.stalk(N))
     rows = []
     ok = True
     for p in range(m):

@@ -226,6 +226,9 @@ def parse_module_expr(alg: FinDimAlgebra, expr: str) -> Rep:
         mult = int(m.group("mult") or 1)
         args = [int(x) for x in (m.group("args") or "").replace(" ", "").split(",")
                 if x != ""]
+        if kind in "R0" and m.group("args") is not None:
+            raise ParseError(f"{kind} takes no arguments, "
+                             f"got {piece.strip()!r}")
         if kind == "0":
             continue
         if kind == "R":

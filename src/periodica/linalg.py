@@ -199,7 +199,8 @@ class Mat:
               col_sizes: Sequence[int], blocks: Dict[Tuple[int, int], "Mat"]
               ) -> "Mat":
         """The block matrix with ``blocks[(r, c)]`` in block row r and block
-        column c (sized ``row_sizes[r]`` by ``col_sizes[c]``), zero elsewhere."""
+        column c (sized ``row_sizes[r]`` by ``col_sizes[c]``), zero elsewhere;
+        block-diagonal sums go through ``rep._diagonal`` instead."""
         roff, coff = _offsets(row_sizes), _offsets(col_sizes)
         ncols = coff[-1]
         data = [field.zero()] * (roff[-1] * ncols)

@@ -30,7 +30,7 @@ from .linalg import Mat, reduce_mod_rowspace
 from .quiver import FinDimAlgebra
 from .rep import (HomBasis, Morphism, Rep, Resolution, YonedaHom, _lift,
                   block_map, block_sum, hom_coords, is_projective, kernel_of,
-                  quotient_rep)
+                  projective_cover, quotient_rep)
 
 
 def _check_differential(j: int, d: Morphism, source: Rep, target: Rep
@@ -558,8 +558,8 @@ class PeriodicHomComplex(_HomComplex):
 
 
 def hom_complex(V: PeriodicComplex, W: PeriodicComplex) -> PeriodicHomComplex:
-    """The Hom complex from V to W, built afresh: neither complex holds it
-    (``DerivedContext`` keeps those of its replacements)."""
+    """The Hom complex from V to W, built afresh and held by nothing
+    (``DerivedContext`` builds one per call between its replacements)."""
     return PeriodicHomComplex(V, W)
 
 
@@ -700,7 +700,8 @@ def decompose_acyclic_projective(V: PeriodicComplex
             raise PreconditionError(
                 f"cocycle Z^{i} is not projective; decomposition impossible")
         cocycles.append((Z, inclZ))
-    # sections of V^i ->> Z^{i+1}: lifts of the identity of Z^{i+1}
+    # sections of D: V^i ->> Z^{i+1}: the cover pi of Z^{i+1}, an isomorphism
+    # as Z^{i+1} is projective, lifted through D and undone
     out = []
     summands = []
     for i in range(m):
@@ -710,7 +711,8 @@ def decompose_acyclic_projective(V: PeriodicComplex
         D = Morphism(V.comps[i], Z, [
             d.kernel_coords(b) for d, b in
             zip(V.diffs[(i + 1) % m].blocks, V.diffs[i].blocks)])
-        summands.append((i, Z, inclZ, _lift(Morphism.identity(Z), D)))
+        pi = projective_cover(Z)[1]
+        summands.append((i, Z, inclZ, _lift(pi, D) @ pi.inverse()))
     # assemble the isomorphism sum K_{Z^{i+1}}[-(i+1)] -> V and verify it;
     # blocks[t][(0, k)] is the map from the k-th block's component t to V^t
     parts = []

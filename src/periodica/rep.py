@@ -256,7 +256,8 @@ def block_sum(parts: Sequence[Rep]) -> Rep:
 
 def _diagonal(f: Field, mats: Sequence[Mat]) -> Mat:
     """The block-diagonal matrix with ``mats`` down its diagonal; one
-    matrix is returned as it is."""
+    matrix is returned as it is.  It costs about half of ``Mat.block`` on
+    small sums (timeit, ``BENCH_be64d08.json``)."""
     if len(mats) == 1:
         return mats[0]
     nrows = ncols = 0
@@ -503,7 +504,8 @@ class YonedaHom(_HomCoords):
         """g -> g o d for d: Q -> P, Q = P(u_1) + ... + P(u_s): block (r, s)
         is sum_w c_w rho_N(w) over the basis walks w: u_r -> v_s of the s-th
         summand of P, with c_w d's entry at w in the column of Q's r-th
-        generator, since g(d(e_{u_r})) = sum_{s, w} c_w rho_N(w) g(e_{v_s})."""
+        generator, since g(d(e_{u_r})) = sum_{s, w} c_w rho_N(w) g(e_{v_s}),
+        with rho_N(w) from :func:`_walk_image`, one memo per v for the call."""
         if not isinstance(into, YonedaHom):
             return super().pre_matrix(d, into)
         P, N = self.M, self.N
@@ -512,14 +514,7 @@ class YonedaHom(_HomCoords):
         add, mul = f.add, f.mul
         pbasis = alg.projective_basis
         offsets = _summand_offsets(P)
-        rho: Dict[Walk, Mat] = {}
-
-        def action(s: Walk) -> Mat:
-            m = rho.get(s)
-            if m is None:
-                m = rho[s] = (N.act[s[0]] if len(s) == 1
-                              else N.act[s[0]] @ action(s[1:]))
-            return m
+        rho: Dict[int, Dict[Walk, Mat]] = {}
         col_off = _offsets([N.dims[v - 1] for v in P.tops])
         ncols = col_off[-1]
         data = [f.zero()] * (into.dim * ncols)
@@ -536,13 +531,9 @@ class YonedaHom(_HomCoords):
                     c = D.data[(base + idx) * D.cols + gen]
                     if not c:
                         continue
-                    w = alg.basis[bi]
-                    if len(w) == 1:         # e_v itself: c times identity
-                        for i in range(du):
-                            x = (row0 + i) * ncols + col_off[s] + i
-                            data[x] = add(data[x], c)
-                        continue
-                    R = action(w[1:]).data
+                    if v not in rho:
+                        rho[v] = {(): Mat.identity(f, dv)}
+                    R = _walk_image(rho[v], N, alg.basis[bi][1:]).data
                     for i in range(du):
                         x0 = (row0 + i) * ncols + col_off[s]
                         for j in range(dv):
@@ -575,41 +566,46 @@ def _generator_rows(P: Rep) -> List[int]:
             for v, off in zip(P.tops, _summand_offsets(P))]
 
 
+def _walk_image(images: Dict[Walk, Mat], N: Rep, w: Walk,
+                G: Mat | List[int] | None = None) -> Mat:
+    """rho_N(w) G for an arrow walk w ending at v; ``images`` holds rho_N(s) G
+    for the suffixes s formed so far, G itself at (): a matrix on N_v, the
+    unit columns of N_v at a list of indices, or the identity for None.
+    The missing suffixes of w are added shortest-first, one product act[a]
+    @ image(s) for (a,) + s, and none for one arrow on unit columns or the
+    identity: the columns of act[a] at G, or act[a] itself."""
+    j = 0
+    while w[j:] not in images:      # () always is
+        j += 1
+    for j in range(j - 1, -1, -1):
+        s = w[j:]
+        act = N.act[s[0]]
+        if len(s) == 1 and not isinstance(G, Mat):
+            images[s] = act if G is None else act.take_cols(G)
+        else:
+            images[s] = act @ images[s[1:]]
+    return images[w]
+
+
 def _map_from_tops(P: Rep, N: Rep, values: Dict[int, object]) -> Morphism:
     """The map P -> N out of P with ``tops`` that sends the generator of
     the k-th summand with top v to column k of the values G at v: the
     matrix ``values[v]``, or, for a list of column indices, the unit
     columns of N_v there (a projective cover's generators).
 
-    The basis walk w of a summand P(v) maps to rho_N(w) times its value.
-    No rho(w) is formed: the images rho(s) G of the arrow suffixes s of the
-    walks are memoised for the call, image(()) = G and image((a,) + s) =
-    act[a] @ image(s), one product per suffix, except that a one-arrow
-    suffix on unit columns is a column selection of act[a].  Each block is
-    read off column k of those images, summand by summand in the order of
-    P's basis (``alg.projective_basis``).
+    The basis walk w of a summand P(v) maps to rho_N(w) G
+    (:func:`_walk_image`, one memo per v for the call): each block is
+    column k of those images, summand by summand in the order of P's basis
+    (``alg.projective_basis``).
     """
     alg = N.algebra
     f = alg.field
     n = len(N.dims)
     walks = {}
     for v, G in values.items():
-        unit = not isinstance(G, Mat)
-        # nonempty suffixes end at v, so the memo is per v
-        images: Dict[Walk, Mat] = {
-            (): Mat.identity(f, N.dims[v - 1]).take_cols(G) if unit else G}
-        for lst in alg.projective_basis[v - 1]:
-            for i in lst:
-                w = alg.basis[i][1:]
-                j = 0
-                while w[j:] not in images:      # () always is
-                    j += 1
-                for j in range(j - 1, -1, -1):  # the missing suffixes
-                    s = w[j:]
-                    act = N.act[s[0]]
-                    images[s] = (act.take_cols(G) if unit and len(s) == 1
-                                 else act @ images[s[1:]])
-        walks[v] = [[images[alg.basis[i][1:]] for i in lst]
+        images = {(): G if isinstance(G, Mat)
+                  else Mat.identity(f, N.dims[v - 1]).take_cols(G)}
+        walks[v] = [[_walk_image(images, N, alg.basis[i][1:], G) for i in lst]
                     for lst in alg.projective_basis[v - 1]]
     seen = dict.fromkeys(values, 0)
     cols: List[list] = [[] for _ in range(n)]
@@ -624,23 +620,16 @@ def _map_from_tops(P: Rep, N: Rep, values: Dict[int, object]) -> Morphism:
 
 
 def _lift(g: Morphism, q: Morphism) -> Morphism:
-    """h with q o h = g, for g out of a projective into the image of q.
+    """h with q o h = g, for g out of a module with ``tops`` into the image
+    of q; any other source is refused (lift through its projective cover).
 
-    Out of a module with ``tops``, h is fixed by its values at the
-    generators: one solve per top vertex v, q's block at v against g's
-    columns at the generators there, and ``q @ h == g`` certifies the
-    result.  Otherwise one solve for the coordinates of h on a
-    Hom(source g, source q) basis."""
+    h is fixed by its values at the generators: one solve per top vertex v,
+    q's block at v against g's columns at the generators there, and
+    ``q @ h == g`` certifies the result."""
     failed = CheckFailed("projective lift failed (map not into the image?)")
     P = g.source
     if P.tops is None:
-        basis = HomBasis(P, q.source)
-        coords = HomBasis(P, q.target)
-        sol = coords.coords_matrix([q @ b for b in basis.basis]).solve(
-            coords.coords_of(g))
-        if sol is None:
-            raise failed
-        return basis.from_coords(sol)
+        raise PreconditionError("a lift needs a source with tops")
     cols: Dict[int, List[int]] = {}
     for v, r in zip(P.tops, _generator_rows(P)):
         cols.setdefault(v, []).append(r)

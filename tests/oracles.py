@@ -18,7 +18,9 @@ is acyclic; ``is_homotopy`` checks a witness f - g = d(h).
 ``sample_algebra`` loads a sample presentation over any field.
 ``projective_from_basis`` builds P(v) afresh from ``projective_basis`` and
 the multiplication table, where the library shares blocks the algebra
-builds once.
+builds once.  ``hom_basis_lift`` lifts a map out of any projective by one
+solve on Hom bases; the library lifts only out of a module with tops, one
+solve per top vertex.
 
 ``bar_hh_oracle`` computes dim HH^p from the bar complex, with no bimodule
 resolution; the library resolves A over A^e instead and reads HH^p off the
@@ -34,7 +36,7 @@ import glob
 import os
 from typing import Dict, List, Sequence, Tuple
 
-from periodica.common import PreconditionError
+from periodica.common import CheckFailed, PreconditionError
 from periodica.derivedper import DerivedContext, _augmentation
 from periodica.fields import Field
 from periodica.formats import parse_algebra_text
@@ -43,7 +45,8 @@ from periodica.percomplex import (BoundedComplex, GradedMorphism,
                                   PeriodicComplex, _cohom_data, fold,
                                   resolution_complex, stalk_complex)
 from periodica.quiver import FinDimAlgebra, build_algebra
-from periodica.rep import Morphism, Rep, Resolution, block_map, block_sum
+from periodica.rep import (HomBasis, Morphism, Rep, Resolution, block_map,
+                           block_sum)
 
 
 def direct_sum(parts: Sequence[Rep]) -> Tuple[Rep, List[Morphism],
@@ -57,6 +60,19 @@ def direct_sum(parts: Sequence[Rep]) -> Tuple[Rep, List[Morphism],
     projs = [block_map(S, p, [p], parts, {(0, k): ids[k]})
              for k, p in enumerate(parts)]
     return S, injs, projs
+
+
+def hom_basis_lift(g: Morphism, q: Morphism) -> Morphism:
+    """h with q o h = g, for g out of a projective into the image of q: one
+    solve for the coordinates of h on a Hom(source g, source q) basis."""
+    P = g.source
+    basis = HomBasis(P, q.source)
+    coords = HomBasis(P, q.target)
+    sol = coords.coords_matrix([q @ b for b in basis.basis]).solve(
+        coords.coords_of(g))
+    if sol is None:
+        raise CheckFailed("projective lift failed (map not into the image?)")
+    return basis.from_coords(sol)
 
 
 def sub_rep(M: Rep, bases: Sequence[Mat]) -> Tuple[Rep, Morphism]:

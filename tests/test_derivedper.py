@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -280,8 +281,8 @@ def test_shared_context_replaces_each_stalk_once(a3, m, monkeypatch):
 
 
 def test_ext_sum_check_builds_one_hom_complex_per_pair(a3, monkeypatch):
-    # every degree of every check, and every later check of the same pair,
-    # reads one Hom complex per ordered pair of replacements
+    # every degree of a check reads the one Hom complex of its ordered pair
+    # of replacements, built for that check
     intervals = [M for _, M in all_intervals(a3)]
     built = []
     original = percomplex.PeriodicHomComplex.__init__
@@ -291,13 +292,29 @@ def test_ext_sum_check_builds_one_hom_complex_per_pair(a3, monkeypatch):
         original(self, X, Y)
     monkeypatch.setattr(percomplex.PeriodicHomComplex, "__init__", counted)
     ctx = DerivedContext(a3, 3)
-    for _ in range(2):
-        for M in intervals:
-            for N in intervals:
-                ext_sum_check(ctx, M, N)
+    for M in intervals:
+        for N in intervals:
+            ext_sum_check(ctx, M, N)
     ends = [id(ctx.replacement(ctx.stalk(M))[0]) for M in intervals]
     assert sorted(built) == sorted((a, b) for a in ends for b in ends)
     assert len(set(built)) == len(intervals) ** 2
+
+
+def test_derived_context_holds_no_hom_complex(a3, monkeypatch, no_cyclic_gc):
+    # each Hom complex dies when the call that built it returns
+    made = []
+    original = percomplex.PeriodicHomComplex.__init__
+
+    def watched(self, X, Y):
+        made.append(weakref.ref(self))
+        original(self, X, Y)
+    monkeypatch.setattr(percomplex.PeriodicHomComplex, "__init__", watched)
+    ctx = DerivedContext(a3, 3)
+    M, N = Rep.simple(a3, 1), Rep.simple(a3, 2)
+    assert ext_sum_check(ctx, M, N)["match"]
+    ctx.derived_hom_modules(M, N, 1)
+    ctx.derived_hom(ctx.stalk(N), ctx.stalk(M), 0)
+    assert len(made) == 3 and all(r() is None for r in made)
 
 
 def test_context_rejects_nonpositive_period(a2):

@@ -13,6 +13,7 @@ from periodica.formats import (load_algebra, load_chain_map_file,
                                load_complex, load_complex_file,
                                parse_algebra_text, parse_module_expr,
                                complex_to_doc)
+from periodica import percomplex
 from periodica.percomplex import is_acyclic, stalk_complex
 from periodica.quiver import build_algebra
 from periodica.rep import Rep
@@ -174,6 +175,18 @@ def test_module_expressions(a2, n33):
         parse_module_expr(cyc, "M(1,4)")
 
 
+@pytest.mark.parametrize("expr, kind, term", [
+    ("R(1)", "R", "R(1)"), ("R(1,2)", "R", "R(1,2)"), ("0(5)", "0", "0(5)"),
+    ("P(1) + 2*R(3)", "R", "2*R(3)")])
+def test_regular_and_zero_take_no_arguments(n33, capsys, expr, kind, term):
+    with pytest.raises(ParseError, match="takes no arguments"):
+        parse_module_expr(n33, expr)
+    code, out = run_cli(["hom", "--name", "N(3,3)", "-M", expr, "-N", "S(1)"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"parse error: {kind} takes no arguments, got {term!r}\n")
+
+
 # -- complex files -------------------------------------------------------------
 
 
@@ -332,6 +345,24 @@ def test_cli_hom_and_derived():
     code, out = run_cli(["ext-sum-check", "--algebra", sample("a2.alg"),
                          "-M", "S(2)", "-N", "S(1)", "--m", "2"])
     assert code == 0
+
+
+def test_cli_derived_hom_builds_one_hom_complex(monkeypatch):
+    # every degree of --prange reads the one Hom complex of the command
+    built = []
+    original = percomplex.PeriodicHomComplex.__init__
+
+    def counted(self, X, Y):
+        built.append(1)
+        original(self, X, Y)
+    monkeypatch.setattr(percomplex.PeriodicHomComplex, "__init__", counted)
+    for prange, dims in (("1..1", [1]), ("0..5", [0, 1, 0, 1, 0, 1])):
+        built.clear()
+        code, out = run_cli(["derived-hom", "--algebra", sample("a2.alg"),
+                             "-M", "S(2)", "-N", "S(1)", "--m", "2",
+                             "--prange", prange])
+        assert code == 0 and len(built) == 1
+        assert [r["dim"] for r in json.loads(out)["result"]["rows"]] == dims
 
 
 def test_cli_hochschild_table():

@@ -219,6 +219,21 @@ def test_algebra_period_stops_at_a_zero_syzygy(alg, projdim):
     assert period != NotPeriodic(projdim + 1) and period != Trunc(64, False)
 
 
+def test_an_exact_trunc_hashes_as_its_value():
+    # equal objects hash alike, so an exact Trunc finds its int in a set or
+    # a dict and the other way round; a ">= bound" finds neither
+    assert Trunc(3) == 3 and hash(Trunc(3)) == hash(3)
+    assert Trunc(3) in {3} and 3 in {Trunc(3)}
+    assert {3: "three"}[Trunc(3)] == "three"
+    assert {Trunc(3): "three"}[3] == "three"
+    assert len({Trunc(3), 3, Trunc(3)}) == 1
+    assert Trunc(3, False) not in {3, Trunc(3)}
+    assert 3 not in {Trunc(3, False)}
+    assert {Trunc(3, False), Trunc(3, False)} == {Trunc(3, False)}
+    assert NotPeriodic(1) in {NotPeriodic(1)}
+    assert NotPeriodic(1) not in {1, Trunc(1), None}
+
+
 def test_tilting_pass(n33):
     ctx = StableContext(n33)
     parts = [serial_module(n33, 1, 1), serial_module(n33, 1, 2)]

@@ -11,6 +11,7 @@ coboundary ranks, ``homotopy_dim`` and lifts must agree.
 """
 
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -33,7 +34,7 @@ from periodica.rep import (HomBasis, Morphism, Rep, YonedaHom, _HomCoords,
                            _lift, block_map, block_sum, hom_space,
                            is_projective, projective_cover)
 
-from oracles import sample_algebra
+from oracles import hom_basis_lift, sample_algebra
 
 FIELDS = [QQ, Field.gf(2), Field.gf(4294967311)]
 FIELD_IDS = ["Q", "GF2", "GFbig"]
@@ -136,6 +137,23 @@ def test_block_matrices_match_the_composites(field):
                     plain = HomBasis(_strip(Q), N)
                     assert Y.pre_matrix(d, plain) == plain.coords_matrix(
                         [g @ d for g in Y.basis])
+
+
+def test_pre_matrix_leaves_no_cycle(no_cyclic_gc):
+    # the rho_N(s) of one pre_matrix call are kept by nothing once it
+    # returns, so N and its algebra die with their last reference
+    alg = nakayama(3, 3, QQ)
+    algebra = weakref.ref(alg)
+    P, Q = Rep.projective(alg, 1), block_sum(
+        [Rep.projective(alg, 2), Rep.projective(alg, 3)])
+    N = Rep.regular(alg)
+    d = _random_map(random.Random(2), YonedaHom(Q, P))
+    into = YonedaHom(Q, N)
+    B = YonedaHom(P, N).pre_matrix(d, into)
+    assert B == _HomCoords.pre_matrix(YonedaHom(P, N), d, into)
+    assert not B.is_zero()
+    del alg, P, Q, N, d, into
+    assert algebra() is None
 
 
 def test_yoneda_refuses_a_map_that_is_not_a_module_map():
@@ -293,9 +311,10 @@ def test_lift_out_of_tops_matches_the_hom_basis_route(field):
                     # any map: Yoneda lifts exactly when the Hom route does
                     g = _random_map(rng, HomBasis(P, Y))
                     got = []
-                    for source in (P, _strip(P)):
+                    for source, lift in ((P, _lift),
+                                         (_strip(P), hom_basis_lift)):
                         try:
-                            h = _lift(_strip_map(g, source, Y), q)
+                            h = lift(_strip_map(g, source, Y), q)
                             assert q @ h == g
                             got.append(True)
                         except CheckFailed:
@@ -317,6 +336,15 @@ def test_lift_refuses_a_map_that_is_not_a_module_map():
     cover = projective_cover(S2)[1]
     with pytest.raises(CheckFailed, match="projective lift failed"):
         _lift(cover, Morphism.zero(Rep.simple(a2, 1), S2))
+
+
+def test_lift_refuses_a_source_without_tops():
+    # the same projective rebuilt from its matrices is refused, not lifted
+    a2 = linear_a(2, QQ)
+    P1 = Rep.projective(a2, 1)
+    g = Morphism.identity(_strip(P1))
+    with pytest.raises(PreconditionError, match="source with tops"):
+        _lift(g, Morphism.identity(_strip(P1)))
 
 
 def test_no_hom_basis_has_a_projective_source(monkeypatch):
