@@ -41,27 +41,8 @@ from .percomplex import (BoundedComplex, BoundedHomComplex, GradedMorphism,
                          is_acyclic, is_quasi_iso, resolution_complex, shift,
                          stalk_complex, sum_complex, sum_map)
 from .quiver import FinDimAlgebra
-from .rep import (Morphism, Rep, Resolution, _lift, block_map, decompose,
+from .rep import (Morphism, Rep, Resolution, _lift, decompose,
                   global_dimension, hom_space, minimal_resolution)
-
-
-def _augmentation(res: Resolution, B: BoundedComplex, F: PeriodicComplex,
-                  layout: List[List[int]], target: PeriodicComplex,
-                  position: int) -> GradedMorphism:
-    """The chain map from F, the fold of the resolution ``res`` placed as B
-    with P0 in degree ``position``, onto the stalk ``target`` of the
-    resolved module at that position: the augmentation on the summand P0 of
-    F at the position, zero elsewhere."""
-    M = res.module
-    comps = [Morphism.zero(F.comps[i], target.comps[i])
-             for i in range(target.m)]
-    i = position % target.m
-    comps[i] = block_map(F.comps[i], M, [M], [B.comps[j] for j in layout[i]],
-                         {(0, layout[i].index(position)): res.aug})
-    phi = GradedMorphism(F, target, 0, comps)
-    if not phi.is_closed():
-        raise CheckFailed("folded resolution map fails to be a chain map")
-    return phi
 
 
 class DerivedContext:
@@ -397,9 +378,9 @@ def stalk_tilting_check(ctx: DerivedContext) -> dict:
             })
             gen_ok = gen_ok and split_ok
             prev = Xk, layout, parts
-        # the last X_k is the fold of the whole resolution
-        qis_ok = is_quasi_iso(_augmentation(res, Bk, Xk, layout,
-                                            stalk_complex(S, m, 0), 0))
+        # the last X_k is the fold of the whole resolution, the replacement
+        # of S's stalk at 0, whose map onto the stalk is the augmentation
+        qis_ok = is_quasi_iso(ctx._replacement(stalk_complex(S, m, 0))[1])
         gen_ok = gen_ok and qis_ok
         witnesses.append({
             "simple": v,

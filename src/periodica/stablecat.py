@@ -5,9 +5,10 @@ of maps factoring through projectives (every such map factors through the
 projective cover of the target, so that subspace is computable).  Syzygy and
 cosyzygy are taken along minimal covers and envelopes, which keeps them
 mutually inverse on modules without projective summands.  By Heller's lemma
-both keep a module without projective summands free of them, and keep it
-indecomposable when it is, so suspensions are never stripped or decomposed:
-only a cone's cokernel is.
+the minimal envelope or cover of a projective summand is an isomorphism, so
+both drop projective summands, and keep a non-projective indecomposable
+indecomposable: shifts and periods are never stripped or decomposed.  Only a
+candidate's parts, a cone's cokernel and Sigma^0 are.
 
 Every cache here, a ``StableContext``'s and the tilting closure's
 suspensions, is a ``common.IdentityMemo``, keyed by module identity.
@@ -84,10 +85,13 @@ class StableContext:
     ``suspension_power`` builds its envelopes and covers for the call and
     holds none: its intermediate modules are never asked for again.
 
-    ``summands`` and ``strip`` hold nothing; ``cone_summands`` returns the
-    pieces of a cone, so the closure registers them without decomposing the
-    cone again.  Suspensions are never decomposed (Heller's lemma): a shift
-    of a non-projective indecomposable is one.
+    The stable layer calls ``decompose`` only where summands are the
+    answer: a candidate's parts, a cone's pieces and Sigma^0 (through
+    ``summands``, which holds nothing), and inside ``iso_q``'s Krull-Schmidt
+    branch.  ``cone_summands`` returns the pieces of a cone, so the closure
+    registers them without decomposing the cone again.  Shifts and periods
+    never decompose (Heller's lemma): a shift has no projective summand,
+    and a shift of a non-projective indecomposable is one.
     """
 
     def __init__(self, alg: FinDimAlgebra, seed: int = 0):
@@ -115,30 +119,34 @@ class StableContext:
         for a non-projective indecomposable M."""
         return [s for s in decompose(M, self.seed) if not is_projective(s)]
 
-    def strip(self, M: Rep) -> Rep:
-        """M without its projective summands: the block sum of ``summands``,
-        so M itself for a non-projective indecomposable."""
-        parts = self.summands(M)
-        return block_sum(parts) if parts else Rep.zero(self.algebra)
-
     # -- suspension -------------------------------------------------------------
 
     def suspension_power(self, M: Rep, i: int) -> Rep:
-        """Sigma^i M along minimal envelopes (i > 0) or covers (i < 0): M is
-        stripped once, and by Heller's lemma no shift after that has a
-        projective summand to strip."""
-        M = self.strip(M)
+        """Sigma^i M along minimal envelopes (i > 0) or covers (i < 0) of M
+        as given: by Heller's lemma those of a projective summand are
+        isomorphisms, so no shift has one.  Sigma^0 M is M without its
+        projective summands (M itself for a non-projective indecomposable),
+        the one power that decomposes M."""
+        if i == 0:
+            parts = self.summands(M)
+            return block_sum(parts) if parts else Rep.zero(self.algebra)
         for _ in range(abs(i)):
             M = (cokernel_of(injective_envelope(M)[1])[0] if i > 0
                  else syzygy(M))
         return M
 
     def module_period(self, M: Rep, bound: int) -> Trunc:
-        """Smallest p >= 1 with the p-th syzygy isomorphic to M."""
-        M = self.strip(M)
-        if M.is_zero():
+        """Smallest p >= 1 with the p-th syzygy of M stably isomorphic to M.
+
+        The search runs on Omega M and makes no ``decompose`` call: Omega is
+        a stable auto-equivalence, so with M' the non-projective part of M,
+        Omega^p M' ~ M' iff Omega^(p+1) M ~ Omega M, and modules with no
+        projective summand are isomorphic iff they are stably isomorphic.
+        """
+        K = syzygy(M)
+        if K.is_zero():
             raise PreconditionError("period of the zero module is undefined")
-        return _syzygy_period(M, bound, self.seed)
+        return _syzygy_period(K, bound, self.seed)
 
     # -- triangles ---------------------------------------------------------------
 

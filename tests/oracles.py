@@ -37,7 +37,7 @@ import os
 from typing import Dict, List, Sequence, Tuple
 
 from periodica.common import CheckFailed, PreconditionError
-from periodica.derivedper import DerivedContext, _augmentation
+from periodica.derivedper import DerivedContext
 from periodica.fields import Field
 from periodica.formats import parse_algebra_text
 from periodica.linalg import Mat
@@ -348,6 +348,25 @@ def shifted(B: BoundedComplex, ell: int) -> BoundedComplex:
     comps = {j - ell: c for j, c in B.comps.items()}
     diffs = {j - ell: d.scale(sign) for j, d in B.diffs.items()}
     return BoundedComplex(B.algebra, comps, diffs, check=False)
+
+
+def _augmentation(res: Resolution, B: BoundedComplex, F: PeriodicComplex,
+                  layout: List[List[int]], target: PeriodicComplex,
+                  position: int) -> GradedMorphism:
+    """The chain map from F, the fold of the resolution ``res`` placed as B
+    with P0 in degree ``position``, onto the stalk ``target`` of the
+    resolved module at that position: the augmentation on the summand P0 of
+    F at the position, zero elsewhere."""
+    M = res.module
+    comps = [Morphism.zero(F.comps[i], target.comps[i])
+             for i in range(target.m)]
+    i = position % target.m
+    comps[i] = block_map(F.comps[i], M, [M], [B.comps[j] for j in layout[i]],
+                         {(0, layout[i].index(position)): res.aug})
+    phi = GradedMorphism(F, target, 0, comps)
+    if not phi.is_closed():
+        raise CheckFailed("folded resolution map fails to be a chain map")
+    return phi
 
 
 def fold_resolution(ctx: DerivedContext, M: Rep, position: int = 0

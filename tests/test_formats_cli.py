@@ -442,6 +442,7 @@ GOLDEN_CASES = {
 }
 
 
+@pytest.mark.usefixtures("normal_form_scalars")
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_reports(name):
     code, out = run_cli(GOLDEN_CASES[name])

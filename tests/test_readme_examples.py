@@ -26,6 +26,7 @@ def test_readme_has_the_command_block():
     assert len(_readme_commands()) == 20
 
 
+@pytest.mark.usefixtures("normal_form_scalars")
 @pytest.mark.parametrize("command", _readme_commands())
 def test_readme_example_exits_as_documented(command, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)

@@ -9,7 +9,8 @@ from periodica.derivedper import ext_dims
 from periodica.families import (dual_numbers, linear_a, nakayama,
                                 semisimple_product, serial_module)
 from periodica.fields import Field, QQ
-from periodica.formats import load_algebra, parse_algebra_text
+from periodica.formats import (load_algebra, parse_algebra_text,
+                               parse_module_expr)
 from periodica.quiver import build_algebra
 from periodica.rep import (HomBasis, Morphism, Rep, block_sum, find_iso,
                            hom_space, injective_envelope, iso_q,
@@ -462,7 +463,7 @@ def test_strip_keeps_a_nonprojective_indecomposable(field):
     for a in range(1, 5):
         for l in range(1, 4):
             M = serial_module(alg, a, l)
-            assert ctx.strip(M) is M
+            assert ctx.suspension_power(M, 0) is M
             assert ctx.summands(M) == [M]
 
 
@@ -607,6 +608,43 @@ def test_closure_decomposes_no_cone_again(monkeypatch):
         return decompose
     log = _closure_n5(monkeypatch, "decompose", wrap)
     assert log["pieces"] and not late
+
+
+def test_shifts_and_periods_make_no_decompose_call(monkeypatch):
+    # Heller's lemma: the shifts drop projective summands themselves, so of
+    # the stable layer's own calls only Sigma^0 decomposes its input (the
+    # isomorphism tests of the period search may, inside iso_q)
+    import periodica.stablecat as sc
+    alg = nakayama(4, 4, Field.gf(2))
+    ctx = StableContext(alg)
+    M = parse_module_expr(alg, "2*S(2)+P(1)")
+    calls = []
+    real = sc.decompose
+
+    def decompose(X, seed=0):
+        calls.append(X)
+        return real(X, seed)
+    monkeypatch.setattr(sc, "decompose", decompose)
+    for i in (1, -1, 2, -2):
+        ctx.suspension_power(M, i)
+    ctx.module_period(M, 8)
+    assert calls == []
+    ctx.suspension_power(M, 0)
+    assert calls == [M]
+
+
+@pytest.mark.parametrize("nm, with_proj, part", [
+    ((4, 4), "2*S(2)+P(1)", "2*S(2)"),
+    ((6, 3), "S(1)+P(3)", "S(1)"),
+], ids=["N44", "N63"])
+def test_module_period_ignores_projective_summands(nm, with_proj, part):
+    alg = nakayama(*nm, QQ)
+    ctx = StableContext(alg)
+    got = ctx.module_period(parse_module_expr(alg, with_proj), 16)
+    assert got == ctx.module_period(parse_module_expr(alg, part), 16)
+    assert got.exact
+    with pytest.raises(PreconditionError, match="zero module"):
+        ctx.module_period(parse_module_expr(alg, "P(1)+P(2)"), 16)
 
 
 def _suspension_stripping_every_step(M, i):
