@@ -21,7 +21,7 @@ from .fields import Field
 from .linalg import Mat
 from .quiver import (AlgebraPresentation, FinDimAlgebra, Quiver, build_algebra,
                      enveloping_algebra, pair_vertex)
-from .rep import Rep, quotient_rep
+from .rep import Rep
 
 
 def linear_a(k: int, field: Field) -> FinDimAlgebra:
@@ -91,7 +91,9 @@ def serial_module(alg: FinDimAlgebra, a: int, l: int) -> Rep:
 
     Realized as the quotient of the projective with top S_{a+l-1} by its
     l-th radical layer, so l is at most that projective's length, which is
-    its dimension (it is uniserial).
+    its dimension (it is uniserial).  The basis walks of length >= l span
+    that layer, so the quotient restricts the projective's matrices to the
+    shorter ones.
     """
     if not is_cyclic_nakayama(alg):
         raise PreconditionError("serial modules need a cyclic Nakayama algebra")
@@ -102,16 +104,14 @@ def serial_module(alg: FinDimAlgebra, a: int, l: int) -> Rep:
     if not (1 <= l <= length):
         raise PreconditionError(f"length must be in 1..{length}")
     P = Rep.projective(alg, top)
-    # walks of length >= l ending at the top vertex span the radical layer
-    f = alg.field
-    bases = []
-    for u, lst in enumerate(alg.projective_basis[top - 1], 1):
-        cols = [r for r, bi in enumerate(lst) if alg.length[bi] >= l]
-        mat = Mat.zeros(f, P.dims[u - 1], len(cols))
-        for c, r in enumerate(cols):
-            mat.data[r * len(cols) + c] = f.one()
-        bases.append(mat)
-    return quotient_rep(P, bases)[0]
+    keep = [[r for r, bi in enumerate(lst) if alg.length[bi] < l]
+            for lst in alg.projective_basis[top - 1]]
+    act = []
+    for m, ar in zip(P.act, alg.quiver.arrows):
+        rows, cols, d = keep[ar.source - 1], keep[ar.target - 1], m.data
+        act.append(Mat(alg.field, len(rows), len(cols),
+                       [d[r * m.cols + c] for r in rows for c in cols]))
+    return Rep(alg, [len(k) for k in keep], act)
 
 
 def interval_module(alg: FinDimAlgebra, a: int, b: int) -> Rep:

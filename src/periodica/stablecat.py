@@ -2,13 +2,13 @@
 
 Stable maps are stored as honest module maps and reduced modulo the subspace
 of maps factoring through projectives (every such map factors through the
-projective cover of the target, so that subspace is computable).  Syzygy and
-cosyzygy are taken along minimal covers and envelopes, which keeps them
-mutually inverse on modules without projective summands.  By Heller's lemma
-the minimal envelope or cover of a projective summand is an isomorphism, so
-both drop projective summands, and keep a non-projective indecomposable
+projective cover of the target, so that subspace is computable).  Both
+shifts are taken along minimal covers: Omega M = ker(P(M) ->> M), and under
+the duality D = Hom_k(-, k) Sigma M = coker(M >-> I(M)) = D Omega D M.  By
+Heller's lemma the minimal cover of a projective summand is an isomorphism,
+so both drop projective summands, and keep a non-projective indecomposable
 indecomposable: shifts and periods are never stripped or decomposed.  Only a
-candidate's parts, a cone's cokernel and Sigma^0 are.
+candidate's parts, a cone's pieces and Sigma^0 are.
 
 Every cache here, a ``StableContext``'s and the tilting closure's
 suspensions, is a ``common.IdentityMemo``, keyed by module identity.
@@ -22,9 +22,9 @@ from .common import IdentityMemo, PreconditionError, Trunc
 from .families import enveloping, is_cyclic_nakayama, serial_module
 from .linalg import Mat, _free_cols, reduce_mod_rowspace
 from .quiver import FinDimAlgebra
-from .rep import (HomBasis, Morphism, Rep, block_sum, cokernel_of, decompose,
-                  dual, injective_envelope, is_projective, iso_q, kernel_of,
-                  projective_cover, syzygies, syzygy)
+from .rep import (HomBasis, Morphism, Rep, block_sum, decompose, dual,
+                  is_projective, iso_q, kernel_of, projective_cover, syzygies,
+                  syzygy)
 
 
 def is_self_injective(alg: FinDimAlgebra) -> bool:
@@ -78,12 +78,14 @@ class StableContext:
     """Cached stable-category data for one self-injective algebra.
 
     The stable Hom space of each pair, the projective cover of each
-    stable-Hom target and the injective envelope of each cone source are
-    built once and kept in an ``IdentityMemo``: the tilting closure asks for
-    the stable Hom spaces and cones of the same registry items again and
-    again, and shifts them along the same covers and envelopes.
-    ``suspension_power`` builds its envelopes and covers for the call and
-    holds none: its intermediate modules are never asked for again.
+    stable-Hom target and the dual cover P(DM) ->> DM over A^op of each cone
+    source M are built once and kept in an ``IdentityMemo``: the tilting
+    closure asks for the stable Hom spaces and cones of the same registry
+    items again and again, and shifts them along the same covers.  The
+    envelope M >-> I(M) = D P(DM) is the dual cover transposed, so Sigma M
+    = D ker(P(DM) ->> DM), and Sigma M and M's cones share one dual cover.
+    ``suspension_power`` builds its covers for the call and holds none: its
+    intermediate modules are never asked for again.
 
     The stable layer calls ``decompose`` only where summands are the
     answer: a candidate's parts, a cone's pieces and Sigma^0 (through
@@ -101,7 +103,7 @@ class StableContext:
         self.seed = seed
         self._shoms = IdentityMemo()
         self._covers = IdentityMemo()
-        self._envelopes = IdentityMemo()
+        self._dual_covers = IdentityMemo()
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -111,8 +113,8 @@ class StableContext:
     def _cover(self, N: Rep) -> Tuple[Rep, Morphism]:
         return self._covers.get((N,), lambda: projective_cover(N))
 
-    def _envelope(self, M: Rep) -> Tuple[Rep, Morphism]:
-        return self._envelopes.get((M,), lambda: injective_envelope(M))
+    def _dual_cover(self, M: Rep) -> Tuple[Rep, Morphism]:
+        return self._dual_covers.get((M,), lambda: projective_cover(dual(M)))
 
     def summands(self, M: Rep) -> List[Rep]:
         """The non-projective indecomposable summands of M: ``[M]`` itself
@@ -122,18 +124,20 @@ class StableContext:
     # -- suspension -------------------------------------------------------------
 
     def suspension_power(self, M: Rep, i: int) -> Rep:
-        """Sigma^i M along minimal envelopes (i > 0) or covers (i < 0) of M
-        as given: by Heller's lemma those of a projective summand are
-        isomorphisms, so no shift has one.  Sigma^0 M is M without its
-        projective summands (M itself for a non-projective indecomposable),
-        the one power that decomposes M."""
+        """Sigma^i M along minimal covers of M as given: Omega^-i M for
+        i < 0 and D Omega^i D M for i > 0, i syzygies over A^op between two
+        duals (D takes the cokernel of an envelope to the kernel of a cover,
+        and D D is the identity).  By Heller's lemma the minimal cover of a
+        projective summand is an isomorphism, so no shift has one.  Sigma^0
+        M is M without its projective summands (M itself for a non-projective
+        indecomposable), the one power that decomposes M."""
         if i == 0:
             parts = self.summands(M)
             return block_sum(parts) if parts else Rep.zero(self.algebra)
+        X = dual(M) if i > 0 else M
         for _ in range(abs(i)):
-            M = (cokernel_of(injective_envelope(M)[1])[0] if i > 0
-                 else syzygy(M))
-        return M
+            X = syzygy(X)
+        return dual(X) if i > 0 else X
 
     def module_period(self, M: Rep, bound: int) -> Trunc:
         """Smallest p >= 1 with the p-th syzygy of M stably isomorphic to M.
@@ -152,14 +156,18 @@ class StableContext:
 
     def cone_summands(self, f: Morphism) -> List[Rep]:
         """The non-projective indecomposable summands of the cone of a
-        stable map f: M -> N, the cokernel of (f, envelope): M -> N + I(M)."""
+        stable map f: M -> N, the cokernel of (f, iota): M -> N + I(M), read
+        as D ker(g) for g = D(f, iota): DN + P(DM) -> DM over A^op.  Since
+        I(M) = D P(DM) and iota is the dual cover pi transposed, g's block at
+        v is f's transposed beside pi's."""
         M, N = f.source, f.target
         if M.is_zero():
             return self.summands(N)
-        I, incl = self._envelope(M)
-        g = Morphism(M, block_sum([N, I]),
-                     [b.vstack(e) for b, e in zip(f.blocks, incl.blocks)])
-        return self.summands(cokernel_of(g)[0])
+        P, pi = self._dual_cover(M)
+        g = Morphism(block_sum([dual(N), P]), pi.target,
+                     [b.transpose().hstack(p)
+                      for b, p in zip(f.blocks, pi.blocks)])
+        return self.summands(dual(kernel_of(g)[0]))
 
     # -- families ----------------------------------------------------------------
 
@@ -338,13 +346,14 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
     if not clean:
         raise PreconditionError("candidate is stably zero")
 
-    # Sigma X, formed once per call along the envelope the context holds for
-    # X's cones: the clean parts and their suspensions enter the registry as
-    # these objects, and the rigidity check and the closure read Sigma here
+    # Sigma X, formed once per call along the dual cover the context holds
+    # for X's cones: the clean parts and their suspensions enter the registry
+    # as these objects, and the rigidity check and the closure read Sigma here
     sigma = IdentityMemo()
 
     def suspend(X: Rep) -> Rep:
-        return sigma.get((X,), lambda: cokernel_of(ctx._envelope(X)[1])[0])
+        return sigma.get((X,), lambda: dual(
+            kernel_of(ctx._dual_cover(X)[1])[0]))
 
     susp_parts = {0: clean}
     for s in range(1, m + 1):

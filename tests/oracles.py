@@ -22,6 +22,15 @@ builds once.  ``hom_basis_lift`` lifts a map out of any projective by one
 solve on Hom bases; the library lifts only out of a module with tops, one
 solve per top vertex.
 
+``sigma_by_envelope`` and ``cone_by_envelope`` take Sigma M and the cone
+of f: M -> N as cokernels of the injective envelope M >-> I(M) and of
+(f, envelope): M -> N + I(M), over A; the library takes both as duals of
+kernels over A^op, along the dual cover P(DM) ->> DM.
+``serial_by_quotient`` builds the uniserial M(a, l) as the quotient of its
+projective cover by the radical layer, through ``quotient_rep``; the
+library restricts the projective's arrow matrices to the walks of length
+< l.
+
 ``bar_hh_oracle`` computes dim HH^p from the bar complex, with no bimodule
 resolution; the library resolves A over A^e instead and reads HH^p off the
 bounded Hom complex of that resolution into A.  ``fold_resolution`` folds a
@@ -46,7 +55,8 @@ from periodica.percomplex import (BoundedComplex, GradedMorphism,
                                   resolution_complex, stalk_complex)
 from periodica.quiver import FinDimAlgebra, build_algebra
 from periodica.rep import (HomBasis, Morphism, Rep, Resolution, block_map,
-                           block_sum)
+                           block_sum, cokernel_of, injective_envelope,
+                           quotient_rep)
 
 
 def direct_sum(parts: Sequence[Rep]) -> Tuple[Rep, List[Morphism],
@@ -101,6 +111,36 @@ def quotient(ambient_dim: int, sub: Mat) -> Tuple[int, Mat]:
         raise ValueError("subspace columns must live in the ambient space")
     K = sub.transpose().kernel_basis()
     return K.cols, K.transpose()
+
+
+def sigma_by_envelope(M: Rep) -> Rep:
+    """Sigma M: the cokernel of the injective envelope M >-> I(M)."""
+    return cokernel_of(injective_envelope(M)[1])[0]
+
+
+def cone_by_envelope(f: Morphism) -> Rep:
+    """The cone of f: M -> N, the cokernel of (f, envelope): M -> N + I(M)."""
+    M, N = f.source, f.target
+    I, incl = injective_envelope(M)
+    g = Morphism(M, block_sum([N, I]),
+                 [b.vstack(e) for b, e in zip(f.blocks, incl.blocks)])
+    return cokernel_of(g)[0]
+
+
+def serial_by_quotient(alg: FinDimAlgebra, a: int, l: int) -> Rep:
+    """M(a, l) over a cyclic Nakayama algebra: the projective with top
+    S_{a+l-1} modulo the span of its basis walks of length >= l."""
+    n = alg.quiver.n
+    top = (a + l - 2) % n + 1
+    P = Rep.projective(alg, top)
+    bases = []
+    for u, lst in enumerate(alg.projective_basis[top - 1]):
+        cols = [r for r, bi in enumerate(lst) if alg.length[bi] >= l]
+        mat = Mat.zeros(alg.field, P.dims[u], len(cols))
+        for c, r in enumerate(cols):
+            mat.data[r * len(cols) + c] = alg.field.one()
+        bases.append(mat)
+    return quotient_rep(P, bases)[0]
 
 
 def radical_subspaces(M: Rep) -> List[Mat]:

@@ -492,6 +492,25 @@ def test_krull_schmidt_period_goldens(name):
         assert fh.read() == out
 
 
+# Not in GOLDEN_CASES either: a tilting closure over Q (the stable closure
+# goldens elsewhere are over GF(p)), the l | n row of M(1,1) + M(1,2) over
+# N(6,3), whose shifts and cones run through the duality D over A^op.
+Q_CLOSURE_GOLDENS = {
+    "tilting_stable_n63_m4.json": ["tilting", "stable", "--name", "N(6,3)",
+                                   "-T", "M(1,1)+M(1,2)", "--m", "4"],
+}
+
+
+@pytest.mark.usefixtures("normal_form_scalars")
+@pytest.mark.parametrize("name", sorted(Q_CLOSURE_GOLDENS))
+def test_q_closure_goldens(name):
+    code, out = run_cli(Q_CLOSURE_GOLDENS[name])
+    assert code == 0
+    assert json.loads(out)["result"]["closure_size"] == 12
+    with open(os.path.join(GOLDEN, name), "r", encoding="utf-8") as fh:
+        assert fh.read() == out
+
+
 def test_markdown_report_golden():
     # the markdown renderer, tables included, on the graded Hochschild cells
     code, out = run_cli(["hochschild", "table", "--algebra", sample("a2.alg"),

@@ -414,6 +414,7 @@ def test_closure_covers_each_target_once_and_cones_each_class_once(
     assert len({id(f) for f in coned}) == len(coned)
 
 
+@pytest.mark.usefixtures("normal_form_scalars")
 def test_closure_report_pinned_large_prime():
     import json
     import os
@@ -439,6 +440,7 @@ def test_nakayama_budget_exhaustion_is_inconclusive(n33):
     assert rep["generation_ok"] is None and rep["pass"] is False
 
 
+@pytest.mark.usefixtures("normal_form_scalars")
 def test_closure_report_pinned_gf2_seed5():
     # both fields decide isomorphism by invertible Hom basis elements, then
     # Krull-Schmidt; a reordered closure loop would show up here as a
@@ -490,47 +492,61 @@ def _closure_n5(monkeypatch, name, wrap):
     return log
 
 
-def test_closure_builds_one_envelope_per_cone_source(monkeypatch):
-    # one envelope per registry item, shared by its suspension and its
-    # cones, counted over the whole closure call; and no registry lookup
-    # builds a Hom space: distinct serial modules of N(5,5) have distinct
-    # dims, so every hit is an equal module
+def test_closure_builds_one_dual_cover_per_cone_source(monkeypatch):
+    # one dual cover P(DM) ->> DM per registry item M, shared by its
+    # suspension and its cones, counted over the whole closure call; and no
+    # registry lookup builds a Hom space: distinct serial modules of N(5,5)
+    # have distinct dims, so every hit is an equal module
     import periodica.rep as rep_mod
-    envelopes, isos = [], []
+    import periodica.stablecat as sc
+    duals, covered, isos = [], [], []
 
     def wrap(real, log):
-        def envelope(M):
-            envelopes.append(M)
-            return real(M)
-        return envelope
-    real_find_iso = rep_mod.find_iso
+        def dual(M):
+            D = real(M)
+            duals.append((M, D))
+            return D
+        return dual
+    real_cover, real_find_iso = sc.projective_cover, rep_mod.find_iso
+
+    def cover(N):
+        covered.append(N)
+        return real_cover(N)
 
     def find_iso(M, N):
         isos.append((M, N))
         return real_find_iso(M, N)
+    monkeypatch.setattr(sc, "projective_cover", cover)
     monkeypatch.setattr(rep_mod, "find_iso", find_iso)
-    log = _closure_n5(monkeypatch, "injective_envelope", wrap)
-    # the lists hold every argument, so no id is recycled while counting;
-    # the suspensions build every source's envelope before its cones
+    log = _closure_n5(monkeypatch, "dual", wrap)
+    # the lists hold every argument and result, so no id is recycled while
+    # counting; the suspensions build every source's dual cover before its
+    # cones
+    dual_of = {id(D): M for M, D in duals}
+    sources = [dual_of[id(N)] for N in covered if id(N) in dual_of]
     assert log["sources"]
-    assert {id(M) for M in log["sources"]} <= {id(M) for M in envelopes}
-    assert len(envelopes) == len({id(M) for M in envelopes})
+    assert {id(M) for M in log["sources"]} <= {id(M) for M in sources}
+    assert len(sources) == len({id(M) for M in sources})
     assert not isos
 
 
 def test_closure_takes_each_suspension_once(monkeypatch):
     # Sigma of a candidate's part is read by the rigidity check and by the
-    # closure's first pass: one cokernel of its envelope serves both
+    # closure's first pass: one kernel of its dual cover serves both.  The
+    # shifts in both directions are the kernels of covers, whose sources
+    # have tops; a cone's map is out of DN + P(DM), which has none
     maps = []
 
     def wrap(real, log):
-        def cokernel_of(f):
-            maps.append(f)
+        def kernel_of(f):
+            if f.source.tops is not None:
+                maps.append(f)
             return real(f)
-        return cokernel_of
-    _closure_n5(monkeypatch, "cokernel_of", wrap)
-    # the list holds every argument, so no id is recycled while counting
-    assert maps
+        return kernel_of
+    _closure_n5(monkeypatch, "kernel_of", wrap)
+    # the list holds every argument, so no id is recycled while counting;
+    # the covers are over A (Omega) and A^op (Sigma)
+    assert len({id(f.source.algebra) for f in maps}) == 2
     assert len(maps) == len({id(f) for f in maps})
 
 
@@ -542,30 +558,31 @@ def test_suspension_power_holds_no_envelope():
             M = serial_module(alg, a, l)
             ctx.suspension_power(M, 1)
             ctx.suspension_power(M, 2)
-    assert not ctx._envelopes
+    assert not ctx._dual_covers
     parts = [serial_module(alg, 1, l) for l in range(1, 4)]
     check_periodic_tilting_stable(ctx, parts, 2)
-    held = list(ctx._envelopes)
+    held = list(ctx._dual_covers)
     assert held
     for M in parts:
         ctx.suspension_power(M, 2)
-    assert list(ctx._envelopes) == held
+    assert list(ctx._dual_covers) == held
 
 
 def test_suspension_power_leaves_the_context_caches_alone():
-    # both directions build their covers and envelopes for the call, also
-    # on a context whose closure filled its caches
+    # both directions build their covers for the call, also on a context
+    # whose closure filled its caches
     alg = nakayama(4, 4, Field.gf(2))
     ctx = StableContext(alg)
     mods = [serial_module(alg, a, l) for a in range(1, 5) for l in range(1, 4)]
     check_periodic_tilting_stable(ctx, mods[:3], 2)
-    covers, envelopes = list(ctx._covers), list(ctx._envelopes)
-    assert covers and envelopes
+    covers, dual_covers = list(ctx._covers), list(ctx._dual_covers)
+    assert covers and dual_covers
     for _ in range(3):
         for M in mods:
             for i in (2, -2):
                 ctx.suspension_power(M, i)
-    assert list(ctx._covers) == covers and list(ctx._envelopes) == envelopes
+    assert (list(ctx._covers) == covers
+            and list(ctx._dual_covers) == dual_covers)
 
 
 @pytest.mark.parametrize("field", [QQ, Field.gf(2), Field.gf(4294967311)],
@@ -894,15 +911,13 @@ def test_closure_stops_once_the_registry_is_complete(monkeypatch):
         return wrapper
     monkeypatch.setattr(sc._Registry, "add", add)
     monkeypatch.setattr(StableContext, "cone_summands", cone)
-    for name in ("cokernel_of", "kernel_of"):
-        monkeypatch.setattr(sc, name, logged(name))
+    monkeypatch.setattr(sc, "kernel_of", logged("kernel_of"))
     rep = check_periodic_tilting_stable(
         StableContext(alg), [serial_module(alg, 1, l) for l in range(1, 5)],
         2)
     assert rep["pass"] and rep["closure_size"] == 20 and not rep["missing"]
     complete = events.index(("add", 20))
-    assert {e[0] for e in events[:complete]} == {
-        "add", "cone", "cokernel_of", "kernel_of"}
+    assert {e[0] for e in events[:complete]} == {"add", "cone", "kernel_of"}
     assert events[complete + 1:] == []
 
 
