@@ -17,8 +17,8 @@ from .quiver import AlgebraPresentation, FinDimAlgebra, Quiver, build_algebra
 from .families import (dual_numbers, enveloping, linear_a, nakayama,
                        semisimple_product, serial_module)
 from .rep import (Morphism, Rep, decompose, dual, find_iso, global_dimension,
-                  hom_space, injective_envelope, iso_q, minimal_resolution,
-                  projective_cover, syzygy)
+                  hom_space, iso_q, minimal_resolution, projective_cover,
+                  syzygy)
 from .percomplex import (BoundedComplex, GradedMorphism, PeriodicComplex,
                          K_of, cohomology, cone, decompose_acyclic_projective,
                          fold, hom_complex, homotopy_hom, is_contractible,

@@ -88,8 +88,12 @@ def _load_algebra_arg(args):
 def _emit(args, report: dict) -> None:
     text = to_markdown(report) if args.format == "markdown" else to_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or type(exc).__name__
+            raise ParseError(f"cannot write {args.out}: {reason}") from None
     else:
         sys.stdout.write(text)
 

@@ -29,8 +29,8 @@ from .common import CheckFailed, PreconditionError
 from .linalg import Mat, reduce_mod_rowspace
 from .quiver import FinDimAlgebra
 from .rep import (HomBasis, Morphism, Rep, Resolution, YonedaHom, _lift,
-                  block_map, block_sum, hom_coords, is_projective, kernel_of,
-                  projective_cover, quotient_rep)
+                  block_map, block_sum, dual, hom_coords, is_projective,
+                  kernel_of, projective_cover)
 
 
 def _check_differential(j: int, d: Morphism, source: Rep, target: Rep
@@ -345,21 +345,27 @@ class _CohomData(NamedTuple):
 
 
 def _cohom_data(V: PeriodicComplex, i: int) -> _CohomData:
+    """Z^i = ker d^i, and H^i = coker(c: V^{i-1} -> Z^i) for c the
+    corestricted d^{i-1}, taken as D ker(D c) over A^op (``rep.dual``):
+    D c has the blocks of c transposed, and ``projH`` is the kernel's
+    inclusion transposed."""
     i = i % V.m
     Z, inclZ = kernel_of(V.diffs[i])
-    # d^{i-1} corestricted to the cocycles spans the coboundaries there
-    inside = []
-    for here, prev in zip(V.diffs[i].blocks, V.diffs[(i - 1) % V.m].blocks):
-        X = here.kernel_coords(prev)
+    prev = V.diffs[(i - 1) % V.m]
+    blocks = []
+    for here, p in zip(V.diffs[i].blocks, prev.blocks):
+        X = here.kernel_coords(p)
         if X is None:
             raise PreconditionError("image not inside kernel; d^2 != 0?")
-        inside.append(X)
-    H, projH = quotient_rep(Z, inside)
-    return _CohomData(Z, inclZ, H, projH)
+        blocks.append(X.transpose())
+    K, incl = kernel_of(Morphism(dual(Z), dual(prev.source), blocks))
+    H = dual(K)
+    return _CohomData(Z, inclZ, H,
+                      Morphism(Z, H, [b.transpose() for b in incl.blocks]))
 
 
 def cohomology(V: PeriodicComplex, i: int) -> Rep:
-    """H^i(V) = ker d^i / im d^{i-1} as a module."""
+    """H^i(V) = ker d^i / im d^{i-1} as a module (:func:`_cohom_data`)."""
     return _cohom_data(V, i).H
 
 

@@ -2,11 +2,12 @@
 
 A ``Rep`` stores one dimension per vertex and one matrix per arrow; the arrow
 ``a: u -> v`` acts by ``act[a]: M_v -> M_u`` (right modules, function-order
-composition).  Submodules, quotients, covers, syzygies and the Krull-Schmidt
+composition).  Kernels, images, covers, syzygies and the Krull-Schmidt
 machinery all reduce to exact linear algebra on these blocks.  The injective
 side is the projective side of the opposite algebra: ``dual`` is D =
-Hom_k(-, k), so I(v) = D(e_v A^op) and an injective envelope is the dual of a
-projective cover.
+Hom_k(-, k), so I(v) = D(e_v A^op), the envelope M >-> I(M) is D of the
+cover P(DM) ->> DM over A^op, and the cokernel of f is D ker(D f), whose
+projection is the kernel's inclusion transposed.
 """
 
 from __future__ import annotations
@@ -644,28 +645,7 @@ def _lift(g: Morphism, q: Morphism) -> Morphism:
     return h
 
 
-# -- sub / quotient machinery --------------------------------------------------
-
-
-def quotient_rep(M: Rep, bases: Sequence[Mat]) -> Tuple[Rep, Morphism]:
-    """Quotient of M by the invariant subspaces spanned by the columns of
-    ``bases`` (any spanning columns: only their span is read, through the
-    canonical rref of the transpose, one elimination per vertex).  Returns
-    the projection, at each vertex the transpose of that rref's kernel
-    basis: the identity on the rref's free columns and -R[k, fc] at its
-    k-th pivot.  So their unit vectors are the section the action is read
-    through (any section gives the same action, the subspace being
-    invariant)."""
-    q = M.algebra.quiver
-    projs, free = [], []
-    for v in range(q.n):
-        T = bases[v].transpose()
-        projs.append(T.kernel_basis().transpose())
-        free.append(_free_cols(T.cols, T.rref()[1]))
-    act = [projs[a.source - 1] @ M.act[ai].take_cols(free[a.target - 1])
-           for ai, a in enumerate(q.arrows)]
-    Q = Rep(M.algebra, [len(c) for c in free], act)
-    return Q, Morphism(M, Q, projs)
+# -- submodules ----------------------------------------------------------------
 
 
 def kernel_of(f: Morphism) -> Tuple[Rep, Morphism]:
@@ -703,12 +683,6 @@ def image_of(f: Morphism) -> Tuple[Rep, Morphism]:
         act.append(X)
     I = Rep(M.algebra, [b.cols for b in bases], act)
     return I, Morphism(I, N, bases)
-
-
-def cokernel_of(f: Morphism) -> Tuple[Rep, Morphism]:
-    """``quotient_rep`` of the target by f's blocks as they stand: one
-    elimination per vertex."""
-    return quotient_rep(f.target, f.blocks)
 
 
 def _span(f: Field, dim: int, pieces: Sequence[Mat]) -> Mat:
@@ -808,17 +782,6 @@ def dual(M: Rep) -> Rep:
     arrow a: u -> v of A is v -> u in A^op and acts on D(M) by the transpose
     of its matrix in M.  ``dual(dual(M)) == M``."""
     return Rep(M.algebra.opposite(), M.dims, [m.transpose() for m in M.act])
-
-
-def injective_envelope(M: Rep) -> Tuple[Rep, Morphism]:
-    """The minimal embedding M >-> I(M), the dual of the projective cover
-    P ->> D(M) over A^op: I(M) = D(P), a sum of I(v) = D(e_v A^op), and
-    the embedding's block at v is the transpose of the cover's.  The top
-    generators of D(M) at v are M's socle functionals: the unit functionals
-    at the free columns of the stacked matrices of the arrows into v."""
-    P, phi = projective_cover(dual(M))
-    I = dual(P)
-    return I, Morphism(M, I, [b.transpose() for b in phi.blocks])
 
 
 # -- resolutions ------------------------------------------------------------

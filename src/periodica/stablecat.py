@@ -149,7 +149,8 @@ class StableContext:
         """
         K = syzygy(M)
         if K.is_zero():
-            raise PreconditionError("period of the zero module is undefined")
+            raise PreconditionError(
+                "period undefined: the module is projective (stably zero)")
         return _syzygy_period(K, bound, self.seed)
 
     # -- triangles ---------------------------------------------------------------

@@ -22,6 +22,11 @@ builds once.  ``hom_basis_lift`` lifts a map out of any projective by one
 solve on Hom bases; the library lifts only out of a module with tops, one
 solve per top vertex.
 
+``quotient_rep`` reads a quotient by invariant subspaces off the rref of
+their transposed spans, with ``cokernel_of`` on it, and
+``injective_envelope`` transposes the cover P(DM) ->> DM over A^op into
+M >-> D P(DM); the library builds no quotient but D of a kernel over
+A^op, and no envelope.
 ``sigma_by_envelope`` and ``cone_by_envelope`` take Sigma M and the cone
 of f: M -> N as cokernels of the injective envelope M >-> I(M) and of
 (f, envelope): M -> N + I(M), over A; the library takes both as duals of
@@ -49,14 +54,13 @@ from periodica.common import CheckFailed, PreconditionError
 from periodica.derivedper import DerivedContext
 from periodica.fields import Field
 from periodica.formats import parse_algebra_text
-from periodica.linalg import Mat
+from periodica.linalg import Mat, _free_cols
 from periodica.percomplex import (BoundedComplex, GradedMorphism,
                                   PeriodicComplex, _cohom_data, fold,
                                   resolution_complex, stalk_complex)
 from periodica.quiver import FinDimAlgebra, build_algebra
 from periodica.rep import (HomBasis, Morphism, Rep, Resolution, block_map,
-                           block_sum, cokernel_of, injective_envelope,
-                           quotient_rep)
+                           block_sum, dual, projective_cover)
 
 
 def direct_sum(parts: Sequence[Rep]) -> Tuple[Rep, List[Morphism],
@@ -111,6 +115,44 @@ def quotient(ambient_dim: int, sub: Mat) -> Tuple[int, Mat]:
         raise ValueError("subspace columns must live in the ambient space")
     K = sub.transpose().kernel_basis()
     return K.cols, K.transpose()
+
+
+def quotient_rep(M: Rep, bases: Sequence[Mat]) -> Tuple[Rep, Morphism]:
+    """Quotient of M by the invariant subspaces spanned by the columns of
+    ``bases`` (any spanning columns: only their span is read, through the
+    canonical rref of the transpose, one elimination per vertex).  Returns
+    the projection, at each vertex the transpose of that rref's kernel
+    basis: the identity on the rref's free columns and -R[k, fc] at its
+    k-th pivot.  So their unit vectors are the section the action is read
+    through (any section gives the same action, the subspace being
+    invariant)."""
+    q = M.algebra.quiver
+    projs, free = [], []
+    for v in range(q.n):
+        T = bases[v].transpose()
+        projs.append(T.kernel_basis().transpose())
+        free.append(_free_cols(T.cols, T.rref()[1]))
+    act = [projs[a.source - 1] @ M.act[ai].take_cols(free[a.target - 1])
+           for ai, a in enumerate(q.arrows)]
+    Q = Rep(M.algebra, [len(c) for c in free], act)
+    return Q, Morphism(M, Q, projs)
+
+
+def cokernel_of(f: Morphism) -> Tuple[Rep, Morphism]:
+    """``quotient_rep`` of the target by f's blocks as they stand: one
+    elimination per vertex."""
+    return quotient_rep(f.target, f.blocks)
+
+
+def injective_envelope(M: Rep) -> Tuple[Rep, Morphism]:
+    """The minimal embedding M >-> I(M), the dual of the projective cover
+    P ->> D(M) over A^op: I(M) = D(P), a sum of I(v) = D(e_v A^op), and
+    the embedding's block at v is the transpose of the cover's.  The top
+    generators of D(M) at v are M's socle functionals: the unit functionals
+    at the free columns of the stacked matrices of the arrows into v."""
+    P, phi = projective_cover(dual(M))
+    I = dual(P)
+    return I, Morphism(M, I, [b.transpose() for b in phi.blocks])
 
 
 def sigma_by_envelope(M: Rep) -> Rep:

@@ -956,6 +956,18 @@ def test_cli_unreadable_input_is_one_parse_error(tmp_path, capsys, argv):
     assert "cannot read" in err and ("nope.alg" in err or "binary.alg" in err)
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_cli_unwritable_out_is_one_parse_error(tmp_path, capsys, where):
+    out_path = str(tmp_path / "nope" / "x.json" if where == "missing-dir"
+                   else tmp_path)
+    code, out = run_cli(["hom", "--name", "kA2", "-M", "S(1)", "-N", "S(2)",
+                         "--out", out_path])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: cannot write {out_path}: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_relation_denominator_exit_code(tmp_path, capsys):
     bad = tmp_path / "half.alg"
     bad.write_text("field fp 2\nvertices 1\narrow a: 1 -> 1\n"

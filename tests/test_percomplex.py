@@ -22,7 +22,8 @@ from periodica.rep import HomBasis, Morphism, Rep, hom_space, iso_q
 from periodica.common import PreconditionError
 
 from oracles import (direct_sum, induced_map_on_cohomology, is_homotopy,
-                     is_quasi_iso_via_cohomology)
+                     is_quasi_iso_via_cohomology, quotient_rep,
+                     sample_algebra)
 
 
 def arrow_map(a2):
@@ -177,6 +178,35 @@ def test_rank_bookkeeping(a2, n33):
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("name", ["kA3", "commsquare", "N33"])
+def test_cohom_data_matches_the_quotient_oracle(name):
+    """H^i = D ker(D c) over A^op, c the corestricted d^{i-1}, against the
+    rref quotient of the cocycles by c: the same module, with ``projH`` a
+    module map onto H that vanishes on c."""
+    alg = {"kA3": lambda: linear_a(3, QQ),
+           "commsquare": lambda: sample_algebra("commsquare.alg", QQ),
+           "N33": lambda: nakayama(3, 3, QQ)}[name]()
+    rng = random.Random(36)
+    proper = 0      # nonzero quotients by a nonzero d^{i-1}
+    for m in (1, 2, 3):
+        for _ in range(4):
+            V = random_periodic_complex(alg, m, rng)
+            for i in range(m):
+                data = percomplex._cohom_data(V, i)
+                c = [here.kernel_coords(prev) for here, prev
+                     in zip(V.diffs[i].blocks, V.diffs[i - 1].blocks)]
+                H = quotient_rep(data.Z, c)[0]
+                assert data.H.algebra is alg and data.H.dims == H.dims
+                assert H.is_zero() or iso_q(data.H, H)
+                p = data.projH
+                assert p.source is data.Z and p.target is data.H
+                assert p.is_intertwiner()
+                for b, d, x in zip(p.blocks, H.dims, c):
+                    assert b.rank() == d and (b @ x).is_zero()
+                proper += not (H.is_zero() or V.diffs[i - 1].is_zero())
+    assert proper
+
+
 def test_cohomology_of_shift(a2):
     rng = random.Random(4)
     V = random_periodic_complex(a2, 3, rng)
@@ -270,7 +300,6 @@ def test_fold_cohomology_iso_objectwise(a2):
                 for v in range(len(Z.dims)):
                     S = inclZ.blocks[v].solve_matrix(bas[v])
                     inside.append(S)
-                from periodica.rep import quotient_rep
                 H, _ = quotient_rep(Z, inside)
                 if not H.is_zero():
                     parts.append(H)

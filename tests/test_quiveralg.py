@@ -19,14 +19,14 @@ from periodica.linalg import Mat
 from periodica.quiver import (AlgebraPresentation, FinDimAlgebra, Quiver,
                               build_algebra, enveloping_algebra,
                               tensor_op_presentation)
-from periodica.rep import (HomBasis, Morphism, Rep, _roots_mod_p, cokernel_of,
-                           decompose, dual, find_iso, global_dimension,
-                           hom_space, image_of, injective_envelope,
-                           is_projective, iso_q, kernel_of, projective_cover,
-                           quotient_rep, syzygies, syzygy)
+from periodica.rep import (HomBasis, Morphism, Rep, _roots_mod_p, decompose,
+                           dual, find_iso, global_dimension, hom_space,
+                           image_of, is_projective, iso_q, kernel_of,
+                           projective_cover, syzygies, syzygy)
 
-from oracles import (SAMPLE_ALGEBRAS, direct_sum, projective_from_basis,
-                     quotient, radical_subspaces, sample_algebra,
+from oracles import (SAMPLE_ALGEBRAS, cokernel_of, direct_sum,
+                     injective_envelope, projective_from_basis, quotient,
+                     quotient_rep, radical_subspaces, sample_algebra,
                      socle_subspaces, sub_rep, table_injective)
 
 

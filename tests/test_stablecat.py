@@ -13,13 +13,13 @@ from periodica.formats import (load_algebra, parse_algebra_text,
                                parse_module_expr)
 from periodica.quiver import build_algebra
 from periodica.rep import (HomBasis, Morphism, Rep, block_sum, find_iso,
-                           hom_space, injective_envelope, iso_q,
-                           projective_cover)
+                           hom_space, iso_q, projective_cover)
 from periodica.stablecat import (NotPeriodic, StableContext, algebra_period,
                                  check_periodic_tilting_stable,
                                  is_self_injective, stable_end_algebra)
 
-from oracles import (SAMPLE_ALGEBRAS, direct_sum, sample_algebra,
+from oracles import (SAMPLE_ALGEBRAS, cokernel_of, direct_sum,
+                     injective_envelope, sample_algebra,
                      self_injective_by_socles)
 
 
@@ -184,7 +184,6 @@ def test_stable_cone_rotation(n33):
     f = ctx.stable_hom(m11, m12).classes[0]
     C = block_sum(ctx.cone_summands(f))
     # the natural map N -> C from the cone construction
-    from periodica.rep import injective_envelope, cokernel_of
     I, incl = injective_envelope(m11)
     S, injs, _ = direct_sum([m12, I])
     g = (injs[0] @ f) + (injs[1] @ incl)
@@ -660,16 +659,15 @@ def test_module_period_ignores_projective_summands(nm, with_proj, part):
     got = ctx.module_period(parse_module_expr(alg, with_proj), 16)
     assert got == ctx.module_period(parse_module_expr(alg, part), 16)
     assert got.exact
-    with pytest.raises(PreconditionError, match="zero module"):
+    with pytest.raises(PreconditionError, match=r"projective \(stably zero\)"):
         ctx.module_period(parse_module_expr(alg, "P(1)+P(2)"), 16)
 
 
 def _suspension_stripping_every_step(M, i):
     """Sigma^i M with projective summands dropped before and after every
-    step, from `rep` alone: the reference Heller's lemma lets
-    `suspension_power` skip."""
-    from periodica.rep import (block_sum, cokernel_of, decompose,
-                               injective_envelope, is_projective, syzygy)
+    step, from `rep` and the envelope oracle: the reference Heller's lemma
+    lets `suspension_power` skip."""
+    from periodica.rep import decompose, is_projective, syzygy
 
     def strip(X):
         kept = [s for s in decompose(X) if not is_projective(s)]
