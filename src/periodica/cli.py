@@ -180,8 +180,8 @@ def cmd_derived_hom(args) -> int:
     ctx = DerivedContext(alg, args.m, _default_bound(24))
     M = parse_module_expr(alg, args.source)
     N = parse_module_expr(alg, args.target)
-    degrees = _parse_range("--prange", args.prange) if args.prange \
-        else [args.p]
+    degrees = [args.p or 0] if args.prange is None \
+        else _parse_range("--prange", args.prange)
     H = ctx.derived_hom_complex(ctx.stalk(M), ctx.stalk(N))
     rows = [{"degree": p, "dim": H.homotopy_dim(p)} for p in degrees]
     body = {"rows": rows, "period": args.m}
@@ -216,8 +216,8 @@ def cmd_hochschild(args) -> int:
                         for k in ("smooth_dimension", "global_dimension"))
         return EXIT_TRUNCATION if truncated else EXIT_OK
     if args.verb == "table":        # reject bad ranges before resolving
-        qlo, qhi = _parse_span("--qrange", args.qrange) if args.qrange \
-            else (-3 * args.m, 3 * args.m)
+        qlo, qhi = (-3 * args.m, 3 * args.m) if args.qrange is None \
+            else _parse_span("--qrange", args.qrange)
         if args.pmax is not None and args.pmax < 0:
             raise ParseError(f"--pmax must be a non-negative integer, "
                              f"got '{args.pmax}'")
@@ -451,8 +451,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("-M", "--source", required=True)
     p.add_argument("-N", "--target", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--prange", help="e.g. 0..3")
+    degrees = p.add_mutually_exclusive_group()
+    degrees.add_argument("--p", type=int, help="one degree (default 0)")
+    degrees.add_argument("--prange", help="e.g. 0..3")
     p.set_defaults(func=cmd_derived_hom)
 
     p = sub.add_parser("ext-sum-check", help="derived Hom vs lacunary Ext sum")

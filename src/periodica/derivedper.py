@@ -11,6 +11,21 @@ and the augmentations form a chain map; each is a lift through a
 resolution map out of a projective.  With a zero differential no lift is
 needed and the replacement is the sum of the folded resolutions.
 
+A Hom replaces its source only: H^p Hom(T_V, W) = Hom_{D_m}(V, W[p]) for
+any periodic W, so the target is read as it stands.  This is exact because
+Hom(T, -) inverts quasi-isomorphisms for every periodic complex of
+projectives T once gd A = d is finite, that is, it kills every acyclic Y:
+
+- an acyclic periodic complex of projectives is contractible: each of its
+  cocycles is, up to projective summands, an arbitrarily high syzygy of
+  itself, so it is projective, and the sequences split;
+- the replacement T_Y ->> Y of an acyclic Y is componentwise surjective,
+  and its kernel K is acyclic with K^i = Omega Y^i + projective;
+- T is componentwise projective, so Hom(T, -) keeps 0 -> K -> T_Y -> Y -> 0
+  exact and H^p Hom(T, Y) = H^{p+1} Hom(T, K), T_Y being contractible.
+  After d such steps the kernel is an acyclic complex of projectives, hence
+  contractible, and H Hom(T, Y) = 0.
+
 Ext^p(M, N), the other side of the lacunary sum formula, is H^p of the
 bounded Hom complex from M's resolution into N in degree 0.
 
@@ -51,10 +66,18 @@ class DerivedContext:
     Each stalk complex (per module and position), minimal resolution and
     its bounded complex, and K-projective replacement is built once and
     kept in an ``IdentityMemo``: derived Hom and the Ext-sum check ask for
-    the same ones again and again.  The Hom complex between two
-    replacements is built per call (:meth:`derived_hom_complex`) and kept
-    by nothing here: no caller asks for the same pair twice.  A replacement
-    resolves the components of its complex and nothing else.
+    the same ones again and again.  The Hom complex out of the source's
+    replacement into the target as it stands is built per call
+    (:meth:`derived_hom_complex`) and kept by nothing here: no caller asks
+    for the same pair twice.  A replacement resolves the components of its
+    complex and nothing else.
+
+    Only the source of a Hom is replaced.  With gd A finite a periodic
+    complex of projectives is K-projective (the module docstring gives the
+    argument: its Hom into an acyclic complex is acyclic, by d syzygy steps
+    down to an acyclic complex of projectives, which is contractible), so
+    Hom(T_V, W) already computes Hom_{D_m}(V, W[p]) and replacing W as well
+    would only build a larger complex quasi-isomorphic to it.
 
     The replacement of a complex is the twisted sum of the folds of its
     components' minimal resolutions (see the module docstring); it is the
@@ -172,14 +195,15 @@ class DerivedContext:
 
     def derived_hom_complex(self, V: PeriodicComplex, W: PeriodicComplex
                             ) -> PeriodicHomComplex:
-        """The Hom complex between the replacements of V and W, built for
-        the call: its homotopy in degree p is Hom_{D_m}(V, W[p])."""
-        return hom_complex(self.replacement(V)[0], self.replacement(W)[0])
+        """The Hom complex from the replacement T_V of V into W as it
+        stands, built for the call: T_V is K-projective, so its homotopy in
+        degree p is Hom_{D_m}(V, W[p])."""
+        return hom_complex(self.replacement(V)[0], W)
 
     def derived_hom(self, V: PeriodicComplex, W: PeriodicComplex, p: int
                     ) -> Tuple[int, List[GradedMorphism]]:
         """Hom_{D_m}(V, W[p]) as (dimension, representatives): homotopy
-        classes of degree-p maps between the replacements."""
+        classes of degree-p maps T_V -> W[p] out of V's replacement."""
         return self.derived_hom_complex(V, W).homotopy_classes(p)
 
     def derived_hom_modules(self, M: Rep, N: Rep, p: int) -> int:
@@ -221,7 +245,6 @@ def ext_sum_check(ctx: DerivedContext, M: Rep, N: Rep) -> dict:
     exts = _ext_dims(res, X, N, max(res.length, m))
     H = ctx.derived_hom_complex(ctx.stalk(M), ctx.stalk(N))
     rows = []
-    ok = True
     for p in range(m):
         lhs = H.homotopy_dim(p)
         terms = [exts[j] for j in range(p, len(exts), m)]
@@ -229,9 +252,8 @@ def ext_sum_check(ctx: DerivedContext, M: Rep, N: Rep) -> dict:
         rows.append({"degree": p, "derived_dim": lhs,
                      "ext_terms": terms, "ext_sum": rhs,
                      "match": lhs == rhs})
-        ok = ok and lhs == rhs
     return {"module_dims": [M.total_dim, N.total_dim],
-            "period": m, "rows": rows, "match": ok}
+            "period": m, "rows": rows, "match": all(r["match"] for r in rows)}
 
 
 # -- hereditary decomposition --------------------------------------------------------

@@ -565,7 +565,7 @@ class PeriodicHomComplex(_HomComplex):
 
 def hom_complex(V: PeriodicComplex, W: PeriodicComplex) -> PeriodicHomComplex:
     """The Hom complex from V to W, built afresh and held by nothing
-    (``DerivedContext`` builds one per call between its replacements)."""
+    (``DerivedContext`` builds one per call out of a replacement)."""
     return PeriodicHomComplex(V, W)
 
 

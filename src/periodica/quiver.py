@@ -28,6 +28,7 @@ from .fields import Field
 from .linalg import Mat
 
 Walk = Tuple[int, ...]
+MAX_WALKS = 200000   # build_algebra refuses more walks below the nilpotency
 
 
 class Arrow:
@@ -455,7 +456,7 @@ class FinDimAlgebra:
         return f"<{lab}: dim {self.dim} over {self.field!r}>"
 
 
-def build_algebra(pres: AlgebraPresentation, max_paths: int = 200000) -> FinDimAlgebra:
+def build_algebra(pres: AlgebraPresentation) -> FinDimAlgebra:
     """Construct the finite-dimensional quotient algebra of a presentation.
 
     Enumerates walks of length < N, spans the two-sided ideal generated by
@@ -474,9 +475,9 @@ def build_algebra(pres: AlgebraPresentation, max_paths: int = 200000) -> FinDimA
             for ai in q.arrows_from[t]:
                 cur.append(w + (ai,))
         total += len(cur)
-        if total > max_paths:
+        if total > MAX_WALKS:
             raise PreconditionError(
-                f"path enumeration exceeded {max_paths} walks; "
+                f"path enumeration exceeded {MAX_WALKS} walks; "
                 "the quotient is too large (or the bound is)")
         if not cur:
             break

@@ -14,9 +14,9 @@ from periodica.fields import Field, QQ
 from periodica.percomplex import (BoundedComplex, GradedMorphism,
                                   PeriodicComplex, cohomology,
                                   cohomology_dim_vectors, cohomology_dims,
-                                  complex_direct_sum, cone, fold, homotopy_hom,
-                                  is_acyclic, is_quasi_iso, shift,
-                                  stalk_complex)
+                                  complex_direct_sum, cone, fold, hom_complex,
+                                  homotopy_hom, is_acyclic, is_quasi_iso,
+                                  shift, stalk_complex)
 from periodica.randomcx import random_periodic_complex
 from periodica.rep import (Morphism, Rep, block_map, block_sum, hom_space,
                            is_projective, iso_q)
@@ -281,8 +281,9 @@ def test_shared_context_replaces_each_stalk_once(a3, m, monkeypatch):
 
 
 def test_ext_sum_check_builds_one_hom_complex_per_pair(a3, monkeypatch):
-    # every degree of a check reads the one Hom complex of its ordered pair
-    # of replacements, built for that check
+    # every degree of a check reads the one Hom complex of its ordered pair,
+    # built for that check, from the replacement of M's stalk into N's stalk
+    # as it stands: the target of a Hom is never replaced
     intervals = [M for _, M in all_intervals(a3)]
     built = []
     original = percomplex.PeriodicHomComplex.__init__
@@ -295,9 +296,55 @@ def test_ext_sum_check_builds_one_hom_complex_per_pair(a3, monkeypatch):
     for M in intervals:
         for N in intervals:
             ext_sum_check(ctx, M, N)
-    ends = [id(ctx.replacement(ctx.stalk(M))[0]) for M in intervals]
-    assert sorted(built) == sorted((a, b) for a in ends for b in ends)
-    assert len(set(built)) == len(intervals) ** 2
+    sources = [id(ctx.replacement(ctx.stalk(M))[0]) for M in intervals]
+    targets = [id(ctx.stalk(N)) for N in intervals]
+    assert built == [(a, b) for a in sources for b in targets]
+    replaced = []
+    original_replacement = DerivedContext._replacement
+
+    def replacing(self, V):
+        replaced.append(V)
+        return original_replacement(self, V)
+    monkeypatch.setattr(DerivedContext, "_replacement", replacing)
+    fresh = DerivedContext(a3, 3)
+    M, N = Rep.simple(a3, 1), Rep.simple(a3, 2)
+    fresh.derived_hom_modules(M, N, 1)
+    assert len(replaced) <= 1
+    assert all(V is fresh.stalk(M) for V in replaced)
+
+
+ONE_SIDED_ALGEBRAS = {
+    "kA3/Q": lambda: linear_a(3, QQ),
+    "kA4/GF(3)": lambda: linear_a(4, Field.gf(3)),
+    "commsquare/Q": lambda: sample_algebra("commsquare.alg", QQ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SIDED_ALGEBRAS))
+def test_one_sided_derived_hom_matches_two_sided(name):
+    # Hom out of the source's replacement into the target as it stands
+    # against the Hom between both replacements, on random targets and on
+    # acyclic ones; leaving the source unreplaced must differ somewhere
+    alg = ONE_SIDED_ALGEBRAS[name]()
+    rng = random.Random(37)
+    checks = control_misses = 0
+    for m in (1, 2, 3, 4):
+        ctx = DerivedContext(alg, m)
+        for _ in range(10):
+            V = random_periodic_complex(alg, m, rng)
+            W = random_periodic_complex(alg, m, rng)
+            TV = ctx.replacement(V)[0]
+            for X in (W, cone(GradedMorphism.identity(W)).cone):
+                one = ctx.derived_hom_complex(V, X)
+                two = hom_complex(TV, ctx.replacement(X)[0])
+                bare = hom_complex(V, X)
+                for p in range(-m, 2 * m + 1):
+                    assert one.homotopy_dim(p) == two.homotopy_dim(p), (m, p)
+                    control_misses += (bare.homotopy_dim(p)
+                                       != two.homotopy_dim(p))
+                    checks += 1
+    assert checks == 10 * 2 * sum(3 * m + 1 for m in (1, 2, 3, 4))
+    assert control_misses > 0
 
 
 def test_derived_context_holds_no_hom_complex(a3, monkeypatch, no_cyclic_gc):

@@ -511,6 +511,26 @@ def test_q_closure_goldens(name):
         assert fh.read() == out
 
 
+# Not in GOLDEN_CASES either: the derived verbs over commsquare.alg (gd 2),
+# Hom out of the source's replacement into the target as it stands.
+DERIVED_GOLDENS = {
+    "derived_hom_commsquare_s4_i4_m3.json": [
+        "derived-hom", "--algebra", sample("commsquare.alg"), "-M", "S(4)",
+        "-N", "I(4)", "--m", "3", "--prange", "0..5"],
+    "ext_sum_commsquare_s4_s1_m3.json": [
+        "ext-sum-check", "--algebra", sample("commsquare.alg"), "-M", "S(4)",
+        "-N", "S(1)", "--m", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_GOLDENS))
+def test_derived_goldens(name):
+    code, out = run_cli(DERIVED_GOLDENS[name])
+    assert code == 0
+    with open(os.path.join(GOLDEN, name), "r", encoding="utf-8") as fh:
+        assert fh.read() == out
+
+
 def test_markdown_report_golden():
     # the markdown renderer, tables included, on the graded Hochschild cells
     code, out = run_cli(["hochschild", "table", "--algebra", sample("a2.alg"),
@@ -753,6 +773,8 @@ _HH_TABLE_A2 = ["hochschild", "table", "--algebra", sample("a2.alg"),
     (_HH_TABLE_A2 + ["--pmax", "4", "--qrange", "6..-6"], "--qrange"),
     (_HH_TABLE_A2 + ["--pmax", "4", "--qrange", "1.5..2"], "--qrange"),
     (_HH_TABLE_A2 + ["--pmax", "-1", "--qrange", "-6..6"], "--pmax"),
+    (_DERIVED_HOM_A2 + ["--prange", ""], "--prange"),
+    (_HH_TABLE_A2 + ["--pmax", "4", "--qrange", ""], "--qrange"),
 ])
 def test_cli_rejects_bad_ranges(capsys, argv, where):
     # a malformed, non-integer or empty range was an internal error, a
@@ -803,6 +825,10 @@ def test_cli_derived_rejects_nonpositive_period(capsys, argv):
     ["algebra", "show", "--name", "N(a,b)"],
     ["algebra", "show", "--name", "N(2,3,4)"],
     ["period", "algebra", "--name", "k^x"],
+    ["derived-hom", "--name", "kA2", "-M", "S(1)", "-N", "S(2)", "--m", "2",
+     "--p", "3", "--prange", "0..1"],
+    ["derived-hom", "--name", "kA2", "-M", "S(1)", "-N", "S(2)", "--m", "2",
+     "--p", "0", "--prange", "0..1"],
 ])
 def test_cli_argparse_rejection_is_one_line(capsys, argv):
     code, out = run_cli(argv)

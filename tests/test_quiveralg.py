@@ -53,10 +53,11 @@ def test_reject_non_admissible():
 
 
 def test_reject_blowup():
+    # two free loops: 2^20 - 1 walks below nilpotency 20, over the cap
     q = Quiver(1, [("x", 1, 1), ("y", 1, 1)])
     pres = AlgebraPresentation(q, QQ, [], 20)
-    with pytest.raises(PreconditionError):
-        build_algebra(pres, max_paths=1000)
+    with pytest.raises(PreconditionError, match="exceeded 200000 walks"):
+        build_algebra(pres)
 
 
 def test_table_is_associative_and_unital(n33, dual):
