@@ -6,10 +6,11 @@ denominator is 1, a reduced ``Fraction`` otherwise).  Every kernel is exact
 for any p.  The Q kernels accept any exact entries, an integral
 ``Fraction(4, 2)`` included, and return normal forms.
 
-``q_rref`` does all its arithmetic on Python ints: it scales every row by
-the lcm of its denominators, runs a fraction-free cross-multiplication
-sweep with gcd cleanup and returns ``x // pivot`` where the pivot divides
-``x``, building a ``Fraction(x, pivot)`` only where it does not.
+``q_rref`` does all its arithmetic on Python ints: it takes a row of ints
+as it is (a copy of it) and scales every other row by the lcm of its
+denominators, runs a fraction-free cross-multiplication sweep with gcd
+cleanup and returns ``x // pivot`` where the pivot divides ``x``, building
+a ``Fraction(x, pivot)`` only where it does not.
 ``q_matmul`` multiplies the entries as they are (int products wherever both
 factors are ints, which is almost everywhere) and skips zero factors; an
 integral ``Fraction`` sum is folded to its numerator.
@@ -100,7 +101,10 @@ def q_rref(flat, nrows, ncols):
     """
     rows = []
     for i in range(nrows):
-        seg = flat[i * ncols:(i + 1) * ncols]
+        seg = flat[i * ncols:(i + 1) * ncols]      # a copy: rows are mutated
+        if all(type(x) is int for x in seg):
+            rows.append(seg)
+            continue
         den = 1
         for x in seg:
             den = lcm(den, x.denominator)

@@ -350,24 +350,24 @@ class FinDimAlgebra:
         already passed it, so it replaces 2 and 3 by O(dim) bookkeeping that
         makes them follow from the legs (see ``_EnvelopingAlgebra``).
         """
-        self._check_units()
+        self._check_units(self.mult)
         self._check_associative()
-        self._check_walks()
+        self._check_walks(self.mult)
 
-    def _check_units(self) -> None:
-        """Step 1 of :meth:`validate`."""
+    def _check_units(self, mult: Callable[[int, int], tuple]) -> None:
+        """Step 1 of :meth:`validate`, on the product ``mult``."""
         one = self.field.one()
         n = self.quiver.n
         for v in range(1, n + 1):
             for w in range(1, n + 1):
-                prod = self.mult(self.e(v), self.e(w))
+                prod = mult(self.e(v), self.e(w))
                 expect = ((self.e(v), one),) if v == w else ()
                 if prod != expect:
                     raise PreconditionError("vertex idempotents misbehave")
         for i in range(self.dim):
-            if self.mult(self.e(self.target[i]), i) != ((i, one),):
+            if mult(self.e(self.target[i]), i) != ((i, one),):
                 raise PreconditionError("left unit fails")
-            if self.mult(i, self.e(self.source[i])) != ((i, one),):
+            if mult(i, self.e(self.source[i])) != ((i, one),):
                 raise PreconditionError("right unit fails")
 
     def _check_associative(self) -> None:
@@ -407,8 +407,8 @@ class FinDimAlgebra:
                             "multiplication table not associative at "
                             f"({a},{x},{y})")
 
-    def _check_walks(self) -> None:
-        """Step 4 of :meth:`validate`."""
+    def _check_walks(self, mult: Callable[[int, int], tuple]) -> None:
+        """Step 4 of :meth:`validate`, on the product ``mult``."""
         one = self.field.one()
         for i, w in enumerate(self.basis):
             if len(w) == 1:
@@ -418,7 +418,7 @@ class FinDimAlgebra:
                 raise PreconditionError(
                     f"basis walk {self.quiver.walk_name(w)} has a prefix "
                     "outside the basis")
-            if self.mult(self.arrow_index[w[-1]], prefix) != ((i, one),):
+            if mult(self.arrow_index[w[-1]], prefix) != ((i, one),):
                 raise PreconditionError(
                     f"basis walk {self.quiver.walk_name(w)} is not its "
                     "arrow times its prefix")
@@ -696,6 +696,11 @@ class _EnvelopingAlgebra(FinDimAlgebra):
         (y1 y2) y3) = (x1 (x2 x3), y1 (y2 y3)) extended bilinearly.  Its
         products stay in their blocks by the legs' step 2 and the second
         check, which is step 2 here; step 1 is checked directly.
+
+        Steps 1 and 4 run on the uncached product, behind the same
+        composability guard as ``mult``: their ~3 dim products are asked
+        for once each, so they leave ``_table`` empty for the products a
+        caller asks for.
         """
         op, alg = self._legs
         pairs = self._pairs
@@ -711,8 +716,79 @@ class _EnvelopingAlgebra(FinDimAlgebra):
                                                      alg.target[y])):
                 raise PreconditionError(
                     f"basis element {i} lies outside the block of its pair")
-        self._check_units()
-        self._check_walks()
+        source, target, product = self.source, self.target, self._product
+
+        def uncached(i: int, j: int) -> tuple:
+            return () if source[i] != target[j] else product(i, j)
+        self._check_units(uncached)
+        self._check_walks(uncached)
+
+    def _projective_blocks(self, v: int
+                           ) -> Tuple[Tuple[int, ...], Tuple[Mat, ...]]:
+        """P(v) = e_v A^e from the legs, with no product of A^e formed.
+
+        For v = (s, t), P(v) = P_{A^op}(s) (x) P_A(t): at u = (u1, u2) its
+        basis is the pairs (x, y) with x in P_{A^op}(s) at u1 and y in
+        P_A(t) at u2, in the algebra order ``projective_basis[v - 1]``.  The
+        arrow a^o@w acts on the A^op leg alone, by the leg's block of a
+        with y fixed (y runs over P_A(t) at w), and u@b on the A leg alone,
+        by the leg's block of b with x fixed: each entry of a leg's block,
+        read off the leg's table (which its own validation filled), is
+        placed at the positions of its pairs.  Equal to
+        :meth:`FinDimAlgebra._projective_blocks`; like it, the cache holds
+        only dims and matrices, and the legs cache no P(v) for it.
+        """
+        got = self._projectives.get(v)
+        if got is None:
+            f = self.field
+            n = self._legs[1].quiver.n
+            # per leg, the basis of its P at each vertex, each leg element's
+            # position there, and per leg arrow the nonzero entries (row,
+            # col, value) of its block in that P, read off the leg's table
+            legs = []
+            for algebra, e in zip(self._legs, divmod(v - 1, n)):
+                basis = algebra.projective_basis[e]
+                pos = {b: r for lst in basis for r, b in enumerate(lst)}
+                legs.append((basis, pos, [
+                    [(pos[k], c, coeff)
+                     for c, b in enumerate(basis[a.target - 1])
+                     for k, coeff in algebra.mult(b, algebra.arrow_index[ai])]
+                    for ai, a in enumerate(algebra.quiver.arrows)]))
+            (xbasis, xpos, xentries), (ybasis, ypos, yentries) = legs
+            local = self.projective_basis[v - 1]
+            dims = tuple(len(lst) for lst in local)
+            # at[u][i * ny + j]: the position in P(v) at u = (u1, u2) of the
+            # pair of the i-th x at u1 and the j-th y at u2 (ny of them)
+            at = []
+            for u, lst in enumerate(local):
+                ny = len(ybasis[u % n])
+                here = [0] * len(lst)
+                for r, k in enumerate(lst):
+                    x, y = self._pairs[k]
+                    here[xpos[x] * ny + ypos[y]] = r
+                at.append(here)
+            zero = f.zero()
+            act = []
+            for arrow, (leg, ai) in zip(self.quiver.arrows, self.arrow_legs):
+                u, w = arrow.source - 1, arrow.target - 1
+                cols = dims[w]
+                data = [zero] * (dims[u] * cols)
+                at_u, at_w = at[u], at[w]
+                if leg:             # b acts on the y of each fixed x
+                    nyu, nyw = len(ybasis[u % n]), len(ybasis[w % n])
+                    for i in range(len(xbasis[u // n])):
+                        for r, c, val in yentries[ai]:
+                            data[at_u[i * nyu + r] * cols
+                                 + at_w[i * nyw + c]] = val
+                else:               # a^o acts on the x of each fixed y
+                    ny = len(ybasis[u % n])
+                    for j in range(ny):
+                        for r, c, val in xentries[ai]:
+                            data[at_u[r * ny + j] * cols
+                                 + at_w[c * ny + j]] = val
+                act.append(Mat(f, dims[u], cols, data))
+            got = self._projectives[v] = (dims, tuple(act))
+        return got
 
 
 def enveloping_algebra(alg: FinDimAlgebra) -> FinDimAlgebra:

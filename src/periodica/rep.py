@@ -28,11 +28,11 @@ class Rep:
     """A finite-dimensional right module, presented vertexwise.
 
     ``tops`` records, for a module built as a sum of projectives P(v_1) +
-    ... + P(v_t) in the standard basis (``Rep.projective`` and
-    ``block_sum`` of such parts; ``Rep.zero`` is the empty sum), the top
-    vertices v_1, ..., v_t in summand order; it is None for a module built
-    any other way.  Hom out of a module with tops is read by Yoneda
-    (:class:`YonedaHom`).
+    ... + P(v_t) in the standard basis (``Rep.projective``, ``block_sum``
+    of such parts and ``projective_cover``; ``Rep.zero`` is the empty sum),
+    the top vertices v_1, ..., v_t in summand order; it is None for a
+    module built any other way.  Hom out of a module with tops is read by
+    Yoneda (:class:`YonedaHom`).
     """
 
     __slots__ = ("algebra", "dims", "act", "tops")
@@ -136,10 +136,13 @@ class Rep:
             if acc is not None and not acc.is_zero():
                 raise PreconditionError("a defining relation acts nonzero")
         # every walk of length N acts as zero iff M rad^N = 0, where
-        # (M rad^(j+1))_u is spanned by the arrows from u applied to M rad^j
+        # (M rad^(j+1))_u is spanned by the arrows from u applied to M rad^j;
+        # once every layer is zero, so is every later one
         q = alg.quiver
         layer = [Mat.identity(self.field, d) for d in self.dims]
         for _ in range(alg.nilpotency):
+            if not any(m.cols for m in layer):
+                break
             layer = [_span(self.field, self.dims[u - 1],
                            [self.act[ai] @ layer[q.arrows[ai].target - 1]
                             for ai in q.arrows_from[u]])
@@ -164,6 +167,8 @@ class Morphism:
         self.source = source
         self.target = target
         self.blocks = tuple(blocks)
+        if len(self.blocks) != len(source.dims):
+            raise PreconditionError("need one block per vertex")
         for v in range(len(source.dims)):
             if self.blocks[v].shape != (target.dims[v], source.dims[v]):
                 raise PreconditionError("morphism block shape mismatch")
@@ -597,7 +602,8 @@ def _map_from_tops(P: Rep, N: Rep, values: Dict[int, object]) -> Morphism:
     The basis walk w of a summand P(v) maps to rho_N(w) G
     (:func:`_walk_image`, one memo per v for the call): each block is
     column k of those images, summand by summand in the order of P's basis
-    (``alg.projective_basis``).
+    (``alg.projective_basis``), its row-major data read straight from the
+    images' data.
     """
     alg = N.algebra
     f = alg.field
@@ -609,14 +615,16 @@ def _map_from_tops(P: Rep, N: Rep, values: Dict[int, object]) -> Morphism:
         walks[v] = [[_walk_image(images, N, alg.basis[i][1:], G) for i in lst]
                     for lst in alg.projective_basis[v - 1]]
     seen = dict.fromkeys(values, 0)
+    # per vertex, each column as (image data, its entry in row 0, row stride)
     cols: List[list] = [[] for _ in range(n)]
     for v in P.tops:
         k = seen[v]
         seen[v] = k + 1
         for cu, ms in zip(cols, walks[v]):
-            cu.extend(m.col_list(k) for m in ms)
+            cu.extend((m.data, k, m.cols) for m in ms)
     return Morphism(P, N, [
-        Mat(f, N.dims[u], len(cu), [c[i] for i in range(N.dims[u]) for c in cu])
+        Mat(f, N.dims[u], len(cu),
+            [d[i * t + k] for i in range(N.dims[u]) for d, k, t in cu])
         for u, cu in enumerate(cols)])
 
 
@@ -715,12 +723,14 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
     """The projective cover P(M) ->> M (zero module gets the zero cover).
 
     P(M) has one summand P(v) = e_v A per top generator at v, ordered by
-    vertex and then generator: ``block_sum`` of ``Rep.projective`` copies,
-    which share the blocks of each P(v) the algebra builds once.  The
-    generators g_1..g_t at v are the unit vectors at ``_top_cols``, the
-    free columns of the rref of rad(M)_v (one row per image vector of an
-    arrow): with its rows they form a unit-triangular basis, so they span a
-    complement.  The map
+    vertex and then generator: ``Rep.projective`` for one summand, and
+    otherwise one ``Rep`` whose arrows act by the block-diagonal sums of
+    the blocks of each P(v) the algebra builds once
+    (``FinDimAlgebra._projective_blocks``), with those vertices as its
+    ``tops``; no ``Rep`` is formed per summand.  The generators g_1..g_t
+    at v are the unit vectors at ``_top_cols``, the free columns of the
+    rref of rad(M)_v (one row per image vector of an arrow): with its rows
+    they form a unit-triangular basis, so they span a complement.  The map
     sends the generator of the r-th P(v) to g_r: it is
     :func:`_map_from_tops` on those unit columns, so the basis walk w of
     the r-th P(v) maps to rho(w) g_r with no rho(w) formed (one product per
@@ -732,8 +742,15 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
         return Z, Morphism.zero(Z, M)
     values: Dict[int, List[int]] = {
         v: gens for v, gens in enumerate(_top_cols(M), start=1) if gens}
-    P = block_sum([Rep.projective(alg, v) for v, gens in values.items()
-                   for _ in gens])
+    tops = tuple(v for v, gens in values.items() for _ in gens)
+    if len(tops) == 1:
+        P = Rep.projective(alg, tops[0])
+    else:
+        parts = [alg._projective_blocks(v) for v in tops]
+        P = Rep(alg, [sum(dims) for dims in zip(*(d for d, _ in parts))],
+                [_diagonal(alg.field, mats)
+                 for mats in zip(*(act for _, act in parts))])
+        P.tops = tops
     phi = _map_from_tops(P, M, values)
     for v in range(alg.quiver.n):
         if phi.blocks[v].rank() != M.dims[v]:

@@ -531,6 +531,24 @@ def test_derived_goldens(name):
         assert fh.read() == out
 
 
+# Not in GOLDEN_CASES either (perfbench replays that table as it stands): a
+# bimodule period through an A^e of 16 vertices over Q; the GF(2) ex5.6
+# golden has n = 1, so its A^e has one vertex.
+ENVELOPE_GOLDENS = {
+    "ex5_6_n4_m3.json": ["reproduce", "ex5.6", "--n", "4", "--m", "3"],
+}
+
+
+@pytest.mark.usefixtures("normal_form_scalars")
+@pytest.mark.parametrize("name", sorted(ENVELOPE_GOLDENS))
+def test_envelope_goldens(name):
+    code, out = run_cli(ENVELOPE_GOLDENS[name])
+    assert code == 0
+    assert json.loads(out)["result"]["computed_period"] == 8
+    with open(os.path.join(GOLDEN, name), "r", encoding="utf-8") as fh:
+        assert fh.read() == out
+
+
 def test_markdown_report_golden():
     # the markdown renderer, tables included, on the graded Hochschild cells
     code, out = run_cli(["hochschild", "table", "--algebra", sample("a2.alg"),

@@ -302,3 +302,63 @@ def test_no_floats_anywhere():
     B = Mat.from_rows(F5, [[1, 2], [3, 4]])
     R5, _ = B.rref()
     assert all(isinstance(x, int) for x in R5.data)
+
+
+def _fraction_rref(rows):
+    """Reference Gauss-Jordan over Fraction: the nonzero rows of the rref
+    and the pivot columns."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    piv, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                m = rows[i][c]
+                rows[i] = [x - m * y for x, y in zip(rows[i], rows[r])]
+        piv.append(c)
+        r += 1
+    return rows[:r], piv
+
+
+@pytest.mark.parametrize("rows", [
+    # all-int rows only, with a dependent row
+    [[2, 4, -6], [1, 3, 5], [3, 7, -1]],
+    # all-int rows beside an integral Fraction(4, 2) row and a fractional one
+    [[2, 0, 3], [Fraction(4, 2), Fraction(6, 3), 1], [Fraction(1, 2), 5, -7]],
+    # a fractional row first, then an all-int row that needs no scaling
+    [[Fraction(2, 3), Fraction(-1, 6), 0, 4], [0, 3, 9, -12],
+     [Fraction(4, 2), 1, 1, 1]],
+    # one integral Fraction row alone
+    [[Fraction(8, 4), Fraction(-6, 2)]],
+])
+def test_q_rref_normal_forms_and_input_kept(rows):
+    flat = [x for row in rows for x in row]
+    kept = list(flat)
+    out, piv = _kernels_py.q_rref(flat, len(rows), len(rows[0]))
+    want_rows, want_piv = _fraction_rref(rows)
+    assert piv == want_piv
+    assert out == [x for row in want_rows for x in row]
+    assert all(is_normal_q(x) for x in out)
+    # the caller's list and its entries are untouched
+    assert flat == kept and all(type(a) is type(b) for a, b in zip(flat, kept))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_q_rref_matches_fraction_elimination(data):
+    r, c = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    # each row all ints or drawn from the mixed entries
+    rows = [data.draw(st.lists(st.one_of(small, q_mixed) if data.draw(
+        st.booleans()) else small, min_size=c, max_size=c)) for _ in range(r)]
+    flat = [x for row in rows for x in row]
+    kept = list(flat)
+    out, piv = _kernels_py.q_rref(flat, r, c)
+    want_rows, want_piv = _fraction_rref(rows)
+    assert (out, piv) == ([x for row in want_rows for x in row], want_piv)
+    assert all(is_normal_q(x) for x in out)
+    assert flat == kept and all(type(a) is type(b) for a, b in zip(flat, kept))

@@ -372,6 +372,57 @@ def test_check_relations_rejects_long_walks(dual):
     Rep(dual, [2], [Mat.from_rows(QQ, [[0, 1], [0, 0]])], check=True)
 
 
+def _jordan(d):
+    """The nilpotent d x d Jordan block: ones just above the diagonal."""
+    return Mat(QQ, d, d, [1 if j == i + 1 else 0
+                          for i in range(d) for j in range(d)])
+
+
+@pytest.mark.parametrize("n_vertices", [1, 2])
+def test_check_relations_rejects_a_walk_of_forbidden_length(n_vertices):
+    # k[x]/(x^3) from one loop, nilpotency 3 and no relation: only the
+    # radical loop can refuse x^3 != 0.  A second vertex, with no arrow,
+    # has its radical layer die after one step while the loop's lives on,
+    # so the loop may stop only once the layers of all vertices are zero
+    q = Quiver(n_vertices, [("x", 1, 1)])
+    alg = build_algebra(AlgebraPresentation(q, QQ, [], 3))
+    rest = [1] * (n_vertices - 1)
+    with pytest.raises(PreconditionError, match="forbidden length"):
+        Rep(alg, [4] + rest, [_jordan(4)], check=True)
+    Rep(alg, [3] + rest, [_jordan(3)], check=True)
+
+
+def test_check_relations_rejects_a_defining_relation():
+    # c*a - d*b on the commutative square: all four arrows 1 commute, d = 0
+    # does not
+    alg = load_algebra(os.path.join(SAMPLES, "commsquare.alg"))
+    one, zero = Mat.identity(QQ, 1), Mat.zeros(QQ, 1, 1)
+    Rep(alg, [1] * 4, [one] * 4, check=True)
+    with pytest.raises(PreconditionError, match="defining relation"):
+        Rep(alg, [1] * 4, [one, one, one, zero], check=True)
+
+
+def test_projective_cover_refuses_a_module_it_cannot_cover():
+    # over k[x]/(x^3), a 4 x 4 Jordan block is no module: x^3 M != 0 lies
+    # outside the image of P(1), and only the cover's rank check sees it;
+    # x = 1 leaves no top at all to cover from
+    alg = build_algebra(AlgebraPresentation(Quiver(1, [("x", 1, 1)]), QQ,
+                                            [], 3))
+    with pytest.raises(PreconditionError, match="failed to surject"):
+        projective_cover(Rep(alg, [4], [_jordan(4)]))
+    with pytest.raises(PreconditionError):
+        projective_cover(Rep(alg, [1], [Mat.identity(QQ, 1)]))
+
+
+def test_morphism_needs_one_block_per_vertex(a2):
+    P2 = Rep.projective(a2, 2)
+    blocks = [Mat.identity(QQ, d) for d in P2.dims]
+    assert Morphism(P2, P2, blocks) == Morphism.identity(P2)
+    for wrong in (blocks + [Mat.identity(QQ, 1)], blocks[:1]):
+        with pytest.raises(PreconditionError, match="one block per vertex"):
+            Morphism(P2, P2, wrong)
+
+
 def test_injective_envelope_minimal(n33):
     M = serial_module(n33, 1, 1)
     I, incl = injective_envelope(M)
@@ -487,6 +538,53 @@ def test_enveloping_check_rejects_a_broken_tensor_map():
     pairs[1] = pairs[0]
     with pytest.raises(PreconditionError, match="bijection"):
         _rebuilt_envelope(E, pairs)
+
+
+def test_enveloping_check_refuses_a_leg_without_right_units():
+    # a right unit the A leg's table lost after the leg's own validation
+    # reaches A^e's table only through step 1: step 4 multiplies by arrows
+    # and left units
+    alg = nakayama(2, 3, QQ)
+    y = alg.arrow_index[0]
+    alg._table[y, alg.e(alg.source[y])] = ()
+    with pytest.raises(PreconditionError, match="right unit fails"):
+        enveloping_algebra(alg)
+
+
+ENVELOPE_BLOCK_CASES = sorted(
+    os.path.basename(p) for p in glob.glob(os.path.join(SAMPLES, "*.alg"))
+) + [f"N({n},{l})/{p}" for p in (0, 2, 4294967311)
+     for n, l in ((1, 2), (2, 3), (3, 2), (3, 4))]
+
+
+def _block_case_algebra(case):
+    if case.startswith("N("):
+        nl, p = case.split("/")
+        n, l = map(int, nl[2:-1].split(","))
+        return nakayama(n, l, Field(int(p)))
+    return load_algebra(os.path.join(SAMPLES, case))
+
+
+@pytest.mark.parametrize("case", ENVELOPE_BLOCK_CASES)
+def test_envelope_projectives_match_the_generic_construction(case):
+    # A^e's P(v) comes from the legs' tables, and leaves neither A^e's
+    # table nor the legs' P(v) caches filled; the generic construction
+    # multiplies on A^e's table, which the build's checks leave empty
+    E, _ = enveloping(_block_case_algebra(case))
+    assert E._table == {}
+    got = [E._projective_blocks(v) for v in range(1, E.quiver.n + 1)]
+    assert E._table == {}
+    assert [leg._projectives for leg in E._legs] == [{}, {}]
+    E._projectives.clear()
+    for v in range(1, E.quiver.n + 1):
+        assert FinDimAlgebra._projective_blocks(E, v) == got[v - 1]
+    # validation, off the table, still refuses a basis whose first and
+    # last elements trade pairs
+    if E.dim > 1:
+        pairs = list(E._pairs)
+        pairs[0], pairs[-1] = pairs[-1], pairs[0]
+        with pytest.raises(PreconditionError):
+            _rebuilt_envelope(E, pairs)
 
 
 def test_enveloping_validation_is_linear_in_dim(monkeypatch):
