@@ -405,13 +405,13 @@ def test_check_relations_rejects_a_defining_relation():
 def test_projective_cover_refuses_a_module_it_cannot_cover():
     # over k[x]/(x^3), a 4 x 4 Jordan block is no module: x^3 M != 0 lies
     # outside the image of P(1), and only the cover's rank check sees it;
-    # x = 1 leaves no top at all to cover from
+    # x = 1 leaves no top at all, so the cover is zero and the same check
+    # refuses it
     alg = build_algebra(AlgebraPresentation(Quiver(1, [("x", 1, 1)]), QQ,
                                             [], 3))
-    with pytest.raises(PreconditionError, match="failed to surject"):
-        projective_cover(Rep(alg, [4], [_jordan(4)]))
-    with pytest.raises(PreconditionError):
-        projective_cover(Rep(alg, [1], [Mat.identity(QQ, 1)]))
+    for M in (Rep(alg, [4], [_jordan(4)]), Rep(alg, [1], [Mat.identity(QQ, 1)])):
+        with pytest.raises(PreconditionError, match="failed to surject"):
+            projective_cover(M)
 
 
 def test_morphism_needs_one_block_per_vertex(a2):
