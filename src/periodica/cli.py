@@ -250,14 +250,14 @@ def cmd_period(args) -> int:
     alg, inputs = _load_algebra_arg(args)
     bound = _default_bound(16, args.bound)
     if args.verb == "module":
-        ctx = StableContext(alg, args.seed)
+        ctx = StableContext(alg)
         M = parse_module_expr(alg, args.module)
         period = ctx.module_period(M, bound)
         body = {"module": args.module, "period": period.to_json(),
                 "exact": period.exact}
         gate = None
     else:
-        period = algebra_period(alg, bound, args.seed)
+        period = algebra_period(alg, bound)
         body = {"period": period.to_json(), "exact": period.exact}
         gate = None
         if isinstance(period, NotPeriodic):
@@ -281,7 +281,7 @@ def cmd_tilting(args) -> int:
         budget = _positive("--budget", str(args.budget))
         end_target = (None if args.end_target is None
                       else _positive("--end-target", str(args.end_target)))
-        sctx = StableContext(alg, args.seed)
+        sctx = StableContext(alg)
         parts = [parse_module_expr(alg, t) for t in args.summand]
         body = check_periodic_tilting_stable(sctx, parts, args.m,
                                              budget=budget)
@@ -331,10 +331,10 @@ def cmd_reproduce(args) -> int:
     if target == "ex5.6":
         field = field_from_string(args.field) if args.field else Field.rationals()
         m = _period_arg(args)
-        body = reproduce_ex5_6(args.n, m, field, seed)
+        body = reproduce_ex5_6(args.n, m, field)
         params.update({"n": args.n, "m": m, "field": repr(field)})
     elif target == "ex5.8":
-        body = reproduce_ex5_8(args.n, seed)
+        body = reproduce_ex5_8(args.n)
         params.update({"n": args.n})
     elif target == "ex5.9":
         body = reproduce_ex5_9()

@@ -400,9 +400,12 @@ def stalk_tilting_check(ctx: DerivedContext) -> dict:
             })
             gen_ok = gen_ok and split_ok
             prev = Xk, layout, parts
-        # the last X_k is the fold of the whole resolution, the replacement
-        # of S's stalk at 0, whose map onto the stalk is the augmentation
-        qis_ok = is_quasi_iso(ctx._replacement(stalk_complex(S, m, 0))[1])
+        # the last X_k is the fold of the whole resolution; the augmentation
+        # P_0 -> S maps it onto S's stalk at 0
+        S0 = stalk_complex(S, m, 0)
+        qis_ok = is_quasi_iso(sum_map(Xk, S0, _unsplit(S0), parts, [
+            {(0, layout[0].index(0)): res.aug} if i == 0 else {}
+            for i in range(m)]))
         gen_ok = gen_ok and qis_ok
         witnesses.append({
             "simple": v,

@@ -92,9 +92,8 @@ def _split_terms(expr: str, line: int, base_col: int):
     return terms
 
 
-def parse_algebra_text(text: str, default_field: Optional[Field] = None,
-                       label: str = "") -> AlgebraPresentation:
-    field: Optional[Field] = default_field
+def parse_algebra_text(text: str, label: str = "") -> AlgebraPresentation:
+    field: Optional[Field] = None
     n_vertices: Optional[int] = None
     arrows: List[Tuple[str, int, int]] = []
     raw_relations: List[Tuple[int, int, str]] = []
@@ -195,11 +194,10 @@ def _read_text(path: str) -> str:
                          f"(byte {exc.start})") from None
 
 
-def parse_algebra_file(path: str,
-                       default_field: Optional[Field] = None) -> AlgebraPresentation:
+def parse_algebra_file(path: str) -> AlgebraPresentation:
     text = _read_text(path)
     label = os.path.splitext(os.path.basename(path))[0]
-    return parse_algebra_text(text, default_field, label=label)
+    return parse_algebra_text(text, label=label)
 
 
 def load_algebra(path: str) -> FinDimAlgebra:

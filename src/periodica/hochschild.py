@@ -157,13 +157,13 @@ def formality_criterion(setup: LaurentSetup, q_max: int) -> dict:
     }
 
 
-def smooth_dimension(alg: FinDimAlgebra, bound: int = 12,
-                     gd_bound: int = 24) -> dict:
+def smooth_dimension(alg: FinDimAlgebra, bound: int = 12) -> dict:
     """Length of the minimal bimodule resolution, with the global-dimension
-    cross-check (they agree for split basic algebras over perfect fields)."""
+    cross-check (they agree for split basic algebras over perfect fields),
+    the global dimension searched up to 24."""
     ctx = HochschildContext(alg, bound)
     sd = ctx.smooth_dimension()
-    gd = global_dimension(alg, gd_bound)
+    gd = global_dimension(alg, 24)
     return {
         "algebra": alg.label,
         "smooth_dimension": sd.to_json(),

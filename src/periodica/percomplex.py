@@ -118,13 +118,10 @@ class GradedMorphism:
                 raise PreconditionError(f"graded component {i} has wrong ends")
 
     @classmethod
-    def zero(cls, source: PeriodicComplex, target: PeriodicComplex,
-             degree: int = 0) -> "GradedMorphism":
-        m = source.m
-        return cls(source, target, degree,
-                   [Morphism.zero(source.comps[i],
-                                  target.comps[(i + degree) % m])
-                    for i in range(m)])
+    def zero(cls, source: PeriodicComplex,
+             target: PeriodicComplex) -> "GradedMorphism":
+        return cls(source, target, 0, [Morphism.zero(s, t) for s, t
+                                       in zip(source.comps, target.comps)])
 
     @classmethod
     def identity(cls, V: PeriodicComplex) -> "GradedMorphism":

@@ -482,8 +482,6 @@ def build_algebra(pres: AlgebraPresentation) -> FinDimAlgebra:
         if not cur:
             break
         walks_by_len.append(cur)
-    while len(walks_by_len) < N:
-        walks_by_len.append([])
 
     all_walks: List[Walk] = [w for lst in walks_by_len for w in lst]
     blocks: Dict[Tuple[int, int], List[Walk]] = {}

@@ -898,19 +898,19 @@ def iso_q(M: Rep, N: Rep, seed: int = 0) -> bool:
     Equal modules (``Rep.__eq__``: the same algebra object, dims and action
     matrices) are, with no Hom space built.  Otherwise an invertible basis
     element of Hom(M, N) settles it (:func:`find_iso`).
-    Without one, M is not N when ``decompose(M, seed)`` leaves M whole;
+    Without one, M is not N when ``decompose(M)`` leaves M whole;
     otherwise the indecomposable summands of M and of N must match one to
-    one by :func:`find_iso` (Krull-Schmidt).  ``seed`` reaches only
-    ``decompose``.
+    one by :func:`find_iso` (Krull-Schmidt).  ``seed`` changes no answer:
+    ``decompose`` depends on M alone.
     """
     if M == N or find_iso(M, N) is not None:
         return True
     if M.dims != N.dims:
         return False
-    ms = decompose(M, seed)
+    ms = decompose(M)
     if len(ms) == 1:
         return False
-    rest = decompose(N, seed)
+    rest = decompose(N)
     if len(rest) != len(ms):
         return False
     for X in ms:
@@ -922,16 +922,16 @@ def iso_q(M: Rep, N: Rep, seed: int = 0) -> bool:
     return True
 
 
-def _minimal_poly_roots(A: Mat, seed: int) -> List:
-    """Roots in the base field of the Krylov minimal polynomial of a square
-    matrix, in increasing order."""
+def _minimal_poly_roots(A: Mat) -> List:
+    """Roots in the base field of the Krylov polynomial of a square matrix
+    from the fixed start vector v_i = (-1)^i (i mod 3 + 1), in increasing
+    order."""
     field = A.field
     n = A.rows
     if n == 0:
         return []
-    rng = random.Random(seed)
-    v = Mat.column(field, [field.coerce(rng.randint(-3, 3) or 1)
-                           for _ in range(n)])
+    v = Mat.column(field, [field.coerce((-1) ** i * (i % 3 + 1))
+                           for i in range(n)])
     krylov = [v.data]
     for _ in range(n):
         v = A @ v
@@ -944,36 +944,26 @@ def _minimal_poly_roots(A: Mat, seed: int) -> List:
     coeffs = [R.get(i, deg) for i in range(deg)]
     if field.p:
         p = field.p
-        return _roots_mod_p([-c % p for c in coeffs] + [1], p, rng)
-    roots = []
+        # Las Vegas: the roots do not depend on the draws
+        return _roots_mod_p([-c % p for c in coeffs] + [1], p,
+                            random.Random(0))
     den = 1
     for c in coeffs:
         den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    lead = den
-    const = ints[0] if ints else 0
+    const = int(coeffs[0] * den) if coeffs else 0
     cands = {field.zero()}
     for p in _divisors(abs(const) if const else 0):
-        for qd in _divisors(abs(lead)):
+        for qd in _divisors(den):
             cands.add(field.coerce(Fraction(p, qd)))
             cands.add(field.coerce(Fraction(-p, qd)))
+    roots = []
     for lam in sorted(cands):
-        acc = field.zero()
-        powv = field.one()
-        for c in coeffs:
-            acc = field.add(acc, field.mul(c, powv))
-            powv = field.mul(powv, lam)
-        if field.is_zero(field.sub(pow_scalar(field, lam, deg), acc)):
+        acc = field.one()               # x^deg - sum c_i x^i by Horner
+        for c in reversed(coeffs):
+            acc = field.sub(field.mul(acc, lam), c)
+        if field.is_zero(acc):
             roots.append(lam)
     return roots
-
-
-def pow_scalar(field: Field, x, e: int):
-    out = field.one()
-    x = field.coerce(x)
-    for _ in range(e):
-        out = field.mul(out, x)
-    return out
 
 
 def _divisors(n: int) -> List[int]:
@@ -1096,32 +1086,27 @@ def _fitting_split(M: Rep, f: Morphism) -> Optional[Tuple[Rep, Rep]]:
     return None
 
 
-def _split_candidates(endos: HomBasis, seed: int):
-    """The basis endomorphisms, then 8 random combinations of them, drawn
-    only once the basis has failed to split."""
-    yield from endos.basis
-    rng = random.Random(seed)
-    for _ in range(8):
-        coeffs = [rng.randint(-2, 2) for _ in endos.basis]
-        if any(coeffs):
-            yield endos.from_coords(coeffs)
-
-
-def decompose(M: Rep, seed: int = 0) -> List[Rep]:
+def decompose(M: Rep) -> List[Rep]:
     """Indecomposable summands of M (Fitting splittings, exact arithmetic).
 
-    A module no candidate endomorphism splits is returned whole: End(M) is
-    sampled, not certified local.
+    Each basis map f of End(M) is tried in turn: Fitting's lemma on f, then
+    on f - lambda for each nonzero root lambda in the base field of f's
+    Krylov polynomial (:func:`_minimal_poly_roots`).  The first split found
+    is decomposed further.  A module none of these maps splits is returned
+    whole: End(M) is not certified local.  No candidate is drawn at random,
+    and over GF(p) the roots come from a Las Vegas split, whose answer does
+    not depend on its draws, so the summands and their order depend on M
+    alone.
     """
     if M.is_zero():
         return []
     endos = HomBasis(M, M)
     if endos.dim == 1:
         return [M]
-    for f in _split_candidates(endos, seed):
+    for f in endos.basis:
         split = _fitting_split(M, f)
         if split is None:
-            for lam in _minimal_poly_roots(_diagonal(M.field, f.blocks), seed):
+            for lam in _minimal_poly_roots(_diagonal(M.field, f.blocks)):
                 if M.field.is_zero(lam):
                     continue
                 shifted = f - Morphism.identity(M).scale(lam)
@@ -1130,5 +1115,5 @@ def decompose(M: Rep, seed: int = 0) -> List[Rep]:
                     break
         if split:
             K, I = split
-            return decompose(K, seed + 1) + decompose(I, seed + 1)
+            return decompose(K) + decompose(I)
     return [M]

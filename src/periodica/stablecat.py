@@ -93,14 +93,15 @@ class StableContext:
     branch.  ``cone_summands`` returns the pieces of a cone, so the closure
     registers them without decomposing the cone again.  Shifts and periods
     never decompose (Heller's lemma): a shift has no projective summand,
-    and a shift of a non-projective indecomposable is one.
+    and a shift of a non-projective indecomposable is one.  ``seed``
+    changes no answer: ``decompose`` and ``iso_q`` depend on their modules
+    alone.
     """
 
     def __init__(self, alg: FinDimAlgebra, seed: int = 0):
         if not is_self_injective(alg):
             raise PreconditionError("algebra is not self-injective")
         self.algebra = alg
-        self.seed = seed
         self._shoms = IdentityMemo()
         self._covers = IdentityMemo()
         self._dual_covers = IdentityMemo()
@@ -119,7 +120,7 @@ class StableContext:
     def summands(self, M: Rep) -> List[Rep]:
         """The non-projective indecomposable summands of M: ``[M]`` itself
         for a non-projective indecomposable M."""
-        return [s for s in decompose(M, self.seed) if not is_projective(s)]
+        return [s for s in decompose(M) if not is_projective(s)]
 
     # -- suspension -------------------------------------------------------------
 
@@ -151,7 +152,7 @@ class StableContext:
         if K.is_zero():
             raise PreconditionError(
                 "period undefined: the module is projective (stably zero)")
-        return _syzygy_period(K, bound, self.seed)
+        return _syzygy_period(K, bound)
 
     # -- triangles ---------------------------------------------------------------
 
@@ -208,7 +209,7 @@ class NotPeriodic(Trunc):
         return f"NotPeriodic({self.projdim})"
 
 
-def _syzygy_period(M: Rep, bound: int, seed: int) -> Trunc:
+def _syzygy_period(M: Rep, bound: int) -> Trunc:
     """Smallest p in 1..bound with the p-th syzygy of M isomorphic to M.
 
     When the p-th syzygy is zero, every later one is zero too, so none is M:
@@ -218,15 +219,16 @@ def _syzygy_period(M: Rep, bound: int, seed: int) -> Trunc:
     for p, (_, _, K, _) in zip(range(1, bound + 1), syzygies(M)):
         if K.is_zero():
             return NotPeriodic(p - 1)
-        if K.dims == M.dims and iso_q(K, M, seed):
+        if K.dims == M.dims and iso_q(K, M):
             return Trunc(p)
     return Trunc(bound, exact=False)
 
 
 def algebra_period(alg: FinDimAlgebra, bound: int, seed: int = 0) -> Trunc:
     """Smallest p with the p-th syzygy of the regular bimodule isomorphic to
-    it over the enveloping algebra, or ``NotPeriodic``."""
-    return _syzygy_period(enveloping(alg)[1], bound, seed)
+    it over the enveloping algebra, or ``NotPeriodic``.  ``seed`` changes
+    no answer: ``iso_q`` depends on its modules alone."""
+    return _syzygy_period(enveloping(alg)[1], bound)
 
 
 # -- iso-class registry for generation closures ----------------------------------
@@ -237,13 +239,12 @@ class _Registry:
     non-isomorphic.  ``find`` scans the items of M's dims with ``iso_q``,
     which answers an item equal to M with no Hom space built."""
 
-    def __init__(self, seed: int):
-        self.seed = seed
+    def __init__(self):
         self.items: List[Tuple[Rep, dict]] = []
 
     def find(self, M: Rep) -> Optional[int]:
         for idx, (X, _) in enumerate(self.items):
-            if X.dims == M.dims and iso_q(X, M, self.seed):
+            if X.dims == M.dims and iso_q(X, M):
                 return idx
         return None
 
@@ -361,7 +362,7 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
         susp_parts[s] = [suspend(X) for X in susp_parts[s - 1]]
 
     periodic_ok = all(
-        X.dims == Y.dims and iso_q(X, Y, ctx.seed)
+        X.dims == Y.dims and iso_q(X, Y)
         for X, Y in zip(susp_parts[m], clean))
 
     rigidity = []
@@ -377,7 +378,7 @@ def check_periodic_tilting_stable(ctx: StableContext, parts: Sequence[Rep],
     # outside the cyclic Nakayama family no count of items proves the
     # closure complete, and it runs to the end of its passes
     targets = ctx.nakayama_indecomposables() if nakayama else []
-    reg = _Registry(ctx.seed)
+    reg = _Registry()
     for Y, provenance in _closure_candidates(ctx, clean, reg.items, suspend,
                                              budget):
         _, new = reg.add(Y, provenance)

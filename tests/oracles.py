@@ -325,10 +325,12 @@ def is_homotopy(f: GradedMorphism, g: GradedMorphism,
 
 def sample_algebra(name: str, field: Field) -> FinDimAlgebra:
     """``sample_inputs/<name>`` over ``field`` in place of its own."""
+    spec = f"fp {field.p}" if field.p else "rationals"
     with open(os.path.join(SAMPLES, name), "r", encoding="utf-8") as fh:
-        text = "\n".join(line for line in fh.read().splitlines()
-                         if not line.startswith("field "))
-    return build_algebra(parse_algebra_text(text, field, name))
+        text = "\n".join([f"field {spec}"] + [
+            line for line in fh.read().splitlines()
+            if not line.startswith("field ")])
+    return build_algebra(parse_algebra_text(text, name))
 
 
 def check_minimal(res: Resolution) -> bool:

@@ -630,3 +630,26 @@ def test_odd_m_objectwise_periodicity(a2):
         for i in range(3):
             A, B = cohomology(V, i), cohomology(W, i)
             assert A.dims == B.dims and (A.is_zero() or iso_q(A, B))
+
+
+def test_stalk_tilting_builds_no_complex_twice(monkeypatch):
+    # the quasi-isomorphism check maps the loop's last fold onto the stalk,
+    # so each sum complex differs from the one built just before: one fold
+    # per truncation and one cone per simple
+    built = []
+
+    def counting(real):
+        def sum_complex(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+        return sum_complex
+    for module in (derivedper, percomplex):
+        monkeypatch.setattr(module, "sum_complex",
+                            counting(module.sum_complex))
+    a4 = linear_a(4, QQ)
+    ctx = DerivedContext(a4, 3)
+    assert stalk_tilting_check(ctx)["pass"]
+    terms = sum(len(ctx.resolution(Rep.simple(a4, v)).terms)
+                for v in range(1, 5))
+    assert len(built) == terms + 4
+    assert not [Y for X, Y in zip(built, built[1:]) if X == Y]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -558,6 +559,20 @@ def test_markdown_report_golden():
     path = os.path.join(GOLDEN, "hochschild_table_a2_m2.md")
     with open(path, "r", encoding="utf-8") as fh:
         assert fh.read() == out
+
+
+def test_ci_compares_every_cli_golden():
+    # the installed package must reproduce each golden this file checks:
+    # the CI step that runs it outside the checkout cmps every one
+    with open(__file__, "r", encoding="utf-8") as fh:
+        names = set(re.findall(r'"([\w.]+\.(?:json|md))"', fh.read()))
+    names &= set(os.listdir(GOLDEN))
+    workflow = os.path.join(HERE, "..", ".github", "workflows", "tests.yml")
+    with open(workflow, "r", encoding="utf-8") as fh:
+        ci = fh.read()
+    assert len(names) >= 15
+    assert [n for n in sorted(names) if f'cmp {n} "$GITHUB_WORKSPACE/'
+            f'tests/golden/{n}"' not in ci] == []
 
 
 def test_console_entry_point():

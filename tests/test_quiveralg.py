@@ -4,11 +4,12 @@ import random
 import weakref
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodica import stablecat
+from periodica import rep as rep_module, stablecat
 from periodica.common import PreconditionError, Trunc
 from periodica.families import (all_intervals, dual_numbers, enveloping,
                                 interval_module, is_linear_a, linear_a,
@@ -955,13 +956,40 @@ def test_kronecker_module_splits_where_two_is_a_square(field, split):
     # End(M) = k[b] with b^2 = 2: split over GF(7) and GF(4294967311), where
     # 2 is a square, and a field over Q; over the large prime the root
     # search used to scan all of GF(p)
-    kron = build_algebra(AlgebraPresentation(
-        Quiver(2, [("a", 1, 2), ("b", 1, 2)]), field, [], 2))
-    M = Rep(kron, [2, 2], [Mat.identity(field, 2),
-                           Mat.from_rows(field, [[0, 2], [1, 0]])], check=True)
+    M = _kronecker_module(field)
     parts = decompose(M)
     assert [P.dims for P in parts] == ([(1, 1), (1, 1)] if split else [(2, 2)])
     assert iso_q(direct_sum(parts)[0], M)
+
+
+def _kronecker_module(field):
+    """The Kronecker module with a = I and b = [[0, 2], [1, 0]]."""
+    kron = build_algebra(AlgebraPresentation(
+        Quiver(2, [("a", 1, 2), ("b", 1, 2)]), field, [], 2))
+    return Rep(kron, [2, 2], [Mat.identity(field, 2),
+                              Mat.from_rows(field, [[0, 2], [1, 0]])],
+               check=True)
+
+
+def test_decompose_draws_nothing_over_q(monkeypatch):
+    # neither module is split by a basis map of End(M) or its shifts, and
+    # decompose returns each whole without drawing a random endomorphism or
+    # Krylov start vector (over GF(p) only the root splitting, which is Las
+    # Vegas, holds a generator)
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(rep_module, "random", SimpleNamespace(Random=Counting))
+    omega3 = Rep.simple(sample_algebra("exterior2.alg", QQ), 1)
+    for _ in range(3):
+        omega3 = syzygy(omega3)
+    for M in (_kronecker_module(QQ), omega3):
+        assert HomBasis(M, M).dim > 1
+        assert decompose(M) == [M]
+        assert built == []
 
 
 @st.composite

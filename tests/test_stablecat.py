@@ -456,6 +456,29 @@ def test_closure_report_pinned_gf2_seed5():
         assert json.dumps(rep, indent=2, sort_keys=True) + "\n" == fh.read()
 
 
+def test_closure_report_does_not_depend_on_the_context_seed(monkeypatch):
+    # the seed of a StableContext reaches no isomorphism test and no
+    # decomposition: both decide by basis maps alone
+    import periodica.stablecat as sc
+    calls = set()
+
+    def spy(name):
+        real = getattr(sc, name)
+
+        def call(*args):
+            calls.add((name, len(args)))
+            return real(*args)
+        monkeypatch.setattr(sc, name, call)
+    spy("iso_q")
+    spy("decompose")
+    alg = nakayama(5, 5, Field.gf(2))
+    parts = [serial_module(alg, 1, l) for l in range(1, 5)]
+    reports = [check_periodic_tilting_stable(StableContext(alg, seed), parts, 2)
+               for seed in (0, 5)]
+    assert reports[0] == reports[1] and reports[0]["pass"]
+    assert calls == {("iso_q", 2), ("decompose", 1)}
+
+
 @pytest.mark.parametrize("field", [Field.gf(2), Field.gf(4294967311)],
                          ids=["GF2", "GFbig"])
 def test_strip_keeps_a_nonprojective_indecomposable(field):
@@ -600,7 +623,7 @@ def test_registry_finds_the_index_of_the_plain_iso_scan(field):
         changed.append(Rep(alg, M.dims, [
             M.act[i].scale(field.div(c[a.target - 1], c[a.source - 1]))
             for i, a in enumerate(alg.quiver.arrows)], check=True))
-    reg = _Registry(0)
+    reg = _Registry()
     for k, M in enumerate(mods):
         if k % 3:
             reg.add(changed[k] if k % 2 else M, {"k": k})
@@ -618,9 +641,9 @@ def test_closure_decomposes_no_cone_again(monkeypatch):
     late = []
 
     def wrap(real, log):
-        def decompose(M, seed=0):
+        def decompose(M):
             late.extend(C for C in log["pieces"] if C is M)
-            return real(M, seed)
+            return real(M)
         return decompose
     log = _closure_n5(monkeypatch, "decompose", wrap)
     assert log["pieces"] and not late
@@ -637,9 +660,9 @@ def test_shifts_and_periods_make_no_decompose_call(monkeypatch):
     calls = []
     real = sc.decompose
 
-    def decompose(X, seed=0):
+    def decompose(X):
         calls.append(X)
-        return real(X, seed)
+        return real(X)
     monkeypatch.setattr(sc, "decompose", decompose)
     for i in (1, -1, 2, -2):
         ctx.suspension_power(M, i)
