@@ -950,9 +950,9 @@ def _minimal_poly_roots(A: Mat) -> List:
     den = 1
     for c in coeffs:
         den = den * c.denominator // math.gcd(den, c.denominator)
-    const = int(coeffs[0] * den) if coeffs else 0
+    # v_0 = 1, so deg >= 1
     cands = {field.zero()}
-    for p in _divisors(abs(const) if const else 0):
+    for p in _divisors(abs(int(coeffs[0] * den))):
         for qd in _divisors(den):
             cands.add(field.coerce(Fraction(p, qd)))
             cands.add(field.coerce(Fraction(-p, qd)))
