@@ -10,19 +10,16 @@ return normal forms even from entries that are not, such as
 ``Fraction(4, 2)``; transposes, slices and blocks copy entries as they are.
 
 A ``kernel_basis`` is the identity on the free columns of the cached rref,
-so coordinates on it are read there, with no solve: ``kernel_coords`` for a
-map into a kernel, ``rep.HomBasis`` for the coordinates of Hom spaces out
-of a module that does not carry its projective tops (a combination of
-basis maps is then one product with the kernel basis).  ``rep.HomBasis``
-row-reduces its flat system with ``_echelon`` and reads the kernel basis
-and free columns off that one form with ``_null_space``, the routine
-behind ``kernel_basis``, building no ``Mat`` for the system.  Hom out of a
-sum of projectives that carries its tops is ``rep.YonedaHom``, which
-solves no system at all (see ``rep.hom_coords``).
+so coordinates on it are read there, with no solve: ``_kernel_coords`` on
+flat rows for a map into a kernel (``Mat.kernel_coords``, ``rep.kernel_of``),
+and ``rep.HomBasis`` for Hom spaces out of a module without projective
+tops, read off the one echelon form of its flat system (``_echelon``,
+``_null_space``).  Hom out of a sum of projectives with tops is
+``rep.YonedaHom``, which solves no system (see ``rep.hom_coords``).
 
 Row reduction and products run in the kernels of ``_kernels_py``, reached
-through the module alias ``_impl`` by attribute lookup, so a profiler can
-wrap them in place.
+through the module alias ``_impl`` at call time, so a profiler can wrap
+them in place; ``Mat.__matmul__`` and the flat callers share ``_product``.
 """
 
 from __future__ import annotations
@@ -160,15 +157,9 @@ class Mat:
         self._check_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        n, k, m = self.rows, self.cols, other.cols
-        if n == 0 or m == 0 or k == 0:
-            return Mat.zeros(self.field, n, m)
-        p = self.field.p
-        if p:
-            data = _impl.fp_matmul(self.data, other.data, n, k, m, p)
-        else:
-            data = _impl.q_matmul(self.data, other.data, n, k, m)
-        return Mat(self.field, n, m, data)
+        n, m = self.rows, other.cols
+        return Mat(self.field, n, m, _product(self.field, self.data,
+                                              other.data, n, self.cols, m))
 
     def transpose(self) -> "Mat":
         c = self.cols
@@ -219,12 +210,6 @@ class Mat:
                     base += ncols
         return cls(field, roff[-1], ncols, data)
 
-    def take_rows(self, js: Sequence[int]) -> "Mat":
-        data = []
-        for i in js:
-            data.extend(self.row_list(i))
-        return Mat(self.field, len(js), self.cols, data)
-
     def take_cols(self, js: Sequence[int]) -> "Mat":
         data = []
         for i in range(self.rows):
@@ -251,13 +236,13 @@ class Mat:
         return _null_space(self.field, self.cols, R.data, piv)[0]
 
     def kernel_coords(self, Y: "Mat") -> Optional["Mat"]:
-        """X with ``self.kernel_basis() @ X == Y``, or None when a column of
-        Y leaves the null space.  The kernel basis is the identity on the
-        free rows, so X is Y's free rows; ``self @ Y == 0`` certifies it."""
+        """X with ``kernel_basis() @ X == Y``, or None (``_kernel_coords``)."""
         self._check_field(Y)
-        if not (self @ Y).is_zero():
-            return None
-        return Y.take_rows(_free_cols(self.cols, self.rref()[1]))
+        if self.cols != Y.rows:
+            raise ValueError(f"shape mismatch: {self.shape} @ {Y.shape}")
+        free = _free_cols(self.cols, self.rref()[1])
+        X = _kernel_coords(self, Y.data, Y.cols, free)
+        return None if X is None else Mat(self.field, len(free), Y.cols, X)
 
     def image_basis(self) -> "Mat":
         """Columns: the pivot columns of A (a basis of the column space)."""
@@ -307,6 +292,23 @@ def _free_cols(ncols: int, piv: Sequence[int]) -> List[int]:
     ``piv`` that hold no pivot."""
     pivots = set(piv)
     return [j for j in range(ncols) if j not in pivots]
+
+
+def _product(field: Field, a: list, b: list, n: int, k: int, m: int) -> list:
+    """The flat n x m product of the flat n x k ``a`` and k x m ``b``."""
+    if not (n and k and m):
+        return [field.zero()] * (n * m)
+    if field.p:
+        return _impl.fp_matmul(a, b, n, k, m, field.p)
+    return _impl.q_matmul(a, b, n, k, m)
+
+
+def _kernel_coords(A: Mat, Y: list, ycols: int, free: list) -> Optional[list]:
+    """Y's coordinates on ``A.kernel_basis()``, Y flat with ``ycols``
+    columns: its rows at A's free columns ``free``, or None unless A Y = 0."""
+    if any(_product(A.field, A.data, Y, A.rows, A.cols, ycols)):
+        return None
+    return [x for j in free for x in Y[j * ycols:(j + 1) * ycols]]
 
 
 def _echelon(field: Field, rows: int, cols: int,

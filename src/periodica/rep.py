@@ -20,7 +20,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .common import CheckFailed, PreconditionError, Trunc, TruncationError
 from .fields import Field
-from .linalg import Mat, _echelon, _free_cols, _null_space, _offsets
+from .linalg import (Mat, _echelon, _free_cols, _kernel_coords, _null_space,
+                     _offsets, _product)
 from .quiver import FinDimAlgebra, Walk
 
 
@@ -45,12 +46,11 @@ class Rep:
         if len(act) != len(q.arrows):
             raise PreconditionError("need one matrix per arrow")
         self.algebra = algebra
-        self.dims = tuple(dims)
+        self.dims = dims = tuple(dims)
         self.act = tuple(act)
         self.tops: Optional[Tuple[int, ...]] = None
-        for i, a in enumerate(q.arrows):
-            m = self.act[i]
-            if m.shape != (self.dims[a.source - 1], self.dims[a.target - 1]):
+        for m, a in zip(self.act, q.arrows):
+            if m.rows != dims[a.source - 1] or m.cols != dims[a.target - 1]:
                 raise PreconditionError(
                     f"arrow {a.name}: matrix shape {m.shape} does not match "
                     f"dimension vector")
@@ -169,8 +169,8 @@ class Morphism:
         self.blocks = tuple(blocks)
         if len(self.blocks) != len(source.dims):
             raise PreconditionError("need one block per vertex")
-        for v in range(len(source.dims)):
-            if self.blocks[v].shape != (target.dims[v], source.dims[v]):
+        for v, b in enumerate(self.blocks):
+            if b.rows != target.dims[v] or b.cols != source.dims[v]:
                 raise PreconditionError("morphism block shape mismatch")
 
     @classmethod
@@ -536,7 +536,7 @@ class YonedaHom(_HomCoords):
         add, mul = f.add, f.mul
         pbasis = alg.projective_basis
         offsets = _summand_offsets(P)
-        rho: Dict[int, Dict[Walk, Mat]] = {}
+        rho: Dict[int, Dict[Walk, Tuple[list, int]]] = {}
         col_off = _offsets([N.dims[v - 1] for v in P.tops])
         ncols = col_off[-1]
         data = [f.zero()] * (into.dim * ncols)
@@ -554,8 +554,8 @@ class YonedaHom(_HomCoords):
                     if not c:
                         continue
                     if v not in rho:
-                        rho[v] = {(): Mat.identity(f, dv)}
-                    R = _walk_image(rho[v], N, alg.basis[bi][1:]).data
+                        rho[v] = {(): (Mat.identity(f, dv).data, dv)}
+                    R = _walk_image(rho[v], N, alg.basis[bi][1:], range(dv))[0]
                     for i in range(du):
                         x0 = (row0 + i) * ncols + col_off[s]
                         for j in range(dv):
@@ -588,24 +588,25 @@ def _generator_rows(P: Rep) -> List[int]:
             for v, off in zip(P.tops, _summand_offsets(P))]
 
 
-def _walk_image(images: Dict[Walk, Mat], N: Rep, w: Walk,
-                G: Mat | List[int] | None = None) -> Mat:
-    """rho_N(w) G for an arrow walk w ending at v; ``images`` holds rho_N(s) G
-    for the suffixes s formed so far, G itself at (): a matrix on N_v, the
-    unit columns of N_v at a list of indices, or the identity for None.
-    The missing suffixes of w are added shortest-first, one product act[a]
-    @ image(s) for (a,) + s, and none for one arrow on unit columns or the
-    identity: the columns of act[a] at G, or act[a] itself."""
+def _walk_image(images: Dict[Walk, Tuple[list, int]], N: Rep, w: Walk,
+                G: Optional[Sequence[int]]) -> Tuple[list, int]:
+    """rho_N(w) G, flat as (row-major data, ncols), for an arrow walk w
+    ending at v; ``images`` memoises it per suffix, G itself at (): the unit
+    columns of N_v at the indices ``G``, or any matrix for None.  A missing
+    suffix (a,) + s costs one flat product act[a] image(s), shortest first,
+    or for one arrow on unit columns none: act[a]'s columns at G."""
     j = 0
     while w[j:] not in images:      # () always is
         j += 1
     for j in range(j - 1, -1, -1):
         s = w[j:]
-        act = N.act[s[0]]
-        if len(s) == 1 and not isinstance(G, Mat):
-            images[s] = act if G is None else act.take_cols(G)
+        a = N.act[s[0]]
+        if len(s) == 1 and G is not None:
+            images[s] = [a.data[i * a.cols + g] for i in range(a.rows)
+                         for g in G], len(G)
         else:
-            images[s] = act @ images[s[1:]]
+            data, t = images[s[1:]]
+            images[s] = _product(N.field, a.data, data, a.rows, a.cols, t), t
     return images[w]
 
 
@@ -613,31 +614,29 @@ def _map_from_tops(P: Rep, N: Rep, values: Dict[int, object]) -> Morphism:
     """The map P -> N out of P with ``tops`` that sends the generator of
     the k-th summand with top v to column k of the values G at v: the
     matrix ``values[v]``, or, for a list of column indices, the unit
-    columns of N_v there (a projective cover's generators).
-
-    The basis walk w of a summand P(v) maps to rho_N(w) G
-    (:func:`_walk_image`, one memo per v for the call): each block is
-    column k of those images, summand by summand in the order of P's basis
-    (``alg.projective_basis``), its row-major data read straight from the
-    images' data.
-    """
+    columns of N_v there (a projective cover's generators).  The basis walk
+    w of a summand P(v) maps to rho_N(w) G, flat (:func:`_walk_image`, one
+    memo per v for the call): each block is column k of those images,
+    summand by summand in the order of P's basis (``projective_basis``)."""
     alg = N.algebra
     f = alg.field
-    n = len(N.dims)
+    one, zero = f.one(), f.zero()
     walks = {}
     for v, G in values.items():
-        images = {(): G if isinstance(G, Mat)
-                  else Mat.identity(f, N.dims[v - 1]).take_cols(G)}
+        if isinstance(G, Mat):
+            images, G = {(): (G.data, G.cols)}, None
+        else:       # the unit columns of N_v at G, built directly
+            images = {(): ([one if g == i else zero for i in range(
+                N.dims[v - 1]) for g in G], len(G))}
         walks[v] = [[_walk_image(images, N, alg.basis[i][1:], G) for i in lst]
                     for lst in alg.projective_basis[v - 1]]
-    seen = dict.fromkeys(values, 0)
     # per vertex, each column as (image data, its entry in row 0, row stride)
-    cols: List[list] = [[] for _ in range(n)]
+    cols: List[list] = [[] for _ in N.dims]
+    seen: Dict[int, int] = {}
     for v in P.tops:
-        k = seen[v]
-        seen[v] = k + 1
-        for cu, ms in zip(cols, walks[v]):
-            cu.extend((m.data, k, m.cols) for m in ms)
+        k = seen[v] = seen.get(v, -1) + 1
+        for cu, ims in zip(cols, walks[v]):
+            cu.extend((d, k, t) for d, t in ims)
     return Morphism(P, N, [
         Mat(f, N.dims[u], len(cu),
             [d[i * t + k] for i in range(N.dims[u]) for d, k, t in cu])
@@ -673,19 +672,20 @@ def _lift(g: Morphism, q: Morphism) -> Morphism:
 
 
 def kernel_of(f: Morphism) -> Tuple[Rep, Morphism]:
-    """The kernel of f, included by the blocks' ``kernel_basis`` K_v.  Arrow
-    a: u -> v acts by the coordinates of act[a] @ K_v on K_u
-    (``Mat.kernel_coords`` of f's block at u, which certifies that the
-    kernel is invariant)."""
-    M = f.source
-    bases = [b.kernel_basis() for b in f.blocks]
+    """The kernel of f, included by its blocks' kernel bases K_v (free rows
+    read off the cached rrefs, ``_null_space``); arrow a: u -> v acts on K_u
+    by the coordinates of act[a] K_v, certified by ``_kernel_coords``."""
+    M, fld = f.source, f.source.field
+    bases, free = zip(*[_null_space(fld, b.cols, R.data, piv) for b, (R, piv)
+                        in zip(f.blocks, map(Mat.rref, f.blocks))])
     act = []
-    for ai, a in enumerate(M.algebra.quiver.arrows):
-        X = f.blocks[a.source - 1].kernel_coords(
-            M.act[ai] @ bases[a.target - 1])
+    for m, a in zip(M.act, M.algebra.quiver.arrows):
+        u, K = a.source - 1, bases[a.target - 1]
+        X = _kernel_coords(f.blocks[u], _product(
+            fld, m.data, K.data, m.rows, m.cols, K.cols), K.cols, free[u])
         if X is None:
             raise PreconditionError("subspaces are not arrow-invariant")
-        act.append(X)
+        act.append(Mat(fld, len(free[u]), K.cols, X))
     K = Rep(M.algebra, [b.cols for b in bases], act)
     return K, Morphism(K, M, bases)
 
@@ -743,14 +743,12 @@ def projective_cover(M: Rep) -> Tuple[Rep, Morphism]:
     block-diagonal sums (``_diagonal_sum``) of the blocks of each P(v) the
     algebra builds once (``FinDimAlgebra._projective_blocks``), with those
     vertices as its ``tops``; no ``Rep`` is formed per summand.  The
-    generators g_1..g_t
-    at v are the unit vectors at ``_top_cols``, the free columns of the
-    rref of rad(M)_v (one row per image vector of an arrow): with its rows
-    they form a unit-triangular basis, so they span a complement.  The map
-    sends the generator of the r-th P(v) to g_r: it is
-    :func:`_map_from_tops` on those unit columns, so the basis walk w of
-    the r-th P(v) maps to rho(w) g_r with no rho(w) formed (one product per
-    arrow suffix, a one-arrow suffix a column selection).
+    generators g_1..g_t at v are the unit vectors at ``_top_cols``, the
+    free columns of the rref of rad(M)_v (one row per image vector of an
+    arrow): with its rows they form a unit-triangular basis, so they span a
+    complement.  The map sends the generator of the r-th P(v) to g_r
+    (:func:`_map_from_tops` on those unit columns): the basis walk w maps to
+    rho(w) g_r with no rho(w) formed, one flat product per arrow suffix.
     """
     alg = M.algebra
     if M.is_zero():

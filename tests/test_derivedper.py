@@ -187,7 +187,7 @@ def _twisted_weights(ctx, V, T):
             for (i, j), c in cols.items():
                 for k in range(1, ctx.gd + 2):
                     r = rows.get(((i + k) % m, j + k - 1))
-                    if r and c and not D.take_rows(r).take_cols(c).is_zero():
+                    if r and c and any(D.get(a, b) for a in r for b in c):
                         found.add(k)
     return found
 

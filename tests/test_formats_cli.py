@@ -512,6 +512,26 @@ def test_q_closure_goldens(name):
         assert fh.read() == out
 
 
+# Not in GOLDEN_CASES either: the one CLI golden over GF(p) with p above
+# 2^31, where a product of two entries exceeds 2^64 before it is reduced;
+# the closure of M(1,1) + M(1,2) + M(1,3) over N(4,4) runs the
+# syzygy step (cover, kernel) and its dual for every shift and cone.
+BIG_PRIME_GOLDENS = {
+    "tilting_stable_n44_m2_fp4294967311.json": [
+        "tilting", "stable", "--name", "N(4,4)", "-T", "M(1,1)+M(1,2)+M(1,3)",
+        "--m", "2", "--field", "fp 4294967311"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIG_PRIME_GOLDENS))
+def test_big_prime_goldens(name):
+    code, out = run_cli(BIG_PRIME_GOLDENS[name])
+    assert code == 0
+    assert json.loads(out)["result"]["closure_size"] == 12
+    with open(os.path.join(GOLDEN, name), "r", encoding="utf-8") as fh:
+        assert fh.read() == out
+
+
 # Not in GOLDEN_CASES either: the derived verbs over commsquare.alg (gd 2),
 # Hom out of the source's replacement into the target as it stands.
 DERIVED_GOLDENS = {

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodica import rep as rep_module, stablecat
+from periodica import linalg, rep as rep_module, stablecat
 from periodica.common import PreconditionError, Trunc
 from periodica.families import (all_intervals, dual_numbers, enveloping,
                                 interval_module, is_linear_a, linear_a,
@@ -649,7 +649,7 @@ def _oracle_envelope(M):
         piv = into.rref()[1]
         for j in (j for j in range(M.dims[v]) if j not in piv):
             parts.append(Rep.injective(alg, v + 1))
-            fr = Mat.identity(f, M.dims[v]).take_rows([j])
+            fr = Mat.identity(f, M.dims[v]).take_cols([j]).transpose()
             for i in range(alg.dim):
                 if alg.source[i] == v + 1:
                     rows[alg.target[i] - 1].append(fr @ M.rho(alg.basis[i]))
@@ -893,11 +893,14 @@ def test_kernel_coords_reads_the_free_rows_or_refuses(p):
         assert A.kernel_coords(out) is None
 
 
-def test_kernel_of_a_non_map_is_refused(a2):
+@pytest.mark.parametrize("field", [QQ, Field.gf(2), Field.gf(4294967311)],
+                         ids=["Q", "GF2", "GFbig"])
+def test_kernel_of_a_non_map_is_refused(field):
     # [I, 0] on P(2) = (k -> k) does not commute with the arrow: the kernel
-    # k at vertex 2 is not invariant
-    P2 = Rep.projective(a2, 2)
-    f = Morphism(P2, P2, [Mat.identity(QQ, 1), Mat.zeros(QQ, 1, 1)])
+    # k at vertex 2 is not invariant; the certificate is read on flat rows,
+    # by the kernel for the field
+    P2 = Rep.projective(linear_a(2, field), 2)
+    f = Morphism(P2, P2, [Mat.identity(field, 1), Mat.zeros(field, 1, 1)])
     with pytest.raises(PreconditionError, match="not arrow-invariant"):
         kernel_of(f)
 
@@ -912,15 +915,22 @@ def test_image_of_a_non_map_is_refused(a2):
 
 
 def _count_products(monkeypatch, fn, *args):
+    # products run in the kernels, whether a Mat asks for them or a flat
+    # caller does, so count the kernel calls; a count of 0 would mean that
+    # the products went another way and this counts nothing
     calls = [0]
-    matmul = Mat.__matmul__
 
-    def counted(a, b):
-        calls[0] += 1
-        return matmul(a, b)
+    def counted(kernel):
+        def wrapped(*a):
+            calls[0] += 1
+            return kernel(*a)
+        return wrapped
     with monkeypatch.context() as patched:
-        patched.setattr(Mat, "__matmul__", counted)
+        for name in ("q_matmul", "fp_matmul"):
+            patched.setattr(linalg._impl, name,
+                            counted(getattr(linalg._impl, name)))
         fn(*args)
+    assert calls[0] > 0
     return calls[0]
 
 
@@ -936,6 +946,15 @@ def test_cover_takes_one_product_per_walk(monkeypatch):
     walks = sum(1 for i, w in enumerate(E.basis)
                 if len(w) > 1 and E.target[i] in tops)
     assert _count_products(monkeypatch, projective_cover, M) <= walks
+
+
+def test_kernel_of_takes_two_products_per_arrow(monkeypatch):
+    # at most one product act[a] K_v and one certificate f_u act[a] K_v
+    # per arrow, on the cover of the N(4,4)^e syzygy (64 for its 32 arrows)
+    E, A = enveloping(nakayama(4, 4, QQ))
+    phi = projective_cover(syzygy(A))[1]
+    assert _count_products(monkeypatch, kernel_of, phi) <= \
+        2 * len(E.quiver.arrows)
 
 
 def test_envelope_takes_one_product_per_walk(monkeypatch):
