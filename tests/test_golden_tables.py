@@ -1,16 +1,32 @@
-"""The golden reports are pinned in two tables that must not drift apart.
+"""The CLI goldens are listed once, in ``tests/golden/manifest.json``.
 
-``tests/test_formats_cli.py`` checks each report in ``tests/golden/`` against
-its command line, and ``perfbench/workloads.py`` replays the same command
-lines as benchmark jobs from its own copy of the table.  A golden that no
-test names would be checked by nothing.
+The manifest maps each golden's file name to its argv, with sample paths
+relative to the repository root.  ``tests/test_formats_cli.py`` runs every
+entry in process and ``tests/check_installed.py`` (CI) runs every entry
+through the installed console script; both compare byte for byte.
+``perfbench/workloads.py`` replays six entries as benchmark jobs from its
+own copy, ``GOLDEN_CASES``, which must agree with the manifest.  Every other
+file under ``tests/golden/`` is opened by a named reader, so no golden is
+checked by nothing.
 """
 
 import ast
-import glob
+import json
 import os
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+# the goldens that are no CLI report, and the test file that opens each
+READERS = {
+    "closure_grid.json": "test_stablecat.py",
+    "closure_n4_fp4294967311.json": "test_stablecat.py",
+    "closure_n5_fp2_seed5.json": "test_stablecat.py",
+}
+
+
+def _manifest():
+    with open(os.path.join(GOLDEN, "manifest.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _golden_cases(path):
@@ -25,16 +41,21 @@ def _golden_cases(path):
 
 
 def test_perfbench_replays_the_tested_goldens():
-    tests = _golden_cases(os.path.join(ROOT, "tests", "test_formats_cli.py"))
     bench = _golden_cases(os.path.join(ROOT, "perfbench", "workloads.py"))
-    assert tests and bench == tests
+    manifest = _manifest()
+    assert bench
+    assert {name: manifest.get(name) for name in bench} == bench
+
+
+def test_every_manifest_entry_has_its_file():
+    missing = [name for name in sorted(_manifest())
+               if not os.path.isfile(os.path.join(GOLDEN, name))]
+    assert missing == []
 
 
 def test_every_golden_is_named_by_a_test():
-    text = ""
-    for path in glob.glob(os.path.join(ROOT, "tests", "*.py")):
-        with open(path, "r", encoding="utf-8") as fh:
-            text += fh.read()
-    goldens = sorted(os.listdir(os.path.join(ROOT, "tests", "golden")))
-    assert goldens
-    assert [g for g in goldens if g not in text] == []
+    others = set(os.listdir(GOLDEN)) - set(_manifest()) - {"manifest.json"}
+    assert sorted(others) == sorted(READERS)
+    for name, reader in READERS.items():
+        with open(os.path.join(ROOT, "tests", reader), encoding="utf-8") as fh:
+            assert f'"{name}"' in fh.read(), (name, reader)
