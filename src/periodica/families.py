@@ -20,7 +20,7 @@ from .common import PreconditionError
 from .fields import Field
 from .linalg import Mat
 from .quiver import (AlgebraPresentation, FinDimAlgebra, Quiver, build_algebra,
-                     enveloping_algebra, pair_vertex)
+                     enveloping_algebra)
 from .rep import Rep
 
 
@@ -144,26 +144,22 @@ def all_intervals(alg: FinDimAlgebra) -> List[Tuple[Tuple[int, int], Rep]]:
 def enveloping(alg: FinDimAlgebra) -> Tuple[FinDimAlgebra, Rep]:
     """The enveloping algebra A^op (x) A and A as a right module over it.
 
-    The bimodule components sit at vertex pairs (u, v) and carry e_u A e_v;
-    the left leg acts by left multiplication, the right leg by right
+    The bimodule components sit at vertex pairs (u, v) and carry e_u A e_v,
+    on the basis walks v -> u (``projective_basis[u - 1][v - 1]``); the
+    left leg acts by left multiplication, the right leg by right
     multiplication.
     """
     E = enveloping_algebra(alg)
-    n = alg.quiver.n
     f = alg.field
-    local: Dict[int, List[int]] = {w: [] for w in range(1, n * n + 1)}
-    for i in range(alg.dim):
-        local[pair_vertex(n, alg.target[i], alg.source[i])].append(i)
-    pos = {}
-    for w, lst in local.items():
-        for r, bi in enumerate(lst):
-            pos[bi] = r
-    dims = [len(local[w]) for w in range(1, n * n + 1)]
+    # local[pair_vertex(n, u, v) - 1]: the basis at (u, v)
+    local = [lst for row in alg.projective_basis for lst in row]
+    pos = {bi: r for lst in local for r, bi in enumerate(lst)}
+    dims = [len(lst) for lst in local]
     act = []
     for ar, (leg, ai) in zip(E.quiver.arrows, E.arrow_legs):
         m = Mat.zeros(f, dims[ar.source - 1], dims[ar.target - 1])
         a = alg.arrow_index[ai]
-        for c, bi in enumerate(local[ar.target]):
+        for c, bi in enumerate(local[ar.target - 1]):
             # the A^op leg multiplies on the left, the A leg on the right
             for k, coeff in (alg.mult(a, bi) if leg == 0 else alg.mult(bi, a)):
                 m.data[pos[k] * m.cols + c] = coeff

@@ -170,8 +170,10 @@ class FinDimAlgebra:
     Carries the vertex idempotents, the radical filtration, and the
     presentation the algebra satisfies.  The table is validated on
     construction: exhaustively for :func:`build_algebra`, and for
-    :func:`enveloping_algebra` by checks that make its associativity follow
-    from the two legs' own exhaustive validation (see :meth:`validate`).
+    :func:`enveloping_algebra` by products of its vertex idempotents and
+    arrows and by bookkeeping on its basis, which make it a unital
+    associative algebra on its walks by the two legs' own exhaustive
+    validation (see ``_EnvelopingAlgebra.validate``).
     """
 
     def __init__(self, presentation: AlgebraPresentation, basis: List[Walk],
@@ -347,17 +349,19 @@ class FinDimAlgebra:
 
         Every table from :func:`build_algebra` gets this check.  The table of
         :func:`enveloping_algebra` is the tensor product of two tables that
-        already passed it, so it replaces 2 and 3 by O(dim) bookkeeping that
-        makes them follow from the legs (see ``_EnvelopingAlgebra``).
+        already passed it, so it replaces all four by products of its
+        generators and bookkeeping that make them follow from the legs (see
+        ``_EnvelopingAlgebra.validate``).
         """
-        self._check_units(self.mult)
+        self._check_units()
         self._check_associative()
-        self._check_walks(self.mult)
+        self._check_walks()
 
-    def _check_units(self, mult: Callable[[int, int], tuple]) -> None:
-        """Step 1 of :meth:`validate`, on the product ``mult``."""
+    def _check_units(self) -> None:
+        """Step 1 of :meth:`validate`."""
         one = self.field.one()
         n = self.quiver.n
+        mult = self.mult
         for v in range(1, n + 1):
             for w in range(1, n + 1):
                 prod = mult(self.e(v), self.e(w))
@@ -407,9 +411,10 @@ class FinDimAlgebra:
                             "multiplication table not associative at "
                             f"({a},{x},{y})")
 
-    def _check_walks(self, mult: Callable[[int, int], tuple]) -> None:
-        """Step 4 of :meth:`validate`, on the product ``mult``."""
+    def _check_walks(self) -> None:
+        """Step 4 of :meth:`validate`."""
         one = self.field.one()
+        mult = self.mult
         for i, w in enumerate(self.basis):
             if len(w) == 1:
                 continue
@@ -674,37 +679,47 @@ class _EnvelopingAlgebra(FinDimAlgebra):
         super().__init__(presentation, basis, tensor_product)
 
     def validate(self) -> None:
-        """Exhaustive in O(n^2 + dim) products, associativity from the legs.
+        """Checks at the cost of A^e's generators; the rest is the legs'.
 
-        Both legs passed the full :meth:`FinDimAlgebra.validate`, so their
-        tables are associative and unital and keep products in their blocks.
-        This checks:
+        Both legs passed the full :meth:`FinDimAlgebra.validate`.  This
+        checks:
 
-        * the pairs are a bijection onto leg basis x leg basis, and the
-          basis walks are distinct;
-        * basis[(x, y)] runs from pair_vertex(source x, source y) to
-          pair_vertex(target x, target y);
-        * steps 1 and 4 of :meth:`FinDimAlgebra.validate`.
+        (a) the pairs are a bijection onto leg basis x leg basis, and the
+            basis walks are distinct;
+        (b) basis[(x, y)] runs from pair_vertex(source x, source y) to
+            pair_vertex(target x, target y);
+        (c) e at pair_vertex(u, v) is the pair (e_u, e_v), and e * e == e;
+        (d) each arrow of A^e is fixed by the idempotents at its ends;
+        (e) with no product: each basis walk w = (w' then t), where
+            arrow_legs[t] = (leg, a), has w' in the basis, and the pair of
+            w is that of w' with its element z' on that leg replaced by the
+            leg basis walk (z' then a).
 
-        pair_vertex is injective, so by the second check (x1, y1), (x2, y2)
-        are composable exactly when both legs are, and ``mult`` is the
-        tensor product of the legs' tables (the product of a non-composable
-        leg is empty on both sides), carried over a bijective index map.  A
-        tensor product of associative tables is associative: ((x1 x2) x3,
-        (y1 y2) y3) = (x1 (x2 x3), y1 (y2 y3)) extended bilinearly.  Its
-        products stay in their blocks by the legs' step 2 and the second
-        check, which is step 2 here; step 1 is checked directly.
+        pair_vertex is injective, so by (a) and (b) (x1, y1), (x2, y2) are
+        composable exactly when both legs are, and ``mult`` is the tensor
+        product of the legs' tables over a bijective index map.  That
+        product is associative, ((x1 x2) x3, (y1 y2) y3) = (x1 (x2 x3),
+        y1 (y2 y3)), and keeps products in their blocks by the legs' step 2
+        and (b): steps 2 and 3.  Step 1: by (c) e_(u,v) e_(u',v') =
+        (e_u e_u', e_v e_v'), and by (b) the left unit of (x, y) is
+        (e_(target x), e_(target y)), so the legs' step 1 gives it; the
+        right alike.  Step 4: (e) on a length-1 walk, whose prefix is an
+        idempotent (c), makes the arrow t the pair of the leg arrow a and
+        an idempotent.  Then for leg 1 (leg 0 alike) (b) makes t start
+        where w' ends, and t * w' = (e x', a y') = (x', y) = basis[w] by
+        the legs' steps 1 and 4.
 
-        Steps 1 and 4 run on the uncached product, behind the same
-        composability guard as ``mult``: their ~3 dim products are asked
-        for once each, so they leave ``_table`` empty for the products a
-        caller asks for.
+        (c) and (d) run the product code itself on the generators, so they
+        refuse a coefficient or an index map it gets wrong, and a leg table
+        that lost a unit since its validation.  They call the uncached
+        product (each pair is composable), so they leave ``_table`` empty
+        for the products a caller asks for.
         """
         op, alg = self._legs
-        pairs = self._pairs
+        pairs, index = self._pairs, self.index
         every_pair = [(x, y) for x in range(op.dim) for y in range(alg.dim)]
         if (len(pairs) != self.dim or sorted(pairs) != every_pair
-                or len(self.index) != self.dim):
+                or len(index) != self.dim):
             raise PreconditionError(
                 "basis is not a bijection onto pairs of leg basis elements")
         n = alg.quiver.n
@@ -714,12 +729,36 @@ class _EnvelopingAlgebra(FinDimAlgebra):
                                                      alg.target[y])):
                 raise PreconditionError(
                     f"basis element {i} lies outside the block of its pair")
-        source, target, product = self.source, self.target, self._product
-
-        def uncached(i: int, j: int) -> tuple:
-            return () if source[i] != target[j] else product(i, j)
-        self._check_units(uncached)
-        self._check_walks(uncached)
+        one, product = self.field.one(), self._product
+        for p in range(1, self.quiver.n + 1):
+            u, v = divmod(p - 1, n)
+            e = self.e(p)
+            if (pairs[e] != (op.e(u + 1), alg.e(v + 1))
+                    or product(e, e) != ((e, one),)):
+                raise PreconditionError(
+                    f"idempotent {e} is not the pair of the legs' idempotents")
+        # per leg element z = (z' then a): a and the index of z' (-1, -1
+        # for an idempotent)
+        steps = [[(w[-1], leg.index[w[:-1]]) if len(w) > 1 else (-1, -1)
+                  for w in leg.basis] for leg in (op, alg)]
+        for i, w in enumerate(self.basis):
+            if len(w) == 1:
+                continue
+            side, a = self.arrow_legs[w[-1]]
+            pair = pairs[i]
+            last, before = steps[side][pair[side]]
+            prefix = index.get(w[:-1])
+            if (last != a or prefix is None
+                    or pairs[prefix][side] != before
+                    or pairs[prefix][1 - side] != pair[1 - side]):
+                raise PreconditionError(
+                    f"basis walk {self.quiver.walk_name(w)} is not its leg "
+                    "arrow times its prefix")
+        for i in self.arrow_index:
+            if product(self.e(self.target[i]), i) != ((i, one),):
+                raise PreconditionError("left unit fails")
+            if product(i, self.e(self.source[i])) != ((i, one),):
+                raise PreconditionError("right unit fails")
 
     def _projective_blocks(self, v: int
                            ) -> Tuple[Tuple[int, ...], Tuple[Mat, ...]]:
@@ -811,17 +850,18 @@ def enveloping_algebra(alg: FinDimAlgebra) -> FinDimAlgebra:
              for u in range(1, n + 1) for bi, b in enumerate(q.arrows)}
     legs = {t: (0, ai) for (ai, _), t in left.items()}
     legs.update({t: (1, bi) for (_, bi), t in right.items()})
-    keyed = []
-    for x, xw in enumerate(op.basis):
-        u = op.source[x]
-        for y, yw in enumerate(alg.basis):
-            v = alg.target[y]
-            w = ((pair_vertex(n, u, alg.source[y]),)
-                 + tuple(right[u, bi] for bi in yw[1:])
-                 + tuple(left[ai, v] for ai in xw[1:]))
-            keyed.append(((len(w), w), x, y))
-    keyed.sort()
-    basis = [key[1] for key, _, _ in keyed]
-    pairs = [(x, y) for _, x, y in keyed]
+    # per row u, each y's start and arrows; per column v, each x's arrows:
+    # each walk is then one concatenation
+    heads = [[(pair_vertex(n, u, alg.source[y]),)
+              + tuple(right[u, bi] for bi in yw[1:])
+              for y, yw in enumerate(alg.basis)] for u in range(1, n + 1)]
+    tails = [[tuple(left[ai, v] for ai in xw[1:]) for xw in op.basis]
+             for v in range(1, n + 1)]
+    keyed = sorted((len(w), w, x, y)
+                   for x in range(op.dim)
+                   for y, head in enumerate(heads[op.source[x] - 1])
+                   for w in (head + tails[alg.target[y] - 1][x],))
+    basis = [w for _, w, _, _ in keyed]
+    pairs = [(x, y) for _, _, x, y in keyed]
     return _EnvelopingAlgebra(pres, basis, op, alg, pairs,
                               [legs[t] for t in range(len(tq.arrows))])

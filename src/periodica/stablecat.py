@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .common import IdentityMemo, PreconditionError, Trunc
+from .common import CheckFailed, IdentityMemo, PreconditionError, Trunc
 from .families import enveloping, is_cyclic_nakayama, serial_module
-from .linalg import Mat, _free_cols, reduce_mod_rowspace
-from .quiver import FinDimAlgebra
-from .rep import (HomBasis, Morphism, Rep, block_sum, decompose, dual,
-                  is_projective, iso_q, kernel_of, projective_cover, syzygies,
-                  syzygy)
+from .linalg import (Mat, _echelon, _free_cols, _null_space, _offsets,
+                     reduce_mod_rowspace)
+from .quiver import FinDimAlgebra, pair_vertex
+from .rep import (HomBasis, Morphism, Rep, _walk_image, block_sum, decompose,
+                  dual, is_projective, iso_q, kernel_of, projective_cover,
+                  syzygies, syzygy)
 
 
 def is_self_injective(alg: FinDimAlgebra) -> bool:
@@ -209,8 +210,10 @@ class NotPeriodic(Trunc):
         return f"NotPeriodic({self.projdim})"
 
 
-def _syzygy_period(M: Rep, bound: int) -> Trunc:
-    """Smallest p in 1..bound with the p-th syzygy of M isomorphic to M.
+def _syzygy_period(M: Rep, bound: int,
+                   iso: Callable[[Rep, Rep], bool] = iso_q) -> Trunc:
+    """Smallest p in 1..bound with the p-th syzygy K of M isomorphic to M,
+    as ``iso(K, M)`` decides.
 
     When the p-th syzygy is zero, every later one is zero too, so none is M:
     the answer is ``NotPeriodic(p - 1)`` rather than a truncation at
@@ -219,16 +222,81 @@ def _syzygy_period(M: Rep, bound: int) -> Trunc:
     for p, (_, _, K, _) in zip(range(1, bound + 1), syzygies(M)):
         if K.is_zero():
             return NotPeriodic(p - 1)
-        if K.dims == M.dims and iso_q(K, M):
+        if K.dims == M.dims and iso(K, M):
             return Trunc(p)
     return Trunc(bound, exact=False)
 
 
 def algebra_period(alg: FinDimAlgebra, bound: int, seed: int = 0) -> Trunc:
     """Smallest p with the p-th syzygy of the regular bimodule isomorphic to
-    it over the enveloping algebra, or ``NotPeriodic``.  ``seed`` changes
-    no answer: ``iso_q`` depends on its modules alone."""
-    return _syzygy_period(enveloping(alg)[1], bound)
+    it over the enveloping algebra, or ``NotPeriodic``.
+
+    For a connected algebra A, End(A) over A^e is the centre Z(A), which is
+    local, so as ``find_iso`` argues K is A iff some basis map of
+    Hom(A, K) is invertible; that Hom space is read off A's presentation
+    (:func:`_bimodule_maps`).  A disconnected A is decided by ``iso_q``.
+    ``seed`` changes no answer."""
+    B = enveloping(alg)[1]
+    if len(set(_blocks(alg))) > 1:
+        return _syzygy_period(B, bound)
+    return _syzygy_period(B, bound, lambda K, _: any(
+        g.is_iso() for g in _bimodule_maps(alg, B, K)))
+
+
+def _bimodule_maps(alg: FinDimAlgebra, B: Rep, K: Rep) -> List[Morphism]:
+    """A basis of Hom(B, K) over A^e, for B = A as ``families.enveloping``
+    builds it, read off A's presentation (+)_a P(s a, t a) -> (+)_v P(v, v)
+    -> A -> 0, whose first map sends the generator of a: s -> t to
+    a (x) 1 - 1 (x) a (the first terms of Bardzell's resolution).
+
+    A map is fixed by the images k_v in K_(v,v) of the idempotents e_v,
+    and k is one exactly when a^o@s k_s = t@a k_t for every arrow a: both
+    arrows send e_s, e_t to a in B_(t,s).  So Hom(B, K) is the kernel of
+    these arrow differences, with sum_v dim K_(v,v) unknowns (``HomBasis``
+    has sum_w dim B_w dim K_w).  The basis walk s -> t of A with arrows
+    a_1, ..., a_l is a_l ... a_1 e_s (step 4 of ``validate``), so a map
+    sends it to rho_K(a_l^o@s ... a_1^o@s) k_s: one ``rep._walk_image``
+    memo per s, for every kernel vector at once.  Each map is certified a
+    module map, as ``rep._lift`` certifies its lift.
+    """
+    f, n = K.field, alg.quiver.n
+    name = K.algebra.quiver.by_name
+    arrows = alg.quiver.arrows
+    # left[s][a]: the arrow a^o@(s + 1) of A^e, a acting in column s + 1
+    left = [[name[f"{a.name}^o@{s}"] for a in arrows] for s in range(1, n + 1)]
+    off = _offsets([K.dims[pair_vertex(n, v, v) - 1] for v in range(1, n + 1)])
+    eqs = []
+    for ai, a in enumerate(arrows):
+        s, t = a.source - 1, a.target - 1
+        L, R = K.act[left[s][ai]], K.act[name[f"{t + 1}@{a.name}"]]
+        for r in range(L.rows):
+            row = [f.zero()] * off[-1]
+            row[off[s]:off[s + 1]] = L.row_list(r)
+            for j, c in enumerate(R.row_list(r), off[t]):
+                row[j] = f.sub(row[j], c)
+            eqs.append(row)
+    sol = _null_space(f, off[-1], *_echelon(
+        f, len(eqs), off[-1], [x for row in eqs for x in row]))[0]
+    d = sol.cols
+    images = [{(): (sol.data[off[s] * d:off[s + 1] * d], d)}
+              for s in range(n)]
+    cols = []       # per vertex of A^e, the images of B's basis there
+    for row in alg.projective_basis:
+        for s, lst in enumerate(row):
+            cols.append([_walk_image(images[s], K, tuple(
+                left[s][ai] for ai in reversed(alg.basis[i][1:])), None)[0]
+                for i in lst])
+    maps = []
+    for j in range(d):
+        g = Morphism(B, K, [
+            Mat(f, dk, len(ims), [im[r * d + j] for r in range(dk)
+                                  for im in ims])
+            for dk, ims in zip(K.dims, cols)])
+        if not g.is_intertwiner():
+            raise CheckFailed("a solution of the presentation of A is not "
+                              "a module map")
+        maps.append(g)
+    return maps
 
 
 # -- iso-class registry for generation closures ----------------------------------

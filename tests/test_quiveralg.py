@@ -511,11 +511,12 @@ def test_enveloping_matches_tensor_presentation(case):
         assert Rep.projective(E, v).act == Rep.projective(ref, v).act
 
 
-def _rebuilt_envelope(E, pairs):
-    """A^e rebuilt by the class enveloping_algebra uses, on other pairs."""
+def _rebuilt_envelope(E, pairs, arrow_legs=None):
+    """A^e rebuilt by the class enveloping_algebra uses, on other pairs (or
+    other arrow legs)."""
     op, alg = E._legs
     return type(E)(E.presentation, list(E.basis), op, alg, pairs,
-                   E.arrow_legs)
+                   E.arrow_legs if arrow_legs is None else arrow_legs)
 
 
 def test_enveloping_check_rejects_a_broken_tensor_map():
@@ -539,6 +540,47 @@ def test_enveloping_check_rejects_a_broken_tensor_map():
     pairs[1] = pairs[0]
     with pytest.raises(PreconditionError, match="bijection"):
         _rebuilt_envelope(E, pairs)
+
+
+def _traded(E, i, j):
+    pairs = list(E._pairs)
+    pairs[i], pairs[j] = pairs[j], pairs[i]
+    return pairs
+
+
+def test_enveloping_check_refuses_a_wrong_idempotent_pair():
+    # e at (1, 1) trades pairs with the cycle pair (e, c) of its own block,
+    # so the blocks still hold: only the idempotents' bookkeeping sees it
+    E = enveloping_algebra(nakayama(2, 3, QQ))
+    e = E.e(1)
+    c = next(i for i in range(E.dim) if i != e and E.length[i] == 2
+             and E.source[i] == E.target[i] == 1)
+    with pytest.raises(PreconditionError, match="idempotent"):
+        _rebuilt_envelope(E, _traded(E, e, c))
+
+
+def test_enveloping_check_refuses_a_wrong_leg_pair_on_an_arrow():
+    # the first arrow (a^o@1, on the A^op leg) named as the last (on the A
+    # leg), and the other way round: the pairs and blocks still hold
+    E = enveloping_algebra(nakayama(2, 3, QQ))
+    legs = list(E.arrow_legs)
+    legs[0], legs[-1] = legs[-1], legs[0]
+    assert legs[0][0] != legs[-1][0]
+    with pytest.raises(PreconditionError, match="leg arrow times its prefix"):
+        _rebuilt_envelope(E, list(E._pairs), legs)
+
+
+def test_enveloping_check_refuses_a_wrong_prefix_label():
+    # over k[x]/(x^4), (x, x) and (x^2, e) lie in one block at one length
+    # and both end in x on the A^op leg: traded, each walk's prefix carries
+    # the other's leg prefix
+    E = enveloping_algebra(nakayama(1, 4, QQ))
+    op, alg = E._legs
+    x, x2 = op.index[(1, 0)], op.index[(1, 0, 0)]
+    i, j = (E._pairs.index((x, alg.index[(1, 0)])),
+            E._pairs.index((x2, alg.e(1))))
+    with pytest.raises(PreconditionError, match="leg arrow times its prefix"):
+        _rebuilt_envelope(E, _traded(E, i, j))
 
 
 def test_enveloping_check_refuses_a_leg_without_right_units():
@@ -590,8 +632,11 @@ def test_envelope_projectives_match_the_generic_construction(case):
 
 def test_enveloping_validation_is_linear_in_dim(monkeypatch):
     # the full check would take O(#arrows * dim^2) products on A^e (about
-    # 10^5 here); the legs' associativity makes O(n^2 + dim) enough
+    # 10^5 here); the legs' validation makes one product per vertex and two
+    # per arrow enough, each two leg products, and the bimodule takes one
+    # leg product per entry of an arrow's matrix
     alg = nakayama(5, 5, QQ)
+    alg.opposite()          # the leg's own exhaustive check is not counted
     calls = [0]
     mult = FinDimAlgebra.mult
 
@@ -600,8 +645,8 @@ def test_enveloping_validation_is_linear_in_dim(monkeypatch):
         return mult(self, i, j)
     monkeypatch.setattr(FinDimAlgebra, "mult", counted)
     E, _ = enveloping(alg)
-    assert E.dim == 625 and E.quiver.n == 25
-    assert calls[0] <= 8 * (E.dim + E.quiver.n ** 2)
+    assert E.dim == 625 and E.quiver.n == 25 and len(E.quiver.arrows) == 50
+    assert calls[0] <= 4 * (E.quiver.n + len(E.quiver.arrows))
 
 
 # -- covers and envelopes against a rebuild from rho ---------------------------

@@ -1,20 +1,24 @@
 import glob
 import os
 import random
+from math import lcm
 
 import pytest
 
-from periodica.common import PreconditionError, Trunc, TruncationError
+from periodica.common import (CheckFailed, PreconditionError, Trunc,
+                              TruncationError)
 from periodica.derivedper import ext_dims
-from periodica.families import (dual_numbers, linear_a, nakayama,
-                                semisimple_product, serial_module)
+from periodica.families import (dual_numbers, enveloping, linear_a,
+                                nakayama, semisimple_product, serial_module)
 from periodica.fields import Field, QQ
 from periodica.formats import (load_algebra, parse_algebra_text,
                                parse_module_expr)
+from periodica.linalg import Mat
 from periodica.quiver import build_algebra
 from periodica.rep import (HomBasis, Morphism, Rep, block_sum, find_iso,
-                           hom_space, iso_q, projective_cover)
-from periodica.stablecat import (NotPeriodic, StableContext, algebra_period,
+                           hom_space, iso_q, projective_cover, syzygies)
+from periodica.stablecat import (NotPeriodic, StableContext, _bimodule_maps,
+                                 _blocks, algebra_period,
                                  check_periodic_tilting_stable,
                                  is_self_injective, stable_end_algebra)
 
@@ -198,6 +202,79 @@ def test_stable_cone_rotation(n33):
 def test_algebra_periods_over_Q():
     for (n, m), expect in {(1, 2): 2, (2, 2): 2, (3, 3): 2, (2, 4): 2}.items():
         assert algebra_period(nakayama(n, m, QQ), 10) == expect
+    # Ex. 5.6 at scale: the bimodule period of N(n, l) is 2 lcm(n, l) / l
+    # in characteristic 0
+    for n, l in ((12, 12), (8, 6), (9, 6), (6, 9), (10, 4), (5, 8)):
+        assert algebra_period(nakayama(n, l, QQ), 16) == 2 * lcm(n, l) // l
+
+
+# twoblocks.alg is the one disconnected sample, decided by iso_q; the
+# coefficient 2/3 of ratsquare.alg has no value over GF(3)
+PRESENTATION_CASES = [
+    f"N({n},{l})/{p}" for p in (0, 2, 3)
+    for n, l in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 4), (4, 4),
+                 (2, 5), (4, 6))
+] + [f"{name}/{p}" for name in SAMPLE_ALGEBRAS if name != "twoblocks.alg"
+     for p in (0, 2, 3) if (name, p) != ("ratsquare.alg", 3)]
+
+
+def _presentation_case(case):
+    name, p = case.rsplit("/", 1)
+    if name.startswith("N("):
+        n, l = map(int, name[2:-1].split(","))
+        return nakayama(n, l, Field(int(p)))
+    return sample_algebra(name, Field(int(p)))
+
+
+@pytest.mark.parametrize("case", PRESENTATION_CASES)
+def test_bimodule_maps_match_the_hom_system(case):
+    # Hom(A, K) read off A's presentation has the dimension of the full
+    # Hom system, and holds an invertible map exactly when iso_q finds
+    # K = A, for every syzygy K up to the period (the projective dimension,
+    # or 4 where there is neither)
+    alg = _presentation_case(case)
+    assert len(set(_blocks(alg))) == 1
+    B = enveloping(alg)[1]
+    period = algebra_period(alg, 4)
+    last = period.projdim if isinstance(period, NotPeriodic) else period.value
+    K = B
+    for p, step in zip(range(last + 1), syzygies(B)):
+        maps = _bimodule_maps(alg, B, K)
+        assert len(maps) == HomBasis(B, K).dim
+        iso = any(g.is_iso() for g in maps)
+        assert iso == iso_q(K, B)
+        assert iso == (p == 0 or period.exact and p == period.value)
+        K = step[2]
+
+
+@pytest.mark.parametrize("case", PRESENTATION_CASES)
+def test_bimodule_maps_find_no_iso_onto_an_altered_copy(case):
+    # A with one arrow matrix the presentation reads set to zero: a^o@s for
+    # the first arrow a: s -> t
+    alg = _presentation_case(case)
+    E, B = enveloping(alg)
+    a = alg.quiver.arrows[0]
+    k = E.quiver.by_name[f"{a.name}^o@{a.source}"]
+    m = B.act[k]
+    assert not m.is_zero()
+    K = Rep(E, B.dims, [Mat.zeros(m.field, m.rows, m.cols) if j == k else x
+                        for j, x in enumerate(B.act)])
+    assert not any(g.is_iso() for g in _bimodule_maps(alg, B, K))
+    assert not iso_q(K, B)
+
+
+def test_bimodule_maps_are_certified_module_maps():
+    # an arrow u@b with u != t(b) is read neither by the system nor by the
+    # walk images: doubled, it leaves the identity a solution, and only the
+    # module-map certificate refuses it
+    alg = nakayama(3, 3, QQ)
+    E, B = enveloping(alg)
+    k = E.quiver.by_name["1@a2"]
+    assert not B.act[k].is_zero()
+    K = Rep(E, B.dims, [x.scale(2) if j == k else x
+                        for j, x in enumerate(B.act)])
+    with pytest.raises(CheckFailed, match="not a module map"):
+        _bimodule_maps(alg, B, K)
 
 
 def test_algebra_period_char2_exception():
