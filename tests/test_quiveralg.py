@@ -549,8 +549,8 @@ def _traded(E, i, j):
 
 
 def test_enveloping_check_refuses_a_wrong_idempotent_pair():
-    # e at (1, 1) trades pairs with the cycle pair (e, c) of its own block,
-    # so the blocks still hold: only the idempotents' bookkeeping sees it
+    # e at (1, 1) trades pairs with a pair of length-2 cycles in its own
+    # block, so the blocks still hold: only the idempotents' check sees it
     E = enveloping_algebra(nakayama(2, 3, QQ))
     e = E.e(1)
     c = next(i for i in range(E.dim) if i != e and E.length[i] == 2
